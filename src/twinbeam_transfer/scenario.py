@@ -36,7 +36,13 @@ from .model import (
     sample_batch,
 )
 from .oracle import TransferPrediction, predict_transfer
-from .selection import SelectionConfig, conditional_statistics, derived_seed, select
+from .selection import (
+    SelectionConfig,
+    conditional_statistics,
+    derived_seed,
+    select,
+    unconditioned_statistics,
+)
 from .stats import Histogram, TransferReport, histogram
 
 SWEEP_PARAMETERS = (
@@ -49,7 +55,7 @@ SWEEP_PARAMETERS = (
 
 ENGINES = ("direct", "chain")
 
-# seed tags for streams derived from the batch seed; selection.py owns 0xB00F
+# seed tags for the scatter subsample streams derived from the batch seed
 _SCATTER_TAG_CONDITIONED = 0x5CA0
 _SCATTER_TAG_UNCONDITIONED = 0x5CA1
 
@@ -231,8 +237,7 @@ def _subsample(indices: np.ndarray, count: int, seed: int) -> np.ndarray:
     return indices[chosen]
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1,
-                 resamples: int = 1000) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> ScenarioResult:
     """One paired acquisition: conditioned and unconditioned statistics.
 
     When out_dir is given, also writes scatter, histogram, and report files
@@ -240,17 +245,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1,
     """
     batch = generate_batch(cfg, workers=workers)
     selected = select(batch, cfg.selection)
-    conditioned = conditional_statistics(batch, selected, cfg.selection,
-                                         resamples=resamples)
-    keep_all = dataclasses.replace(cfg.selection, bandwidth_delta=math.inf)
-    everything = select(batch, keep_all)
-    unconditioned = conditional_statistics(batch, everything, keep_all,
-                                           resamples=resamples)
+    conditioned = conditional_statistics(batch, selected, cfg.selection)
+    tgt_a, tgt_b = cfg.selection.target_channels
+    difference = batch.channel(tgt_a) - batch.channel(tgt_b)
+    unconditioned = unconditioned_statistics(batch, difference, cfg.selection)
     prediction = predict_transfer(cfg.pair1, cfg.pair2,
                                   cfg.selection.bandwidth_delta, cfg.setting)
 
-    tgt_a, tgt_b = cfg.selection.target_channels
-    difference = batch.channel(tgt_a) - batch.channel(tgt_b)
     cond_hist = histogram(difference[selected.kept_indices])
     uncond_hist = histogram(difference)
 
@@ -360,8 +361,7 @@ def _apply_axis(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     return dataclasses.replace(cfg, pair1=pair1, pair2=pair2, sweep=None)
 
 
-def _sweep_row(cfg: ScenarioConfig, index: int, value: float,
-               resamples: int) -> dict[str, Any]:
+def _sweep_row(cfg: ScenarioConfig, index: int, value: float) -> dict[str, Any]:
     row: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, math.nan)
     row["axis_value"] = value
     row["kept_count"] = 0
@@ -369,29 +369,26 @@ def _sweep_row(cfg: ScenarioConfig, index: int, value: float,
     try:
         row_cfg = _apply_axis(cfg, cfg.sweep.parameter, value)
         row_cfg = dataclasses.replace(row_cfg, seed=derived_seed(cfg.seed, index))
-        batch = generate_batch(row_cfg)
-        selected = select(batch, row_cfg.selection)
-        report = conditional_statistics(batch, selected, row_cfg.selection,
-                                        resamples=resamples)
+        # fill each column as soon as it is known, so a failed row keeps them
         prediction = predict_transfer(row_cfg.pair1, row_cfg.pair2,
                                       row_cfg.selection.bandwidth_delta,
                                       row_cfg.setting)
-        row.update(
-            transferred_db=report.squeezing_db,
-            ci_low_db=report.ci_low_db,
-            ci_high_db=report.ci_high_db,
-            kept_count=report.kept_count,
-            preparation_probability=report.preparation_probability,
-            oracle_transferred_db=prediction.transferred_db,
-            oracle_probability=prediction.selection_probability,
-        )
+        row.update(oracle_transferred_db=prediction.transferred_db,
+                   oracle_probability=prediction.selection_probability)
+        batch = generate_batch(row_cfg)
+        selected = select(batch, row_cfg.selection)
+        row.update(kept_count=selected.kept_count,
+                   preparation_probability=selected.preparation_probability)
+        report = conditional_statistics(batch, selected, row_cfg.selection)
+        row.update(transferred_db=report.squeezing_db,
+                   ci_low_db=report.ci_low_db,
+                   ci_high_db=report.ci_high_db)
     except TwinBeamError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1,
-              resamples: int = 1000) -> list[dict[str, Any]]:
+def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[str, Any]]:
     """One row per sweep point; failed rows carry the error, never abort.
 
     Row seeds derive from (cfg.seed, row index), so the table is identical
@@ -402,11 +399,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1,
     values = [float(v) for v in cfg.sweep.values()]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda iv: _sweep_row(cfg, iv[0], iv[1], resamples),
-                enumerate(values)))
+            rows = list(pool.map(lambda iv: _sweep_row(cfg, *iv), enumerate(values)))
     else:
-        rows = [_sweep_row(cfg, i, v, resamples) for i, v in enumerate(values)]
+        rows = [_sweep_row(cfg, i, v) for i, v in enumerate(values)]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -418,15 +413,16 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1,
     return rows
 
 
-def run_selftest(seed: int = 0, points: int = 1_000_000, cases: int = 8,
-                 resamples: int = 400) -> list[dict[str, Any]]:
+def run_selftest(seed: int = 0, points: int = 1_000_000,
+                 cases: int = 8) -> list[dict[str, Any]]:
     """Randomized closed-form-vs-Monte-Carlo agreement check.
 
     Each case draws squeezing in [0, 12] dB, sum-mode variance in [2, 1e4]
     (log-uniform), and a selection half-width in [0.01, 3] delta
     (log-uniform), then requires the measured conditional noise to match the
-    prediction within 3 bootstrap standard errors and the kept count to
-    match the predicted probability within 4 binomial sigma.
+    prediction within 3 standard errors of the moment-based (delta-method)
+    interval and the kept count to match the predicted probability within 4
+    binomial sigma.
     """
     if cases < 1:
         raise ValidationError(f"cases must be >= 1, got {cases}")
@@ -441,8 +437,7 @@ def run_selftest(seed: int = 0, points: int = 1_000_000, cases: int = 8,
         sel_cfg = SelectionConfig(bandwidth_delta=delta_i, min_kept=30)
         batch = sample_batch(build_covariance(pair, pair), points,
                              derived_seed(seed, index))
-        report = conditional_statistics(batch, select(batch, sel_cfg), sel_cfg,
-                                        resamples=resamples)
+        report = conditional_statistics(batch, select(batch, sel_cfg), sel_cfg)
         prediction = predict_transfer(pair, pair, delta_i)
 
         se = max((report.ci_high_db - report.ci_low_db) / 2.0, 1e-9)

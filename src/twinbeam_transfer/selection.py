@@ -22,19 +22,15 @@ from .errors import (
     ValidationError,
 )
 from .model import CHANNELS, COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE, SampleBatch
-from .stats import TransferReport, bootstrap_ci, variance_db
+from .stats import TransferReport, variance_db, variance_interval
 
-# minimum kept events must keep the bootstrap interval meaningful
+# the moment-based interval (and its bootstrap reference) needs >= 30 values
 _MIN_KEPT_FLOOR = 30
 
 
 def derived_seed(base_seed: int, tag: int) -> int:
     """Deterministic child seed for a named sub-task of a batch."""
     return int(np.random.SeedSequence((int(base_seed), int(tag))).generate_state(1)[0])
-
-
-# fixed tags for the sub-streams hanging off a batch seed
-_BOOTSTRAP_TAG = 0xB00F
 
 
 @dataclass(frozen=True)
@@ -120,27 +116,43 @@ def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
     return SelectionResult(kept_indices=kept, total=batch.n)
 
 
-def conditional_statistics(batch: SampleBatch, result: SelectionResult,
-                           cfg: SelectionConfig, resamples: int = 1000,
-                           level: float = 0.68) -> TransferReport:
-    """Noise of the target difference over the kept events, with bootstrap CI.
+def _transfer_report(values: np.ndarray, probability: float, echo: dict[str, Any],
+                     level: float) -> TransferReport:
+    low, high = variance_interval(values, SHOT_DIFFERENCE_VARIANCE, level=level)
+    return TransferReport(
+        squeezing_db=variance_db(values, SHOT_DIFFERENCE_VARIANCE),
+        ci_low_db=low,
+        ci_high_db=high,
+        kept_count=values.size,
+        preparation_probability=probability,
+        config_echo=echo,
+    )
 
-    The bootstrap seed derives deterministically from the batch seed, so the
-    report is a pure function of its inputs.
+
+def conditional_statistics(batch: SampleBatch, result: SelectionResult,
+                           cfg: SelectionConfig, level: float = 0.68) -> TransferReport:
+    """Noise of the target difference over the kept events.
+
+    The interval is the moment-based (delta-method) interval of
+    :func:`~twinbeam_transfer.stats.variance_interval`.
     """
     if result.kept_count < cfg.min_kept:
         raise InsufficientStatisticsError(result.kept_count, cfg.min_kept)
     a = batch.channel(cfg.target_channels[0])
     b = batch.channel(cfg.target_channels[1])
     values = a[result.kept_indices] - b[result.kept_indices]
-    point = variance_db(values, SHOT_DIFFERENCE_VARIANCE)
-    low, high = bootstrap_ci(values, SHOT_DIFFERENCE_VARIANCE, resamples=resamples,
-                             level=level, seed=derived_seed(batch.seed, _BOOTSTRAP_TAG))
-    return TransferReport(
-        squeezing_db=point,
-        ci_low_db=low,
-        ci_high_db=high,
-        kept_count=result.kept_count,
-        preparation_probability=result.preparation_probability,
-        config_echo={"selection": cfg.to_echo(), "n": batch.n, "seed": batch.seed},
-    )
+    echo = {"selection": cfg.to_echo(), "n": batch.n, "seed": batch.seed}
+    return _transfer_report(values, result.preparation_probability, echo, level)
+
+
+def unconditioned_statistics(batch: SampleBatch, difference: np.ndarray,
+                             cfg: SelectionConfig, level: float = 0.68) -> TransferReport:
+    """Noise of the target difference over every event of ``batch``.
+
+    ``difference`` is the full target difference, target_channels[0] minus
+    target_channels[1]. The echo's ``bandwidth_delta`` is null: no selection
+    window applies.
+    """
+    echo = {"selection": {**cfg.to_echo(), "bandwidth_delta": None},
+            "n": batch.n, "seed": batch.seed}
+    return _transfer_report(difference, 1.0, echo, level)

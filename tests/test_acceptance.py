@@ -96,7 +96,7 @@ def test_criterion_03_three_db_degradation_law():
 def test_criterion_04_transfer_threshold():
     cfg = ScenarioConfig(n_points=1_000_000, seed=0,
                          sweep=SweepAxis("squeezing_db", 2.0, 4.0, 9))
-    rows = run_sweep(cfg, resamples=400)
+    rows = run_sweep(cfg)
     assert all(row["error"] == "" for row in rows)
     x = np.array([row["axis_value"] for row in rows])
 

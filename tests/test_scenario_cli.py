@@ -128,7 +128,7 @@ def test_load_config(tmp_path):
 # -------------------------------------------------------------- run_scenario
 
 def test_run_scenario_reports_and_artifacts():
-    result = run_scenario(SMALL, resamples=300)
+    result = run_scenario(SMALL)
     assert result.conditioned.squeezing_db == pytest.approx(
         result.oracle.transferred_db, abs=1.0)
     assert result.unconditioned.preparation_probability == 1.0
@@ -142,13 +142,13 @@ def test_run_scenario_reports_and_artifacts():
 
 def test_run_scenario_scatter_subsample_is_configurable():
     cfg = dataclasses.replace(SMALL, n_points=50_000, scatter_points=500)
-    result = run_scenario(cfg, resamples=300)
+    result = run_scenario(cfg)
     assert result.unconditioned_scatter.shape == (500, 2)
 
 
 def test_run_scenario_deterministic():
-    a = run_scenario(SMALL, resamples=300)
-    b = run_scenario(SMALL, resamples=300)
+    a = run_scenario(SMALL)
+    b = run_scenario(SMALL)
     assert a.conditioned == b.conditioned
     assert a.unconditioned == b.unconditioned
     assert np.array_equal(a.conditioned_scatter, b.conditioned_scatter)
@@ -158,15 +158,15 @@ def test_run_scenario_chain_engine():
     cfg = ScenarioConfig(n_points=30_000, seed=2, engine="chain",
                          signal_chain=SCALED_CHAIN,
                          selection=SelectionConfig(bandwidth_delta=0.1))
-    result = run_scenario(cfg, resamples=300)
+    result = run_scenario(cfg)
     assert result.conditioned.squeezing_db == pytest.approx(
         result.oracle.transferred_db, abs=1.0)
 
 
 def test_run_scenario_writes_stable_files(tmp_path):
     cfg = dataclasses.replace(SMALL, n_points=50_000, scatter_points=1000)
-    run_scenario(cfg, out_dir=tmp_path / "a", resamples=300)
-    run_scenario(cfg, out_dir=tmp_path / "b", resamples=300)
+    run_scenario(cfg, out_dir=tmp_path / "a")
+    run_scenario(cfg, out_dir=tmp_path / "b")
     names = ["report.json", "scatter_conditioned.csv", "scatter_unconditioned.csv",
              "histogram_conditioned.csv", "histogram_unconditioned.csv"]
     for name in names:
@@ -174,8 +174,15 @@ def test_run_scenario_writes_stable_files(tmp_path):
         second = (tmp_path / "b" / name).read_bytes()
         assert first == second, name
 
-    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    def reject_nonfinite(literal):
+        raise ValueError(f"report.json holds the non-finite literal {literal}")
+
+    report = json.loads((tmp_path / "a" / "report.json").read_text(),
+                        parse_constant=reject_nonfinite)
     assert report["config"]["n_points"] == 50_000
+    assert report["unconditioned"]["kept_count"] == 50_000
+    assert report["unconditioned"]["preparation_probability"] == 1.0
+    assert report["unconditioned"]["config_echo"]["selection"]["bandwidth_delta"] is None
     assert report["oracle"]["transferred_db"] == pytest.approx(3.995, abs=0.01)
 
     comments, header, rows = _read_csv(tmp_path / "a" / "histogram_conditioned.csv")
@@ -200,7 +207,7 @@ def test_run_sweep_rows_track_oracle():
     cfg = ScenarioConfig(n_points=60_000, seed=11,
                          selection=SelectionConfig(bandwidth_delta=0.1),
                          sweep=SweepAxis("squeezing_db", 0.0, 9.0, 4))
-    rows = run_sweep(cfg, resamples=300)
+    rows = run_sweep(cfg)
     assert [set(r) for r in rows] == [set(SWEEP_COLUMNS)] * 4
     assert [r["axis_value"] for r in rows] == [0.0, 3.0, 6.0, 9.0]
     for row in rows:
@@ -218,14 +225,14 @@ def test_run_sweep_parallel_rows_identical():
     cfg = ScenarioConfig(n_points=40_000, seed=5,
                          selection=SelectionConfig(bandwidth_delta=0.1),
                          sweep=SweepAxis("squeezing_db", 0.0, 9.0, 4))
-    assert run_sweep(cfg, resamples=300) == run_sweep(cfg, resamples=300, workers=3)
+    assert run_sweep(cfg) == run_sweep(cfg, workers=3)
 
 
 def test_run_sweep_probability_monotone_in_bandwidth():
     cfg = ScenarioConfig(n_points=200_000, seed=9,
                          sweep=SweepAxis("bandwidth_delta", 0.01, 2.0, 6,
                                          scale="log"))
-    rows = run_sweep(cfg, resamples=300)
+    rows = run_sweep(cfg)
     probs = [r["preparation_probability"] for r in rows]
     assert all(b > a for a, b in zip(probs, probs[1:]))
     oracle = [r["oracle_probability"] for r in rows]
@@ -237,7 +244,7 @@ def test_run_sweep_records_row_errors_without_aborting():
     cfg = ScenarioConfig(n_points=20_000, seed=3,
                          sweep=SweepAxis("bandwidth_delta", 1e-5, 1.0, 5,
                                          scale="log"))
-    rows = run_sweep(cfg, resamples=300)
+    rows = run_sweep(cfg)
     assert len(rows) == 5
     failed = [r for r in rows if r["error"]]
     passed = [r for r in rows if not r["error"]]
@@ -246,6 +253,14 @@ def test_run_sweep_records_row_errors_without_aborting():
         assert math.isnan(row["transferred_db"])
         assert ("InsufficientStatisticsError" in row["error"]
                 or "EmptySelectionError" in row["error"])
+        # the oracle does not depend on the sampled events
+        assert math.isfinite(row["oracle_transferred_db"])
+        assert math.isfinite(row["oracle_probability"])
+        if "EmptySelectionError" in row["error"]:
+            assert row["kept_count"] == 0
+        else:
+            assert 0 < row["kept_count"] < cfg.selection.min_kept
+            assert row["preparation_probability"] == row["kept_count"] / cfg.n_points
     for row in passed:
         assert math.isfinite(row["transferred_db"])
 
@@ -254,7 +269,7 @@ def test_run_sweep_axis_reaches_both_pairs():
     cfg = ScenarioConfig(n_points=40_000, seed=1,
                          selection=SelectionConfig(bandwidth_delta=0.2),
                          sweep=SweepAxis("rotation_deg", 0.0, 45.0, 2))
-    rows = run_sweep(cfg, resamples=300)
+    rows = run_sweep(cfg)
     rotated = TwinPairParams(squeezing_db=7.0, rotation_deg=45.0)
     expected = predict_transfer(rotated, rotated, 0.2)
     assert rows[1]["oracle_transferred_db"] == pytest.approx(expected.transferred_db)
@@ -264,7 +279,7 @@ def test_run_sweep_writes_csv(tmp_path):
     cfg = ScenarioConfig(n_points=40_000, seed=5,
                          selection=SelectionConfig(bandwidth_delta=0.1),
                          sweep=SweepAxis("squeezing_db", 0.0, 9.0, 4))
-    run_sweep(cfg, out_dir=tmp_path, resamples=300)
+    run_sweep(cfg, out_dir=tmp_path)
     comments, header, rows = _read_csv(tmp_path / "sweep.csv")
     assert header == list(SWEEP_COLUMNS)
     assert len(rows) == 4
@@ -276,8 +291,8 @@ def test_run_sweep_writes_csv(tmp_path):
 # --------------------------------------------------------------- run_selftest
 
 def test_run_selftest_passes_and_is_deterministic():
-    first = run_selftest(seed=1, points=100_000, cases=4, resamples=300)
-    second = run_selftest(seed=1, points=100_000, cases=4, resamples=300)
+    first = run_selftest(seed=1, points=100_000, cases=4)
+    second = run_selftest(seed=1, points=100_000, cases=4)
     assert first == second
     assert all(row["ok"] for row in first)
     assert {row["case"] for row in first} == {0, 1, 2, 3}
