@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .model import CHANNELS, COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE, SampleBatch
-from .stats import TransferReport, variance_db, variance_interval
+from .stats import TransferReport, _variance_estimate
 
 # the moment-based interval (and its bootstrap reference) needs >= 30 values
 _MIN_KEPT_FLOOR = 30
@@ -117,10 +117,10 @@ def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
 
 
 def _transfer_report(values: np.ndarray, probability: float, echo: dict[str, Any],
-                     level: float) -> TransferReport:
-    low, high = variance_interval(values, SHOT_DIFFERENCE_VARIANCE, level=level)
+                     level: float = 0.68) -> TransferReport:
+    point, low, high = _variance_estimate(values, SHOT_DIFFERENCE_VARIANCE, level)
     return TransferReport(
-        squeezing_db=variance_db(values, SHOT_DIFFERENCE_VARIANCE),
+        squeezing_db=point,
         ci_low_db=low,
         ci_high_db=high,
         kept_count=values.size,
@@ -146,13 +146,17 @@ def conditional_statistics(batch: SampleBatch, result: SelectionResult,
 
 
 def unconditioned_statistics(batch: SampleBatch, difference: np.ndarray,
-                             cfg: SelectionConfig, level: float = 0.68) -> TransferReport:
+                             cfg: SelectionConfig) -> TransferReport:
     """Noise of the target difference over every event of ``batch``.
 
     ``difference`` is the full target difference, target_channels[0] minus
-    target_channels[1]. The echo's ``bandwidth_delta`` is null: no selection
-    window applies.
+    target_channels[1], one value per event. The echo's ``bandwidth_delta``
+    is null: no selection window applies.
     """
+    if np.shape(difference) != (batch.n,):
+        raise ValidationError(
+            f"difference must hold one value per event, shape ({batch.n},), "
+            f"got {np.shape(difference)}")
     echo = {"selection": {**cfg.to_echo(), "bandwidth_delta": None},
             "n": batch.n, "seed": batch.seed}
-    return _transfer_report(difference, 1.0, echo, level)
+    return _transfer_report(difference, 1.0, echo)

@@ -33,7 +33,10 @@ def variance_db(values, shot_reference: float) -> float:
     Positive means squeezed (variance below reference), negative means excess
     noise. Uses the unbiased (n-1) variance estimator.
     """
-    x = _as_clean_1d(values, minimum=2)
+    return _clean_variance_db(_as_clean_1d(values, minimum=2), shot_reference)
+
+
+def _clean_variance_db(x: np.ndarray, shot_reference: float) -> float:
     shot_reference = float(shot_reference)
     if not (shot_reference > 0.0):
         raise ValidationError(f"shot_reference must be > 0, got {shot_reference}")
@@ -135,9 +138,17 @@ def variance_interval(values, shot_reference: float,
     mapped to dB by the derivative (10 / ln 10) / s^2. The interval is
     centred on the point estimate. O(n) and deterministic.
     """
+    _, low, high = _variance_estimate(values, shot_reference, level)
+    return low, high
+
+
+def _variance_estimate(values, shot_reference: float,
+                       level: float) -> tuple[float, float, float]:
+    """(point, low, high): :func:`variance_db` and :func:`variance_interval`
+    from one validation pass over ``values``."""
     x = _as_clean_1d(values, minimum=30)
     level = _check_level(level)
-    point = variance_db(x, shot_reference)
+    point = _clean_variance_db(x, shot_reference)
     n = x.size
     dev = x - x.mean()
     dev *= dev
@@ -148,7 +159,7 @@ def variance_interval(values, shot_reference: float,
     # s^4 (3n - 1) / (n^2 (n-1)) > 0
     se_db = 10.0 / math.log(10.0) * math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n) / s2
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * se_db
-    return point - half, point + half
+    return point, point - half, point + half
 
 
 def bootstrap_ci(values, shot_reference: float, resamples: int = 1000,
