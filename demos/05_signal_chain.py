@@ -26,7 +26,6 @@ from twinbeam_transfer import (
 SCALED = SignalChainConfig(
     lo_frequency_hz=2.0e5,
     synth_rate_hz=2.0e6,
-    antialias_cutoff_hz=9.0e5,
     post_mixer_cutoff_hz=2.0e4,
     output_rate_hz=5.0e4,
     cavity_bandwidth_hz=1.0e6,

@@ -6,8 +6,9 @@ The configured pair variances are defined AT the analysis frequency
 ``lo_frequency_hz``, so the zero-frequency depths are back-computed from the
 Lorentzian value there. Demodulation multiplies by sqrt(2)*cos(2*pi*lo*t +
 phase), low-pass filters, decimates to ``output_rate_hz``, discards the
-filter warm-up, and rescales by a white-reference calibration so that a
-shot-limited input yields unit sample variance.
+filter warm-up, and divides by the square root of the chain's noise gain
+(the squared norm of its impulse response, computed from the filter taps)
+so that a shot-limited input yields unit sample variance.
 
 The wideband path runs in float32: the default record is 4 x 75M samples and
 float64 would double a >1 GB footprint for noise that is statistically
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -37,10 +37,6 @@ from .model import FourChannelCovariance, SampleBatch
 _LEAD_CUTOFF_PERIODS = 500.0
 _TAIL_CUTOFF_PERIODS = 50.0
 
-# substream of the white calibration reference; fixed so the calibration is
-# part of the chain definition, not a knob
-_CAL_SEED = 0x57A7CA1B
-
 _BLOCK = 1 << 20
 
 
@@ -50,7 +46,6 @@ class SignalChainConfig:
 
     lo_frequency_hz: float = 3.5e6
     synth_rate_hz: float = 5.0e7
-    antialias_cutoff_hz: float = 2.14e7
     post_mixer_cutoff_hz: float = 1.0e5
     output_rate_hz: float = 2.0e5
     record_points: int = 300_000
@@ -58,8 +53,8 @@ class SignalChainConfig:
     mixer_phase_rad: float = 0.0
 
     def __post_init__(self):
-        for name in ("lo_frequency_hz", "synth_rate_hz", "antialias_cutoff_hz",
-                     "post_mixer_cutoff_hz", "output_rate_hz", "cavity_bandwidth_hz"):
+        for name in ("lo_frequency_hz", "synth_rate_hz", "post_mixer_cutoff_hz",
+                     "output_rate_hz", "cavity_bandwidth_hz"):
             value = float(getattr(self, name))
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
@@ -80,10 +75,6 @@ class SignalChainConfig:
                 "synth_rate_hz must exceed 2 * (lo_frequency_hz + post_mixer_cutoff_hz) "
                 f"({self.synth_rate_hz} <= "
                 f"{2.0 * (self.lo_frequency_hz + self.post_mixer_cutoff_hz)})")
-        if self.synth_rate_hz < 2.0 * self.antialias_cutoff_hz:
-            raise ValidationError(
-                "synth_rate_hz must be >= 2 * antialias_cutoff_hz "
-                f"({self.synth_rate_hz} < {2.0 * self.antialias_cutoff_hz})")
         if self.lo_frequency_hz <= self.post_mixer_cutoff_hz:
             raise ValidationError(
                 "lo_frequency_hz must exceed post_mixer_cutoff_hz so the "
@@ -243,18 +234,20 @@ def synthesize(cov: FourChannelCovariance, cfg: SignalChainConfig,
     return WidebandRecord(channels=channels, sample_rate_hz=rate, seed=seed)
 
 
-@lru_cache(maxsize=32)
-def _post_mixer_sos(cutoff_hz: float, fs_hz: float) -> np.ndarray:
-    # elliptic: steep enough to hit the stopband contract within a 1.25x
-    # transition band while keeping the passband flat to 0.05 dB
-    return sp_signal.ellip(8, 0.05, 50.0, cutoff_hz, btype="low",
-                           output="sos", fs=fs_hz)
-
-
 def post_mixer_sos(cfg: SignalChainConfig) -> np.ndarray:
     """The baseband low-pass filter sections, at the rate they are applied."""
     q1, _ = decimation_plan(cfg)
-    return _post_mixer_sos(cfg.post_mixer_cutoff_hz, cfg.synth_rate_hz / q1)
+    # elliptic: steep enough to hit the stopband contract within a 1.25x
+    # transition band while keeping the passband flat to 0.05 dB
+    return sp_signal.ellip(8, 0.05, 50.0, cfg.post_mixer_cutoff_hz, btype="low",
+                           output="sos", fs=cfg.synth_rate_hz / q1)
+
+
+def _polyphase_fir(q1: int) -> np.ndarray:
+    # resample_poly's own default design for down=q1, spelled out so the
+    # calibration sees exactly the taps the chain applies
+    return sp_signal.firwin(20 * q1 + 1, 1.0 / q1,
+                            window=("kaiser", 5.0)).astype(np.float32)
 
 
 def _demod_channel(x: np.ndarray, cfg: SignalChainConfig,
@@ -268,24 +261,27 @@ def _demod_channel(x: np.ndarray, cfg: SignalChainConfig,
         lo = math.sqrt(2.0) * np.cos(omega * t + cfg.mixer_phase_rad)
         mixed[start:stop] = x[start:stop] * lo.astype(np.float32)
 
-    mid = sp_signal.resample_poly(mixed, 1, q1) if q1 > 1 else mixed
-    sos = _post_mixer_sos(cfg.post_mixer_cutoff_hz, cfg.synth_rate_hz / q1)
-    filtered = sp_signal.sosfilt(sos, mid)
+    mid = (sp_signal.resample_poly(mixed, 1, q1, window=_polyphase_fir(q1))
+           if q1 > 1 else mixed)
+    filtered = sp_signal.sosfilt(post_mixer_sos(cfg), mid)
     decimated = filtered[::q2]
     lead, _ = _margins(cfg)
     kept = decimated[lead:lead + cfg.record_points]
     return np.asarray(kept, dtype=np.float64)
 
 
-@lru_cache(maxsize=8)
-def _calibration_variance(cfg: SignalChainConfig, n_synth: int) -> float:
-    # a unit-variance white series is the shot-noise reference; its variance
-    # through the identical chain defines the normalization
-    gen = np.random.Generator(np.random.Philox(_CAL_SEED))
-    white = gen.standard_normal(n_synth, dtype=np.float32)
+def _calibration_variance(cfg: SignalChainConfig) -> float:
+    # noise gain of the chain for a unit white (shot-noise) input: the
+    # sqrt(2)*cos mixer keeps it white with unit variance and decimation by
+    # q2 keeps the variance, so the output variance is the squared norm of
+    # the polyphase FIR followed by the low-pass upsampled by q1. The
+    # low-pass response is cut where the chain discards its warm-up.
     q1, q2 = decimation_plan(cfg)
-    reference = _demod_channel(white, cfg, q1, q2)
-    return float(reference.var())
+    lead, _ = _margins(cfg)
+    response = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(lead * q2))
+    if q1 > 1:
+        response = sp_signal.upfirdn(_polyphase_fir(q1), response, up=q1)
+    return float(np.dot(response, response))
 
 
 def demodulate(rec: WidebandRecord, cfg: SignalChainConfig) -> SampleBatch:
@@ -304,7 +300,7 @@ def demodulate(rec: WidebandRecord, cfg: SignalChainConfig) -> SampleBatch:
             f"{cfg.record_points} output points plus {lead}+{tail} margin")
 
     usable = (rec.n // m) * m
-    scale = 1.0 / math.sqrt(_calibration_variance(cfg, usable))
+    scale = 1.0 / math.sqrt(_calibration_variance(cfg))
     out = np.empty((cfg.record_points, 4))
     for c in range(4):
         out[:, c] = _demod_channel(rec.channels[c, :usable], cfg, q1, q2)

@@ -68,14 +68,17 @@ def _reject_unknown(data: dict, known: tuple[str, ...], context: str) -> None:
 
 
 def _build_strict(cls, data: Any, context: str):
-    """Construct a dataclass from a plain dict, rejecting unknown keys."""
+    """Construct a dataclass from a plain dict, rejecting unknown keys and
+    malformed values (wrong type, NaN for an integer, beyond int/float range)."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{context} must be an object, got {type(data).__name__}")
     names = tuple(f.name for f in dataclasses.fields(cls))
     _reject_unknown(data, names, context)
     try:
         return cls(**data)
-    except TypeError as exc:
+    except TwinBeamError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad {context}: {exc}") from exc
 
 
@@ -156,8 +159,6 @@ class ScenarioConfig:
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigurationError(f"config must be an object, got {type(data).__name__}")
-        names = tuple(f.name for f in dataclasses.fields(cls))
-        _reject_unknown(data, names, "config")
         kwargs: dict[str, Any] = dict(data)
         for name in ("pair1", "pair2"):
             if name in kwargs:
@@ -177,7 +178,7 @@ class ScenarioConfig:
                                                    kwargs["signal_chain"], "signal_chain")
         if kwargs.get("sweep") is not None:
             kwargs["sweep"] = _build_strict(SweepAxis, kwargs["sweep"], "sweep")
-        return cls(**kwargs)
+        return _build_strict(cls, kwargs, "config")
 
     def to_dict(self) -> dict[str, Any]:
         return {

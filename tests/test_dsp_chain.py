@@ -15,6 +15,8 @@ from scipy import signal as sp_signal
 from twinbeam_transfer.dsp_chain import (
     SignalChainConfig,
     WidebandRecord,
+    _calibration_variance,
+    _demod_channel,
     decimation_plan,
     demodulate,
     post_mixer_sos,
@@ -38,7 +40,6 @@ from twinbeam_transfer.stats import variance_db
 CFG = SignalChainConfig(
     lo_frequency_hz=2.0e5,
     synth_rate_hz=2.0e6,
-    antialias_cutoff_hz=9.0e5,
     post_mixer_cutoff_hz=2.0e4,
     output_rate_hz=5.0e4,
     record_points=30_000,
@@ -60,8 +61,8 @@ def test_config_defaults_are_valid():
 
 @pytest.mark.parametrize("kwargs,fragment", [
     (dict(output_rate_hz=3.0e4), "output_rate_hz"),
-    (dict(synth_rate_hz=4.0e5, antialias_cutoff_hz=1.0e5), "synth_rate_hz"),
-    (dict(antialias_cutoff_hz=1.5e6), "antialias_cutoff_hz"),
+    (dict(synth_rate_hz=4.0e5), "synth_rate_hz"),
+    (dict(mixer_phase_rad=math.nan), "mixer_phase_rad"),
     (dict(lo_frequency_hz=1.0e4), "lo_frequency_hz"),
     (dict(post_mixer_cutoff_hz=-1.0), "post_mixer_cutoff_hz"),
     (dict(record_points=0), "record_points"),
@@ -81,7 +82,6 @@ def test_config_validation(kwargs, fragment):
 ])
 def test_decimation_plan(synth, output, plan):
     cfg = dataclasses.replace(CFG, synth_rate_hz=synth, output_rate_hz=output,
-                              antialias_cutoff_hz=synth / 4,
                               lo_frequency_hz=synth / 10)
     assert decimation_plan(cfg) == plan
 
@@ -140,6 +140,20 @@ def test_shot_record_demodulates_to_unit_variance():
     assert np.diag(sample_cov) == pytest.approx(np.ones(4), abs=0.03)
     off = sample_cov - np.diag(np.diag(sample_cov))
     assert np.abs(off).max() < 0.02
+
+
+def test_calibration_matches_white_noise_reference():
+    # Monte Carlo reference for the closed-form noise gain: unit white records
+    # through the same chain. The per-record ratio has sd ~0.01, so 0.01 on the
+    # mean of 20 is ~4.5 standard errors (two-sided false-alarm rate ~7e-6).
+    q1, q2 = decimation_plan(CFG)
+    n = required_synth_samples(CFG)
+    ratios = []
+    for seed in range(20):
+        white = np.random.Generator(np.random.Philox(seed)).standard_normal(
+            n, dtype=np.float32)
+        ratios.append(_demod_channel(white, CFG, q1, q2).var())
+    assert np.mean(ratios) / _calibration_variance(CFG) == pytest.approx(1.0, abs=0.01)
 
 
 def test_twin_record_reproduces_input_squeezing():
@@ -236,7 +250,7 @@ def test_record_too_short_raises():
 
 def test_rate_mismatch_raises():
     rec = synthesize(SHOT_COV, CFG, seed=40)
-    other = dataclasses.replace(CFG, synth_rate_hz=4.0e6, antialias_cutoff_hz=9.0e5)
+    other = dataclasses.replace(CFG, synth_rate_hz=4.0e6)
     with pytest.raises(ConfigurationError):
         demodulate(rec, other)
 

@@ -30,7 +30,6 @@ SMALL = ScenarioConfig(n_points=100_000, seed=7)
 SCALED_CHAIN = SignalChainConfig(
     lo_frequency_hz=2.0e5,
     synth_rate_hz=2.0e6,
-    antialias_cutoff_hz=9.0e5,
     post_mixer_cutoff_hz=2.0e4,
     output_rate_hz=5.0e4,
     record_points=30_000,
@@ -342,6 +341,20 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(not_json)]) == 2
 
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 4
+
+
+@pytest.mark.parametrize("text", [
+    '{"seed": NaN}',
+    '{"n_points": "abc"}',
+    '{"n_points": 1e400}',
+    '{"sweep": {"parameter": "squeezing_db", "minimum": 0, "maximum": 1, "steps": "x"}}',
+    '{"selection": {"bandwidth_delta": "x"}}',
+])
+def test_cli_malformed_config_value_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_sweep_requires_axis(capsys):
