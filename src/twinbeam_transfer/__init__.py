@@ -7,100 +7,38 @@ independent idlers; the closed-form expectation for the conditioned noise
 and the acceptance probability lives in oracle. Statistics helpers are in
 stats, the wideband synthesize/demodulate path in dsp_chain, and run/sweep
 orchestration plus the CLI in scenario and cli.
+
+The top level re-exports the names the README and the demos use; every
+other public name is imported from its module, e.g.
+``from twinbeam_transfer.errors import ValidationError``.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigurationError,
-    EmptySelectionError,
-    EstimationError,
-    InsufficientStatisticsError,
-    ModelError,
-    RecordLengthError,
-    TwinBeamError,
-    ValidationError,
-)
 from .model import (
-    CHANNELS,
-    COHERENT_DELTA,
-    SHOT_DIFFERENCE_VARIANCE,
-    SHOT_VARIANCE_SINGLE,
-    FourChannelCovariance,
     MeasurementSetting,
-    SampleBatch,
     TwinPairParams,
     build_covariance,
-    effective_variances,
     sample_batch,
-    squeezing_db_of,
 )
-from .stats import (
-    Histogram,
-    TransferReport,
-    bootstrap_ci,
-    histogram,
-    variance_db,
-)
-from .oracle import (
-    JointFockDistribution,
-    TransferPrediction,
-    fock_transfer,
-    predict_transfer,
-    predict_transfer_from_variances,
-    truncated_gaussian_variance,
-)
-from .selection import (
-    SelectionConfig,
-    SelectionResult,
-    conditional_statistics,
-    derived_seed,
-    select,
-)
-from .dsp_chain import (
-    SignalChainConfig,
-    WidebandRecord,
-    decimation_plan,
-    demodulate,
-    post_mixer_sos,
-    required_synth_samples,
-    synthesize,
-)
-from .scenario import (
-    ScenarioConfig,
-    ScenarioResult,
-    SweepAxis,
-    generate_batch,
-    load_config,
-    run_scenario,
-    run_selftest,
-    run_sweep,
-)
+from .stats import variance_db
+from .oracle import JointFockDistribution, fock_transfer, predict_transfer
+from .selection import SelectionConfig, conditional_statistics, select
+from .dsp_chain import SignalChainConfig, decimation_plan
+from .scenario import ScenarioConfig, SweepAxis, run_scenario, run_sweep
 
 __all__ = [
     "__version__",
-    # errors
-    "TwinBeamError", "ValidationError", "ConfigurationError", "ModelError",
-    "RecordLengthError", "EstimationError", "EmptySelectionError",
-    "InsufficientStatisticsError",
     # model
-    "CHANNELS", "SHOT_VARIANCE_SINGLE", "SHOT_DIFFERENCE_VARIANCE",
-    "COHERENT_DELTA", "MeasurementSetting", "TwinPairParams",
-    "FourChannelCovariance", "SampleBatch", "effective_variances",
-    "build_covariance", "squeezing_db_of", "sample_batch",
+    "MeasurementSetting", "TwinPairParams", "build_covariance", "sample_batch",
     # stats
-    "Histogram", "TransferReport", "variance_db", "histogram", "bootstrap_ci",
+    "variance_db",
     # oracle
-    "TransferPrediction", "JointFockDistribution",
-    "truncated_gaussian_variance", "predict_transfer",
-    "predict_transfer_from_variances", "fock_transfer",
+    "JointFockDistribution", "fock_transfer", "predict_transfer",
     # selection
-    "SelectionConfig", "SelectionResult", "select", "conditional_statistics",
-    "derived_seed",
+    "SelectionConfig", "conditional_statistics", "select",
     # dsp_chain
-    "SignalChainConfig", "WidebandRecord", "decimation_plan",
-    "required_synth_samples", "synthesize", "post_mixer_sos", "demodulate",
+    "SignalChainConfig", "decimation_plan",
     # scenario
-    "SweepAxis", "ScenarioConfig", "ScenarioResult", "load_config",
-    "generate_batch", "run_scenario", "run_sweep", "run_selftest",
+    "ScenarioConfig", "SweepAxis", "run_scenario", "run_sweep",
 ]

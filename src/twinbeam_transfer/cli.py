@@ -42,6 +42,13 @@ EXIT_STATS = 3
 EXIT_IO = 4
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twinbeam-transfer",
@@ -63,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override config engine")
         cmd.add_argument("--out", type=Path, default=None,
                          help="directory for output files")
-        cmd.add_argument("--workers", type=int, default=1,
-                         help="parallel workers (results are identical for any count)")
+        cmd.add_argument("--workers", type=_positive_int, default=1,
+                         help="parallel workers, >= 1 (results are identical for any count)")
 
     fock = sub.add_parser("fock", help="ideal photon-number transfer on a supplied "
                                        "joint-distribution file")

@@ -30,7 +30,7 @@ from .errors import (
     RecordLengthError,
     ValidationError,
 )
-from .model import FourChannelCovariance, SampleBatch
+from .model import FourChannelCovariance, SampleBatch, _require_int
 
 # lead/tail margins around the kept record, in cutoff periods: the lead
 # swallows the causal filter transient, the tail the polyphase edge effects
@@ -62,9 +62,8 @@ class SignalChainConfig:
         if not math.isfinite(float(self.mixer_phase_rad)):
             raise ValidationError(f"mixer_phase_rad must be finite, got {self.mixer_phase_rad}")
         object.__setattr__(self, "mixer_phase_rad", float(self.mixer_phase_rad))
-        if int(self.record_points) < 1:
-            raise ValidationError(f"record_points must be >= 1, got {self.record_points}")
-        object.__setattr__(self, "record_points", int(self.record_points))
+        object.__setattr__(self, "record_points",
+                           _require_int("record_points", self.record_points, 1))
 
         if self.output_rate_hz < 2.0 * self.post_mixer_cutoff_hz:
             raise ValidationError(
@@ -144,10 +143,6 @@ class WidebandRecord:
     @property
     def n(self) -> int:
         return self.channels.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n / self.sample_rate_hz
 
 
 def _lorentzian_depths(cov: FourChannelCovariance, cfg: SignalChainConfig,

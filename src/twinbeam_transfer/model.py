@@ -24,9 +24,6 @@ from .errors import ConfigurationError, ModelError, ValidationError
 #: Channel order used everywhere: signal/idler of pair 1, then of pair 2.
 CHANNELS = ("s1", "i1", "s2", "i2")
 
-#: Shot-noise variance of a single detected beam (unit of the model).
-SHOT_VARIANCE_SINGLE = 1.0
-
 #: Shot-noise limit of a two-beam difference photocurrent.
 SHOT_DIFFERENCE_VARIANCE = 2.0
 
@@ -65,6 +62,13 @@ def _require_range(name: str, value: float, low: float, high: float,
     elif not (low <= value <= high):
         raise ValidationError(f"{name} must be in [{low}, {high}], got {value}")
     return value
+
+
+def _require_int(name: str, value, minimum: int) -> int:
+    # rejects, rather than truncates, a non-integral value such as 2.9
+    if int(value) != value or int(value) < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,24 @@ import numpy as np
 
 from . import __version__
 from .dsp_chain import SignalChainConfig, demodulate, synthesize
-from .errors import ConfigurationError, TwinBeamError, ValidationError
+from .errors import (
+    ConfigurationError,
+    InsufficientStatisticsError,
+    TwinBeamError,
+    ValidationError,
+)
 from .model import (
     MeasurementSetting,
     SampleBatch,
     TwinPairParams,
+    _require_int,
     build_covariance,
     sample_batch,
 )
 from .oracle import TransferPrediction, predict_transfer
 from .selection import (
     SelectionConfig,
+    SelectionResult,
     conditional_statistics,
     derived_seed,
     select,
@@ -103,9 +110,7 @@ class SweepAxis:
                                   f"got [{self.minimum}, {self.maximum}]")
         object.__setattr__(self, "minimum", lo)
         object.__setattr__(self, "maximum", hi)
-        if int(self.steps) < 2:
-            raise ValidationError(f"sweep steps must be >= 2, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", _require_int("sweep steps", self.steps, 2))
         if self.scale not in ("linear", "log"):
             raise ConfigurationError(f"sweep scale must be 'linear' or 'log', "
                                      f"got {self.scale!r}")
@@ -116,10 +121,6 @@ class SweepAxis:
         if self.scale == "log":
             return np.geomspace(self.minimum, self.maximum, self.steps)
         return np.linspace(self.minimum, self.maximum, self.steps)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"parameter": self.parameter, "minimum": self.minimum,
-                "maximum": self.maximum, "steps": self.steps, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,7 @@ class ScenarioConfig:
         if self.engine not in ENGINES:
             raise ConfigurationError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         for name, minimum in (("n_points", 2), ("scatter_points", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if int(value) != value or int(value) < minimum:
-                raise ValidationError(f"{name} must be an integer >= {minimum}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), minimum))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -181,18 +179,12 @@ class ScenarioConfig:
         return _build_strict(cls, kwargs, "config")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "pair1": dataclasses.asdict(self.pair1),
-            "pair2": dataclasses.asdict(self.pair2),
-            "setting": self.setting.value,
-            "selection": self.selection.to_echo(),
-            "n_points": self.n_points,
-            "seed": self.seed,
-            "engine": self.engine,
-            "signal_chain": dataclasses.asdict(self.signal_chain),
-            "sweep": self.sweep.to_dict() if self.sweep is not None else None,
-            "scatter_points": self.scatter_points,
-        }
+        return {**dataclasses.asdict(self), "setting": self.setting.value}
+
+    def predict(self) -> TransferPrediction:
+        """Closed-form conditioned noise and acceptance probability."""
+        return predict_transfer(self.pair1, self.pair2, self.selection.bandwidth_delta,
+                                self.setting)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -213,6 +205,17 @@ def generate_batch(cfg: ScenarioConfig, workers: int = 1) -> SampleBatch:
     chain_cfg = dataclasses.replace(cfg.signal_chain, record_points=cfg.n_points)
     record = synthesize(cov, chain_cfg, cfg.seed)
     return demodulate(record, chain_cfg)
+
+
+def acquire(cfg: ScenarioConfig,
+            workers: int = 1) -> tuple[SampleBatch, SelectionResult, TransferReport]:
+    """Generate a record, post-select it, and estimate the conditioned noise.
+
+    The one acquisition pipeline behind run, sweep and selftest.
+    """
+    batch = generate_batch(cfg, workers=workers)
+    selected = select(batch, cfg.selection)
+    return batch, selected, conditional_statistics(batch, selected, cfg.selection)
 
 
 @dataclass(frozen=True)
@@ -244,14 +247,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
     When out_dir is given, also writes scatter, histogram, and report files
     there (see _write_scenario_outputs for the exact set).
     """
-    batch = generate_batch(cfg, workers=workers)
-    selected = select(batch, cfg.selection)
-    conditioned = conditional_statistics(batch, selected, cfg.selection)
+    batch, selected, conditioned = acquire(cfg, workers=workers)
     tgt_a, tgt_b = cfg.selection.target_channels
     difference = batch.channel(tgt_a) - batch.channel(tgt_b)
     unconditioned = unconditioned_statistics(batch, difference, cfg.selection)
-    prediction = predict_transfer(cfg.pair1, cfg.pair2,
-                                  cfg.selection.bandwidth_delta, cfg.setting)
+    prediction = cfg.predict()
 
     cond_hist = histogram(difference[selected.kept_indices])
     uncond_hist = histogram(difference)
@@ -294,17 +294,6 @@ def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None
         writer.writerows(rows)
 
 
-def _report_dict(report: TransferReport) -> dict[str, Any]:
-    return {
-        "squeezing_db": report.squeezing_db,
-        "ci_low_db": report.ci_low_db,
-        "ci_high_db": report.ci_high_db,
-        "kept_count": report.kept_count,
-        "preparation_probability": report.preparation_probability,
-        "config_echo": report.config_echo,
-    }
-
-
 def _write_scenario_outputs(result: ScenarioResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = result.config
@@ -328,13 +317,9 @@ def _write_scenario_outputs(result: ScenarioResult, out_dir: Path) -> None:
     payload = {
         "version": __version__,
         "config": cfg.to_dict(),
-        "conditioned": _report_dict(result.conditioned),
-        "unconditioned": _report_dict(result.unconditioned),
-        "oracle": {
-            "conditional_variance": result.oracle.conditional_variance,
-            "transferred_db": result.oracle.transferred_db,
-            "selection_probability": result.oracle.selection_probability,
-        },
+        "conditioned": dataclasses.asdict(result.conditioned),
+        "unconditioned": dataclasses.asdict(result.unconditioned),
+        "oracle": dataclasses.asdict(result.oracle),
     }
     (out_dir / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2)
                                          + "\n")
@@ -370,22 +355,21 @@ def _sweep_row(cfg: ScenarioConfig, index: int, value: float) -> dict[str, Any]:
     try:
         row_cfg = _apply_axis(cfg, cfg.sweep.parameter, value)
         row_cfg = dataclasses.replace(row_cfg, seed=derived_seed(cfg.seed, index))
-        # fill each column as soon as it is known, so a failed row keeps them
-        prediction = predict_transfer(row_cfg.pair1, row_cfg.pair2,
-                                      row_cfg.selection.bandwidth_delta,
-                                      row_cfg.setting)
+        # the oracle goes first, so a row whose acquisition fails keeps it
+        prediction = row_cfg.predict()
         row.update(oracle_transferred_db=prediction.transferred_db,
                    oracle_probability=prediction.selection_probability)
-        batch = generate_batch(row_cfg)
-        selected = select(batch, row_cfg.selection)
-        row.update(kept_count=selected.kept_count,
-                   preparation_probability=selected.preparation_probability)
-        report = conditional_statistics(batch, selected, row_cfg.selection)
+        _, _, report = acquire(row_cfg)
         row.update(transferred_db=report.squeezing_db,
                    ci_low_db=report.ci_low_db,
-                   ci_high_db=report.ci_high_db)
+                   ci_high_db=report.ci_high_db,
+                   kept_count=report.kept_count,
+                   preparation_probability=report.preparation_probability)
     except TwinBeamError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, InsufficientStatisticsError):
+            row.update(kept_count=exc.kept_count,
+                       preparation_probability=exc.kept_count / row_cfg.n_points)
     return row
 
 
@@ -427,6 +411,7 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
     """
     if cases < 1:
         raise ValidationError(f"cases must be >= 1, got {cases}")
+    base = ScenarioConfig(n_points=points, seed=seed)
     rng = np.random.Generator(np.random.Philox(seed))
     results = []
     for index in range(cases):
@@ -435,11 +420,11 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
         delta_i = float(10.0 ** rng.uniform(math.log10(0.01), math.log10(3.0)))
         pair = TwinPairParams(squeezing_db=squeezing,
                               excess_sum_db=10.0 * math.log10(v_plus / 2.0))
-        sel_cfg = SelectionConfig(bandwidth_delta=delta_i, min_kept=30)
-        batch = sample_batch(build_covariance(pair, pair), points,
-                             derived_seed(seed, index))
-        report = conditional_statistics(batch, select(batch, sel_cfg), sel_cfg)
-        prediction = predict_transfer(pair, pair, delta_i)
+        case = dataclasses.replace(
+            base, pair1=pair, pair2=pair, seed=derived_seed(seed, index),
+            selection=SelectionConfig(bandwidth_delta=delta_i, min_kept=30))
+        _, _, report = acquire(case)
+        prediction = case.predict()
 
         se = max((report.ci_high_db - report.ci_low_db) / 2.0, 1e-9)
         db_gap = abs(report.squeezing_db - prediction.transferred_db)

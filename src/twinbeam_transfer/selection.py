@@ -10,7 +10,7 @@ full-width convention would halve the preparation probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import (
     InsufficientStatisticsError,
     ValidationError,
 )
-from .model import CHANNELS, COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE, SampleBatch
+from .model import CHANNELS, COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE, SampleBatch, _require_int
 from .stats import TransferReport, _variance_estimate
 
 # the moment-based interval (and its bootstrap reference) needs >= 30 values
@@ -60,18 +60,8 @@ class SelectionConfig:
             raise ConfigurationError(
                 f"trigger {self.trigger_channels} and target {self.target_channels} "
                 "channels must be disjoint")
-        if int(self.min_kept) < _MIN_KEPT_FLOOR:
-            raise ValidationError(
-                f"min_kept must be >= {_MIN_KEPT_FLOOR}, got {self.min_kept}")
-        object.__setattr__(self, "min_kept", int(self.min_kept))
-
-    def to_echo(self) -> dict[str, Any]:
-        return {
-            "bandwidth_delta": self.bandwidth_delta,
-            "trigger_channels": list(self.trigger_channels),
-            "target_channels": list(self.target_channels),
-            "min_kept": self.min_kept,
-        }
+        object.__setattr__(self, "min_kept",
+                           _require_int("min_kept", self.min_kept, _MIN_KEPT_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -141,7 +131,7 @@ def conditional_statistics(batch: SampleBatch, result: SelectionResult,
     a = batch.channel(cfg.target_channels[0])
     b = batch.channel(cfg.target_channels[1])
     values = a[result.kept_indices] - b[result.kept_indices]
-    echo = {"selection": cfg.to_echo(), "n": batch.n, "seed": batch.seed}
+    echo = {"selection": asdict(cfg), "n": batch.n, "seed": batch.seed}
     return _transfer_report(values, result.preparation_probability, echo, level)
 
 
@@ -157,6 +147,6 @@ def unconditioned_statistics(batch: SampleBatch, difference: np.ndarray,
         raise ValidationError(
             f"difference must hold one value per event, shape ({batch.n},), "
             f"got {np.shape(difference)}")
-    echo = {"selection": {**cfg.to_echo(), "bandwidth_delta": None},
+    echo = {"selection": {**asdict(cfg), "bandwidth_delta": None},
             "n": batch.n, "seed": batch.seed}
     return _transfer_report(difference, 1.0, echo)

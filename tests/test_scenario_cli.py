@@ -349,12 +349,24 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     '{"n_points": 1e400}',
     '{"sweep": {"parameter": "squeezing_db", "minimum": 0, "maximum": 1, "steps": "x"}}',
     '{"selection": {"bandwidth_delta": "x"}}',
+    '{"sweep": {"parameter": "squeezing_db", "minimum": 0, "maximum": 1, "steps": 2.9}}',
+    '{"signal_chain": {"record_points": 7.9}}',
+    '{"selection": {"bandwidth_delta": 0.03, "min_kept": 50.5}}',
 ])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["run", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_workers_below_one_exit_code(capsys, command, workers):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--workers", workers])
+    assert info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_cli_sweep_requires_axis(capsys):
@@ -422,6 +434,11 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert "selftest PASS" in out
     assert sum(line.startswith("case ") for line in out.splitlines()) == 3
+
+
+def test_cli_selftest_negative_seed_exit_code(capsys):
+    assert main(["selftest", "--seed", "-1", "--points", "1000", "--cases", "1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_version(capsys):
