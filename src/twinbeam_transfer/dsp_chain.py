@@ -4,24 +4,32 @@ Spectral model: each channel is white unit-density shot noise plus a
 Lorentzian-shaped correlated component of half-width ``cavity_bandwidth_hz``.
 The configured pair variances are defined AT the analysis frequency
 ``lo_frequency_hz``, so the zero-frequency depths are back-computed from the
-Lorentzian value there. Demodulation multiplies by sqrt(2)*cos(2*pi*lo*t +
-phase), low-pass filters, decimates to ``output_rate_hz``, discards the
-filter warm-up, and divides by the square root of the chain's noise gain
-(the squared norm of its impulse response, computed from the filter taps)
-so that a shot-limited input yields unit sample variance.
+Lorentzian value there. Each pair is built from independent difference and
+sum modes, unit white noise passed through a FIR shaping filter whose
+|H|^2 follows the mode's density. Demodulation multiplies by
+sqrt(2)*cos(2*pi*lo*t + phase), low-pass filters, decimates to
+``output_rate_hz``, discards the filter warm-up, and divides by the square
+root of the chain's noise gain (the squared norm of its impulse response,
+computed from the filter taps) so that a shot-limited input yields unit
+sample variance.
 
-The wideband path runs in float32: the default record is 4 x 75M samples and
-float64 would double a >1 GB footprint for noise that is statistically
-identical at these lengths.
+``simulate`` streams: synthesis and demodulation run block by block
+(``_BLOCK`` wideband samples, float32), with every filter's state carried
+between blocks, so no array of wideband length exists. Memory is the
+(record_points, 4) float64 output, 32 bytes per output point, plus a few
+blocks; the default 300k-point record passes 4 x 75M wideband samples
+through it. ``synthesize`` and ``demodulate`` split the same pipeline at the
+wideband record, which they hold whole.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sp_signal
 
 from .errors import (
@@ -30,14 +38,26 @@ from .errors import (
     RecordLengthError,
     ValidationError,
 )
-from .model import FourChannelCovariance, SampleBatch, _require_int
+from .model import (
+    SHOT_DIFFERENCE_VARIANCE,
+    FourChannelCovariance,
+    SampleBatch,
+    _require_int,
+)
 
 # lead/tail margins around the kept record, in cutoff periods: the lead
 # swallows the causal filter transient, the tail the polyphase edge effects
 _LEAD_CUTOFF_PERIODS = 500.0
 _TAIL_CUTOFF_PERIODS = 50.0
 
-_BLOCK = 1 << 20
+# wideband samples per block of the streamed chain; outputs do not depend on it
+_BLOCK = 1 << 18
+
+# the mode shaping filters: largest error of |H|^2 against the model density,
+# and the range of tap counts searched for it
+_SHAPING_TOL = 1e-3
+_MIN_SHAPING_TAPS = 33
+_MAX_SHAPING_TAPS = (1 << 16) + 1
 
 
 @dataclass(frozen=True)
@@ -110,12 +130,10 @@ def _margins(cfg: SignalChainConfig) -> tuple[int, int]:
 
 
 def required_synth_samples(cfg: SignalChainConfig) -> int:
-    """Wideband samples needed for record_points plus warm-up, FFT-friendly."""
+    """Wideband samples needed for record_points plus warm-up."""
     q1, q2 = decimation_plan(cfg)
-    m = q1 * q2
     lead, tail = _margins(cfg)
-    n_out = lead + cfg.record_points + tail
-    return sp_fft.next_fast_len(n_out) * m
+    return (lead + cfg.record_points + tail) * q1 * q2
 
 
 @dataclass(frozen=True)
@@ -165,68 +183,108 @@ def _lorentzian_depths(cov: FourChannelCovariance, cfg: SignalChainConfig,
     return min(dip, 1.0), max(bump, 0.0)
 
 
-def _synth_mode(seed: int, stream_index: int, psd, n: int, rate: float) -> np.ndarray:
-    """One real noise series of length n whose one-sided PSD follows psd(f).
+def _mode_densities(cov: FourChannelCovariance, cfg: SignalChainConfig,
+                    f: np.ndarray) -> np.ndarray:
+    # one-sided densities of the four modes (difference and sum of pair 1,
+    # then of pair 2) at the frequencies f, in units where white shot noise
+    # of a beam pair is 2
+    lorentzian = 1.0 / (1.0 + (np.asarray(f) / cfg.cavity_bandwidth_hz) ** 2)
+    rows = []
+    for pair in (1, 2):
+        dip, bump = _lorentzian_depths(cov, cfg, pair)
+        rows += [2.0 * (1.0 - dip * lorentzian), 2.0 + bump * lorentzian]
+    return np.array(rows)
 
-    The PSD is in density units where a flat psd == c gives per-sample
-    variance c. Complex spectral amplitudes are drawn from a counter-based
-    substream, so the series is a pure function of (seed, stream_index).
+
+def _shaping_filters(cov: FourChannelCovariance, cfg: SignalChainConfig) -> np.ndarray:
+    """FIR taps, shape (4, M), that shape unit white noise into the four modes.
+
+    Each filter is the frequency-sampled sqrt(S) of its mode, made causal and
+    cut to M taps, then scaled so that |H|^2 equals S exactly at the LO, where
+    the configured variances are defined. M = 2**k + 1 is the shortest length
+    at which every |H|^2 stays within _SHAPING_TOL of S on a grid 16 times
+    finer than the taps, the error taken relative to S or, below the shot
+    level, to the shot level (a relative error under a near-total squeezing
+    dip would need unbounded length). It grows with synth_rate_hz /
+    cavity_bandwidth_hz.
     """
-    gen = np.random.Generator(np.random.Philox(int(seed)).jumped(stream_index))
-    k = n // 2 + 1
-    g = gen.standard_normal(2 * k, dtype=np.float32)
-    re, im = g[0::2], g[1::2]
-    spectrum = np.empty(k, dtype=np.complex64)
-    step = rate / n
-    for start in range(0, k, _BLOCK):
-        stop = min(start + _BLOCK, k)
-        f = np.arange(start, stop, dtype=np.float64) * step
-        amp = np.sqrt(n * psd(f) / 2.0)
-        spectrum.real[start:stop] = amp * re[start:stop]
-        spectrum.imag[start:stop] = amp * im[start:stop]
-    # dc (and Nyquist for even n) are real bins carrying the full power
-    spectrum[0] = math.sqrt(2.0) * float(spectrum.real[0])
-    if n % 2 == 0:
-        spectrum[-1] = math.sqrt(2.0) * float(spectrum.real[-1])
-    del g, re, im
-    return sp_fft.irfft(spectrum, n=n)
+    fs = cfg.synth_rate_hz
+    at_lo = _mode_densities(cov, cfg, np.array([cfg.lo_frequency_hz]))[:, 0]
+    taps = _MIN_SHAPING_TAPS
+    while taps <= _MAX_SHAPING_TAPS:
+        half = (taps - 1) // 2
+        grid = 16 * (taps - 1)
+        density = _mode_densities(cov, cfg, np.arange(grid // 2 + 1) * (fs / grid))
+        zero_phase = np.fft.irfft(np.sqrt(density), n=grid)
+        h = np.concatenate((zero_phase[:, -half:], zero_phase[:, :half + 1]), axis=1)
+        lo_phasor = np.exp(-2j * math.pi * cfg.lo_frequency_hz / fs * np.arange(taps))
+        h *= np.sqrt(at_lo / np.abs(h @ lo_phasor) ** 2)[:, np.newaxis]
+        error = (np.abs(np.abs(np.fft.rfft(h, n=grid)) ** 2 - density)
+                 / np.maximum(density, SHOT_DIFFERENCE_VARIANCE))
+        if error.max() <= _SHAPING_TOL:
+            return h
+        taps = 2 * taps - 1
+    raise ModelError(
+        f"cavity_bandwidth_hz {cfg.cavity_bandwidth_hz:.3g} is too narrow to shape "
+        f"at synth_rate_hz {fs:.3g} with at most {_MAX_SHAPING_TAPS} filter taps; "
+        "raise cavity_bandwidth_hz or lower synth_rate_hz")
 
 
-def synthesize(cov: FourChannelCovariance, cfg: SignalChainConfig,
-               seed: int) -> WidebandRecord:
-    """Wideband four-channel record with the configured correlation structure.
+def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig,
+                  seed: int) -> Iterator[np.ndarray]:
+    """The wideband record as consecutive (4, b) float32 blocks (s1, i1, s2, i2).
 
-    Per pair, independent sum and difference modes are shaped in the
-    frequency domain (shot floor plus Lorentzian correlated part) and
-    recombined into signal and idler; the two pairs use disjoint substreams,
-    which keeps the cross-pair spectra identically zero.
+    Each mode is unit white noise from its own Philox substream, drawn
+    continuously, filtered by overlap-save: fixed FFT segments at fixed
+    positions of the record, each taking the last M - 1 input samples of the
+    one before, so the record does not depend on the block size. The first
+    segment's history is drawn too, so the record is stationary from its
+    first sample. Per pair, s = (u + d) / 2 and i = (u - d) / 2 of the
+    independent sum (u) and difference (d) modes; the pairs use disjoint
+    substreams, which keeps the cross-pair spectra identically zero.
     """
     seed = int(seed)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    taps = _shaping_filters(cov, cfg)
+    overlap = taps.shape[1] - 1
+    nfft = 1 << max(12, (16 * overlap - 1).bit_length())
+    step = nfft - overlap
+    spectra = np.fft.rfft(taps, n=nfft).astype(np.complex64)
+    streams = [np.random.Generator(np.random.Philox(seed).jumped(k)) for k in range(4)]
+    history = [gen.standard_normal(overlap, dtype=np.float32) for gen in streams]
+
     n = required_synth_samples(cfg)
-    rate = cfg.synth_rate_hz
-    b_c = cfg.cavity_bandwidth_hz
+    per_block = max(1, _BLOCK // step) * step
+    for start in range(0, n, per_block):
+        segments = -(-min(per_block, n - start) // step)
+        modes = np.empty((4, segments * step), dtype=np.float32)
+        for k, gen in enumerate(streams):
+            white = np.concatenate(
+                (history[k], gen.standard_normal(segments * step, dtype=np.float32)))
+            windows = sliding_window_view(white, nfft)[::step]
+            spectrum = np.fft.rfft(windows)
+            spectrum *= spectra[k]
+            modes[k] = np.fft.irfft(spectrum, n=nfft)[:, overlap:].ravel()
+            history[k] = white[-overlap:].copy()
+        d1, u1, d2, u2 = modes[:, :n - start]
+        yield np.stack(((u1 + d1) * 0.5, (u1 - d1) * 0.5,
+                        (u2 + d2) * 0.5, (u2 - d2) * 0.5))
 
-    channels = np.empty((4, n), dtype=np.float32)
-    for pair in (1, 2):
-        dip, bump = _lorentzian_depths(cov, cfg, pair)
 
-        def s_minus(f, dip=dip):
-            return 2.0 * (1.0 - dip / (1.0 + (f / b_c) ** 2))
+def synthesize(cov: FourChannelCovariance, cfg: SignalChainConfig,
+               seed: int) -> WidebandRecord:
+    """The whole wideband four-channel record that simulate streams.
 
-        def s_plus(f, bump=bump):
-            return 2.0 + bump / (1.0 + (f / b_c) ** 2)
-
-        base = 2 * (pair - 1)
-        d = _synth_mode(seed, base, s_minus, n, rate)
-        u = _synth_mode(seed, base + 1, s_plus, n, rate)
-        np.add(u, d, out=channels[base])
-        channels[base] *= 0.5
-        np.subtract(u, d, out=channels[base + 1])
-        channels[base + 1] *= 0.5
-        del d, u
-    return WidebandRecord(channels=channels, sample_rate_hz=rate, seed=seed)
+    Kept for inspecting the record (its spectra, say); it holds
+    4 x required_synth_samples float32 values.
+    """
+    channels = np.empty((4, required_synth_samples(cfg)), dtype=np.float32)
+    start = 0
+    for block in _synth_blocks(cov, cfg, seed):
+        channels[:, start:start + block.shape[1]] = block
+        start += block.shape[1]
+    return WidebandRecord(channels=channels, sample_rate_hz=cfg.synth_rate_hz, seed=seed)
 
 
 def post_mixer_sos(cfg: SignalChainConfig) -> np.ndarray:
@@ -245,24 +303,56 @@ def _polyphase_fir(q1: int) -> np.ndarray:
                             window=("kaiser", 5.0)).astype(np.float32)
 
 
-def _demod_channel(x: np.ndarray, cfg: SignalChainConfig,
-                   q1: int, q2: int) -> np.ndarray:
-    mixed = np.empty(x.size, dtype=np.float32)
+def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig) -> np.ndarray:
+    """The chain's uncalibrated output, shape (record_points, c), for a record
+    given as consecutive (c, b) float32 blocks.
+
+    Per block: one sqrt(2)*cos LO shared by the channels, the polyphase FIR
+    decimation with resample_poly's taps and zero-phase alignment (the last
+    input samples the next outputs need are carried), the low-pass with its
+    state carried, then decimation by q2 and the trim. Every output sample
+    is computed the same way whatever the block lengths.
+    """
+    q1, q2 = decimation_plan(cfg)
+    lead, _ = _margins(cfg)
+    sos = post_mixer_sos(cfg)
+    # a single-stage plan passes the mixed samples through a one-tap identity
+    fir = _polyphase_fir(q1) if q1 > 1 else np.ones(1, dtype=np.float32)
+    half = (fir.size - 1) // 2
     omega = 2.0 * math.pi * cfg.lo_frequency_hz
     dt = 1.0 / cfg.synth_rate_hz
-    for start in range(0, x.size, _BLOCK):
-        stop = min(start + _BLOCK, x.size)
-        t = np.arange(start, stop, dtype=np.float64) * dt
-        lo = math.sqrt(2.0) * np.cos(omega * t + cfg.mixer_phase_rad)
-        mixed[start:stop] = x[start:stop] * lo.astype(np.float32)
 
-    mid = (sp_signal.resample_poly(mixed, 1, q1, window=_polyphase_fir(q1))
-           if q1 > 1 else mixed)
-    filtered = sp_signal.sosfilt(post_mixer_sos(cfg), mid)
-    decimated = filtered[::q2]
-    lead, _ = _margins(cfg)
-    kept = decimated[lead:lead + cfg.record_points]
-    return np.asarray(kept, dtype=np.float64)
+    out = state = carry = None
+    start = filtered = decimated = written = 0
+    for block in blocks:
+        if out is None:
+            out = np.empty((cfg.record_points, block.shape[0]))
+            state = np.zeros((sos.shape[0], block.shape[0], 2))
+            # resample_poly zero-pads before the first sample
+            carry = np.zeros((block.shape[0], half), dtype=np.float32)
+        t = np.arange(start, start + block.shape[1], dtype=np.float64) * dt
+        lo = math.sqrt(2.0) * np.cos(omega * t + cfg.mixer_phase_rad)
+        mixed = block * lo.astype(np.float32)
+        start += block.shape[1]
+        # mid-rate sample j needs the mixed samples j*q1 - half .. j*q1 + half;
+        # pending holds them from the next j on
+        pending = np.concatenate((carry, mixed), axis=1)
+        count = max(0, (pending.shape[1] - 2 * half - 1) // q1 + 1)
+        skip = 2 * half // q1
+        mid = sp_signal.upfirdn(fir, pending, 1, q1, axis=1)[:, skip:skip + count]
+        carry = pending[:, count * q1:]
+        low, state = sp_signal.sosfilt(sos, mid, axis=1, zi=state)
+        kept = low[:, (-filtered) % q2::q2]
+        filtered += mid.shape[1]
+        # decimated samples lead .. lead + record_points - 1 are the output
+        new = kept[:, max(lead - decimated, 0):][:, :cfg.record_points - written]
+        decimated += kept.shape[1]
+        out[written:written + new.shape[1]] = new.T
+        written += new.shape[1]
+        if written == cfg.record_points:
+            return out
+    raise RecordLengthError(
+        f"record ended {cfg.record_points - written} output points short")
 
 
 def _calibration_variance(cfg: SignalChainConfig) -> float:
@@ -280,24 +370,37 @@ def _calibration_variance(cfg: SignalChainConfig) -> float:
 
 
 def demodulate(rec: WidebandRecord, cfg: SignalChainConfig) -> SampleBatch:
-    """Mix down at the LO, low-pass, decimate, trim, and calibrate."""
+    """Mix down at the LO, low-pass, decimate, trim, and calibrate a record.
+
+    Feeds the record through simulate's demodulator in _BLOCK-sample slices.
+    """
     if not math.isclose(rec.sample_rate_hz, cfg.synth_rate_hz, rel_tol=1e-12):
         raise ConfigurationError(
             f"record rate {rec.sample_rate_hz} does not match configured "
             f"synth_rate_hz {cfg.synth_rate_hz}")
-    q1, q2 = decimation_plan(cfg)
-    m = q1 * q2
-    lead, tail = _margins(cfg)
-    needed = (lead + cfg.record_points + tail) * m
+    needed = required_synth_samples(cfg)
     if rec.n < needed:
+        lead, tail = _margins(cfg)
         raise RecordLengthError(
             f"record has {rec.n} samples but {needed} are needed for "
             f"{cfg.record_points} output points plus {lead}+{tail} margin")
+    blocks = (rec.channels[:, start:start + _BLOCK] for start in range(0, rec.n, _BLOCK))
+    return SampleBatch(data=_calibrated(_demod_stream(blocks, cfg), cfg), seed=rec.seed)
 
-    usable = (rec.n // m) * m
-    scale = 1.0 / math.sqrt(_calibration_variance(cfg))
-    out = np.empty((cfg.record_points, 4))
-    for c in range(4):
-        out[:, c] = _demod_channel(rec.channels[c, :usable], cfg, q1, q2)
-    out *= scale
-    return SampleBatch(data=out, seed=rec.seed)
+
+def simulate(cov: FourChannelCovariance, cfg: SignalChainConfig,
+             seed: int) -> SampleBatch:
+    """Synthesize and demodulate a record block by block.
+
+    Equal to demodulate(synthesize(cov, cfg, seed), cfg), but no array of
+    wideband length exists: memory is the (record_points, 4) output plus a
+    few blocks of _BLOCK samples.
+    """
+    out = _demod_stream(_synth_blocks(cov, cfg, seed), cfg)
+    return SampleBatch(data=_calibrated(out, cfg), seed=int(seed))
+
+
+def _calibrated(out: np.ndarray, cfg: SignalChainConfig) -> np.ndarray:
+    # a shot-noise input comes out at unit variance
+    out *= 1.0 / math.sqrt(_calibration_variance(cfg))
+    return out

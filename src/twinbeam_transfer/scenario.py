@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .dsp_chain import SignalChainConfig, demodulate, synthesize
+from .dsp_chain import SignalChainConfig, simulate
 from .errors import (
     ConfigurationError,
     InsufficientStatisticsError,
@@ -61,6 +62,12 @@ SWEEP_PARAMETERS = (
 )
 
 ENGINES = ("direct", "chain")
+
+# Bytes an acquisition holds per event, for either engine: the (n, 4) float64
+# batch and two more arrays of its size for the copies selection and
+# statistics make (about 54 B per event measured at 1M and 4M direct events
+# and 1M chain points; the chain's wideband blocks add a fixed few tens of MB)
+_BYTES_PER_EVENT = 3 * 4 * 8
 
 # seed tags for the scatter subsample streams derived from the batch seed
 _SCATTER_TAG_CONDITIONED = 0x5CA0
@@ -197,14 +204,32 @@ def load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
+def _free_memory_bytes() -> int | None:
+    """Free physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def generate_batch(cfg: ScenarioConfig, workers: int = 1) -> SampleBatch:
-    """Produce the sample batch for a config through its chosen engine."""
+    """Produce the sample batch for a config through its chosen engine.
+
+    Refuses, with a ValidationError, a batch whose estimated footprint
+    exceeds the free physical memory, rather than be killed part way.
+    """
+    needed = cfg.n_points * _BYTES_PER_EVENT
+    free = _free_memory_bytes()
+    if free is not None and needed > free:
+        raise ValidationError(
+            f"{cfg.n_points} points need about {needed / 1e9:.2f} GB but only "
+            f"{free / 1e9:.2f} GB of physical memory is free; lower n_points "
+            f"(--points) to at most {free // _BYTES_PER_EVENT}")
     cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
     if cfg.engine == "direct":
         return sample_batch(cov, cfg.n_points, cfg.seed, workers=workers)
     chain_cfg = dataclasses.replace(cfg.signal_chain, record_points=cfg.n_points)
-    record = synthesize(cov, chain_cfg, cfg.seed)
-    return demodulate(record, chain_cfg)
+    return simulate(cov, chain_cfg, cfg.seed)
 
 
 def acquire(cfg: ScenarioConfig,

@@ -7,20 +7,25 @@ mirror the defaults.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from twinbeam_transfer import dsp_chain
 from twinbeam_transfer.dsp_chain import (
     SignalChainConfig,
     WidebandRecord,
     _calibration_variance,
-    _demod_channel,
+    _demod_stream,
+    _mode_densities,
+    _shaping_filters,
     decimation_plan,
     demodulate,
     post_mixer_sos,
     required_synth_samples,
+    simulate,
     synthesize,
 )
 from twinbeam_transfer.errors import (
@@ -104,6 +109,25 @@ def test_synthesize_deterministic():
     assert a.sample_rate_hz == CFG.synth_rate_hz
 
 
+@pytest.mark.parametrize("cfg", [CFG, SignalChainConfig()], ids=["test", "default"])
+def test_shaping_filters_follow_mode_densities(cfg):
+    taps = _shaping_filters(TWIN_COV, cfg)
+    assert taps.shape[0] == 4 and taps.shape[1] % 2 == 1
+    # exact at the lo, where the configured variances are defined
+    lo_phasor = np.exp(-2j * np.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
+                       * np.arange(taps.shape[1]))
+    variances = [TWIN_COV.difference_variance(1), TWIN_COV.sum_variance(1),
+                 TWIN_COV.difference_variance(2), TWIN_COV.sum_variance(2)]
+    assert np.abs(taps @ lo_phasor) ** 2 == pytest.approx(variances, rel=1e-9)
+    # and within the design tolerance everywhere else (shot level below it)
+    freqs = np.linspace(0.0, cfg.synth_rate_hz / 2, 20_001)
+    response = np.array([sp_signal.freqz(h, worN=freqs, fs=cfg.synth_rate_hz)[1]
+                         for h in taps])
+    model = _mode_densities(TWIN_COV, cfg, freqs)
+    error = np.abs(np.abs(response) ** 2 - model) / np.maximum(model, 2.0)
+    assert error.max() <= 1e-3
+
+
 def test_synthesized_difference_psd_matches_model():
     rec = synthesize(TWIN_COV, CFG, seed=21)
     d = rec.channels[0].astype(np.float64) - rec.channels[1].astype(np.float64)
@@ -152,8 +176,37 @@ def test_calibration_matches_white_noise_reference():
     for seed in range(20):
         white = np.random.Generator(np.random.Philox(seed)).standard_normal(
             n, dtype=np.float32)
-        ratios.append(_demod_channel(white, CFG, q1, q2).var())
+        ratios.append(_demod_stream([white[np.newaxis]], CFG)[:, 0].var())
     assert np.mean(ratios) / _calibration_variance(CFG) == pytest.approx(1.0, abs=0.01)
+
+
+def test_simulate_equals_demodulated_synthesis():
+    streamed = simulate(TWIN_COV, CFG, seed=42)
+    wrapped = demodulate(synthesize(TWIN_COV, CFG, seed=42), CFG)
+    assert np.array_equal(streamed.data, wrapped.data)
+    assert streamed.seed == wrapped.seed == 42
+
+
+def test_streamed_output_independent_of_block_size(monkeypatch):
+    q1, q2 = decimation_plan(CFG)
+    outputs = []
+    for block in (q1 * q2 * 1_000, q1 * q2 * 100_000):
+        monkeypatch.setattr(dsp_chain, "_BLOCK", block)
+        outputs.append(simulate(TWIN_COV, CFG, seed=43).data)
+    assert np.array_equal(outputs[0], outputs[1])
+
+
+def test_simulate_peak_memory_below_wideband_record(monkeypatch):
+    q1, q2 = decimation_plan(CFG)
+    monkeypatch.setattr(dsp_chain, "_BLOCK", q1 * q2 * 1_000)
+    record_bytes = 4 * required_synth_samples(CFG) * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        simulate(TWIN_COV, CFG, seed=44)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < record_bytes
 
 
 def test_twin_record_reproduces_input_squeezing():

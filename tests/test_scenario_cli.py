@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from twinbeam_transfer import scenario
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.errors import ConfigurationError, ValidationError
 from twinbeam_transfer.dsp_chain import SignalChainConfig
@@ -352,12 +353,25 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     '{"sweep": {"parameter": "squeezing_db", "minimum": 0, "maximum": 1, "steps": 2.9}}',
     '{"signal_chain": {"record_points": 7.9}}',
     '{"selection": {"bandwidth_delta": 0.03, "min_kept": 50.5}}',
+    '{"seed": true}',
+    '{"scatter_points": true}',
 ])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["run", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine", ["direct", "chain"])
+def test_cli_run_beyond_free_memory_exit_code(monkeypatch, capsys, engine):
+    # the free-memory reading is lowered, never the machine's memory used up
+    monkeypatch.setattr(scenario, "_free_memory_bytes", lambda: 1_000_000)
+    cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
+    with pytest.raises(ValidationError, match="memory"):
+        run_scenario(cfg)
+    assert main(["run", "--engine", engine, "--points", "100000"]) == 2
+    assert "lower n_points (--points) to at most" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
