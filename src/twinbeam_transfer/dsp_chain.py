@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from .errors import (
@@ -263,9 +264,9 @@ def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig,
             white = np.concatenate(
                 (history[k], gen.standard_normal(segments * step, dtype=np.float32)))
             windows = sliding_window_view(white, nfft)[::step]
-            spectrum = np.fft.rfft(windows)
+            spectrum = sp_fft.rfft(windows)
             spectrum *= spectra[k]
-            modes[k] = np.fft.irfft(spectrum, n=nfft)[:, overlap:].ravel()
+            modes[k] = sp_fft.irfft(spectrum, n=nfft)[:, overlap:].ravel()
             history[k] = white[-overlap:].copy()
         d1, u1, d2, u2 = modes[:, :n - start]
         yield np.stack(((u1 + d1) * 0.5, (u1 - d1) * 0.5,

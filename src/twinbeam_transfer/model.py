@@ -68,7 +68,7 @@ def _require_int(name: str, value, minimum: int) -> int:
     # rejects, rather than truncates, a non-integral value such as 2.9, and
     # a boolean, which would pass as 0 or 1
     if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     if int(value) != value or int(value) < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)

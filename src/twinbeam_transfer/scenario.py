@@ -63,11 +63,12 @@ SWEEP_PARAMETERS = (
 
 ENGINES = ("direct", "chain")
 
-# Bytes an acquisition holds per event, for either engine: the (n, 4) float64
-# batch and two more arrays of its size for the copies selection and
-# statistics make (about 54 B per event measured at 1M and 4M direct events
-# and 1M chain points; the chain's wideband blocks add a fixed few tens of MB)
-_BYTES_PER_EVENT = 3 * 4 * 8
+# Peak memory one acquisition holds per event, for either engine: the (n, 4)
+# float64 batch plus the copies selection and statistics make. Peak RSS grows
+# by about 57 B per event for a direct run (1M to 16M events), 48 B per event
+# and row for a 2-worker sweep (4M to 12M events) and 45 B per chain point
+# (1M to 3M points, beside a fixed ~100 MB of wideband blocks); rounded up.
+_BYTES_PER_EVENT = 64
 
 # seed tags for the scatter subsample streams derived from the batch seed
 _SCATTER_TAG_CONDITIONED = 0x5CA0
@@ -204,27 +205,47 @@ def load_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-def _free_memory_bytes() -> int | None:
-    """Free physical memory, or None where the platform does not report it."""
+def _available_memory_bytes() -> int | None:
+    """Memory available to new allocations without swapping, or None.
+
+    Reads MemAvailable (free memory plus reclaimable page cache) from
+    /proc/meminfo, falling back to the free physical pages where that file
+    is absent, and to None where the platform reports neither.
+    """
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
 
 
-def generate_batch(cfg: ScenarioConfig, workers: int = 1) -> SampleBatch:
-    """Produce the sample batch for a config through its chosen engine.
+def _check_memory(n_points: int, batches: int = 1) -> None:
+    """Refuse, before any work starts, batches that would not fit in memory.
 
-    Refuses, with a ValidationError, a batch whose estimated footprint
-    exceeds the free physical memory, rather than be killed part way.
+    ``batches`` acquisitions of ``n_points`` events each are held at once
+    (the rows a sweep runs in parallel). Raises ValidationError, rather than
+    let the process be killed part way.
     """
-    needed = cfg.n_points * _BYTES_PER_EVENT
-    free = _free_memory_bytes()
-    if free is not None and needed > free:
-        raise ValidationError(
-            f"{cfg.n_points} points need about {needed / 1e9:.2f} GB but only "
-            f"{free / 1e9:.2f} GB of physical memory is free; lower n_points "
-            f"(--points) to at most {free // _BYTES_PER_EVENT}")
+    per_batch = n_points * _BYTES_PER_EVENT
+    available = _available_memory_bytes()
+    if available is None or batches * per_batch <= available:
+        return
+    fix = f"lower n_points (--points) to at most {available // (batches * _BYTES_PER_EVENT)}"
+    if batches > 1:
+        fix += f" or run fewer rows at once (--workers, now {batches})"
+    raise ValidationError(
+        f"{batches} x {n_points} points need about {batches * per_batch / 1e9:.2f} GB "
+        f"but only {available / 1e9:.2f} GB of memory is available; {fix}")
+
+
+def generate_batch(cfg: ScenarioConfig, workers: int = 1) -> SampleBatch:
+    """Produce the sample batch for a config through its chosen engine."""
     cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
     if cfg.engine == "direct":
         return sample_batch(cov, cfg.n_points, cfg.seed, workers=workers)
@@ -270,8 +291,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
     """One paired acquisition: conditioned and unconditioned statistics.
 
     When out_dir is given, also writes scatter, histogram, and report files
-    there (see _write_scenario_outputs for the exact set).
+    there (see _write_scenario_outputs for the exact set). Refuses, with a
+    ValidationError, a run whose batch would not fit in available memory.
     """
+    _check_memory(cfg.n_points)
     batch, selected, conditioned = acquire(cfg, workers=workers)
     tgt_a, tgt_b = cfg.selection.target_channels
     difference = batch.channel(tgt_a) - batch.channel(tgt_b)
@@ -403,10 +426,13 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
 
     Row seeds derive from (cfg.seed, row index), so the table is identical
     for any worker count. When out_dir is given, writes sweep.csv there.
+    Refuses, with a ValidationError and before any row runs, a sweep whose
+    rows running at once would not fit in available memory.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
     values = [float(v) for v in cfg.sweep.values()]
+    _check_memory(cfg.n_points, batches=min(workers, len(values)))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda iv: _sweep_row(cfg, *iv), enumerate(values)))
@@ -437,6 +463,7 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
     if cases < 1:
         raise ValidationError(f"cases must be >= 1, got {cases}")
     base = ScenarioConfig(n_points=points, seed=seed)
+    _check_memory(points)
     rng = np.random.Generator(np.random.Philox(seed))
     results = []
     for index in range(cases):

@@ -23,6 +23,7 @@ from twinbeam_transfer.dsp_chain import (
     decimation_plan,
     demodulate,
     post_mixer_sos,
+    simulate,
     synthesize,
 )
 from twinbeam_transfer.model import (
@@ -225,8 +226,7 @@ def test_criterion_07c_rotated_cross_pair_at_snl():
 
 def test_criterion_08_dsp_chain_cross_validation():
     cfg = SignalChainConfig()
-    record = synthesize(TWIN_COV, cfg, seed=0)
-    batch = demodulate(record, cfg)
+    batch = simulate(TWIN_COV, cfg, seed=0)
     assert batch.n == 300_000
 
     # input calibration through the chain (widened tolerance)

@@ -365,13 +365,34 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("engine", ["direct", "chain"])
 def test_cli_run_beyond_free_memory_exit_code(monkeypatch, capsys, engine):
-    # the free-memory reading is lowered, never the machine's memory used up
-    monkeypatch.setattr(scenario, "_free_memory_bytes", lambda: 1_000_000)
+    # the available-memory reading is lowered, never the machine's memory used up
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 1_000_000)
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
     with pytest.raises(ValidationError, match="memory"):
         run_scenario(cfg)
     assert main(["run", "--engine", engine, "--points", "100000"]) == 2
     assert "lower n_points (--points) to at most" in capsys.readouterr().err
+
+
+def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
+    # room for one 20k-point row: a one-worker sweep runs every row, while two
+    # rows at once are refused as a whole before any row runs, not row by row
+    monkeypatch.setattr(scenario, "_available_memory_bytes",
+                        lambda: 20_000 * scenario._BYTES_PER_EVENT)
+    cfg = ScenarioConfig(n_points=20_000, seed=5,
+                         selection=SelectionConfig(bandwidth_delta=0.3),
+                         sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2))
+    assert [row["error"] for row in run_sweep(cfg)] == ["", ""]
+    with pytest.raises(ValidationError, match="--workers, now 2"):
+        run_sweep(cfg, workers=2)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--workers", "3", "--out", str(out)]) == 2
+    assert "lower n_points (--points) to at most 10000" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["selftest", "--points", "20001"]) == 2
+    assert "lower n_points (--points) to at most 20000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
