@@ -7,11 +7,14 @@ The configured pair variances are defined AT the analysis frequency
 Lorentzian value there. Each pair is built from independent difference and
 sum modes, unit white noise passed through a FIR shaping filter whose
 |H|^2 follows the mode's density. Demodulation multiplies by
-sqrt(2)*cos(2*pi*lo*t + phase), low-pass filters, decimates to
-``output_rate_hz``, discards the filter warm-up, and divides by the square
-root of the chain's noise gain (the squared norm of its impulse response,
-computed from the filter taps) so that a shot-limited input yields unit
-sample variance.
+sqrt(2)*cos(2*pi*lo*t + phase), decimates by q1 through a polyphase FIR,
+low-pass filters, decimates by q2 to ``output_rate_hz``, discards the filter
+warm-up, and divides by the square root of the chain's noise gain (the
+squared norm of its impulse response, computed from the filter taps) so
+that a shot-limited input yields unit sample variance. The mixer is folded
+into the polyphase FIR as complex taps: the input, cut into rows of q1
+samples, meets them in one matrix product, and each decimated sample is
+then rotated by its LO phase, so no full-rate LO or product is formed.
 
 ``simulate`` streams: synthesis and demodulation run block by block
 (``_BLOCK`` wideband samples, float32), with every filter's state carried
@@ -20,18 +23,20 @@ between blocks, so no array of wideband length exists. Memory is the
 blocks; the default 300k-point record passes 4 x 75M wideband samples
 through it. ``synthesize`` and ``demodulate`` split the same pipeline at the
 wideband record, which they hold whole.
+
+scipy is imported inside the functions that use it, so importing this module
+(and so every direct-engine run) does not load it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
-from scipy import signal as sp_signal
 
 from .errors import (
     ConfigurationError,
@@ -53,6 +58,11 @@ _TAIL_CUTOFF_PERIODS = 50.0
 
 # wideband samples per block of the streamed chain; outputs do not depend on it
 _BLOCK = 1 << 18
+
+# rows of q1 wideband samples per polyphase product of the demodulator: one
+# matrix shape at fixed record positions, so no output depends on how the
+# BLAS library treats a particular matrix size
+_ROWS = 1 << 12
 
 # the mode shaping filters: largest error of |H|^2 against the model density,
 # and the range of tap counts searched for it
@@ -244,6 +254,8 @@ def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig,
     independent sum (u) and difference (d) modes; the pairs use disjoint
     substreams, which keeps the cross-pair spectra identically zero.
     """
+    from scipy import fft as sp_fft
+
     seed = int(seed)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
@@ -290,6 +302,8 @@ def synthesize(cov: FourChannelCovariance, cfg: SignalChainConfig,
 
 def post_mixer_sos(cfg: SignalChainConfig) -> np.ndarray:
     """The baseband low-pass filter sections, at the rate they are applied."""
+    from scipy import signal as sp_signal
+
     q1, _ = decimation_plan(cfg)
     # elliptic: steep enough to hit the stopband contract within a 1.25x
     # transition band while keeping the passband flat to 0.05 dB
@@ -300,58 +314,113 @@ def post_mixer_sos(cfg: SignalChainConfig) -> np.ndarray:
 def _polyphase_fir(q1: int) -> np.ndarray:
     # resample_poly's own default design for down=q1, spelled out so the
     # calibration sees exactly the taps the chain applies
+    from scipy import signal as sp_signal
+
     return sp_signal.firwin(20 * q1 + 1, 1.0 / q1,
                             window=("kaiser", 5.0)).astype(np.float32)
+
+
+def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
+    """The polyphase FIR with the mixer folded in, and its half-length.
+
+    Returns float32 weights of shape (2R, q1), R = ceil(taps / q1): the
+    complex taps fir[k] * exp(i*omega*k*dt), zero past the last tap, cut
+    into R rows of q1, row r's real part in row 2r and its imaginary part in
+    row 2r + 1. A single-stage plan gets the one-tap identity filter.
+    """
+    q1, _ = decimation_plan(cfg)
+    fir = _polyphase_fir(q1) if q1 > 1 else np.ones(1, dtype=np.float32)
+    branches = -(-fir.size // q1)
+    taps = np.zeros(branches * q1, dtype=np.complex128)
+    k = np.arange(fir.size)
+    # upfirdn convolves: input a + k of a window meets fir[2*half - k]
+    taps[:fir.size] = fir[::-1] * np.exp(2j * math.pi * cfg.lo_frequency_hz
+                                         / cfg.synth_rate_hz * k)
+    rows = taps.reshape(branches, 1, q1)
+    weights = np.concatenate((rows.real, rows.imag), axis=1).reshape(2 * branches, q1)
+    return weights.astype(np.float32), (fir.size - 1) // 2
 
 
 def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig) -> np.ndarray:
     """The chain's uncalibrated output, shape (record_points, c), for a record
     given as consecutive (c, b) float32 blocks.
 
-    Per block: one sqrt(2)*cos LO shared by the channels, the polyphase FIR
-    decimation with resample_poly's taps and zero-phase alignment (the last
-    input samples the next outputs need are carried), the low-pass with its
-    state carried, then decimation by q2 and the trim. Every output sample
-    is computed the same way whatever the block lengths.
+    Mixing by sqrt(2)*cos(omega*t + phase) and then the polyphase FIR
+    decimation by q1, with resample_poly's taps and zero-phase alignment, is
+    one modulated polyphase filter (Crochiere & Rabiner 1983). Mid-rate
+    sample j reads the inputs a = j*q1 - half .. a + 2*half, and since
+    cos(omega*(a + k)*dt + phase) = Re(exp(i*(omega*a*dt + phase)) *
+    exp(i*omega*k*dt)), the LO folds into the complex taps of _folded_fir,
+    exactly for any LO frequency. The input is cut into rows of q1 samples
+    and multiplied by those (2R, q1) weights, one BLAS product per run of
+    _ROWS rows; sample j sums the R branch diagonals (row j + r times
+    branch r) and is rotated by its phase omega*a*dt + phase. Then comes the
+    low-pass with its state carried, decimation by q2 and the trim. The runs
+    sit at fixed record positions with one fixed shape (the last one padded
+    with zeros), so every output sample is computed the same way whatever
+    the block lengths.
     """
+    from scipy import signal as sp_signal
+
     q1, q2 = decimation_plan(cfg)
     lead, _ = _margins(cfg)
     sos = post_mixer_sos(cfg)
-    # a single-stage plan passes the mixed samples through a one-tap identity
-    fir = _polyphase_fir(q1) if q1 > 1 else np.ones(1, dtype=np.float32)
-    half = (fir.size - 1) // 2
-    omega = 2.0 * math.pi * cfg.lo_frequency_hz
-    dt = 1.0 / cfg.synth_rate_hz
+    weights, half = _folded_fir(cfg)
+    branches = weights.shape[0] // 2
+    width = _ROWS * q1
+    lo_step = 2.0 * math.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
 
-    out = state = carry = None
-    start = filtered = decimated = written = 0
-    for block in blocks:
-        if out is None:
-            out = np.empty((cfg.record_points, block.shape[0]))
-            state = np.zeros((sos.shape[0], block.shape[0], 2))
+    out = state = pending = products = folded = None
+    received = filtered = decimated = written = 0
+    # products column c holds row first + c; mid-rate sample first + t sums
+    # branch r times row first + t + r
+    first = 1 - branches
+    for block in itertools.chain(blocks, [None]):
+        if block is None:
+            if pending is None:
+                break
+            # the record ended: pad its last run with zeros
+            block = np.zeros((pending.shape[0], width - pending.shape[1]), dtype=np.float32)
+        else:
+            received += block.shape[1]
+        if pending is None:
+            channels = block.shape[0]
+            out = np.empty((cfg.record_points, channels))
+            state = np.zeros((sos.shape[0], channels, 2))
             # resample_poly zero-pads before the first sample
-            carry = np.zeros((block.shape[0], half), dtype=np.float32)
-        t = np.arange(start, start + block.shape[1], dtype=np.float64) * dt
-        lo = math.sqrt(2.0) * np.cos(omega * t + cfg.mixer_phase_rad)
-        mixed = block * lo.astype(np.float32)
-        start += block.shape[1]
-        # mid-rate sample j needs the mixed samples j*q1 - half .. j*q1 + half;
-        # pending holds them from the next j on
-        pending = np.concatenate((carry, mixed), axis=1)
-        count = max(0, (pending.shape[1] - 2 * half - 1) // q1 + 1)
-        skip = 2 * half // q1
-        mid = sp_signal.upfirdn(fir, pending, 1, q1, axis=1)[:, skip:skip + count]
-        carry = pending[:, count * q1:]
-        low, state = sp_signal.sosfilt(sos, mid, axis=1, zi=state)
-        kept = low[:, (-filtered) % q2::q2]
-        filtered += mid.shape[1]
-        # decimated samples lead .. lead + record_points - 1 are the output
-        new = kept[:, max(lead - decimated, 0):][:, :cfg.record_points - written]
-        decimated += kept.shape[1]
-        out[written:written + new.shape[1]] = new.T
-        written += new.shape[1]
-        if written == cfg.record_points:
-            return out
+            pending = np.zeros((channels, half), dtype=np.float32)
+            # the last R - 1 rows' products, then the run's
+            products = np.zeros((channels, 2 * branches, branches - 1 + _ROWS),
+                                dtype=np.float32)
+            folded = products.reshape(channels, branches, 2, -1)
+        pending = np.concatenate((pending, block), axis=1)
+        # mid-rate samples whose inputs have all arrived
+        ready = max(0, (received - half - 1) // q1 + 1)
+        while pending.shape[1] >= width:
+            run = pending[:, :width].reshape(channels, _ROWS, q1)
+            pending = pending[:, width:]
+            products[:, :, :branches - 1] = products[:, :, _ROWS:]
+            np.matmul(weights, run.transpose(0, 2, 1), out=products[:, :, branches - 1:])
+            z = folded[:, 0, :, :_ROWS].copy()
+            for branch in range(1, branches):
+                z += folded[:, branch, :, branch:branch + _ROWS]
+            lo, hi = max(filtered, first), min(first + _ROWS, ready)
+            z = z[:, :, lo - first:hi - first]
+            first += _ROWS
+            if hi <= lo:
+                continue
+            phase = lo_step * (np.arange(lo, hi) * q1 - half) + cfg.mixer_phase_rad
+            mid = math.sqrt(2.0) * (np.cos(phase) * z[:, 0] - np.sin(phase) * z[:, 1])
+            low, state = sp_signal.sosfilt(sos, mid, axis=1, zi=state)
+            kept = low[:, (-filtered) % q2::q2]
+            filtered += mid.shape[1]
+            # decimated samples lead .. lead + record_points - 1 are the output
+            new = kept[:, max(lead - decimated, 0):][:, :cfg.record_points - written]
+            decimated += kept.shape[1]
+            out[written:written + new.shape[1]] = new.T
+            written += new.shape[1]
+            if written == cfg.record_points:
+                return out
     raise RecordLengthError(
         f"record ended {cfg.record_points - written} output points short")
 
@@ -362,6 +431,8 @@ def _calibration_variance(cfg: SignalChainConfig) -> float:
     # q2 keeps the variance, so the output variance is the squared norm of
     # the polyphase FIR followed by the low-pass upsampled by q1. The
     # low-pass response is cut where the chain discards its warm-up.
+    from scipy import signal as sp_signal
+
     q1, q2 = decimation_plan(cfg)
     lead, _ = _margins(cfg)
     response = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(lead * q2))

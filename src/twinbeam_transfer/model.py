@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+# numpy loads its random module lazily; every run draws from it
+import numpy.random
 
 from .errors import ConfigurationError, ModelError, ValidationError
 

@@ -19,7 +19,9 @@ from twinbeam_transfer.dsp_chain import (
     WidebandRecord,
     _calibration_variance,
     _demod_stream,
+    _margins,
     _mode_densities,
+    _polyphase_fir,
     _shaping_filters,
     decimation_plan,
     demodulate,
@@ -180,6 +182,43 @@ def test_calibration_matches_white_noise_reference():
     assert np.mean(ratios) / _calibration_variance(CFG) == pytest.approx(1.0, abs=0.01)
 
 
+def _mix_upfirdn_reference(channels, cfg):
+    # the demodulator before the mixer was folded into the polyphase taps, on
+    # a whole record: a float32 sqrt(2)*cos LO times the input, resample_poly's
+    # FIR decimation by q1 through upfirdn, the low-pass, decimation by q2
+    # and the trim
+    q1, q2 = decimation_plan(cfg)
+    lead, _ = _margins(cfg)
+    fir = _polyphase_fir(q1) if q1 > 1 else np.ones(1, dtype=np.float32)
+    half = (fir.size - 1) // 2
+    t = np.arange(channels.shape[1], dtype=np.float64) / cfg.synth_rate_hz
+    lo = math.sqrt(2.0) * np.cos(2.0 * math.pi * cfg.lo_frequency_hz * t
+                                 + cfg.mixer_phase_rad)
+    mixed = np.concatenate((np.zeros((channels.shape[0], half), dtype=np.float32),
+                            channels * lo.astype(np.float32)), axis=1)
+    count = (mixed.shape[1] - 2 * half - 1) // q1 + 1
+    skip = 2 * half // q1
+    mid = sp_signal.upfirdn(fir, mixed, 1, q1, axis=1)[:, skip:skip + count]
+    low = sp_signal.sosfilt(post_mixer_sos(cfg), mid, axis=1)
+    return low[:, ::q2][:, lead:lead + cfg.record_points].T
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    # lo/fs = 0.1065: q1 = 8 is no multiple of half the LO period
+    dataclasses.replace(CFG, mixer_phase_rad=0.7, lo_frequency_hz=2.13e5),
+    # ratio 5: a single-stage plan, q1 = 1
+    dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4,
+                        lo_frequency_hz=1.0e5),
+], ids=["test", "phase-incommensurate-lo", "single-stage"])
+def test_folded_demodulator_matches_mix_then_upfirdn(cfg):
+    rec = synthesize(TWIN_COV, cfg, seed=45)
+    reference = _mix_upfirdn_reference(rec.channels, cfg)
+    folded = _demod_stream([rec.channels], cfg)
+    assert folded.shape == reference.shape == (cfg.record_points, 4)
+    assert np.abs(folded - reference).max() <= 1e-5 * np.abs(reference).max()
+
+
 def test_simulate_equals_demodulated_synthesis():
     streamed = simulate(TWIN_COV, CFG, seed=42)
     wrapped = demodulate(synthesize(TWIN_COV, CFG, seed=42), CFG)
@@ -189,11 +228,14 @@ def test_simulate_equals_demodulated_synthesis():
 
 def test_streamed_output_independent_of_block_size(monkeypatch):
     q1, q2 = decimation_plan(CFG)
+    record = synthesize(TWIN_COV, CFG, seed=43)
     outputs = []
-    for block in (q1 * q2 * 1_000, q1 * q2 * 100_000):
+    # demodulate feeds the record in _BLOCK slices, and 12345 is no multiple
+    # of q1 (simulate's blocks are whole overlap-save segments)
+    for block in (q1 * q2 * 1_000, q1 * q2 * 100_000, 12_345):
         monkeypatch.setattr(dsp_chain, "_BLOCK", block)
-        outputs.append(simulate(TWIN_COV, CFG, seed=43).data)
-    assert np.array_equal(outputs[0], outputs[1])
+        outputs += [simulate(TWIN_COV, CFG, seed=43).data, demodulate(record, CFG).data]
+    assert all(np.array_equal(outputs[0], other) for other in outputs[1:])
 
 
 def test_simulate_peak_memory_below_wideband_record(monkeypatch):

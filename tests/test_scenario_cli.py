@@ -4,10 +4,16 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twinbeam_transfer
 from twinbeam_transfer import scenario
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.errors import ConfigurationError, ValidationError
@@ -481,3 +487,38 @@ def test_cli_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "twinbeam-transfer 0.1.0" in capsys.readouterr().out
+
+
+def test_cli_without_chain_engine_never_imports_scipy(tmp_path):
+    # only the chain engine needs scipy: importing the CLI and running run,
+    # sweep, selftest and fock in a fresh interpreter must leave it unloaded
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "n_points": 60_000, "seed": 5, "selection": {"bandwidth_delta": 0.3},
+        "sweep": {"parameter": "squeezing_db", "minimum": 3.0, "maximum": 9.0,
+                  "steps": 2}}))
+    fock = tmp_path / "fock.json"
+    fock.write_text(json.dumps({"p1": [[0.5, 0.0], [0.0, 0.5]],
+                                "p2": [[0.5, 0.0], [0.0, 0.5]]}))
+    commands = [
+        ["run", "--points", "100000", "--out", str(tmp_path / "run")],
+        ["sweep", "--config", str(sweep), "--out", str(tmp_path / "sweep")],
+        ["selftest", "--cases", "1", "--points", "20000"],
+        ["fock", "--config", str(fock)],
+    ]
+    script = textwrap.dedent(f"""
+        import sys
+        from twinbeam_transfer.cli import main
+        for argv in {commands!r}:
+            assert main(argv) == 0, argv
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded[:10]
+        """)
+    src = str(Path(twinbeam_transfer.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert (tmp_path / "run" / "report.json").is_file()
+    assert (tmp_path / "sweep" / "sweep.csv").is_file()
