@@ -5,7 +5,7 @@ process (model). Post-selecting on the signal-difference photocurrent
 (selection) transfers the intensity correlation onto the two initially
 independent idlers; the closed-form expectation for the conditioned noise
 and the acceptance probability lives in oracle. Statistics helpers are in
-stats, the wideband synthesize/demodulate path in dsp_chain, and run/sweep
+stats, the wideband detection chain (simulate) in dsp_chain, and run/sweep
 orchestration plus the CLI in scenario and cli.
 
 The top level re-exports the names the README and the demos use; every

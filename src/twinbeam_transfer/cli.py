@@ -21,7 +21,6 @@ from . import __version__
 from .errors import (
     EmptySelectionError,
     EstimationError,
-    ModelError,
     TwinBeamError,
     ValidationError,
 )
@@ -200,9 +199,6 @@ def main(argv=None) -> int:
     except (EmptySelectionError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATS
-    except (ValidationError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TwinBeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

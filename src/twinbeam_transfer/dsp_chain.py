@@ -19,10 +19,8 @@ then rotated by its LO phase, so no full-rate LO or product is formed.
 ``simulate`` streams: synthesis and demodulation run block by block
 (``_BLOCK`` wideband samples, float32), with every filter's state carried
 between blocks, so no array of wideband length exists. Memory is the
-(record_points, 4) float64 output, 32 bytes per output point, plus a few
-blocks; the default 300k-point record passes 4 x 75M wideband samples
-through it. ``synthesize`` and ``demodulate`` split the same pipeline at the
-wideband record, which they hold whole.
+(points, 4) float64 output, 32 bytes per output point, plus a few blocks;
+a 300k-point record passes 4 x 75M wideband samples through it.
 
 scipy is imported inside the functions that use it, so importing this module
 (and so every direct-engine run) does not load it.
@@ -38,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    ConfigurationError,
-    ModelError,
-    RecordLengthError,
-    ValidationError,
-)
+from .errors import ModelError, RecordLengthError, ValidationError
 from .model import (
     SHOT_DIFFERENCE_VARIANCE,
     FourChannelCovariance,
@@ -73,13 +66,12 @@ _MAX_SHAPING_TAPS = (1 << 16) + 1
 
 @dataclass(frozen=True)
 class SignalChainConfig:
-    """Rates, cutoffs, and lengths of the detection/demodulation chain."""
+    """Rates and cutoffs of the detection/demodulation chain."""
 
     lo_frequency_hz: float = 3.5e6
     synth_rate_hz: float = 5.0e7
     post_mixer_cutoff_hz: float = 1.0e5
     output_rate_hz: float = 2.0e5
-    record_points: int = 300_000
     cavity_bandwidth_hz: float = 1.0e7
     mixer_phase_rad: float = 0.0
 
@@ -93,8 +85,6 @@ class SignalChainConfig:
         if not math.isfinite(float(self.mixer_phase_rad)):
             raise ValidationError(f"mixer_phase_rad must be finite, got {self.mixer_phase_rad}")
         object.__setattr__(self, "mixer_phase_rad", float(self.mixer_phase_rad))
-        object.__setattr__(self, "record_points",
-                           _require_int("record_points", self.record_points, 1))
 
         if self.output_rate_hz < 2.0 * self.post_mixer_cutoff_hz:
             raise ValidationError(
@@ -140,38 +130,11 @@ def _margins(cfg: SignalChainConfig) -> tuple[int, int]:
     return lead, tail
 
 
-def required_synth_samples(cfg: SignalChainConfig) -> int:
-    """Wideband samples needed for record_points plus warm-up."""
+def required_synth_samples(cfg: SignalChainConfig, points: int) -> int:
+    """Wideband samples needed for points output points plus warm-up."""
     q1, q2 = decimation_plan(cfg)
     lead, tail = _margins(cfg)
-    return (lead + cfg.record_points + tail) * q1 * q2
-
-
-@dataclass(frozen=True)
-class WidebandRecord:
-    """Four wideband photocurrent channels at the synthesis rate (float32)."""
-
-    channels: np.ndarray
-    sample_rate_hz: float
-    seed: int
-
-    def __post_init__(self):
-        ch = np.asarray(self.channels)
-        if ch.ndim != 2 or ch.shape[0] != 4 or ch.shape[1] < 2:
-            raise ValidationError(f"channels must have shape (4, n), got {ch.shape}")
-        if ch.dtype != np.float32:
-            ch = ch.astype(np.float32)
-        for row in ch:
-            if not np.isfinite(row).all():
-                raise ValidationError("channels contain non-finite values")
-        ch.setflags(write=False)
-        object.__setattr__(self, "channels", ch)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-        object.__setattr__(self, "seed", int(self.seed))
-
-    @property
-    def n(self) -> int:
-        return self.channels.shape[1]
+    return (lead + points + tail) * q1 * q2
 
 
 def _lorentzian_depths(cov: FourChannelCovariance, cfg: SignalChainConfig,
@@ -241,9 +204,10 @@ def _shaping_filters(cov: FourChannelCovariance, cfg: SignalChainConfig) -> np.n
         "raise cavity_bandwidth_hz or lower synth_rate_hz")
 
 
-def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig,
+def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
                   seed: int) -> Iterator[np.ndarray]:
-    """The wideband record as consecutive (4, b) float32 blocks (s1, i1, s2, i2).
+    """The wideband record for points output points, as consecutive (4, b)
+    float32 blocks (s1, i1, s2, i2).
 
     Each mode is unit white noise from its own Philox substream, drawn
     continuously, filtered by overlap-save: fixed FFT segments at fixed
@@ -267,7 +231,7 @@ def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig,
     streams = [np.random.Generator(np.random.Philox(seed).jumped(k)) for k in range(4)]
     history = [gen.standard_normal(overlap, dtype=np.float32) for gen in streams]
 
-    n = required_synth_samples(cfg)
+    n = required_synth_samples(cfg, points)
     per_block = max(1, _BLOCK // step) * step
     for start in range(0, n, per_block):
         segments = -(-min(per_block, n - start) // step)
@@ -283,21 +247,6 @@ def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig,
         d1, u1, d2, u2 = modes[:, :n - start]
         yield np.stack(((u1 + d1) * 0.5, (u1 - d1) * 0.5,
                         (u2 + d2) * 0.5, (u2 - d2) * 0.5))
-
-
-def synthesize(cov: FourChannelCovariance, cfg: SignalChainConfig,
-               seed: int) -> WidebandRecord:
-    """The whole wideband four-channel record that simulate streams.
-
-    Kept for inspecting the record (its spectra, say); it holds
-    4 x required_synth_samples float32 values.
-    """
-    channels = np.empty((4, required_synth_samples(cfg)), dtype=np.float32)
-    start = 0
-    for block in _synth_blocks(cov, cfg, seed):
-        channels[:, start:start + block.shape[1]] = block
-        start += block.shape[1]
-    return WidebandRecord(channels=channels, sample_rate_hz=cfg.synth_rate_hz, seed=seed)
 
 
 def post_mixer_sos(cfg: SignalChainConfig) -> np.ndarray:
@@ -341,9 +290,10 @@ def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
     return weights.astype(np.float32), (fir.size - 1) // 2
 
 
-def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig) -> np.ndarray:
-    """The chain's uncalibrated output, shape (record_points, c), for a record
-    given as consecutive (c, b) float32 blocks.
+def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
+                  points: int) -> np.ndarray:
+    """The chain's uncalibrated output, shape (points, c), for a record given
+    as consecutive (c, b) float32 blocks.
 
     Mixing by sqrt(2)*cos(omega*t + phase) and then the polyphase FIR
     decimation by q1, with resample_poly's taps and zero-phase alignment, is
@@ -385,7 +335,7 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig) -> np.nd
             received += block.shape[1]
         if pending is None:
             channels = block.shape[0]
-            out = np.empty((cfg.record_points, channels))
+            out = np.empty((points, channels))
             state = np.zeros((sos.shape[0], channels, 2))
             # resample_poly zero-pads before the first sample
             pending = np.zeros((channels, half), dtype=np.float32)
@@ -414,15 +364,14 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig) -> np.nd
             low, state = sp_signal.sosfilt(sos, mid, axis=1, zi=state)
             kept = low[:, (-filtered) % q2::q2]
             filtered += mid.shape[1]
-            # decimated samples lead .. lead + record_points - 1 are the output
-            new = kept[:, max(lead - decimated, 0):][:, :cfg.record_points - written]
+            # decimated samples lead .. lead + points - 1 are the output
+            new = kept[:, max(lead - decimated, 0):][:, :points - written]
             decimated += kept.shape[1]
             out[written:written + new.shape[1]] = new.T
             written += new.shape[1]
-            if written == cfg.record_points:
+            if written == points:
                 return out
-    raise RecordLengthError(
-        f"record ended {cfg.record_points - written} output points short")
+    raise RecordLengthError(f"record ended {points - written} output points short")
 
 
 def _calibration_variance(cfg: SignalChainConfig) -> float:
@@ -441,38 +390,15 @@ def _calibration_variance(cfg: SignalChainConfig) -> float:
     return float(np.dot(response, response))
 
 
-def demodulate(rec: WidebandRecord, cfg: SignalChainConfig) -> SampleBatch:
-    """Mix down at the LO, low-pass, decimate, trim, and calibrate a record.
-
-    Feeds the record through simulate's demodulator in _BLOCK-sample slices.
-    """
-    if not math.isclose(rec.sample_rate_hz, cfg.synth_rate_hz, rel_tol=1e-12):
-        raise ConfigurationError(
-            f"record rate {rec.sample_rate_hz} does not match configured "
-            f"synth_rate_hz {cfg.synth_rate_hz}")
-    needed = required_synth_samples(cfg)
-    if rec.n < needed:
-        lead, tail = _margins(cfg)
-        raise RecordLengthError(
-            f"record has {rec.n} samples but {needed} are needed for "
-            f"{cfg.record_points} output points plus {lead}+{tail} margin")
-    blocks = (rec.channels[:, start:start + _BLOCK] for start in range(0, rec.n, _BLOCK))
-    return SampleBatch(data=_calibrated(_demod_stream(blocks, cfg), cfg), seed=rec.seed)
-
-
-def simulate(cov: FourChannelCovariance, cfg: SignalChainConfig,
+def simulate(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
              seed: int) -> SampleBatch:
-    """Synthesize and demodulate a record block by block.
+    """Synthesize and demodulate a record of points output points, block by block.
 
-    Equal to demodulate(synthesize(cov, cfg, seed), cfg), but no array of
-    wideband length exists: memory is the (record_points, 4) output plus a
-    few blocks of _BLOCK samples.
+    No array of wideband length exists: memory is the (points, 4) output
+    plus a few blocks of _BLOCK samples. The output is calibrated so that a
+    shot-noise input comes out at unit variance.
     """
-    out = _demod_stream(_synth_blocks(cov, cfg, seed), cfg)
-    return SampleBatch(data=_calibrated(out, cfg), seed=int(seed))
-
-
-def _calibrated(out: np.ndarray, cfg: SignalChainConfig) -> np.ndarray:
-    # a shot-noise input comes out at unit variance
+    points = _require_int("points", points, 1)
+    out = _demod_stream(_synth_blocks(cov, cfg, points, seed), cfg, points)
     out *= 1.0 / math.sqrt(_calibration_variance(cfg))
-    return out
+    return SampleBatch(data=out, seed=int(seed))

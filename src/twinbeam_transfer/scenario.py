@@ -3,9 +3,10 @@
 A ScenarioConfig bundles everything one acquisition needs: the two pair
 parameter sets, the measurement setting, the selection rule, sample count,
 seed, and which engine generates the samples (direct Gaussian sampling or
-the full synthesize/demodulate chain). run_scenario always evaluates both
-the conditioned and the unconditioned statistics of the same record, the
-way a paired acquisition would, and overlays the closed-form prediction.
+the wideband detection chain of dsp_chain.simulate). run_scenario always
+evaluates both the conditioned and the unconditioned statistics of the same
+record, the way a paired acquisition would, and overlays the closed-form
+prediction.
 
 Everything here is deterministic per (config, seed): sweep row seeds derive
 from (base seed, row index), so results do not depend on execution order or
@@ -249,8 +250,7 @@ def generate_batch(cfg: ScenarioConfig, workers: int = 1) -> SampleBatch:
     cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
     if cfg.engine == "direct":
         return sample_batch(cov, cfg.n_points, cfg.seed, workers=workers)
-    chain_cfg = dataclasses.replace(cfg.signal_chain, record_points=cfg.n_points)
-    return simulate(cov, chain_cfg, cfg.seed)
+    return simulate(cov, cfg.signal_chain, cfg.n_points, cfg.seed)
 
 
 def acquire(cfg: ScenarioConfig,

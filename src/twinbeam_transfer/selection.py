@@ -44,8 +44,8 @@ class SelectionConfig:
 
     def __post_init__(self):
         bw = float(self.bandwidth_delta)
-        if math.isnan(bw) or bw <= 0.0:
-            raise ValidationError(f"bandwidth_delta must be > 0, got {bw}")
+        if not (math.isfinite(bw) and bw > 0.0):
+            raise ValidationError(f"bandwidth_delta must be positive and finite, got {bw}")
         object.__setattr__(self, "bandwidth_delta", bw)
         for attr in ("trigger_channels", "target_channels"):
             pair = tuple(getattr(self, attr))

@@ -21,10 +21,8 @@ from twinbeam_transfer.cli import main
 from twinbeam_transfer.dsp_chain import (
     SignalChainConfig,
     decimation_plan,
-    demodulate,
     post_mixer_sos,
     simulate,
-    synthesize,
 )
 from twinbeam_transfer.model import (
     MeasurementSetting,
@@ -226,7 +224,7 @@ def test_criterion_07c_rotated_cross_pair_at_snl():
 
 def test_criterion_08_dsp_chain_cross_validation():
     cfg = SignalChainConfig()
-    batch = simulate(TWIN_COV, cfg, seed=0)
+    batch = simulate(TWIN_COV, cfg, 300_000, seed=0)
     assert batch.n == 300_000
 
     # input calibration through the chain (widened tolerance)
@@ -252,9 +250,9 @@ def test_criterion_08b_anti_aliasing():
 
     # measured: widen the output rate so the stopband is observable in the
     # output spectrum, then compare pass- and stop-band levels
-    cfg = dataclasses.replace(base, output_rate_hz=4.0e5, record_points=60_000)
+    cfg = dataclasses.replace(base, output_rate_hz=4.0e5)
     cov = build_covariance(PAIR, PAIR, MeasurementSetting.COHERENT_STATE)
-    batch = demodulate(synthesize(cov, cfg, seed=0), cfg)
+    batch = simulate(cov, cfg, 60_000, seed=0)
     freqs, psd = sp_signal.welch(batch.s1, fs=cfg.output_rate_hz, nperseg=4096)
     passband = psd[(freqs > 1e3) & (freqs < 0.8 * cfg.post_mixer_cutoff_hz)].mean()
     stopband = psd[freqs >= 1.25 * cfg.post_mixer_cutoff_hz].mean()

@@ -16,26 +16,19 @@ from scipy import signal as sp_signal
 from twinbeam_transfer import dsp_chain
 from twinbeam_transfer.dsp_chain import (
     SignalChainConfig,
-    WidebandRecord,
     _calibration_variance,
     _demod_stream,
     _margins,
     _mode_densities,
     _polyphase_fir,
     _shaping_filters,
+    _synth_blocks,
     decimation_plan,
-    demodulate,
     post_mixer_sos,
     required_synth_samples,
     simulate,
-    synthesize,
 )
-from twinbeam_transfer.errors import (
-    ConfigurationError,
-    ModelError,
-    RecordLengthError,
-    ValidationError,
-)
+from twinbeam_transfer.errors import ModelError, RecordLengthError, ValidationError
 from twinbeam_transfer.model import (
     MeasurementSetting,
     TwinPairParams,
@@ -49,20 +42,24 @@ CFG = SignalChainConfig(
     synth_rate_hz=2.0e6,
     post_mixer_cutoff_hz=2.0e4,
     output_rate_hz=5.0e4,
-    record_points=30_000,
     cavity_bandwidth_hz=1.0e6,
 )
+POINTS = 30_000
 
 PAIR = TwinPairParams(squeezing_db=7.0, excess_sum_db=20.0)
 TWIN_COV = build_covariance(PAIR, PAIR)
 SHOT_COV = build_covariance(PAIR, PAIR, MeasurementSetting.COHERENT_STATE)
 
 
+def _record(cov, cfg, seed, points=POINTS):
+    # the whole (4, n) float32 wideband record that simulate streams
+    return np.concatenate(list(_synth_blocks(cov, cfg, points, seed)), axis=1)
+
+
 def test_config_defaults_are_valid():
     cfg = SignalChainConfig()
     assert cfg.lo_frequency_hz == 3.5e6
     assert cfg.output_rate_hz == 2.0e5
-    assert cfg.record_points == 300_000
     assert decimation_plan(cfg) == (50, 5)
 
 
@@ -72,12 +69,18 @@ def test_config_defaults_are_valid():
     (dict(mixer_phase_rad=math.nan), "mixer_phase_rad"),
     (dict(lo_frequency_hz=1.0e4), "lo_frequency_hz"),
     (dict(post_mixer_cutoff_hz=-1.0), "post_mixer_cutoff_hz"),
-    (dict(record_points=0), "record_points"),
+    (dict(cavity_bandwidth_hz=math.inf), "cavity_bandwidth_hz"),
     (dict(output_rate_hz=5.1e4), "integer multiple"),
 ])
 def test_config_validation(kwargs, fragment):
     with pytest.raises(ValidationError, match=fragment):
         dataclasses.replace(CFG, **kwargs)
+
+
+@pytest.mark.parametrize("points", [0, 2.5, True])
+def test_simulate_rejects_bad_point_count(points):
+    with pytest.raises(ValidationError, match="points"):
+        simulate(SHOT_COV, CFG, points, seed=0)
 
 
 @pytest.mark.parametrize("synth,output,plan", [
@@ -95,20 +98,20 @@ def test_decimation_plan(synth, output, plan):
 
 def test_required_samples_divisible_by_ratio():
     q1, q2 = decimation_plan(CFG)
-    n = required_synth_samples(CFG)
+    n = required_synth_samples(CFG, POINTS)
     assert n % (q1 * q2) == 0
-    lead_tail_and_record = CFG.record_points + 1250 + 125
+    lead_tail_and_record = POINTS + 1250 + 125
     assert n >= lead_tail_and_record * q1 * q2
 
 
 def test_synthesize_deterministic():
-    a = synthesize(SHOT_COV, CFG, seed=11)
-    b = synthesize(SHOT_COV, CFG, seed=11)
-    c = synthesize(SHOT_COV, CFG, seed=12)
-    assert np.array_equal(a.channels, b.channels)
-    assert not np.array_equal(a.channels, c.channels)
-    assert a.channels.dtype == np.float32
-    assert a.sample_rate_hz == CFG.synth_rate_hz
+    a = _record(SHOT_COV, CFG, seed=11)
+    b = _record(SHOT_COV, CFG, seed=11)
+    c = _record(SHOT_COV, CFG, seed=12)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.dtype == np.float32
+    assert a.shape == (4, required_synth_samples(CFG, POINTS))
 
 
 @pytest.mark.parametrize("cfg", [CFG, SignalChainConfig()], ids=["test", "default"])
@@ -131,8 +134,8 @@ def test_shaping_filters_follow_mode_densities(cfg):
 
 
 def test_synthesized_difference_psd_matches_model():
-    rec = synthesize(TWIN_COV, CFG, seed=21)
-    d = rec.channels[0].astype(np.float64) - rec.channels[1].astype(np.float64)
+    rec = _record(TWIN_COV, CFG, seed=21)
+    d = rec[0].astype(np.float64) - rec[1].astype(np.float64)
     freqs, psd = sp_signal.welch(d, fs=CFG.synth_rate_hz, nperseg=8192)
     density = psd * CFG.synth_rate_hz / 2.0  # to units where white shot pair = 2
 
@@ -150,8 +153,8 @@ def test_synthesized_difference_psd_matches_model():
 
 
 def test_synthesized_sum_psd_matches_model():
-    rec = synthesize(TWIN_COV, CFG, seed=22)
-    s = rec.channels[0].astype(np.float64) + rec.channels[1].astype(np.float64)
+    rec = _record(TWIN_COV, CFG, seed=22)
+    s = rec[0].astype(np.float64) + rec[1].astype(np.float64)
     freqs, psd = sp_signal.welch(s, fs=CFG.synth_rate_hz, nperseg=8192)
     density = psd * CFG.synth_rate_hz / 2.0
     at_lo = (freqs > CFG.lo_frequency_hz * 0.95) & (freqs < CFG.lo_frequency_hz * 1.05)
@@ -159,9 +162,8 @@ def test_synthesized_sum_psd_matches_model():
 
 
 def test_shot_record_demodulates_to_unit_variance():
-    rec = synthesize(SHOT_COV, CFG, seed=31)
-    batch = demodulate(rec, CFG)
-    assert batch.n == CFG.record_points
+    batch = simulate(SHOT_COV, CFG, POINTS, seed=31)
+    assert batch.n == POINTS
     sample_cov = np.cov(batch.data, rowvar=False)
     assert np.diag(sample_cov) == pytest.approx(np.ones(4), abs=0.03)
     off = sample_cov - np.diag(np.diag(sample_cov))
@@ -173,16 +175,16 @@ def test_calibration_matches_white_noise_reference():
     # through the same chain. The per-record ratio has sd ~0.01, so 0.01 on the
     # mean of 20 is ~4.5 standard errors (two-sided false-alarm rate ~7e-6).
     q1, q2 = decimation_plan(CFG)
-    n = required_synth_samples(CFG)
+    n = required_synth_samples(CFG, POINTS)
     ratios = []
     for seed in range(20):
         white = np.random.Generator(np.random.Philox(seed)).standard_normal(
             n, dtype=np.float32)
-        ratios.append(_demod_stream([white[np.newaxis]], CFG)[:, 0].var())
+        ratios.append(_demod_stream([white[np.newaxis]], CFG, POINTS)[:, 0].var())
     assert np.mean(ratios) / _calibration_variance(CFG) == pytest.approx(1.0, abs=0.01)
 
 
-def _mix_upfirdn_reference(channels, cfg):
+def _mix_upfirdn_reference(channels, cfg, points):
     # the demodulator before the mixer was folded into the polyphase taps, on
     # a whole record: a float32 sqrt(2)*cos LO times the input, resample_poly's
     # FIR decimation by q1 through upfirdn, the low-pass, decimation by q2
@@ -200,7 +202,7 @@ def _mix_upfirdn_reference(channels, cfg):
     skip = 2 * half // q1
     mid = sp_signal.upfirdn(fir, mixed, 1, q1, axis=1)[:, skip:skip + count]
     low = sp_signal.sosfilt(post_mixer_sos(cfg), mid, axis=1)
-    return low[:, ::q2][:, lead:lead + cfg.record_points].T
+    return low[:, ::q2][:, lead:lead + points].T
 
 
 @pytest.mark.parametrize("cfg", [
@@ -212,39 +214,38 @@ def _mix_upfirdn_reference(channels, cfg):
                         lo_frequency_hz=1.0e5),
 ], ids=["test", "phase-incommensurate-lo", "single-stage"])
 def test_folded_demodulator_matches_mix_then_upfirdn(cfg):
-    rec = synthesize(TWIN_COV, cfg, seed=45)
-    reference = _mix_upfirdn_reference(rec.channels, cfg)
-    folded = _demod_stream([rec.channels], cfg)
-    assert folded.shape == reference.shape == (cfg.record_points, 4)
+    rec = _record(TWIN_COV, cfg, seed=45)
+    reference = _mix_upfirdn_reference(rec, cfg, POINTS)
+    folded = _demod_stream([rec], cfg, POINTS)
+    assert folded.shape == reference.shape == (POINTS, 4)
     assert np.abs(folded - reference).max() <= 1e-5 * np.abs(reference).max()
-
-
-def test_simulate_equals_demodulated_synthesis():
-    streamed = simulate(TWIN_COV, CFG, seed=42)
-    wrapped = demodulate(synthesize(TWIN_COV, CFG, seed=42), CFG)
-    assert np.array_equal(streamed.data, wrapped.data)
-    assert streamed.seed == wrapped.seed == 42
 
 
 def test_streamed_output_independent_of_block_size(monkeypatch):
     q1, q2 = decimation_plan(CFG)
-    record = synthesize(TWIN_COV, CFG, seed=43)
+    record = _record(TWIN_COV, CFG, seed=43)
+    scale = 1.0 / math.sqrt(_calibration_variance(CFG))
     outputs = []
-    # demodulate feeds the record in _BLOCK slices, and 12345 is no multiple
-    # of q1 (simulate's blocks are whole overlap-save segments)
+    # the whole record is also fed in slices of exactly _BLOCK samples, and
+    # 12345 is no multiple of q1 (simulate's blocks are whole overlap-save
+    # segments); q1 * q2 * 100_000 spans the whole record
     for block in (q1 * q2 * 1_000, q1 * q2 * 100_000, 12_345):
         monkeypatch.setattr(dsp_chain, "_BLOCK", block)
-        outputs += [simulate(TWIN_COV, CFG, seed=43).data, demodulate(record, CFG).data]
+        batch = simulate(TWIN_COV, CFG, POINTS, seed=43)
+        assert batch.seed == 43
+        slices = (record[:, start:start + block]
+                  for start in range(0, record.shape[1], block))
+        outputs += [batch.data, _demod_stream(slices, CFG, POINTS) * scale]
     assert all(np.array_equal(outputs[0], other) for other in outputs[1:])
 
 
 def test_simulate_peak_memory_below_wideband_record(monkeypatch):
     q1, q2 = decimation_plan(CFG)
     monkeypatch.setattr(dsp_chain, "_BLOCK", q1 * q2 * 1_000)
-    record_bytes = 4 * required_synth_samples(CFG) * np.dtype(np.float32).itemsize
+    record_bytes = 4 * required_synth_samples(CFG, POINTS) * np.dtype(np.float32).itemsize
     tracemalloc.start()
     try:
-        simulate(TWIN_COV, CFG, seed=44)
+        simulate(TWIN_COV, CFG, POINTS, seed=44)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -252,8 +253,7 @@ def test_simulate_peak_memory_below_wideband_record(monkeypatch):
 
 
 def test_twin_record_reproduces_input_squeezing():
-    rec = synthesize(TWIN_COV, CFG, seed=32)
-    batch = demodulate(rec, CFG)
+    batch = simulate(TWIN_COV, CFG, POINTS, seed=32)
     assert variance_db(batch.s1 - batch.i1, 2.0) == pytest.approx(7.0, abs=0.3)
     assert variance_db(batch.s2 - batch.i2, 2.0) == pytest.approx(7.0, abs=0.3)
     # sum mode carries the configured excess noise
@@ -264,8 +264,7 @@ def test_twin_record_reproduces_input_squeezing():
 
 
 def test_end_to_end_covariance_matches_model():
-    rec = synthesize(TWIN_COV, CFG, seed=33)
-    batch = demodulate(rec, CFG)
+    batch = simulate(TWIN_COV, CFG, POINTS, seed=33)
     sample_cov = np.cov(batch.data, rowvar=False)
     diag = np.diag(TWIN_COV.matrix)
     se = np.sqrt((np.outer(diag, diag) + TWIN_COV.matrix ** 2) / batch.n)
@@ -273,27 +272,25 @@ def test_end_to_end_covariance_matches_model():
 
 
 def test_demodulate_deterministic():
-    rec = synthesize(TWIN_COV, CFG, seed=34)
-    a = demodulate(rec, CFG)
-    b = demodulate(rec, CFG)
+    a = simulate(TWIN_COV, CFG, POINTS, seed=34)
+    b = simulate(TWIN_COV, CFG, POINTS, seed=34)
     assert np.array_equal(a.data, b.data)
-    assert a.seed == rec.seed
+    assert a.seed == 34
 
 
 def test_mixer_phase_pi_flips_sign_only():
-    rec = synthesize(SHOT_COV, CFG, seed=35)
+    # the mixer phase does not enter synthesis: both calls see one record
     flipped_cfg = dataclasses.replace(CFG, mixer_phase_rad=math.pi)
-    var_a = demodulate(rec, CFG).data.var(axis=0)
-    var_b = demodulate(rec, flipped_cfg).data.var(axis=0)
+    var_a = simulate(SHOT_COV, CFG, POINTS, seed=35).data.var(axis=0)
+    var_b = simulate(SHOT_COV, flipped_cfg, POINTS, seed=35).data.var(axis=0)
     assert var_b == pytest.approx(var_a, rel=1e-5)
 
 
 def test_mixer_quadrature_phase_same_distribution():
     # intensity-noise demodulation is phase-insensitive in distribution
-    rec = synthesize(TWIN_COV, CFG, seed=36)
     quad_cfg = dataclasses.replace(CFG, mixer_phase_rad=math.pi / 2)
-    d_a = demodulate(rec, CFG)
-    d_b = demodulate(rec, quad_cfg)
+    d_a = simulate(TWIN_COV, CFG, POINTS, seed=36)
+    d_b = simulate(TWIN_COV, quad_cfg, POINTS, seed=36)
     v_a = (d_a.s1 - d_a.i1).var(ddof=1)
     v_b = (d_b.s1 - d_b.i1).var(ddof=1)
     # two-sample variance-ratio check, ~4 sigma of log F statistic
@@ -301,8 +298,7 @@ def test_mixer_quadrature_phase_same_distribution():
 
 
 def test_output_approximately_white():
-    rec = synthesize(SHOT_COV, CFG, seed=37)
-    batch = demodulate(rec, CFG)
+    batch = simulate(SHOT_COV, CFG, POINTS, seed=37)
     x = batch.s1 - batch.s1.mean()
     r1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
     # mild residual correlation from the filter corner near output Nyquist
@@ -312,9 +308,8 @@ def test_output_approximately_white():
 def test_no_aliasing_above_cutoff():
     # widen the output rate so the band above the filter cutoff is visible,
     # then demand >= 40 dB suppression beyond a 1.25x transition allowance
-    cfg = dataclasses.replace(CFG, output_rate_hz=8.0e4, record_points=20_000)
-    rec = synthesize(SHOT_COV, cfg, seed=38)
-    batch = demodulate(rec, cfg)
+    cfg = dataclasses.replace(CFG, output_rate_hz=8.0e4)
+    batch = simulate(SHOT_COV, cfg, 20_000, seed=38)
     freqs, psd = sp_signal.welch(batch.s1, fs=cfg.output_rate_hz, nperseg=4096)
     passband = psd[(freqs > 1e3) & (freqs < 0.8 * cfg.post_mixer_cutoff_hz)].mean()
     stopband = psd[freqs >= 1.25 * cfg.post_mixer_cutoff_hz].mean()
@@ -337,17 +332,9 @@ def test_post_mixer_filter_contract():
 
 
 def test_record_too_short_raises():
-    rec = synthesize(SHOT_COV, CFG, seed=39)
-    longer = dataclasses.replace(CFG, record_points=80_000)
+    rec = _record(SHOT_COV, CFG, seed=39)
     with pytest.raises(RecordLengthError):
-        demodulate(rec, longer)
-
-
-def test_rate_mismatch_raises():
-    rec = synthesize(SHOT_COV, CFG, seed=40)
-    other = dataclasses.replace(CFG, synth_rate_hz=4.0e6)
-    with pytest.raises(ConfigurationError):
-        demodulate(rec, other)
+        _demod_stream([rec], CFG, 80_000)
 
 
 def test_oversqueezed_at_lo_rejected():
@@ -357,14 +344,4 @@ def test_oversqueezed_at_lo_rejected():
     deep = build_covariance(TwinPairParams(squeezing_db=12.0),
                             TwinPairParams(squeezing_db=12.0))
     with pytest.raises(ModelError, match="cavity"):
-        synthesize(deep, cfg, seed=41)
-
-
-def test_wideband_record_validation():
-    with pytest.raises(ValidationError):
-        WidebandRecord(channels=np.zeros((3, 100), np.float32),
-                       sample_rate_hz=1e6, seed=0)
-    bad = np.zeros((4, 100), np.float32)
-    bad[1, 3] = np.inf
-    with pytest.raises(ValidationError):
-        WidebandRecord(channels=bad, sample_rate_hz=1e6, seed=0)
+        simulate(deep, cfg, POINTS, seed=41)

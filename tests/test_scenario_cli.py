@@ -39,7 +39,6 @@ SCALED_CHAIN = SignalChainConfig(
     synth_rate_hz=2.0e6,
     post_mixer_cutoff_hz=2.0e4,
     output_rate_hz=5.0e4,
-    record_points=30_000,
     cavity_bandwidth_hz=1.0e6,
 )
 
@@ -361,11 +360,24 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     '{"selection": {"bandwidth_delta": 0.03, "min_kept": 50.5}}',
     '{"seed": true}',
     '{"scatter_points": true}',
+    '{"selection": {"bandwidth_delta": 1e400}}',
 ])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["run", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_model_error_exit_code(tmp_path, capsys):
+    # a 12 dB dip at the lo is beyond reach of this narrow cavity: the chain
+    # raises ModelError, which exits like any other configuration error
+    chain = {**dataclasses.asdict(SCALED_CHAIN), "cavity_bandwidth_hz": 8.0e4}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"engine": "chain", "signal_chain": chain,
+                                "pair1": {"squeezing_db": 12.0},
+                                "pair2": {"squeezing_db": 12.0}}))
+    assert main(["run", "--config", str(path), "--points", "1000"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
