@@ -220,9 +220,6 @@ def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig, points: in
     """
     from scipy import fft as sp_fft
 
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     taps = _shaping_filters(cov, cfg)
     overlap = taps.shape[1] - 1
     nfft = 1 << max(12, (16 * overlap - 1).bit_length())
@@ -399,6 +396,7 @@ def simulate(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
     shot-noise input comes out at unit variance.
     """
     points = _require_int("points", points, 1)
+    seed = _require_int("seed", seed, 0)
     out = _demod_stream(_synth_blocks(cov, cfg, points, seed), cfg, points)
     out *= 1.0 / math.sqrt(_calibration_variance(cfg))
-    return SampleBatch(data=out, seed=int(seed))
+    return SampleBatch(data=out, seed=seed)

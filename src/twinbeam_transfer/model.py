@@ -21,7 +21,7 @@ import numpy as np
 # numpy loads its random module lazily; every run draws from it
 import numpy.random
 
-from .errors import ConfigurationError, ModelError, ValidationError
+from .errors import ModelError, ValidationError
 
 #: Channel order used everywhere: signal/idler of pair 1, then of pair 2.
 CHANNELS = ("s1", "i1", "s2", "i2")
@@ -231,14 +231,6 @@ class SampleBatch:
     def n(self) -> int:
         return self.data.shape[0]
 
-    def channel(self, name: str) -> np.ndarray:
-        """Read-only view of one channel by name."""
-        try:
-            return self.data[:, CHANNELS.index(name)]
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown channel {name!r}; valid channels are {CHANNELS}") from None
-
     @property
     def s1(self) -> np.ndarray:
         return self.data[:, 0]
@@ -279,12 +271,8 @@ def sample_batch(cov: FourChannelCovariance, n: int, seed: int,
     counter-based substream of the seed, so the result is a pure function of
     ``(cov, n, seed)`` no matter how many workers compute the chunks.
     """
-    n = int(n)
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    n = _require_int("sample count", n, 1)
+    seed = _require_int("seed", seed, 0)
     factor = _covariance_factor(cov)
 
     out = np.empty((n, 4))

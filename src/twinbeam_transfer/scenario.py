@@ -296,8 +296,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
     """
     _check_memory(cfg.n_points)
     batch, selected, conditioned = acquire(cfg, workers=workers)
-    tgt_a, tgt_b = cfg.selection.target_channels
-    difference = batch.channel(tgt_a) - batch.channel(tgt_b)
+    difference = batch.i1 - batch.i2
     unconditioned = unconditioned_statistics(batch, difference, cfg.selection)
     prediction = cfg.predict()
 
@@ -308,10 +307,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
                           derived_seed(batch.seed, _SCATTER_TAG_CONDITIONED))
     uncond_idx = _subsample(np.arange(batch.n), cfg.scatter_points,
                             derived_seed(batch.seed, _SCATTER_TAG_UNCONDITIONED))
-    cond_scatter = np.column_stack([batch.channel(tgt_a)[cond_idx],
-                                    batch.channel(tgt_b)[cond_idx]])
-    uncond_scatter = np.column_stack([batch.channel(tgt_a)[uncond_idx],
-                                      batch.channel(tgt_b)[uncond_idx]])
+    cond_scatter = np.column_stack([batch.i1[cond_idx], batch.i2[cond_idx]])
+    uncond_scatter = np.column_stack([batch.i1[uncond_idx], batch.i2[uncond_idx]])
 
     result = ScenarioResult(
         conditioned=conditioned,
@@ -346,12 +343,11 @@ def _write_scenario_outputs(result: ScenarioResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = result.config
     comments = _comment_lines(cfg)
-    tgt_a, tgt_b = cfg.selection.target_channels
 
     for name, scatter in (("scatter_conditioned.csv", result.conditioned_scatter),
                           ("scatter_unconditioned.csv", result.unconditioned_scatter)):
         rows = [(float(a), float(b)) for a, b in scatter]
-        _write_csv(out_dir / name, comments, [tgt_a, tgt_b], rows)
+        _write_csv(out_dir / name, comments, ["i1", "i2"], rows)
 
     hist_header = ["bin_left_delta", "bin_right_delta", "count"]
     hist_comments = comments + ["bin edges are in units of delta (coherent-difference sigma)"]

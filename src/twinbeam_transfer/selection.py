@@ -1,7 +1,10 @@
 """Conditional transfer: gate on the signal difference, measure the idlers.
 
-An event is kept when the two trigger photocurrents agree to within the
-selection half-width, |trigger1 - trigger2| <= bandwidth_delta * delta.
+The protocol is fixed, as in the experiment: an event is kept when the two
+signal photocurrents agree to within the selection half-width,
+|s1 - s2| <= bandwidth_delta * delta, and the transferred correlation is
+the noise of the idler difference i1 - i2 over the kept events. The
+closed-form oracle assumes exactly this routing.
 ``bandwidth_delta`` is deliberately the HALF-width of the acceptance window:
 that way bandwidth_delta -> 0 is the exact-coincidence limit. Note a
 full-width convention would halve the preparation probability.
@@ -15,17 +18,15 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    EmptySelectionError,
-    InsufficientStatisticsError,
-    ValidationError,
-)
-from .model import CHANNELS, COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE, SampleBatch, _require_int
+from .errors import EmptySelectionError, InsufficientStatisticsError, ValidationError
+from .model import COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE, SampleBatch, _require_int
 from .stats import TransferReport, _variance_estimate
 
-# the moment-based interval (and its bootstrap reference) needs >= 30 values
+# the moment-based interval needs >= 30 values
 _MIN_KEPT_FLOOR = 30
+
+# two-sided coverage of the reported interval: one standard error
+_INTERVAL_LEVEL = 0.68
 
 
 def derived_seed(base_seed: int, tag: int) -> int:
@@ -35,11 +36,9 @@ def derived_seed(base_seed: int, tag: int) -> int:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Acceptance window and channel routing for the post-selection rule."""
+    """Acceptance window and minimum kept count for the post-selection rule."""
 
     bandwidth_delta: float
-    trigger_channels: tuple[str, str] = ("s1", "s2")
-    target_channels: tuple[str, str] = ("i1", "i2")
     min_kept: int = 100
 
     def __post_init__(self):
@@ -47,19 +46,6 @@ class SelectionConfig:
         if not (math.isfinite(bw) and bw > 0.0):
             raise ValidationError(f"bandwidth_delta must be positive and finite, got {bw}")
         object.__setattr__(self, "bandwidth_delta", bw)
-        for attr in ("trigger_channels", "target_channels"):
-            pair = tuple(getattr(self, attr))
-            if len(pair) != 2 or pair[0] == pair[1]:
-                raise ConfigurationError(f"{attr} must name two distinct channels, got {pair}")
-            for name in pair:
-                if name not in CHANNELS:
-                    raise ConfigurationError(
-                        f"{attr} names unknown channel {name!r}; valid channels are {CHANNELS}")
-            object.__setattr__(self, attr, pair)
-        if set(self.trigger_channels) & set(self.target_channels):
-            raise ConfigurationError(
-                f"trigger {self.trigger_channels} and target {self.target_channels} "
-                "channels must be disjoint")
         object.__setattr__(self, "min_kept",
                            _require_int("min_kept", self.min_kept, _MIN_KEPT_FLOOR))
 
@@ -95,20 +81,17 @@ class SelectionResult:
 
 def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
     """Apply the acceptance rule; pure function of (batch, cfg)."""
-    t1 = batch.channel(cfg.trigger_channels[0])
-    t2 = batch.channel(cfg.trigger_channels[1])
     half_width = cfg.bandwidth_delta * COHERENT_DELTA
-    kept = np.flatnonzero(np.abs(t1 - t2) <= half_width)
+    kept = np.flatnonzero(np.abs(batch.s1 - batch.s2) <= half_width)
     if kept.size == 0:
         raise EmptySelectionError(
-            f"no events satisfy |{cfg.trigger_channels[0]} - {cfg.trigger_channels[1]}|"
-            f" <= {cfg.bandwidth_delta} * delta out of {batch.n}")
+            f"no events satisfy |s1 - s2| <= {cfg.bandwidth_delta} * delta out of {batch.n}")
     return SelectionResult(kept_indices=kept, total=batch.n)
 
 
-def _transfer_report(values: np.ndarray, probability: float, echo: dict[str, Any],
-                     level: float = 0.68) -> TransferReport:
-    point, low, high = _variance_estimate(values, SHOT_DIFFERENCE_VARIANCE, level)
+def _transfer_report(values: np.ndarray, probability: float,
+                     echo: dict[str, Any]) -> TransferReport:
+    point, low, high = _variance_estimate(values, SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
     return TransferReport(
         squeezing_db=point,
         ci_low_db=low,
@@ -120,28 +103,27 @@ def _transfer_report(values: np.ndarray, probability: float, echo: dict[str, Any
 
 
 def conditional_statistics(batch: SampleBatch, result: SelectionResult,
-                           cfg: SelectionConfig, level: float = 0.68) -> TransferReport:
-    """Noise of the target difference over the kept events.
+                           cfg: SelectionConfig) -> TransferReport:
+    """Noise of the idler difference i1 - i2 over the kept events.
 
     The interval is the moment-based (delta-method) interval of
     :func:`~twinbeam_transfer.stats.variance_interval`.
     """
     if result.kept_count < cfg.min_kept:
         raise InsufficientStatisticsError(result.kept_count, cfg.min_kept)
-    a = batch.channel(cfg.target_channels[0])
-    b = batch.channel(cfg.target_channels[1])
-    values = a[result.kept_indices] - b[result.kept_indices]
+    kept = result.kept_indices
+    values = batch.i1[kept] - batch.i2[kept]
     echo = {"selection": asdict(cfg), "n": batch.n, "seed": batch.seed}
-    return _transfer_report(values, result.preparation_probability, echo, level)
+    return _transfer_report(values, result.preparation_probability, echo)
 
 
 def unconditioned_statistics(batch: SampleBatch, difference: np.ndarray,
                              cfg: SelectionConfig) -> TransferReport:
-    """Noise of the target difference over every event of ``batch``.
+    """Noise of the idler difference over every event of ``batch``.
 
-    ``difference`` is the full target difference, target_channels[0] minus
-    target_channels[1], one value per event. The echo's ``bandwidth_delta``
-    is null: no selection window applies.
+    ``difference`` is the full idler difference i1 - i2, one value per
+    event. The echo's ``bandwidth_delta`` is null: no selection window
+    applies.
     """
     if np.shape(difference) != (batch.n,):
         raise ValidationError(

@@ -1,8 +1,8 @@
 """Estimation utilities: shot-normalized variance in dB, histograms, intervals.
 
-:func:`variance_interval` is the interval every run reports; the percentile
-bootstrap :func:`bootstrap_ci` stays as the independent reference it is
-tested against.
+:func:`variance_interval`, the moment-based (delta-method) interval, is the
+interval every run reports. The test suite checks it against a percentile
+bootstrap reference, which the package does not ship.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ def variance_db(values, shot_reference: float) -> float:
     Positive means squeezed (variance below reference), negative means excess
     noise. Uses the unbiased (n-1) variance estimator.
     """
-    return _clean_variance_db(_as_clean_1d(values, minimum=2), shot_reference)
+    x = _as_clean_1d(values, minimum=2)
+    return _variance_to_db(float(x.var(ddof=1)), shot_reference)
 
 
-def _clean_variance_db(x: np.ndarray, shot_reference: float) -> float:
+def _variance_to_db(var: float, shot_reference: float) -> float:
     shot_reference = float(shot_reference)
     if not (shot_reference > 0.0):
         raise ValidationError(f"shot_reference must be > 0, got {shot_reference}")
-    var = float(x.var(ddof=1))
     if var <= 0.0:
         raise EstimationError("sample variance is zero; cannot express in dB")
     return -10.0 * math.log10(var / shot_reference)
@@ -148,11 +148,12 @@ def _variance_estimate(values, shot_reference: float,
     from one validation pass over ``values``."""
     x = _as_clean_1d(values, minimum=30)
     level = _check_level(level)
-    point = _clean_variance_db(x, shot_reference)
     n = x.size
     dev = x - x.mean()
     dev *= dev
+    # bit-identical to x.var(ddof=1), the estimate variance_db reports
     s2 = float(dev.sum()) / (n - 1)
+    point = _variance_to_db(s2, shot_reference)
     dev *= dev
     m4 = float(dev.sum()) / n
     # m4 >= (s^2 (n-1) / n)^2 (Cauchy-Schwarz), so the radicand is at least
@@ -162,45 +163,11 @@ def _variance_estimate(values, shot_reference: float,
     return point, point - half, point + half
 
 
-def bootstrap_ci(values, shot_reference: float, resamples: int = 1000,
-                 level: float = 0.68, seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap interval for :func:`variance_db`.
-
-    O(n * resamples); the reference that :func:`variance_interval` is tested
-    against. Deterministic for a fixed seed. The returned interval is
-    widened, if necessary, to contain the point estimate (percentile
-    intervals can exclude it by a hair on skewed resample distributions).
-    """
-    x = _as_clean_1d(values, minimum=30)
-    resamples = int(resamples)
-    if resamples < 200:
-        raise ValidationError(f"resamples must be >= 200, got {resamples}")
-    level = _check_level(level)
-
-    point = variance_db(x, shot_reference)
-    rng = np.random.default_rng(int(seed))
-    n = x.size
-    estimates = np.empty(resamples)
-    # cap the index matrix at ~10^7 entries so large batches stay in memory
-    block = max(1, 10_000_000 // n)
-    done = 0
-    while done < resamples:
-        m = min(block, resamples - done)
-        idx = rng.integers(0, n, size=(m, n))
-        var = x[idx].var(axis=1, ddof=1)
-        estimates[done:done + m] = -10.0 * np.log10(var / float(shot_reference))
-        done += m
-
-    tail = 100.0 * (1.0 - level) / 2.0
-    low, high = np.percentile(estimates, [tail, 100.0 - tail])
-    return min(float(low), point), max(float(high), point)
-
-
 @dataclass(frozen=True)
 class TransferReport:
     """Conditional (or unconditional) correlation measurement summary.
 
-    squeezing_db is the target-difference noise relative to the SNL over the
+    squeezing_db is the idler-difference noise relative to the SNL over the
     kept events; the moment-based (delta-method) interval of
     :func:`variance_interval` carries the statistical uncertainty.
     config_echo records the parameters that produced the numbers.

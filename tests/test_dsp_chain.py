@@ -83,6 +83,13 @@ def test_simulate_rejects_bad_point_count(points):
         simulate(SHOT_COV, CFG, points, seed=0)
 
 
+@pytest.mark.parametrize("seed", [2.7, True, -1])
+def test_simulate_rejects_bad_seed(seed):
+    # never truncated or coerced: 2.7 is not seed 2, True is not seed 1
+    with pytest.raises(ValidationError, match="seed"):
+        simulate(SHOT_COV, CFG, POINTS, seed=seed)
+
+
 @pytest.mark.parametrize("synth,output,plan", [
     (5.0e7, 2.0e5, (50, 5)),   # default ratio 250
     (2.0e6, 5.0e4, (8, 5)),    # ratio 40

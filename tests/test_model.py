@@ -192,11 +192,7 @@ def test_sample_batch_channel_accessors():
     batch = sample_batch(cov, 1000, seed=1)
     assert batch.n == 1000
     for idx, name in enumerate(CHANNELS):
-        assert np.array_equal(batch.channel(name), batch.data[:, idx])
-    assert np.array_equal(batch.s1, batch.channel("s1"))
-    assert np.array_equal(batch.i2, batch.channel("i2"))
-    with pytest.raises(ValidationError):
-        batch.channel("s3")
+        assert np.array_equal(getattr(batch, name), batch.data[:, idx])
 
 
 def test_sample_batch_is_read_only():
@@ -210,7 +206,16 @@ def test_sample_batch_is_read_only():
 def test_sample_batch_input_validation():
     cov = build_covariance(TwinPairParams(squeezing_db=3.0),
                            TwinPairParams(squeezing_db=3.0))
-    with pytest.raises(ValidationError):
-        sample_batch(cov, 0, seed=1)
-    with pytest.raises(ValidationError):
-        sample_batch(cov, 10, seed=-1)
+    # never truncated or coerced: 2.5 is not 2 events, True is not 1
+    for n in (0, 2.5, True):
+        with pytest.raises(ValidationError, match="sample count"):
+            sample_batch(cov, n, seed=1)
+
+
+@pytest.mark.parametrize("seed", [2.7, True, -1])
+def test_sample_batch_rejects_bad_seed(seed):
+    # never truncated or coerced: 2.7 is not seed 2, True is not seed 1
+    cov = build_covariance(TwinPairParams(squeezing_db=3.0),
+                           TwinPairParams(squeezing_db=3.0))
+    with pytest.raises(ValidationError, match="seed"):
+        sample_batch(cov, 10, seed)

@@ -361,6 +361,9 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     '{"seed": true}',
     '{"scatter_points": true}',
     '{"selection": {"bandwidth_delta": 1e400}}',
+    # the routing is fixed (gate on s1 - s2, measure i1 - i2): no such keys
+    '{"selection": {"bandwidth_delta": 0.03, "trigger_channels": ["s1", "s2"]}}',
+    '{"selection": {"bandwidth_delta": 0.03, "target_channels": ["i1", "i2"]}}',
 ])
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"
