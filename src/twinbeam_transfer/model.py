@@ -225,7 +225,7 @@ class SampleBatch:
             raise ValidationError("sample data contains non-finite values")
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
 
     @property
     def n(self) -> int:
@@ -257,34 +257,26 @@ def _covariance_factor(cov: FourChannelCovariance) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _sample_chunk(factor: np.ndarray, seed: int, index: int, length: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(seed).jumped(index))
-    z = gen.standard_normal((length, 4))
-    return z @ factor.T
-
-
 def sample_batch(cov: FourChannelCovariance, n: int, seed: int,
                  workers: int = 1) -> SampleBatch:
     """Draw ``n`` independent events from the zero-mean Gaussian model.
 
     The stream is split into fixed-size chunks, each drawn from its own
     counter-based substream of the seed, so the result is a pure function of
-    ``(cov, n, seed)`` no matter how many workers compute the chunks.
+    ``(cov, n, seed)`` no matter how many worker threads draw the chunks.
     """
     n = _require_int("sample count", n, 1)
     seed = _require_int("seed", seed, 0)
+    workers = _require_int("workers", workers, 1)
     factor = _covariance_factor(cov)
-
     out = np.empty((n, 4))
-    spans = [(i, slice(start, min(start + _SAMPLE_CHUNK, n)))
-             for i, start in enumerate(range(0, n, _SAMPLE_CHUNK))]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (i, s), block in zip(
-                    spans, pool.map(lambda t: _sample_chunk(factor, seed, t[0],
-                                                            t[1].stop - t[1].start), spans)):
-                out[s] = block
-    else:
-        for i, s in spans:
-            out[s] = _sample_chunk(factor, seed, i, s.stop - s.start)
+
+    def fill(start: int) -> None:
+        stop = min(start + _SAMPLE_CHUNK, n)
+        gen = np.random.Generator(np.random.Philox(seed).jumped(start // _SAMPLE_CHUNK))
+        out[start:stop] = gen.standard_normal((stop - start, 4)) @ factor.T
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # each chunk is written in place; list() re-raises a worker's error
+        list(pool.map(fill, range(0, n, _SAMPLE_CHUNK)))
     return SampleBatch(data=out, seed=seed)

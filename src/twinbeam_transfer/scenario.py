@@ -9,8 +9,7 @@ record, the way a paired acquisition would, and overlays the closed-form
 prediction.
 
 Everything here is deterministic per (config, seed): sweep row seeds derive
-from (base seed, row index), so results do not depend on execution order or
-worker count.
+from (base seed, row index), so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import dataclasses
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -66,9 +64,10 @@ ENGINES = ("direct", "chain")
 
 # Peak memory one acquisition holds per event, for either engine: the (n, 4)
 # float64 batch plus the copies selection and statistics make. Peak RSS grows
-# by about 57 B per event for a direct run (1M to 16M events), 48 B per event
-# and row for a 2-worker sweep (4M to 12M events) and 45 B per chain point
-# (1M to 3M points, beside a fixed ~100 MB of wideband blocks); rounded up.
+# by about 57 B per event for a direct run (1M to 16M events) and 45 B per
+# chain point (1M to 3M points, beside a fixed ~100 MB of wideband blocks);
+# rounded up. A sweep runs its rows one after another, so run, sweep and
+# selftest each hold one batch at a time.
 _BYTES_PER_EVENT = 64
 
 # seed tags for the scatter subsample streams derived from the batch seed
@@ -226,27 +225,29 @@ def _available_memory_bytes() -> int | None:
         return None
 
 
-def _check_memory(n_points: int, batches: int = 1) -> None:
-    """Refuse, before any work starts, batches that would not fit in memory.
+def _check_memory(n_points: int) -> None:
+    """Refuse, before any work starts, a batch that would not fit in memory.
 
-    ``batches`` acquisitions of ``n_points`` events each are held at once
-    (the rows a sweep runs in parallel). Raises ValidationError, rather than
-    let the process be killed part way.
+    One batch of ``n_points`` events is held at a time, whether by a run, a
+    sweep row or a selftest case. Raises ValidationError, rather than let
+    the process be killed part way.
     """
-    per_batch = n_points * _BYTES_PER_EVENT
+    needed = n_points * _BYTES_PER_EVENT
     available = _available_memory_bytes()
-    if available is None or batches * per_batch <= available:
+    if available is None or needed <= available:
         return
-    fix = f"lower n_points (--points) to at most {available // (batches * _BYTES_PER_EVENT)}"
-    if batches > 1:
-        fix += f" or run fewer rows at once (--workers, now {batches})"
     raise ValidationError(
-        f"{batches} x {n_points} points need about {batches * per_batch / 1e9:.2f} GB "
-        f"but only {available / 1e9:.2f} GB of memory is available; {fix}")
+        f"{n_points} points need about {needed / 1e9:.2f} GB but only "
+        f"{available / 1e9:.2f} GB of memory is available; lower n_points "
+        f"(--points) to at most {available // _BYTES_PER_EVENT}")
 
 
 def generate_batch(cfg: ScenarioConfig, workers: int = 1) -> SampleBatch:
-    """Produce the sample batch for a config through its chosen engine."""
+    """Produce the sample batch for a config through its chosen engine.
+
+    ``workers`` threads draw the direct engine's chunks in parallel; the
+    chain engine runs in one thread. The batch is the same for any count.
+    """
     cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
     if cfg.engine == "direct":
         return sample_batch(cov, cfg.n_points, cfg.seed, workers=workers)
@@ -391,7 +392,8 @@ def _apply_axis(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     return dataclasses.replace(cfg, pair1=pair1, pair2=pair2, sweep=None)
 
 
-def _sweep_row(cfg: ScenarioConfig, index: int, value: float) -> dict[str, Any]:
+def _sweep_row(cfg: ScenarioConfig, index: int, value: float,
+               workers: int) -> dict[str, Any]:
     row: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, math.nan)
     row["axis_value"] = value
     row["kept_count"] = 0
@@ -403,7 +405,7 @@ def _sweep_row(cfg: ScenarioConfig, index: int, value: float) -> dict[str, Any]:
         prediction = row_cfg.predict()
         row.update(oracle_transferred_db=prediction.transferred_db,
                    oracle_probability=prediction.selection_probability)
-        _, _, report = acquire(row_cfg)
+        _, _, report = acquire(row_cfg, workers=workers)
         row.update(transferred_db=report.squeezing_db,
                    ci_low_db=report.ci_low_db,
                    ci_high_db=report.ci_high_db,
@@ -420,20 +422,17 @@ def _sweep_row(cfg: ScenarioConfig, index: int, value: float) -> dict[str, Any]:
 def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[str, Any]]:
     """One row per sweep point; failed rows carry the error, never abort.
 
-    Row seeds derive from (cfg.seed, row index), so the table is identical
-    for any worker count. When out_dir is given, writes sweep.csv there.
-    Refuses, with a ValidationError and before any row runs, a sweep whose
-    rows running at once would not fit in available memory.
+    Rows run one after another, each sampled by ``workers`` threads (see
+    generate_batch); row seeds derive from (cfg.seed, row index), so the
+    table is identical for any worker count. When out_dir is given, writes
+    sweep.csv there. Refuses, with a ValidationError and before any row
+    runs, a sweep whose row batch would not fit in available memory.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
-    values = [float(v) for v in cfg.sweep.values()]
-    _check_memory(cfg.n_points, batches=min(workers, len(values)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda iv: _sweep_row(cfg, *iv), enumerate(values)))
-    else:
-        rows = [_sweep_row(cfg, i, v) for i, v in enumerate(values)]
+    _check_memory(cfg.n_points)
+    rows = [_sweep_row(cfg, i, float(v), workers)
+            for i, v in enumerate(cfg.sweep.values())]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ from twinbeam_transfer.model import (
     SHOT_DIFFERENCE_VARIANCE,
     FourChannelCovariance,
     MeasurementSetting,
+    SampleBatch,
     TwinPairParams,
     build_covariance,
     effective_variances,
@@ -210,6 +211,10 @@ def test_sample_batch_input_validation():
     for n in (0, 2.5, True):
         with pytest.raises(ValidationError, match="sample count"):
             sample_batch(cov, n, seed=1)
+    # never coerced: 0 or True is not one worker, 1.5 not a worker count
+    for workers in (0, True, 1.5):
+        with pytest.raises(ValidationError, match="workers"):
+            sample_batch(cov, 10, seed=1, workers=workers)
 
 
 @pytest.mark.parametrize("seed", [2.7, True, -1])
@@ -219,3 +224,10 @@ def test_sample_batch_rejects_bad_seed(seed):
                            TwinPairParams(squeezing_db=3.0))
     with pytest.raises(ValidationError, match="seed"):
         sample_batch(cov, 10, seed)
+
+
+@pytest.mark.parametrize("seed", [2.7, True, -5])
+def test_sample_batch_constructor_rejects_bad_seed(seed):
+    # the public constructor validates like sample_batch: 2.7 is not seed 2
+    with pytest.raises(ValidationError, match="seed"):
+        SampleBatch(np.zeros((2, 4)), seed)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +227,7 @@ def test_run_sweep_rows_track_oracle():
         assert abs(row["transferred_db"] - row["oracle_transferred_db"]) < 4 * se
 
 
-def test_run_sweep_parallel_rows_identical():
+def test_run_sweep_identical_for_any_worker_count():
     cfg = ScenarioConfig(n_points=40_000, seed=5,
                          selection=SelectionConfig(bandwidth_delta=0.1),
                          sweep=SweepAxis("squeezing_db", 0.0, 9.0, 4))
@@ -396,24 +397,40 @@ def test_cli_run_beyond_free_memory_exit_code(monkeypatch, capsys, engine):
 
 
 def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
-    # room for one 20k-point row: a one-worker sweep runs every row, while two
-    # rows at once are refused as a whole before any row runs, not row by row
+    # room for one 20k-point batch: rows run one at a time, so any worker
+    # count fits, while a larger row is refused as a whole before any row runs
     monkeypatch.setattr(scenario, "_available_memory_bytes",
                         lambda: 20_000 * scenario._BYTES_PER_EVENT)
     cfg = ScenarioConfig(n_points=20_000, seed=5,
                          selection=SelectionConfig(bandwidth_delta=0.3),
                          sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2))
-    assert [row["error"] for row in run_sweep(cfg)] == ["", ""]
-    with pytest.raises(ValidationError, match="--workers, now 2"):
-        run_sweep(cfg, workers=2)
+    assert [row["error"] for row in run_sweep(cfg, workers=2)] == ["", ""]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--workers", "3", "--out", str(out)]) == 2
-    assert "lower n_points (--points) to at most 10000" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(path), "--points", "20001",
+                 "--workers", "3", "--out", str(out)]) == 2
+    assert "lower n_points (--points) to at most 20000" in capsys.readouterr().err
     assert not out.exists()
     assert main(["selftest", "--points", "20001"]) == 2
     assert "lower n_points (--points) to at most 20000" in capsys.readouterr().err
+
+
+def test_sweep_holds_one_batch_at_a_time():
+    # a row's (n, 4) float64 batch is 32 B per event; rows sampled side by
+    # side would hold two or more of them at the peak
+    n = 1_000_000
+    cfg = ScenarioConfig(n_points=n, seed=3,
+                         selection=SelectionConfig(bandwidth_delta=0.1),
+                         sweep=SweepAxis("squeezing_db", 3.0, 9.0, 4))
+    tracemalloc.start()
+    try:
+        rows = run_sweep(cfg, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row["error"] for row in rows] == [""] * 4
+    assert peak < 2 * n * 32
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
