@@ -257,13 +257,28 @@ def _covariance_factor(cov: FourChannelCovariance) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _draw_chunk(factor: np.ndarray, seed: int, start: int, stop: int,
+                normal: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write events ``start`` to ``stop`` of the stream of ``seed`` into ``out``.
+
+    ``start`` to ``stop`` lie in one chunk; ``normal`` and ``out`` are
+    (stop - start, 4) arrays, the first overwritten by the normal draw.
+    Chunk ``start // _SAMPLE_CHUNK`` has its own counter-based substream of
+    the seed, so a chunk is the same whichever thread draws it, and whether
+    the events end up in one batch or are consumed chunk by chunk.
+    """
+    gen = np.random.Generator(np.random.Philox(seed).jumped(start // _SAMPLE_CHUNK))
+    gen.standard_normal(out=normal)
+    return np.matmul(normal, factor.T, out=out)
+
+
 def sample_batch(cov: FourChannelCovariance, n: int, seed: int,
                  workers: int = 1) -> SampleBatch:
     """Draw ``n`` independent events from the zero-mean Gaussian model.
 
-    The stream is split into fixed-size chunks, each drawn from its own
-    counter-based substream of the seed, so the result is a pure function of
-    ``(cov, n, seed)`` no matter how many worker threads draw the chunks.
+    The stream is split into fixed-size chunks (see _draw_chunk), so the
+    result is a pure function of ``(cov, n, seed)`` no matter how many
+    worker threads draw the chunks.
     """
     n = _require_int("sample count", n, 1)
     seed = _require_int("seed", seed, 0)
@@ -273,8 +288,7 @@ def sample_batch(cov: FourChannelCovariance, n: int, seed: int,
 
     def fill(start: int) -> None:
         stop = min(start + _SAMPLE_CHUNK, n)
-        gen = np.random.Generator(np.random.Philox(seed).jumped(start // _SAMPLE_CHUNK))
-        out[start:stop] = gen.standard_normal((stop - start, 4)) @ factor.T
+        _draw_chunk(factor, seed, start, stop, np.empty((stop - start, 4)), out[start:stop])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # each chunk is written in place; list() re-raises a worker's error

@@ -8,6 +8,12 @@ evaluates both the conditioned and the unconditioned statistics of the same
 record, the way a paired acquisition would, and overlays the closed-form
 prediction.
 
+The record is consumed chunk by chunk (acquire): the direct engine draws
+each chunk, gates it and keeps only its kept rows, so memory follows the
+kept count, not the record length. The unconditioned statistics a run
+reports are merged from per-chunk moments, histogram counts and scatter
+rows.
+
 Everything here is deterministic per (config, seed): sweep row seeds derive
 from (base seed, row index), so results do not depend on the worker count.
 """
@@ -19,7 +25,10 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -34,23 +43,35 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    _SAMPLE_CHUNK,
     MeasurementSetting,
     SampleBatch,
     TwinPairParams,
+    _covariance_factor,
+    _draw_chunk,
     _require_int,
     build_covariance,
-    sample_batch,
 )
 from .oracle import TransferPrediction, predict_transfer
 from .selection import (
     SelectionConfig,
     SelectionResult,
-    conditional_statistics,
     derived_seed,
-    select,
-    unconditioned_statistics,
+    in_window,
+    kept_statistics,
+    moment_statistics,
+    selection_result,
 )
-from .stats import Histogram, TransferReport, histogram
+from .stats import (
+    _BIN_WIDTH_DELTA,
+    Histogram,
+    Moments,
+    TransferReport,
+    _bin_counts,
+    _binned,
+    _merge_counts,
+    histogram,
+)
 
 SWEEP_PARAMETERS = (
     "squeezing_db",
@@ -62,13 +83,27 @@ SWEEP_PARAMETERS = (
 
 ENGINES = ("direct", "chain")
 
-# Peak memory one acquisition holds per event, for either engine: the (n, 4)
-# float64 batch plus the copies selection and statistics make. Peak RSS grows
-# by about 57 B per event for a direct run (1M to 16M events) and 45 B per
-# chain point (1M to 3M points, beside a fixed ~100 MB of wideband blocks);
-# rounded up. A sweep runs its rows one after another, so run, sweep and
-# selftest each hold one batch at a time.
+# Peak memory the chain engine holds per output point: its (n, 4) float64
+# record plus the copies of the demodulator. Peak RSS grows by about 45 B
+# per chain point (1M to 3M points, beside a fixed ~100 MB of wideband
+# blocks); rounded up.
 _BYTES_PER_EVENT = 64
+
+# Peak memory the direct engine holds per kept event: each chunk's kept
+# (i1, i2) row and record index, their concatenation, and the checks and
+# differences of the estimate. Peak RSS of a run that keeps every event
+# grows by about 57 B per event (2M to 8M events); rounded up.
+_BYTES_PER_KEPT = 64
+
+# Peak memory per worker thread for the chunk it draws, gates and reduces:
+# its 4 MiB scratch for the normal draw and the events, and the temporaries
+# of the gate and the moments. Peak RSS of a 16M-event run at a window that
+# keeps almost nothing grows by 16.8 MB with 2 workers and 22.4 MB with 3,
+# whatever the record length; rounded up.
+_BYTES_PER_CHUNK = 12 << 20
+
+# chunk results in flight (drawn or waiting to be merged) per worker
+_CHUNKS_PER_WORKER = 2
 
 # seed tags for the scatter subsample streams derived from the batch seed
 _SCATTER_TAG_CONDITIONED = 0x5CA0
@@ -225,44 +260,153 @@ def _available_memory_bytes() -> int | None:
         return None
 
 
-def _check_memory(n_points: int) -> None:
-    """Refuse, before any work starts, a batch that would not fit in memory.
+def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
+                  scatter: bool = False) -> None:
+    """Refuse, before any work starts, an acquisition that would not fit in memory.
 
-    One batch of ``n_points`` events is held at a time, whether by a run, a
-    sweep row or a selftest case. Raises ValidationError, rather than let
-    the process be killed part way.
+    The chain engine holds its whole record, _BYTES_PER_EVENT a point. The
+    direct engine holds the kept rows, ``probability`` (the largest
+    acceptance probability over the acquisitions) times n of them, and
+    _BYTES_PER_CHUNK for each worker that has a chunk to draw; with
+    ``scatter`` (a run) also the unconditioned scatter subsample. A sweep
+    row or a selftest case runs one at a time. Raises ValidationError,
+    rather than let the process be killed part way.
     """
-    needed = n_points * _BYTES_PER_EVENT
+    n = cfg.n_points
+    threads = 0
+    if cfg.engine == "chain":
+        per_point, fixed = float(_BYTES_PER_EVENT), 0
+    else:
+        per_point = probability * _BYTES_PER_KEPT
+        threads = min(workers, -(-n // _SAMPLE_CHUNK))
+        fixed = threads * _BYTES_PER_CHUNK
+        if scatter:
+            fixed += min(n, cfg.scatter_points) * _BYTES_PER_KEPT
+    needed = fixed + n * per_point
     available = _available_memory_bytes()
     if available is None or needed <= available:
         return
+    if available > fixed and per_point > 0:
+        advice = f"lower n_points (--points) to at most {int((available - fixed) // per_point)}"
+    elif threads > 1:
+        advice = f"lower the worker count (--workers, now {workers})"
+    else:
+        advice = "free some memory first"
     raise ValidationError(
-        f"{n_points} points need about {needed / 1e9:.2f} GB but only "
-        f"{available / 1e9:.2f} GB of memory is available; lower n_points "
-        f"(--points) to at most {available // _BYTES_PER_EVENT}")
+        f"{n} points need about {needed / 1e9:.2f} GB but only "
+        f"{available / 1e9:.2f} GB of memory is available; {advice}")
 
 
-def generate_batch(cfg: ScenarioConfig, workers: int = 1) -> SampleBatch:
-    """Produce the sample batch for a config through its chosen engine.
+@dataclass(frozen=True)
+class Acquisition:
+    """What one acquisition keeps of its record.
 
-    ``workers`` threads draw the direct engine's chunks in parallel; the
-    chain engine runs in one thread. The batch is the same for any count.
+    ``kept`` holds the (i1, i2) rows of the kept events in record order;
+    ``selection`` their record indices and the record length n. With the
+    unconditioned summary, ``moments`` (of i1 - i2), ``histogram`` and
+    ``scatter`` (the (i1, i2) rows of the unconditioned subsample) cover
+    every event; without it they are None.
     """
+
+    kept: np.ndarray
+    selection: SelectionResult
+    seed: int
+    moments: Moments | None = None
+    histogram: Histogram | None = None
+    scatter: np.ndarray | None = None
+
+    @property
+    def differences(self) -> np.ndarray:
+        """The idler difference i1 - i2 of each kept event."""
+        return self.kept[:, 0] - self.kept[:, 1]
+
+    def conditioned(self, cfg: SelectionConfig) -> TransferReport:
+        """The conditioned noise report; see selection.conditional_statistics."""
+        return kept_statistics(self.differences, self.selection, cfg, self.seed)
+
+
+def _in_order(fn, items, workers: int):
+    """Yield fn(item) for each item, in order, computed by ``workers``
+    threads; at most _CHUNKS_PER_WORKER * workers results are in flight."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for item in items:
+            if len(pending) == _CHUNKS_PER_WORKER * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+
+
+def acquire(cfg: ScenarioConfig, workers: int = 1,
+            unconditioned: bool = False) -> Acquisition:
+    """Generate a record chunk by chunk and keep what the estimates need.
+
+    The one acquisition pipeline behind run, sweep and selftest. Each chunk
+    of _SAMPLE_CHUNK events is drawn exactly as sample_batch draws it (the
+    chain engine's record is read in slices of the same length), gated by
+    the selection window, and reduced to its kept rows; with
+    ``unconditioned`` (a run) also to its moments, histogram counts and
+    scatter rows. ``workers`` threads reduce chunks in parallel and the
+    parts are merged in chunk order, so the result is the same for any
+    count. Raises EmptySelectionError when no event is kept.
+    """
+    workers = _require_int("workers", workers, 1)
+    n, seed = cfg.n_points, cfg.seed
     cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
     if cfg.engine == "direct":
-        return sample_batch(cov, cfg.n_points, cfg.seed, workers=workers)
-    return simulate(cov, cfg.signal_chain, cfg.n_points, cfg.seed)
+        factor = _covariance_factor(cov)
+        # one reused scratch per thread: a fresh 4 MiB per chunk costs each
+        # chunk ~1000 page faults once glibc returns the freed pages
+        local = threading.local()
 
+        def draw(start: int, stop: int) -> np.ndarray:
+            if not hasattr(local, "scratch"):
+                local.scratch = np.empty((2, _SAMPLE_CHUNK, 4))
+            normal, out = local.scratch[:, :stop - start]
+            return _draw_chunk(factor, seed, start, stop, normal, out)
+    else:
+        # the chain's output is calibrated as one record; read it in slices
+        record = simulate(cov, cfg.signal_chain, n, seed).data
 
-def acquire(cfg: ScenarioConfig,
-            workers: int = 1) -> tuple[SampleBatch, SelectionResult, TransferReport]:
-    """Generate a record, post-select it, and estimate the conditioned noise.
+        def draw(start: int, stop: int) -> np.ndarray:
+            return record[start:stop]
+    picks = (_subsample(n, cfg.scatter_points,
+                        derived_seed(seed, _SCATTER_TAG_UNCONDITIONED))
+             if unconditioned else None)
 
-    The one acquisition pipeline behind run, sweep and selftest.
-    """
-    batch = generate_batch(cfg, workers=workers)
-    selected = select(batch, cfg.selection)
-    return batch, selected, conditional_statistics(batch, selected, cfg.selection)
+    def reduce(start: int) -> tuple:
+        # SampleBatch rejects a non-finite chunk; nothing kept refers to it
+        chunk = SampleBatch(draw(start, min(start + _SAMPLE_CHUNK, n)), seed)
+        kept = in_window(chunk, cfg.selection)
+        part = (start + kept, np.column_stack((chunk.i1[kept], chunk.i2[kept])))
+        if not unconditioned:
+            return part
+        difference = chunk.i1 - chunk.i2
+        low, high = np.searchsorted(picks, (start, start + chunk.n))
+        picked = picks[low:high] - start
+        return part + (Moments.of(difference), _bin_counts(difference, _BIN_WIDTH_DELTA),
+                       np.column_stack((chunk.i1[picked], chunk.i2[picked])))
+
+    indices, rows, scatter = [], [], []
+    moments = counts = None
+    for kept_indices, kept_rows, *summary in _in_order(reduce, range(0, n, _SAMPLE_CHUNK),
+                                                        workers):
+        indices.append(kept_indices)
+        rows.append(kept_rows)
+        if summary:
+            part_moments, part_counts, part_scatter = summary
+            moments = part_moments if moments is None else moments.merge(part_moments)
+            counts = part_counts if counts is None else _merge_counts(counts, part_counts)
+            scatter.append(part_scatter)
+    return Acquisition(
+        kept=np.concatenate(rows),
+        selection=selection_result(np.concatenate(indices), n, cfg.selection),
+        seed=seed,
+        moments=moments,
+        histogram=_binned(*counts, _BIN_WIDTH_DELTA) if unconditioned else None,
+        scatter=np.concatenate(scatter) if unconditioned else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -279,13 +423,15 @@ class ScenarioResult:
     config: ScenarioConfig
 
 
-def _subsample(indices: np.ndarray, count: int, seed: int) -> np.ndarray:
-    if indices.size <= count:
-        return indices
+def _subsample(size: int, count: int, seed: int) -> np.ndarray:
+    """Sorted positions of a ``count``-row scatter subsample of ``size`` rows
+    (all of them when there are no more than ``count``)."""
+    if size <= count:
+        return np.arange(size)
     rng = np.random.Generator(np.random.Philox(seed))
-    chosen = rng.choice(indices.size, size=count, replace=False)
+    chosen = rng.choice(size, size=count, replace=False)
     chosen.sort()
-    return indices[chosen]
+    return chosen
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> ScenarioResult:
@@ -293,32 +439,23 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
 
     When out_dir is given, also writes scatter, histogram, and report files
     there (see _write_scenario_outputs for the exact set). Refuses, with a
-    ValidationError, a run whose batch would not fit in available memory.
+    ValidationError, a run that would not fit in available memory.
     """
-    _check_memory(cfg.n_points)
-    batch, selected, conditioned = acquire(cfg, workers=workers)
-    difference = batch.i1 - batch.i2
-    unconditioned = unconditioned_statistics(batch, difference, cfg.selection)
     prediction = cfg.predict()
-
-    cond_hist = histogram(difference[selected.kept_indices])
-    uncond_hist = histogram(difference)
-
-    cond_idx = _subsample(selected.kept_indices, cfg.scatter_points,
-                          derived_seed(batch.seed, _SCATTER_TAG_CONDITIONED))
-    uncond_idx = _subsample(np.arange(batch.n), cfg.scatter_points,
-                            derived_seed(batch.seed, _SCATTER_TAG_UNCONDITIONED))
-    cond_scatter = np.column_stack([batch.i1[cond_idx], batch.i2[cond_idx]])
-    uncond_scatter = np.column_stack([batch.i1[uncond_idx], batch.i2[uncond_idx]])
+    _check_memory(cfg, prediction.selection_probability, workers, scatter=True)
+    acquired = acquire(cfg, workers=workers, unconditioned=True)
+    conditioned = acquired.conditioned(cfg.selection)
+    picks = _subsample(acquired.selection.kept_count, cfg.scatter_points,
+                       derived_seed(cfg.seed, _SCATTER_TAG_CONDITIONED))
 
     result = ScenarioResult(
         conditioned=conditioned,
-        unconditioned=unconditioned,
+        unconditioned=moment_statistics(acquired.moments, cfg.seed, cfg.selection),
         oracle=prediction,
-        conditioned_histogram=cond_hist,
-        unconditioned_histogram=uncond_hist,
-        conditioned_scatter=cond_scatter,
-        unconditioned_scatter=uncond_scatter,
+        conditioned_histogram=histogram(acquired.differences),
+        unconditioned_histogram=acquired.histogram,
+        conditioned_scatter=acquired.kept[picks],
+        unconditioned_scatter=acquired.scatter,
         config=cfg,
     )
     if out_dir is not None:
@@ -392,47 +529,61 @@ def _apply_axis(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     return dataclasses.replace(cfg, pair1=pair1, pair2=pair2, sweep=None)
 
 
-def _sweep_row(cfg: ScenarioConfig, index: int, value: float,
+def _row_setup(cfg: ScenarioConfig, index: int, value: float) -> tuple:
+    """A sweep row's (config, prediction, None), or (None, None, error) when
+    either cannot be built; such a row acquires nothing."""
+    try:
+        row_cfg = _apply_axis(cfg, cfg.sweep.parameter, value)
+        row_cfg = dataclasses.replace(row_cfg, seed=derived_seed(cfg.seed, index))
+        return row_cfg, row_cfg.predict(), None
+    except TwinBeamError as exc:
+        return None, None, exc
+
+
+def _sweep_row(value: float, row_cfg: ScenarioConfig | None,
+               prediction: TransferPrediction | None, error: TwinBeamError | None,
                workers: int) -> dict[str, Any]:
     row: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, math.nan)
     row["axis_value"] = value
     row["kept_count"] = 0
     row["error"] = ""
-    try:
-        row_cfg = _apply_axis(cfg, cfg.sweep.parameter, value)
-        row_cfg = dataclasses.replace(row_cfg, seed=derived_seed(cfg.seed, index))
+    if prediction is not None:
         # the oracle goes first, so a row whose acquisition fails keeps it
-        prediction = row_cfg.predict()
         row.update(oracle_transferred_db=prediction.transferred_db,
                    oracle_probability=prediction.selection_probability)
-        _, _, report = acquire(row_cfg, workers=workers)
-        row.update(transferred_db=report.squeezing_db,
-                   ci_low_db=report.ci_low_db,
-                   ci_high_db=report.ci_high_db,
-                   kept_count=report.kept_count,
-                   preparation_probability=report.preparation_probability)
-    except TwinBeamError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, InsufficientStatisticsError):
-            row.update(kept_count=exc.kept_count,
-                       preparation_probability=exc.kept_count / row_cfg.n_points)
+        try:
+            report = acquire(row_cfg, workers=workers).conditioned(row_cfg.selection)
+            row.update(transferred_db=report.squeezing_db,
+                       ci_low_db=report.ci_low_db,
+                       ci_high_db=report.ci_high_db,
+                       kept_count=report.kept_count,
+                       preparation_probability=report.preparation_probability)
+        except TwinBeamError as exc:
+            error = exc
+            if isinstance(exc, InsufficientStatisticsError):
+                row.update(kept_count=exc.kept_count,
+                           preparation_probability=exc.kept_count / row_cfg.n_points)
+    if error is not None:
+        row["error"] = f"{type(error).__name__}: {error}"
     return row
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[str, Any]]:
     """One row per sweep point; failed rows carry the error, never abort.
 
-    Rows run one after another, each sampled by ``workers`` threads (see
-    generate_batch); row seeds derive from (cfg.seed, row index), so the
-    table is identical for any worker count. When out_dir is given, writes
-    sweep.csv there. Refuses, with a ValidationError and before any row
-    runs, a sweep whose row batch would not fit in available memory.
+    Rows run one after another, each streamed by ``workers`` threads (see
+    acquire); row seeds derive from (cfg.seed, row index), so the table is
+    identical for any worker count. When out_dir is given, writes sweep.csv
+    there. Refuses, with a ValidationError and before any row runs, a sweep
+    whose largest row would not fit in available memory.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
-    _check_memory(cfg.n_points)
-    rows = [_sweep_row(cfg, i, float(v), workers)
-            for i, v in enumerate(cfg.sweep.values())]
+    values = [float(v) for v in cfg.sweep.values()]
+    setups = [_row_setup(cfg, i, v) for i, v in enumerate(values)]
+    _check_memory(cfg, max((p.selection_probability for _, p, _ in setups if p is not None),
+                           default=0.0), workers)
+    rows = [_sweep_row(v, *setup, workers) for v, setup in zip(values, setups)]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -460,12 +611,10 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
     8 cases fail for about 2.2% of seeds (5 of 300 seeds measured at
     points=200000).
     """
-    if cases < 1:
-        raise ValidationError(f"cases must be >= 1, got {cases}")
+    cases = _require_int("cases", cases, 1)
     base = ScenarioConfig(n_points=points, seed=seed)
-    _check_memory(points)
     rng = np.random.Generator(np.random.Philox(seed))
-    results = []
+    drawn = []
     for index in range(cases):
         squeezing = float(rng.uniform(0.0, 12.0))
         v_plus = float(10.0 ** rng.uniform(math.log10(2.0), 4.0))
@@ -475,9 +624,11 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
         case = dataclasses.replace(
             base, pair1=pair, pair2=pair, seed=derived_seed(seed, index),
             selection=SelectionConfig(bandwidth_delta=delta_i, min_kept=30))
-        _, _, report = acquire(case)
-        prediction = case.predict()
-
+        drawn.append((index, squeezing, v_plus, delta_i, case, case.predict()))
+    _check_memory(base, max(d[-1].selection_probability for d in drawn))
+    results = []
+    for index, squeezing, v_plus, delta_i, case, prediction in drawn:
+        report = acquire(case).conditioned(case.selection)
         se = max((report.ci_high_db - report.ci_low_db) / 2.0, 1e-9)
         db_gap = abs(report.squeezing_db - prediction.transferred_db)
         p = prediction.selection_probability

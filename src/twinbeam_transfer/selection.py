@@ -20,10 +20,7 @@ import numpy as np
 
 from .errors import EmptySelectionError, InsufficientStatisticsError, ValidationError
 from .model import COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE, SampleBatch, _require_int
-from .stats import TransferReport, _variance_estimate
-
-# the moment-based interval needs >= 30 values
-_MIN_KEPT_FLOOR = 30
+from .stats import _MIN_INTERVAL_VALUES, Moments, TransferReport, _variance_estimate
 
 # two-sided coverage of the reported interval: one standard error
 _INTERVAL_LEVEL = 0.68
@@ -47,7 +44,7 @@ class SelectionConfig:
             raise ValidationError(f"bandwidth_delta must be positive and finite, got {bw}")
         object.__setattr__(self, "bandwidth_delta", bw)
         object.__setattr__(self, "min_kept",
-                           _require_int("min_kept", self.min_kept, _MIN_KEPT_FLOOR))
+                           _require_int("min_kept", self.min_kept, _MIN_INTERVAL_VALUES))
 
 
 @dataclass(frozen=True)
@@ -79,24 +76,36 @@ class SelectionResult:
         return self.kept_count / self.total
 
 
-def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
-    """Apply the acceptance rule; pure function of (batch, cfg)."""
+def in_window(batch: SampleBatch, cfg: SelectionConfig) -> np.ndarray:
+    """Row indices of ``batch`` inside the acceptance window, in order.
+
+    The one gate, for a whole batch and for one chunk of a streamed record.
+    """
     half_width = cfg.bandwidth_delta * COHERENT_DELTA
-    kept = np.flatnonzero(np.abs(batch.s1 - batch.s2) <= half_width)
+    return np.flatnonzero(np.abs(batch.s1 - batch.s2) <= half_width)
+
+
+def selection_result(kept: np.ndarray, total: int, cfg: SelectionConfig) -> SelectionResult:
+    """The kept record indices of ``total`` events; raises when none is kept."""
     if kept.size == 0:
         raise EmptySelectionError(
-            f"no events satisfy |s1 - s2| <= {cfg.bandwidth_delta} * delta out of {batch.n}")
-    return SelectionResult(kept_indices=kept, total=batch.n)
+            f"no events satisfy |s1 - s2| <= {cfg.bandwidth_delta} * delta out of {total}")
+    return SelectionResult(kept_indices=kept, total=total)
 
 
-def _transfer_report(values: np.ndarray, probability: float,
-                     echo: dict[str, Any]) -> TransferReport:
-    point, low, high = _variance_estimate(values, SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
+def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
+    """Apply the acceptance rule; pure function of (batch, cfg)."""
+    return selection_result(in_window(batch, cfg), batch.n, cfg)
+
+
+def _transfer_report(estimate: tuple[float, float, float], kept_count: int,
+                     probability: float, echo: dict[str, Any]) -> TransferReport:
+    point, low, high = estimate
     return TransferReport(
         squeezing_db=point,
         ci_low_db=low,
         ci_high_db=high,
-        kept_count=values.size,
+        kept_count=kept_count,
         preparation_probability=probability,
         config_echo=echo,
     )
@@ -109,26 +118,27 @@ def conditional_statistics(batch: SampleBatch, result: SelectionResult,
     The interval is the moment-based (delta-method) interval of
     :func:`~twinbeam_transfer.stats.variance_interval`.
     """
+    kept = result.kept_indices
+    return kept_statistics(batch.i1[kept] - batch.i2[kept], result, cfg, batch.seed)
+
+
+def kept_statistics(values: np.ndarray, result: SelectionResult, cfg: SelectionConfig,
+                    seed: int) -> TransferReport:
+    """:func:`conditional_statistics` from the kept idler differences ``values``."""
     if result.kept_count < cfg.min_kept:
         raise InsufficientStatisticsError(result.kept_count, cfg.min_kept)
-    kept = result.kept_indices
-    values = batch.i1[kept] - batch.i2[kept]
-    echo = {"selection": asdict(cfg), "n": batch.n, "seed": batch.seed}
-    return _transfer_report(values, result.preparation_probability, echo)
+    estimate = _variance_estimate(values, SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
+    echo = {"selection": asdict(cfg), "n": result.total, "seed": seed}
+    return _transfer_report(estimate, values.size, result.preparation_probability, echo)
 
 
-def unconditioned_statistics(batch: SampleBatch, difference: np.ndarray,
-                             cfg: SelectionConfig) -> TransferReport:
-    """Noise of the idler difference over every event of ``batch``.
+def moment_statistics(moments: Moments, seed: int, cfg: SelectionConfig) -> TransferReport:
+    """Noise of the idler difference over every event, from its moments.
 
-    ``difference`` is the full idler difference i1 - i2, one value per
-    event. The echo's ``bandwidth_delta`` is null: no selection window
-    applies.
+    ``moments`` summarize i1 - i2 over the whole record. The echo's
+    ``bandwidth_delta`` is null: no selection window applies.
     """
-    if np.shape(difference) != (batch.n,):
-        raise ValidationError(
-            f"difference must hold one value per event, shape ({batch.n},), "
-            f"got {np.shape(difference)}")
+    estimate = moments.estimate(SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
     echo = {"selection": {**asdict(cfg), "bandwidth_delta": None},
-            "n": batch.n, "seed": batch.seed}
-    return _transfer_report(difference, 1.0, echo)
+            "n": moments.n, "seed": seed}
+    return _transfer_report(estimate, moments.n, 1.0, echo)

@@ -2,7 +2,9 @@
 
 :func:`variance_interval`, the moment-based (delta-method) interval, is the
 interval every run reports. The test suite checks it against a percentile
-bootstrap reference, which the package does not ship.
+bootstrap reference, which the package does not ship. :class:`Moments`
+gives the same interval from moments merged chunk by chunk, so a streamed
+record needs no copy of every value.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ import numpy as np
 
 from .errors import EstimationError, ValidationError
 from .model import COHERENT_DELTA
+
+# the moment-based interval needs this many values
+_MIN_INTERVAL_VALUES = 30
+
+# default histogram bin width, in units of delta
+_BIN_WIDTH_DELTA = 0.1
 
 
 def _as_clean_1d(values, minimum: int) -> np.ndarray:
@@ -101,7 +109,7 @@ class Histogram:
         return float(math.sqrt(np.average(dev * dev, weights=self.counts)))
 
 
-def histogram(values, bin_width_delta: float = 0.1) -> Histogram:
+def histogram(values, bin_width_delta: float = _BIN_WIDTH_DELTA) -> Histogram:
     """Bin difference samples (model units) on a grid of width ``bin_width_delta``.
 
     The grid is anchored so that 0 is a bin center and extends just far
@@ -112,12 +120,30 @@ def histogram(values, bin_width_delta: float = 0.1) -> Histogram:
     if not (0.0 < w < 1.0):
         raise ValidationError(f"bin_width_delta must be in (0, 1), got {w}")
 
+    return _binned(*_bin_counts(x, w), w)
+
+
+def _bin_counts(x: np.ndarray, w: float) -> tuple[int, np.ndarray]:
+    """(k_min, counts): counts[j] events fall in the bin centred on (k_min + j)*w."""
     # bin index k holds the bin centered at k*w (in delta units)
     k = np.floor(x / COHERENT_DELTA / w + 0.5).astype(np.int64)
-    k_min, k_max = int(k.min()), int(k.max())
-    counts = np.bincount(k - k_min, minlength=k_max - k_min + 1)
-    edges = (np.arange(k_min, k_max + 2) - 0.5) * w
-    return Histogram(bin_width=w, bin_edges=edges, counts=counts, total=x.size)
+    k_min = int(k.min())
+    return k_min, np.bincount(k - k_min)
+
+
+def _merge_counts(a: tuple[int, np.ndarray],
+                  b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    """Sum two (k_min, counts) pairs of _bin_counts on the same grid; exact."""
+    low = min(a[0], b[0])
+    counts = np.zeros(max(a[0] + a[1].size, b[0] + b[1].size) - low, dtype=np.int64)
+    for k_min, part in (a, b):
+        counts[k_min - low:k_min - low + part.size] += part
+    return low, counts
+
+
+def _binned(k_min: int, counts: np.ndarray, w: float) -> Histogram:
+    edges = (np.arange(k_min, k_min + counts.size + 1) - 0.5) * w
+    return Histogram(bin_width=w, bin_edges=edges, counts=counts, total=int(counts.sum()))
 
 
 def _check_level(level: float) -> float:
@@ -146,21 +172,81 @@ def _variance_estimate(values, shot_reference: float,
                        level: float) -> tuple[float, float, float]:
     """(point, low, high): :func:`variance_db` and :func:`variance_interval`
     from one validation pass over ``values``."""
-    x = _as_clean_1d(values, minimum=30)
+    x = _as_clean_1d(values, minimum=_MIN_INTERVAL_VALUES)
     level = _check_level(level)
     n = x.size
     dev = x - x.mean()
     dev *= dev
     # bit-identical to x.var(ddof=1), the estimate variance_db reports
     s2 = float(dev.sum()) / (n - 1)
-    point = _variance_to_db(s2, shot_reference)
     dev *= dev
-    m4 = float(dev.sum()) / n
+    return _moment_estimate(n, s2, float(dev.sum()) / n, shot_reference, level)
+
+
+def _moment_estimate(n: int, s2: float, m4: float, shot_reference: float,
+                     level: float) -> tuple[float, float, float]:
+    """(point, low, high) from the count, the unbiased variance ``s2`` and the
+    fourth central sample moment ``m4``; see :func:`variance_interval`."""
+    point = _variance_to_db(s2, shot_reference)
     # m4 >= (s^2 (n-1) / n)^2 (Cauchy-Schwarz), so the radicand is at least
     # s^4 (3n - 1) / (n^2 (n-1)) > 0
     se_db = 10.0 / math.log(10.0) * math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n) / s2
     half = NormalDist().inv_cdf(0.5 + level / 2.0) * se_db
     return point, point - half, point + half
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and central moment sums of a set of values.
+
+    ``m2``, ``m3`` and ``m4`` are the sums of the 2nd, 3rd and 4th powers of
+    the deviations from ``mean``. :meth:`merge` combines the moments of two
+    disjoint sets with the pairwise update of Chan, Golub & LeVeque (1983)
+    and Pebay (2008, SAND2008-6212), so a record can be summarized chunk by
+    chunk; merging in a fixed order gives the same bits every time.
+    """
+
+    n: int
+    mean: float
+    m2: float
+    m3: float
+    m4: float
+
+    @classmethod
+    def of(cls, values) -> "Moments":
+        """Two-pass moments of a nonempty 1-d array."""
+        x = np.asarray(values, dtype=np.float64)
+        mean = float(x.mean())
+        dev = x - mean
+        sq = dev * dev
+        return cls(x.size, mean, float(sq.sum()), float((sq * dev).sum()),
+                   float((sq * sq).sum()))
+
+    def merge(self, other: "Moments") -> "Moments":
+        """The moments of the union of the two sets."""
+        na, nb = self.n, other.n
+        n = na + nb
+        d_n = (other.mean - self.mean) / n
+        # delta^2 na nb / n, the between-set part of m2
+        between = d_n * d_n * n * na * nb
+        return Moments(
+            n=n,
+            mean=self.mean + d_n * nb,
+            m2=self.m2 + other.m2 + between,
+            m3=(self.m3 + other.m3 + between * d_n * (na - nb)
+                + 3.0 * d_n * (na * other.m2 - nb * self.m2)),
+            m4=(self.m4 + other.m4 + between * d_n * d_n * (na * na - na * nb + nb * nb)
+                + 6.0 * d_n * d_n * (na * na * other.m2 + nb * nb * self.m2)
+                + 4.0 * d_n * (na * other.m3 - nb * self.m3)),
+        )
+
+    def estimate(self, shot_reference: float, level: float) -> tuple[float, float, float]:
+        """(point, low, high) of :func:`_variance_estimate`, from the moments."""
+        if self.n < _MIN_INTERVAL_VALUES:
+            raise EstimationError(f"need at least {_MIN_INTERVAL_VALUES} values, "
+                                  f"got {self.n}")
+        return _moment_estimate(self.n, self.m2 / (self.n - 1), self.m4 / self.n,
+                                shot_reference, _check_level(level))
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,30 @@ from twinbeam_transfer import scenario
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.errors import ConfigurationError, ValidationError
 from twinbeam_transfer.dsp_chain import SignalChainConfig
-from twinbeam_transfer.model import MeasurementSetting, TwinPairParams
+from twinbeam_transfer.model import (
+    MeasurementSetting,
+    TwinPairParams,
+    build_covariance,
+    sample_batch,
+)
 from twinbeam_transfer.oracle import predict_transfer
 from twinbeam_transfer.scenario import (
     SWEEP_COLUMNS,
     ScenarioConfig,
     SweepAxis,
+    acquire,
     load_config,
     run_scenario,
     run_selftest,
     run_sweep,
 )
-from twinbeam_transfer.selection import SelectionConfig
+from twinbeam_transfer.selection import (
+    SelectionConfig,
+    conditional_statistics,
+    derived_seed,
+    select,
+)
+from twinbeam_transfer.stats import _variance_estimate, histogram
 
 
 SMALL = ScenarioConfig(n_points=100_000, seed=7)
@@ -296,6 +308,12 @@ def test_run_sweep_writes_csv(tmp_path):
 
 # --------------------------------------------------------------- run_selftest
 
+@pytest.mark.parametrize("cases", [0, True, 2.5])
+def test_run_selftest_rejects_bad_case_count(cases):
+    with pytest.raises(ValidationError, match="cases"):
+        run_selftest(points=20_000, cases=cases)
+
+
 def test_run_selftest_passes_and_is_deterministic():
     first = run_selftest(seed=1, points=100_000, cases=4)
     second = run_selftest(seed=1, points=100_000, cases=4)
@@ -323,13 +341,16 @@ def test_cli_run_writes_files(tmp_path, capsys):
 
 
 def test_cli_run_bit_identical_reruns(tmp_path, capsys):
-    args = ["run", "--points", "60000", "--seed", "13"]
-    assert main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert main(args + ["--out", str(tmp_path / "b"), "--workers", "3"]) == 0
-    for name in ["report.json", "scatter_conditioned.csv",
-                 "histogram_unconditioned.csv"]:
-        assert ((tmp_path / "a" / name).read_bytes()
-                == (tmp_path / "b" / name).read_bytes())
+    # three chunks, so the chunk threads really split the record
+    args = ["run", "--points", "150000", "--seed", "13"]
+    outputs = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / workers
+        assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        outputs.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert len(outputs[0][1]) == 5
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_cli_run_insufficient_statistics_exit_code(capsys):
@@ -385,26 +406,69 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _room(kept_bytes, workers=1, scatter=0):
+    # an available-memory reading with room for the workers' chunks, a
+    # scatter subsample and kept_bytes of kept rows
+    return (workers * scenario._BYTES_PER_CHUNK
+            + scatter * scenario._BYTES_PER_KEPT + kept_bytes)
+
+
 @pytest.mark.parametrize("engine", ["direct", "chain"])
 def test_cli_run_beyond_free_memory_exit_code(monkeypatch, capsys, engine):
-    # the available-memory reading is lowered, never the machine's memory used up
-    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 1_000_000)
+    # the available-memory reading is lowered, never the machine's memory
+    # used up. The chain holds its record, 64 B a point; the direct engine
+    # its kept rows: here room for 100 of them, where 100k points keep ~340
+    kept_bytes = 100 * scenario._BYTES_PER_KEPT
+    room = {"direct": _room(kept_bytes, scatter=SMALL.scatter_points),
+            "chain": 1_000_000}[engine]
+    per_point = {"direct": SMALL.predict().selection_probability * scenario._BYTES_PER_KEPT,
+                 "chain": scenario._BYTES_PER_EVENT}[engine]
+    most = int({"direct": kept_bytes, "chain": room}[engine] // per_point)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
     with pytest.raises(ValidationError, match="memory"):
         run_scenario(cfg)
     assert main(["run", "--engine", engine, "--points", "100000"]) == 2
-    assert "lower n_points (--points) to at most" in capsys.readouterr().err
+    assert f"lower n_points (--points) to at most {most}" in capsys.readouterr().err
+    assert 0 < most < 100_000
+
+
+def test_cli_run_charges_only_workers_with_a_chunk(monkeypatch, capsys):
+    # 100k points are 2 chunks, so --workers 8 is charged 2 chunks, not 8;
+    # when those 2 chunks alone do not fit, the refusal asks for fewer
+    # workers instead of offering "at most 0" points
+    kept_bytes = math.ceil(100_000 * SMALL.predict().selection_probability
+                           * scenario._BYTES_PER_KEPT) + 1
+    charged = _room(0, workers=2, scatter=SMALL.scatter_points)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charged + kept_bytes)
+    assert main(["run", "--points", "100000", "--workers", "8"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charged - 1)
+    assert main(["run", "--points", "100000", "--workers", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "lower the worker count (--workers, now 8)" in err
+    assert "at most" not in err
+    # one worker's chunk and the scatter alone do not fit: nothing to lower
+    monkeypatch.setattr(scenario, "_available_memory_bytes",
+                        lambda: _room(0, scatter=SMALL.scatter_points) - 1)
+    assert main(["run", "--points", "100000", "--workers", "1"]) == 2
+    assert "memory is available; free some memory first" in capsys.readouterr().err
 
 
 def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
-    # room for one 20k-point batch: rows run one at a time, so any worker
-    # count fits, while a larger row is refused as a whole before any row runs
-    monkeypatch.setattr(scenario, "_available_memory_bytes",
-                        lambda: 20_000 * scenario._BYTES_PER_EVENT)
+    # room for the kept rows of one 20k-point row at the sweep's largest
+    # acceptance probability and for one chunk, the only one a 20k-point
+    # row has even with 3 workers: rows run one at a time, so every row
+    # fits, while a longer record is refused as a whole before any row runs
     cfg = ScenarioConfig(n_points=20_000, seed=5,
                          selection=SelectionConfig(bandwidth_delta=0.3),
                          sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2))
-    assert [row["error"] for row in run_sweep(cfg, workers=2)] == ["", ""]
+    p_max = max(predict_transfer(TwinPairParams(squeezing_db=s), TwinPairParams(squeezing_db=s),
+                                 0.3).selection_probability for s in (3.0, 9.0))
+    kept_bytes = math.ceil(20_000 * p_max * scenario._BYTES_PER_KEPT) + 1
+    monkeypatch.setattr(scenario, "_available_memory_bytes",
+                        lambda: _room(kept_bytes))
+    assert [row["error"] for row in run_sweep(cfg, workers=3)] == ["", ""]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "out"
@@ -412,25 +476,126 @@ def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
                  "--workers", "3", "--out", str(out)]) == 2
     assert "lower n_points (--points) to at most 20000" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["selftest", "--points", "20001"]) == 2
-    assert "lower n_points (--points) to at most 20000" in capsys.readouterr().err
 
 
-def test_sweep_holds_one_batch_at_a_time():
-    # a row's (n, 4) float64 batch is 32 B per event; rows sampled side by
-    # side would hold two or more of them at the peak
-    n = 1_000_000
-    cfg = ScenarioConfig(n_points=n, seed=3,
-                         selection=SelectionConfig(bandwidth_delta=0.1),
-                         sweep=SweepAxis("squeezing_db", 3.0, 9.0, 4))
+def test_cli_selftest_beyond_free_memory_exit_code(monkeypatch, capsys):
+    # room for one worker's chunk and 1 kB of kept rows: the default cases,
+    # charged at their largest acceptance probability, are refused
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: _room(1000))
+    assert main(["selftest", "--points", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert "lower n_points (--points) to at most" in err
+    assert int(err.rsplit(" ", 1)[1]) < 1000
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_memory_flat_in_n(command):
+    # nothing of length n is held: the peak is the workers' chunks, the
+    # kept rows (~14k at n = 4M and the default window) and the scatter
+    # subsamples, far below the 128 MB of a (4M, 4) float64 batch
+    cfg = ScenarioConfig(n_points=4_000_000, seed=3,
+                         sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2))
     tracemalloc.start()
     try:
-        rows = run_sweep(cfg, workers=2)
+        if command == "run":
+            result = run_scenario(dataclasses.replace(cfg, sweep=None), workers=2)
+            assert result.unconditioned.kept_count == cfg.n_points
+        else:
+            rows = run_sweep(cfg, workers=2)
+            assert [row["error"] for row in rows] == [""] * 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [row["error"] for row in rows] == [""] * 4
-    assert peak < 2 * n * 32
+    assert peak < 16 * 2 ** 20
+
+
+def _old_subsample(indices, count, seed):
+    # the batch path's scatter subsample: indices chosen without
+    # replacement from the Philox stream of the seed, sorted
+    if indices.size <= count:
+        return indices
+    rng = np.random.Generator(np.random.Philox(seed))
+    chosen = rng.choice(indices.size, size=count, replace=False)
+    chosen.sort()
+    return indices[chosen]
+
+
+def _batch_path(cfg):
+    """run's outputs computed from the whole (n, 4) batch."""
+    batch = sample_batch(build_covariance(cfg.pair1, cfg.pair2, cfg.setting),
+                         cfg.n_points, cfg.seed)
+    difference = batch.i1 - batch.i2
+    selected = select(batch, cfg.selection)
+    kept = selected.kept_indices
+    cond = _old_subsample(kept, cfg.scatter_points,
+                          derived_seed(cfg.seed, scenario._SCATTER_TAG_CONDITIONED))
+    uncond = _old_subsample(np.arange(batch.n), cfg.scatter_points,
+                            derived_seed(cfg.seed, scenario._SCATTER_TAG_UNCONDITIONED))
+    return {
+        "batch": batch,
+        "selected": selected,
+        "difference": difference,
+        "conditioned_histogram": histogram(difference[kept]),
+        "unconditioned_histogram": histogram(difference),
+        "conditioned_scatter": np.column_stack([batch.i1[cond], batch.i2[cond]]),
+        "unconditioned_scatter": np.column_stack([batch.i1[uncond], batch.i2[uncond]]),
+    }
+
+
+def _assert_same_histogram(a, b):
+    assert a.bin_width == b.bin_width and a.total == b.total
+    assert np.array_equal(a.bin_edges, b.bin_edges)
+    assert np.array_equal(a.counts, b.counts)
+
+
+@pytest.mark.parametrize("n, scatter_points, window", [
+    (65_537, 20_000, 0.03),   # one event past the first chunk
+    (20_000, 20_000, 0.3),    # every event in the unconditioned scatter
+    (200_003, 500, 0.1),
+])
+def test_streamed_run_matches_batch_path(n, scatter_points, window):
+    cfg = ScenarioConfig(n_points=n, seed=23, scatter_points=scatter_points,
+                         selection=SelectionConfig(bandwidth_delta=window))
+    ref = _batch_path(cfg)
+    for workers in (1, 2, 3):
+        result = run_scenario(cfg, workers=workers)
+        assert result.conditioned == conditional_statistics(ref["batch"], ref["selected"],
+                                                            cfg.selection)
+        _assert_same_histogram(result.conditioned_histogram, ref["conditioned_histogram"])
+        _assert_same_histogram(result.unconditioned_histogram,
+                               ref["unconditioned_histogram"])
+        assert np.array_equal(result.conditioned_scatter, ref["conditioned_scatter"])
+        assert np.array_equal(result.unconditioned_scatter, ref["unconditioned_scatter"])
+        streamed = (result.unconditioned.squeezing_db, result.unconditioned.ci_low_db,
+                    result.unconditioned.ci_high_db)
+        assert streamed == pytest.approx(
+            _variance_estimate(ref["difference"], 2.0, 0.68), abs=1e-12)
+        assert result.unconditioned.kept_count == n
+
+
+@pytest.mark.parametrize("n", [5, 65_537])
+def test_acquire_keeps_the_batch_path_rows(n):
+    # every piece of the streamed summary against the batch, down to a
+    # 5-event record, which no run could report on
+    cfg = ScenarioConfig(n_points=n, seed=29, scatter_points=4,
+                         selection=SelectionConfig(bandwidth_delta=0.5))
+    ref = _batch_path(cfg)
+    kept = ref["selected"].kept_indices
+    acquired = acquire(cfg, workers=2, unconditioned=True)
+    assert np.array_equal(acquired.selection.kept_indices, kept)
+    assert acquired.selection.total == n
+    assert np.array_equal(acquired.kept, ref["batch"].data[kept][:, [1, 3]])
+    _assert_same_histogram(acquired.histogram, ref["unconditioned_histogram"])
+    assert np.array_equal(acquired.scatter, ref["unconditioned_scatter"])
+    dev = ref["difference"] - ref["difference"].mean()
+    assert acquired.moments.n == n
+    for got, power in ((acquired.moments.m2, 2), (acquired.moments.m4, 4)):
+        assert got == pytest.approx(float((dev ** power).sum()), rel=1e-12)
+    # a sweep row or selftest case keeps the same rows, without the summary
+    rows_only = acquire(cfg)
+    assert np.array_equal(rows_only.kept, acquired.kept)
+    assert rows_only.moments is None and rows_only.scatter is None
+
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -22,10 +22,10 @@ from twinbeam_transfer.selection import (
     SelectionConfig,
     SelectionResult,
     conditional_statistics,
+    moment_statistics,
     select,
-    unconditioned_statistics,
 )
-from twinbeam_transfer.stats import histogram, variance_db
+from twinbeam_transfer.stats import Moments, histogram, variance_db
 
 
 PAIR = TwinPairParams(squeezing_db=7.0, excess_sum_db=20.0)
@@ -106,18 +106,17 @@ def test_unconditional_limit_equals_plain_statistics():
     assert report.preparation_probability == 1.0
 
 
-def test_unconditioned_statistics_matches_widest_window():
+def test_moment_statistics_matches_widest_window():
     batch = _twin_batch(n=100_000)
     cfg = SelectionConfig(bandwidth_delta=1e9)
     wide = conditional_statistics(batch, select(batch, cfg), cfg)
-    report = unconditioned_statistics(batch, batch.i1 - batch.i2, cfg)
+    report = moment_statistics(Moments.of(batch.i1 - batch.i2), batch.seed, cfg)
     assert (report.squeezing_db, report.ci_low_db, report.ci_high_db) == (
         wide.squeezing_db, wide.ci_low_db, wide.ci_high_db)
     assert report.kept_count == batch.n
     assert report.preparation_probability == 1.0
     assert report.config_echo["selection"]["bandwidth_delta"] is None
-    with pytest.raises(ValidationError):
-        unconditioned_statistics(batch, (batch.i1 - batch.i2)[:-1], cfg)
+    assert report.config_echo["seed"] == batch.seed
 
 
 def test_order_invariance():

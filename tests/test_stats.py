@@ -7,11 +7,17 @@ import pytest
 from scipy import stats as sps
 
 from twinbeam_transfer.errors import EstimationError, ValidationError
-from twinbeam_transfer.model import COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE
-from twinbeam_transfer.scenario import ScenarioConfig, generate_batch
+from twinbeam_transfer.model import (
+    COHERENT_DELTA,
+    SHOT_DIFFERENCE_VARIANCE,
+    build_covariance,
+    sample_batch,
+)
+from twinbeam_transfer.scenario import ScenarioConfig
 from twinbeam_transfer.selection import SelectionConfig, select
 from twinbeam_transfer.stats import (
     Histogram,
+    Moments,
     TransferReport,
     _as_clean_1d,
     _check_level,
@@ -234,7 +240,8 @@ def test_variance_interval_matches_bootstrap_on_default_batch():
     # the seed-0 default batch, conditioned at the default 0.03 delta window
     # and at a 0.3 delta window; the percentile bootstrap is the reference
     cfg = ScenarioConfig()
-    batch = generate_batch(cfg)
+    batch = sample_batch(build_covariance(cfg.pair1, cfg.pair2, cfg.setting),
+                         cfg.n_points, cfg.seed)
     difference = batch.i1 - batch.i2
     for window, kept, tolerance in ((0.03, 1054, 0.03), (0.3, 10292, 0.01)):
         result = select(batch, SelectionConfig(bandwidth_delta=window))
@@ -280,3 +287,30 @@ def test_transfer_report_validation():
     with pytest.raises(ValidationError):
         TransferReport(squeezing_db=4.0, ci_low_db=3.8, ci_high_db=4.2,
                        kept_count=100, preparation_probability=1.5)
+
+
+@pytest.mark.parametrize("cuts", [(1,), (999,), (500, 501), (3, 250, 251, 997),
+                                  (65,), (1, 2, 3)])
+def test_moments_merge_matches_two_pass(cuts):
+    # uneven chunks, 1-row chunks among them, merged in order like a stream;
+    # skewed data so the third moment is far from 0
+    rng = np.random.default_rng(17)
+    x = 5.0 + rng.exponential(2.0, size=1000)
+    merged = None
+    for part in np.split(x, cuts):
+        moments = Moments.of(part)
+        merged = moments if merged is None else merged.merge(moments)
+    dev = x - x.mean()
+    assert merged.n == x.size
+    assert merged.mean == pytest.approx(x.mean(), rel=1e-14)
+    for got, power in ((merged.m2, 2), (merged.m3, 3), (merged.m4, 4)):
+        assert got == pytest.approx(float((dev ** power).sum()), rel=1e-12)
+
+
+def test_moments_estimate_needs_30_values():
+    with pytest.raises(EstimationError):
+        Moments.of(np.arange(29.0)).estimate(SHOT_DIFFERENCE_VARIANCE, 0.68)
+    x = np.arange(30.0)
+    assert Moments.of(x).estimate(SHOT_DIFFERENCE_VARIANCE, 0.68) == pytest.approx(
+        (variance_db(x, SHOT_DIFFERENCE_VARIANCE),
+         *variance_interval(x, SHOT_DIFFERENCE_VARIANCE)), rel=1e-13)
