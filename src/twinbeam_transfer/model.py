@@ -36,6 +36,11 @@ COHERENT_DELTA = math.sqrt(2.0)
 # changes the sample stream, so it is a constant, not a parameter.
 _SAMPLE_CHUNK = 1 << 16
 
+# Events per piece of a chunk's normal draw (see _draw_chunk): a 128 KiB
+# piece is transposed while it is still in cache. Any length gives the same
+# stream.
+_DRAW_BLOCK = 1 << 12
+
 
 class MeasurementSetting(Enum):
     """What the detection bench is looking at.
@@ -257,19 +262,54 @@ def _covariance_factor(cov: FourChannelCovariance) -> np.ndarray:
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _draw_chunk(factor: np.ndarray, seed: int, start: int, stop: int,
-                normal: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write events ``start`` to ``stop`` of the stream of ``seed`` into ``out``.
+def _draw_chunk(seed: int, start: int, stop: int, block: np.ndarray,
+                columns: np.ndarray) -> np.ndarray:
+    """Draw the standard normals of events ``start`` to ``stop`` of the stream
+    of ``seed`` into ``columns``, a (4, stop - start) array, and return it.
 
-    ``start`` to ``stop`` lie in one chunk; ``normal`` and ``out`` are
-    (stop - start, 4) arrays, the first overwritten by the normal draw.
+    ``start`` to ``stop`` lie in one chunk. The stream fills (event, 4)
+    rows in order, ``len(block)`` events at a time into ``block`` (a
+    C-contiguous (k, 4) scratch), and each piece is transposed into
+    ``columns`` while it is in cache; the stream does not depend on k.
     Chunk ``start // _SAMPLE_CHUNK`` has its own counter-based substream of
     the seed, so a chunk is the same whichever thread draws it, and whether
     the events end up in one batch or are consumed chunk by chunk.
     """
     gen = np.random.Generator(np.random.Philox(seed).jumped(start // _SAMPLE_CHUNK))
-    gen.standard_normal(out=normal)
-    return np.matmul(normal, factor.T, out=out)
+    m, step = stop - start, len(block)
+    for i in range(0, m, step):
+        piece = block[:min(step, m - i)]
+        gen.standard_normal(out=piece)
+        np.copyto(columns[:, i:i + len(piece)], piece.T)
+    return columns
+
+
+def _factor_terms(factor: np.ndarray) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Per output channel, the (column, weight) pairs of the nonzero entries
+    of its factor row, in column order."""
+    return tuple(tuple((c, float(w)) for c, w in enumerate(row) if w != 0.0)
+                 for row in factor)
+
+
+def _combine(columns: np.ndarray, terms: tuple[tuple[int, float], ...],
+             out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """One output channel: sum ``columns[c] * w`` over ``terms``, in order.
+
+    The elementwise definition of the covariance factor's product, without
+    BLAS: a matrix product may fuse or reorder the sums (and wakes BLAS
+    threads), this does neither, so a channel has the same bits for any
+    subset of events it is computed on. ``out`` receives the result,
+    ``scratch`` (same length) each further product; nothing is allocated.
+    """
+    if not terms:
+        out.fill(0.0)
+        return out
+    (first, weight), *rest = terms
+    np.multiply(columns[first], weight, out=out)
+    for c, weight in rest:
+        np.multiply(columns[c], weight, out=scratch)
+        np.add(out, scratch, out=out)
+    return out
 
 
 def sample_batch(cov: FourChannelCovariance, n: int, seed: int,
@@ -278,17 +318,22 @@ def sample_batch(cov: FourChannelCovariance, n: int, seed: int,
 
     The stream is split into fixed-size chunks (see _draw_chunk), so the
     result is a pure function of ``(cov, n, seed)`` no matter how many
-    worker threads draw the chunks.
+    worker threads draw the chunks. Each channel is computed by _combine.
     """
     n = _require_int("sample count", n, 1)
     seed = _require_int("seed", seed, 0)
     workers = _require_int("workers", workers, 1)
-    factor = _covariance_factor(cov)
+    terms = _factor_terms(_covariance_factor(cov))
     out = np.empty((n, 4))
 
     def fill(start: int) -> None:
         stop = min(start + _SAMPLE_CHUNK, n)
-        _draw_chunk(factor, seed, start, stop, np.empty((stop - start, 4)), out[start:stop])
+        m = stop - start
+        columns = _draw_chunk(seed, start, stop, np.empty((_DRAW_BLOCK, 4)),
+                              np.empty((4, m)))
+        scratch = np.empty(m)
+        for r, row_terms in enumerate(terms):
+            _combine(columns, row_terms, out[start:stop, r], scratch)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # each chunk is written in place; list() re-raises a worker's error

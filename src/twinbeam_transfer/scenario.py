@@ -14,14 +14,21 @@ kept count, not the record length. The unconditioned statistics a run
 reports are merged from per-chunk moments, histogram counts and scatter
 rows.
 
-Everything here is deterministic per (config, seed): sweep row seeds derive
-from (base seed, row index), so results do not depend on the worker count.
+A direct sweep acquires all its rows together at the sweep's seed: each
+chunk is drawn once, and every row computes its own channels from that
+draw, gates them and keeps its own rows (common random numbers, so the
+rows are correlated; each row's interval is valid on its own). Chain rows
+use the same seed and run one after another.
+
+Everything here is deterministic per (config, seed), so results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,7 +37,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,17 +45,20 @@ from . import __version__
 from .dsp_chain import SignalChainConfig, simulate
 from .errors import (
     ConfigurationError,
+    EmptySelectionError,
     InsufficientStatisticsError,
     TwinBeamError,
     ValidationError,
 )
 from .model import (
+    _DRAW_BLOCK,
     _SAMPLE_CHUNK,
     MeasurementSetting,
-    SampleBatch,
     TwinPairParams,
+    _combine,
     _covariance_factor,
     _draw_chunk,
+    _factor_terms,
     _require_int,
     build_covariance,
 )
@@ -96,10 +106,12 @@ _BYTES_PER_EVENT = 64
 _BYTES_PER_KEPT = 64
 
 # Peak memory per worker thread for the chunk it draws, gates and reduces:
-# its 4 MiB scratch for the normal draw and the events, and the temporaries
-# of the gate and the moments. Peak RSS of a 16M-event run at a window that
-# keeps almost nothing grows by 16.8 MB with 2 workers and 22.4 MB with 3,
-# whatever the record length; rounded up.
+# its 3.6 MiB scratch (a 128 KiB piece of the normal draw, the (4, 65536)
+# columns and three channel buffers), and the temporaries of the finiteness
+# check, the moments and the histogram counts. Peak RSS of a 16M-event run
+# at a window that keeps almost nothing grows by 9.2 MB with 1 worker,
+# 14.1 MB with 2 and 18.9 MB with 3, whatever the record length (a 10-row
+# sweep: 6.1, 10.3 and 14.3 MB); rounded up.
 _BYTES_PER_CHUNK = 12 << 20
 
 # chunk results in flight (drawn or waiting to be merged) per worker
@@ -265,12 +277,13 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     """Refuse, before any work starts, an acquisition that would not fit in memory.
 
     The chain engine holds its whole record, _BYTES_PER_EVENT a point. The
-    direct engine holds the kept rows, ``probability`` (the largest
-    acceptance probability over the acquisitions) times n of them, and
+    direct engine holds the kept rows, ``probability`` times n of them, and
     _BYTES_PER_CHUNK for each worker that has a chunk to draw; with
-    ``scatter`` (a run) also the unconditioned scatter subsample. A sweep
-    row or a selftest case runs one at a time. Raises ValidationError,
-    rather than let the process be killed part way.
+    ``scatter`` (a run) also the unconditioned scatter subsample.
+    ``probability`` is the acceptance probability summed over the
+    acquisitions held at once: every row of a direct sweep, or the largest
+    one where they run one at a time (chain sweep rows, selftest cases).
+    Raises ValidationError, rather than let the process be killed part way.
     """
     n = cfg.n_points
     threads = 0
@@ -297,8 +310,7 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
         f"{available / 1e9:.2f} GB of memory is available; {advice}")
 
 
-@dataclass(frozen=True)
-class Acquisition:
+class Acquisition(NamedTuple):
     """What one acquisition keeps of its record.
 
     ``kept`` holds the (i1, i2) rows of the kept events in record order;
@@ -338,79 +350,154 @@ def _in_order(fn, items, workers: int):
             yield pending.popleft().result()
 
 
-def acquire(cfg: ScenarioConfig, workers: int = 1,
-            unconditioned: bool = False) -> Acquisition:
-    """Generate a record chunk by chunk and keep what the estimates need.
+# the chain's record holds the channels themselves
+_IDENTITY_TERMS = _factor_terms(np.eye(4))
 
-    The one acquisition pipeline behind run, sweep and selftest. Each chunk
-    of _SAMPLE_CHUNK events is drawn exactly as sample_batch draws it (the
-    chain engine's record is read in slices of the same length), gated by
-    the selection window, and reduced to its kept rows; with
-    ``unconditioned`` (a run) also to its moments, histogram counts and
-    scatter rows. ``workers`` threads reduce chunks in parallel and the
-    parts are merged in chunk order, so the result is the same for any
-    count. Raises EmptySelectionError when no event is kept.
+
+def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
+            unconditioned: bool = False) -> list[Acquisition | TwinBeamError]:
+    """Generate a record chunk by chunk and keep what each config's estimates need.
+
+    The one acquisition pipeline behind run, sweep and selftest. ``cfgs``
+    share engine, n_points and seed; the result has one entry per config,
+    its Acquisition or the TwinBeamError that stopped it (EmptySelectionError
+    when it keeps no event), so one config's failure leaves the others be.
+
+    The direct engine draws each chunk of _SAMPLE_CHUNK events once, exactly
+    as sample_batch draws it, and every config computes its own channels
+    from that draw (see _stream): the configs see the same events, as the
+    rows of one sweep do. The chain engine simulates one config's record
+    at a time and reads it in slices of the same length. ``workers``
+    threads reduce chunks in parallel and the parts are merged in chunk
+    order, so the result is the same for any count.
     """
+    cfgs = tuple(cfgs)
     workers = _require_int("workers", workers, 1)
-    n, seed = cfg.n_points, cfg.seed
+    if not cfgs:
+        return []
+    if len({(c.engine, c.n_points, c.seed) for c in cfgs}) > 1:
+        raise ValidationError("configs acquired together must share engine, "
+                              "n_points and seed")
+    if cfgs[0].engine == "chain":
+        return [_acquire_chain(cfg, workers, unconditioned) for cfg in cfgs]
+    terms = [_factor_terms(_covariance_factor(build_covariance(c.pair1, c.pair2, c.setting)))
+             for c in cfgs]
+    return _stream(cfgs, terms, functools.partial(_draw_chunk, cfgs[0].seed), workers,
+                   unconditioned)
+
+
+def _acquire_chain(cfg: ScenarioConfig, workers: int,
+                   unconditioned: bool) -> Acquisition | TwinBeamError:
+    """acquire for one chain config; its record is freed on return."""
     cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
-    if cfg.engine == "direct":
-        factor = _covariance_factor(cov)
-        # one reused scratch per thread: a fresh 4 MiB per chunk costs each
-        # chunk ~1000 page faults once glibc returns the freed pages
-        local = threading.local()
-
-        def draw(start: int, stop: int) -> np.ndarray:
-            if not hasattr(local, "scratch"):
-                local.scratch = np.empty((2, _SAMPLE_CHUNK, 4))
-            normal, out = local.scratch[:, :stop - start]
-            return _draw_chunk(factor, seed, start, stop, normal, out)
-    else:
+    try:
         # the chain's output is calibrated as one record; read it in slices
-        record = simulate(cov, cfg.signal_chain, n, seed).data
+        record = simulate(cov, cfg.signal_chain, cfg.n_points, cfg.seed).data
+    except TwinBeamError as exc:
+        return exc
 
-        def draw(start: int, stop: int) -> np.ndarray:
-            return record[start:stop]
-    picks = (_subsample(n, cfg.scatter_points,
+    def draw(start: int, stop: int, block: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        return record[start:stop].T
+
+    return _stream((cfg,), [_IDENTITY_TERMS], draw, workers, unconditioned)[0]
+
+
+def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, draw: Callable, workers: int,
+            unconditioned: bool) -> list[Acquisition | EmptySelectionError]:
+    """The chunk loop of acquire.
+
+    ``draw(start, stop, block, columns)`` returns a chunk as (4, m) columns,
+    using the thread's scratch ``block`` and ``columns`` as it needs; config
+    r's channel k is ``_combine`` of those columns with ``terms[r][k]``. Per
+    chunk and config, s1 and s2 are computed for every event and gated, and
+    i1 and i2 only for the kept events, or for every event with
+    ``unconditioned``, which also reduces the chunk to its moments,
+    histogram counts and scatter rows.
+    """
+    n, seed = cfgs[0].n_points, cfgs[0].seed
+    picks = (_subsample(n, cfgs[0].scatter_points,
                         derived_seed(seed, _SCATTER_TAG_UNCONDITIONED))
              if unconditioned else None)
+    # one reused scratch per thread: fresh arrays per chunk cost 128 page
+    # faults per 512 KiB once glibc returns the freed pages
+    local = threading.local()
 
-    def reduce(start: int) -> tuple:
-        # SampleBatch rejects a non-finite chunk; nothing kept refers to it
-        chunk = SampleBatch(draw(start, min(start + _SAMPLE_CHUNK, n)), seed)
-        kept = in_window(chunk, cfg.selection)
-        part = (start + kept, np.column_stack((chunk.i1[kept], chunk.i2[kept])))
-        if not unconditioned:
-            return part
-        difference = chunk.i1 - chunk.i2
-        low, high = np.searchsorted(picks, (start, start + chunk.n))
-        picked = picks[low:high] - start
-        return part + (Moments.of(difference), _bin_counts(difference, _BIN_WIDTH_DELTA),
-                       np.column_stack((chunk.i1[picked], chunk.i2[picked])))
+    def reduce(start: int) -> list[tuple]:
+        if not hasattr(local, "scratch"):
+            local.scratch = (np.empty((_DRAW_BLOCK, 4)), np.empty((4, _SAMPLE_CHUNK)),
+                             np.empty((3, _SAMPLE_CHUNK)))
+        block, columns, channels = local.scratch
+        stop = min(start + _SAMPLE_CHUNK, n)
+        m = stop - start
+        z = draw(start, stop, block, columns[:, :m])
+        # the factors are finite, so finite draws make every channel finite
+        if not np.isfinite(z).all():
+            raise ValidationError("sample data contains non-finite values")
+        first, second, scratch = channels[:, :m]
+        parts = []
+        for cfg, (s1_terms, i1_terms, s2_terms, i2_terms) in zip(cfgs, terms):
+            kept = in_window(_combine(z, s1_terms, first, scratch),
+                             _combine(z, s2_terms, second, scratch), cfg.selection, scratch)
+            if not unconditioned:
+                kept_z = z[:, kept]
+                rows = np.empty((kept.size, 2))
+                _combine(kept_z, i1_terms, rows[:, 0], scratch[:kept.size])
+                _combine(kept_z, i2_terms, rows[:, 1], scratch[:kept.size])
+                parts.append((start + kept, rows))
+                continue
+            idler1 = _combine(z, i1_terms, first, scratch)
+            idler2 = _combine(z, i2_terms, second, scratch)
+            difference = np.subtract(idler1, idler2, out=scratch)
+            low, high = np.searchsorted(picks, (start, stop))
+            picked = picks[low:high] - start
+            parts.append((start + kept, np.column_stack((idler1[kept], idler2[kept])),
+                          Moments.of(difference), _bin_counts(difference, _BIN_WIDTH_DELTA),
+                          np.column_stack((idler1[picked], idler2[picked]))))
+        return parts
 
-    indices, rows, scatter = [], [], []
-    moments = counts = None
-    for kept_indices, kept_rows, *summary in _in_order(reduce, range(0, n, _SAMPLE_CHUNK),
-                                                        workers):
-        indices.append(kept_indices)
-        rows.append(kept_rows)
-        if summary:
-            part_moments, part_counts, part_scatter = summary
-            moments = part_moments if moments is None else moments.merge(part_moments)
-            counts = part_counts if counts is None else _merge_counts(counts, part_counts)
-            scatter.append(part_scatter)
-    return Acquisition(
-        kept=np.concatenate(rows),
-        selection=selection_result(np.concatenate(indices), n, cfg.selection),
-        seed=seed,
-        moments=moments,
-        histogram=_binned(*counts, _BIN_WIDTH_DELTA) if unconditioned else None,
-        scatter=np.concatenate(scatter) if unconditioned else None,
-    )
+    indices = [[] for _ in cfgs]
+    rows = [[] for _ in cfgs]
+    scatter = [[] for _ in cfgs]
+    moments = [None] * len(cfgs)
+    counts = [None] * len(cfgs)
+    for parts in _in_order(reduce, range(0, n, _SAMPLE_CHUNK), workers):
+        for r, (kept_indices, kept_rows, *summary) in enumerate(parts):
+            indices[r].append(kept_indices)
+            rows[r].append(kept_rows)
+            if summary:
+                part_moments, part_counts, part_scatter = summary
+                moments[r] = part_moments if moments[r] is None else moments[r].merge(part_moments)
+                counts[r] = part_counts if counts[r] is None else _merge_counts(counts[r],
+                                                                                part_counts)
+                scatter[r].append(part_scatter)
+    results: list[Acquisition | EmptySelectionError] = []
+    for r, cfg in enumerate(cfgs):
+        try:
+            selection = selection_result(np.concatenate(indices[r]), n, cfg.selection)
+        except EmptySelectionError as exc:
+            results.append(exc)
+            continue
+        results.append(Acquisition(
+            kept=np.concatenate(rows[r]),
+            selection=selection,
+            seed=seed,
+            moments=moments[r],
+            histogram=_binned(*counts[r], _BIN_WIDTH_DELTA) if unconditioned else None,
+            scatter=np.concatenate(scatter[r]) if unconditioned else None,
+        ))
+    return results
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+def _acquire_one(cfg: ScenarioConfig, workers: int = 1,
+                 unconditioned: bool = False) -> Acquisition:
+    """acquire for one config; raises the error that stopped it."""
+    (acquired,) = acquire([cfg], workers, unconditioned)
+    if isinstance(acquired, TwinBeamError):
+        raise acquired
+    return acquired
+
+
+class ScenarioResult(NamedTuple):
     """Everything one run produces, before any file is written."""
 
     conditioned: TransferReport
@@ -443,7 +530,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
     """
     prediction = cfg.predict()
     _check_memory(cfg, prediction.selection_probability, workers, scatter=True)
-    acquired = acquire(cfg, workers=workers, unconditioned=True)
+    acquired = _acquire_one(cfg, workers=workers, unconditioned=True)
     conditioned = acquired.conditioned(cfg.selection)
     picks = _subsample(acquired.selection.kept_count, cfg.scatter_points,
                        derived_seed(cfg.seed, _SCATTER_TAG_CONDITIONED))
@@ -529,12 +616,11 @@ def _apply_axis(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     return dataclasses.replace(cfg, pair1=pair1, pair2=pair2, sweep=None)
 
 
-def _row_setup(cfg: ScenarioConfig, index: int, value: float) -> tuple:
+def _row_setup(cfg: ScenarioConfig, value: float) -> tuple:
     """A sweep row's (config, prediction, None), or (None, None, error) when
     either cannot be built; such a row acquires nothing."""
     try:
         row_cfg = _apply_axis(cfg, cfg.sweep.parameter, value)
-        row_cfg = dataclasses.replace(row_cfg, seed=derived_seed(cfg.seed, index))
         return row_cfg, row_cfg.predict(), None
     except TwinBeamError as exc:
         return None, None, exc
@@ -542,7 +628,7 @@ def _row_setup(cfg: ScenarioConfig, index: int, value: float) -> tuple:
 
 def _sweep_row(value: float, row_cfg: ScenarioConfig | None,
                prediction: TransferPrediction | None, error: TwinBeamError | None,
-               workers: int) -> dict[str, Any]:
+               acquired: Acquisition | TwinBeamError | None) -> dict[str, Any]:
     row: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, math.nan)
     row["axis_value"] = value
     row["kept_count"] = 0
@@ -552,7 +638,9 @@ def _sweep_row(value: float, row_cfg: ScenarioConfig | None,
         row.update(oracle_transferred_db=prediction.transferred_db,
                    oracle_probability=prediction.selection_probability)
         try:
-            report = acquire(row_cfg, workers=workers).conditioned(row_cfg.selection)
+            if isinstance(acquired, TwinBeamError):
+                raise acquired
+            report = acquired.conditioned(row_cfg.selection)
             row.update(transferred_db=report.squeezing_db,
                        ci_low_db=report.ci_low_db,
                        ci_high_db=report.ci_high_db,
@@ -571,26 +659,36 @@ def _sweep_row(value: float, row_cfg: ScenarioConfig | None,
 def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[str, Any]]:
     """One row per sweep point; failed rows carry the error, never abort.
 
-    Rows run one after another, each streamed by ``workers`` threads (see
-    acquire); row seeds derive from (cfg.seed, row index), so the table is
+    Every row runs at cfg.seed, in one acquire call streamed by ``workers``
+    threads. On the direct engine the rows share each chunk's draw (common
+    random numbers): row r is bit for bit what acquire gives for that row's
+    config alone, and the rows are correlated, while each row's interval is
+    valid on its own. Chain rows run one after another. The table is
     identical for any worker count. When out_dir is given, writes sweep.csv
     there. Refuses, with a ValidationError and before any row runs, a sweep
-    whose largest row would not fit in available memory.
+    whose rows would not fit in available memory: all of a direct sweep's
+    rows, which are held at once, or the largest chain row.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
     values = [float(v) for v in cfg.sweep.values()]
-    setups = [_row_setup(cfg, i, v) for i, v in enumerate(values)]
-    _check_memory(cfg, max((p.selection_probability for _, p, _ in setups if p is not None),
-                           default=0.0), workers)
-    rows = [_sweep_row(v, *setup, workers) for v, setup in zip(values, setups)]
+    setups = [_row_setup(cfg, v) for v in values]
+    probabilities = [p.selection_probability for _, p, _ in setups if p is not None]
+    _check_memory(cfg, sum(probabilities) if cfg.engine == "direct"
+                  else max(probabilities, default=0.0), workers)
+    acquired = iter(acquire([row_cfg for row_cfg, _, _ in setups if row_cfg is not None],
+                            workers))
+    rows = [_sweep_row(v, *setup, next(acquired) if setup[0] is not None else None)
+            for v, setup in zip(values, setups)]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
         comments = _comment_lines(cfg) + [
             f"sweep: {cfg.sweep.parameter} from {cfg.sweep.minimum} to "
-            f"{cfg.sweep.maximum} in {cfg.sweep.steps} steps ({cfg.sweep.scale})"]
+            f"{cfg.sweep.maximum} in {cfg.sweep.steps} steps ({cfg.sweep.scale})",
+            "rows share the seed (common random numbers), so they are correlated; "
+            "each row's interval is valid on its own"]
         _write_csv(out / "sweep.csv", comments, list(SWEEP_COLUMNS), table)
     return rows
 
@@ -628,7 +726,7 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
     _check_memory(base, max(d[-1].selection_probability for d in drawn))
     results = []
     for index, squeezing, v_plus, delta_i, case, prediction in drawn:
-        report = acquire(case).conditioned(case.selection)
+        report = _acquire_one(case).conditioned(case.selection)
         se = max((report.ci_high_db - report.ci_low_db) / 2.0, 1e-9)
         db_gap = abs(report.squeezing_db - prediction.transferred_db)
         p = prediction.selection_probability

@@ -76,13 +76,18 @@ class SelectionResult:
         return self.kept_count / self.total
 
 
-def in_window(batch: SampleBatch, cfg: SelectionConfig) -> np.ndarray:
-    """Row indices of ``batch`` inside the acceptance window, in order.
+def in_window(s1: np.ndarray, s2: np.ndarray, cfg: SelectionConfig,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    """Indices of the events with signals ``s1``, ``s2`` inside the
+    acceptance window, in order.
 
     The one gate, for a whole batch and for one chunk of a streamed record.
+    ``scratch``, when given, is an array like ``s1`` that receives
+    |s1 - s2|; otherwise one is allocated.
     """
-    half_width = cfg.bandwidth_delta * COHERENT_DELTA
-    return np.flatnonzero(np.abs(batch.s1 - batch.s2) <= half_width)
+    distance = np.subtract(s1, s2, out=scratch)
+    np.abs(distance, out=distance)
+    return np.flatnonzero(distance <= cfg.bandwidth_delta * COHERENT_DELTA)
 
 
 def selection_result(kept: np.ndarray, total: int, cfg: SelectionConfig) -> SelectionResult:
@@ -95,7 +100,7 @@ def selection_result(kept: np.ndarray, total: int, cfg: SelectionConfig) -> Sele
 
 def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
     """Apply the acceptance rule; pure function of (batch, cfg)."""
-    return selection_result(in_window(batch, cfg), batch.n, cfg)
+    return selection_result(in_window(batch.s1, batch.s2, cfg), batch.n, cfg)
 
 
 def _transfer_report(estimate: tuple[float, float, float], kept_count: int,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -195,8 +195,7 @@ def _moment_estimate(n: int, s2: float, m4: float, shot_reference: float,
     return point, point - half, point + half
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(NamedTuple):
     """Count, mean and central moment sums of a set of values.
 
     ``m2``, ``m3`` and ``m4`` are the sums of the 2nd, 3rd and 4th powers of

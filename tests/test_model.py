@@ -175,6 +175,51 @@ def test_sample_batch_prefix_stable_in_n():
     assert np.array_equal(short.data[: 1 << 16], long.data[: 1 << 16])
 
 
+def _elementwise_batch(factor, n, seed):
+    # the definition of the stream: chunk k of 65536 events is the (m, 4)
+    # standard-normal draw of Philox(seed).jumped(k), and channel r the sum
+    # of z[:, c] * factor[r, c] over the nonzero factor[r, c], in column order
+    chunk = 1 << 16
+    out = np.zeros((n, 4))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        gen = np.random.Generator(np.random.Philox(seed).jumped(start // chunk))
+        z = gen.standard_normal((stop - start, 4))
+        for r in range(4):
+            terms = [z[:, c] * factor[r, c] for c in range(4) if factor[r, c] != 0.0]
+            if terms:
+                total = terms[0]
+                for term in terms[1:]:
+                    total = total + term
+                out[start:stop, r] = total
+    return out
+
+
+@pytest.mark.parametrize("case", ["cholesky", "eigh"])
+def test_sample_batch_is_the_elementwise_product_of_the_draw(case):
+    if case == "cholesky":
+        cov = build_covariance(TwinPairParams(squeezing_db=7.0),
+                               TwinPairParams(squeezing_db=4.0))
+        factor = np.linalg.cholesky(cov.matrix)
+    else:
+        # a singular pair block (signal and idler identical) has no Cholesky
+        # factor; the eigenfactor fallback is not triangular, and some of
+        # its channels sum two terms
+        m = np.zeros((4, 4))
+        m[:2, :2] = [[1.0, 1.0], [1.0, 1.0]]
+        m[2:, 2:] = [[2.0, 0.5], [0.5, 2.0]]
+        cov = FourChannelCovariance(m)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov.matrix)
+        w, v = np.linalg.eigh(cov.matrix)
+        factor = v * np.sqrt(np.clip(w, 0.0, None))
+        assert np.count_nonzero(np.triu(factor, 1)) > 0
+        assert (np.count_nonzero(factor, axis=1) >= 2).any()
+    expected = _elementwise_batch(factor, 70_000, 31)
+    for workers in (1, 2):
+        assert np.array_equal(sample_batch(cov, 70_000, 31, workers=workers).data, expected)
+
+
 def test_sample_batch_matches_target_covariance():
     cov = build_covariance(TwinPairParams(squeezing_db=7.0, excess_sum_db=20.0),
                            TwinPairParams(squeezing_db=7.0, excess_sum_db=20.0))

@@ -257,16 +257,28 @@ def test_run_sweep_probability_monotone_in_bandwidth():
     assert all(b > a for a, b in zip(oracle, oracle[1:]))
 
 
-def test_run_sweep_records_row_errors_without_aborting():
-    # the smallest windows keep too few events; those rows carry the error
+def test_run_sweep_records_row_errors_without_aborting(monkeypatch):
+    # the smallest windows keep too few events; those rows carry the error.
+    # The rows share one draw of the record's single chunk, so an empty row
+    # fails on its own while the others keep their events
+    draws = []
+
+    def counted(*args):
+        draws.append(args[1])
+        return draw_chunk(*args)
+
+    draw_chunk = scenario._draw_chunk
+    monkeypatch.setattr(scenario, "_draw_chunk", counted)
     cfg = ScenarioConfig(n_points=20_000, seed=3,
                          sweep=SweepAxis("bandwidth_delta", 1e-5, 1.0, 5,
                                          scale="log"))
     rows = run_sweep(cfg)
+    assert draws == [0]
     assert len(rows) == 5
     failed = [r for r in rows if r["error"]]
     passed = [r for r in rows if not r["error"]]
     assert failed and passed
+    assert "EmptySelectionError" in rows[0]["error"]
     for row in failed:
         assert math.isnan(row["transferred_db"])
         assert ("InsufficientStatisticsError" in row["error"]
@@ -281,6 +293,41 @@ def test_run_sweep_records_row_errors_without_aborting():
             assert row["preparation_probability"] == row["kept_count"] / cfg.n_points
     for row in passed:
         assert math.isfinite(row["transferred_db"])
+
+
+@pytest.mark.parametrize("axis", [
+    SweepAxis("squeezing_db", 0.5, 12.0, 4),
+    SweepAxis("bandwidth_delta", 0.01, 0.3, 4, scale="log"),
+], ids=["squeezing_db", "bandwidth_delta"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sweep_rows_match_acquire_of_each_row(axis, workers):
+    # the rows share each chunk's draw, yet row r is bit for bit what
+    # acquire gives for that row's config alone, at the sweep's seed;
+    # 150k events are three chunks, the last one partial
+    cfg = ScenarioConfig(n_points=150_000, seed=19,
+                         selection=SelectionConfig(bandwidth_delta=0.1), sweep=axis)
+    rows = run_sweep(cfg, workers=workers)
+    row_cfgs = [scenario._apply_axis(cfg, axis.parameter, row["axis_value"]) for row in rows]
+    shared = acquire(row_cfgs, workers=workers)
+    for row, row_cfg, together in zip(rows, row_cfgs, shared):
+        assert row_cfg.seed == cfg.seed
+        (alone,) = acquire([row_cfg])
+        assert np.array_equal(together.selection.kept_indices, alone.selection.kept_indices)
+        assert np.array_equal(together.kept, alone.kept)
+        report = alone.conditioned(row_cfg.selection)
+        assert row["error"] == ""
+        assert (row["transferred_db"], row["ci_low_db"], row["ci_high_db"]) == (
+            report.squeezing_db, report.ci_low_db, report.ci_high_db)
+        assert row["kept_count"] == report.kept_count
+        assert row["preparation_probability"] == report.preparation_probability
+
+
+def test_acquire_rejects_configs_that_do_not_share_the_record():
+    for other in (dataclasses.replace(SMALL, seed=8), dataclasses.replace(SMALL, n_points=99),
+                  dataclasses.replace(SMALL, engine="chain")):
+        with pytest.raises(ValidationError, match="share"):
+            acquire([SMALL, other])
+    assert acquire([]) == []
 
 
 def test_run_sweep_axis_reaches_both_pairs():
@@ -456,16 +503,16 @@ def test_cli_run_charges_only_workers_with_a_chunk(monkeypatch, capsys):
 
 
 def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
-    # room for the kept rows of one 20k-point row at the sweep's largest
-    # acceptance probability and for one chunk, the only one a 20k-point
-    # row has even with 3 workers: rows run one at a time, so every row
-    # fits, while a longer record is refused as a whole before any row runs
+    # room for the kept rows of both 20k-point rows, which share each chunk's
+    # draw and so are held at once, and for one chunk, the only one a
+    # 20k-point sweep has even with 3 workers: the sweep fits, while a
+    # longer record is refused as a whole before any row runs
     cfg = ScenarioConfig(n_points=20_000, seed=5,
                          selection=SelectionConfig(bandwidth_delta=0.3),
                          sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2))
-    p_max = max(predict_transfer(TwinPairParams(squeezing_db=s), TwinPairParams(squeezing_db=s),
+    p_sum = sum(predict_transfer(TwinPairParams(squeezing_db=s), TwinPairParams(squeezing_db=s),
                                  0.3).selection_probability for s in (3.0, 9.0))
-    kept_bytes = math.ceil(20_000 * p_max * scenario._BYTES_PER_KEPT) + 1
+    kept_bytes = math.ceil(20_000 * p_sum * scenario._BYTES_PER_KEPT) + 1
     monkeypatch.setattr(scenario, "_available_memory_bytes",
                         lambda: _room(kept_bytes))
     assert [row["error"] for row in run_sweep(cfg, workers=3)] == ["", ""]
@@ -581,7 +628,7 @@ def test_acquire_keeps_the_batch_path_rows(n):
                          selection=SelectionConfig(bandwidth_delta=0.5))
     ref = _batch_path(cfg)
     kept = ref["selected"].kept_indices
-    acquired = acquire(cfg, workers=2, unconditioned=True)
+    (acquired,) = acquire([cfg], workers=2, unconditioned=True)
     assert np.array_equal(acquired.selection.kept_indices, kept)
     assert acquired.selection.total == n
     assert np.array_equal(acquired.kept, ref["batch"].data[kept][:, [1, 3]])
@@ -592,7 +639,7 @@ def test_acquire_keeps_the_batch_path_rows(n):
     for got, power in ((acquired.moments.m2, 2), (acquired.moments.m4, 4)):
         assert got == pytest.approx(float((dev ** power).sum()), rel=1e-12)
     # a sweep row or selftest case keeps the same rows, without the summary
-    rows_only = acquire(cfg)
+    (rows_only,) = acquire([cfg])
     assert np.array_equal(rows_only.kept, acquired.kept)
     assert rows_only.moments is None and rows_only.scatter is None
 
