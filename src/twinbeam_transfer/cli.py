@@ -32,6 +32,7 @@ from .scenario import (
     run_scenario,
     run_selftest,
     run_sweep,
+    selftest_false_alarm_rate,
 )
 
 EXIT_OK = 0
@@ -182,11 +183,13 @@ def _cmd_selftest(args) -> int:
               f"V+={row['v_plus']:9.2f} dI={row['bandwidth_delta']:6.4f} "
               f"mc={row['mc_db']:+.3f} oracle={row['oracle_db']:+.3f} "
               f"se={row['se_db']:.3f} kept={row['kept_count']}")
+    # a correct program fails this share of seeds
+    rate = f"false-alarm rate {100.0 * selftest_false_alarm_rate(len(results)):.2g}%"
     if all(row["ok"] for row in results):
-        print(f"selftest PASS ({len(results)} cases)")
+        print(f"selftest PASS ({len(results)} cases; {rate})")
         return EXIT_OK
     failed = sum(1 for row in results if not row["ok"])
-    print(f"selftest FAIL ({failed} of {len(results)} cases)")
+    print(f"selftest FAIL ({failed} of {len(results)} cases; {rate})")
     return EXIT_SELFTEST
 
 

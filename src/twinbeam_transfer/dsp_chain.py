@@ -16,11 +16,13 @@ into the polyphase FIR as complex taps: the input, cut into rows of q1
 samples, meets them in one matrix product, and each decimated sample is
 then rotated by its LO phase, so no full-rate LO or product is formed.
 
-``simulate`` streams: synthesis and demodulation run block by block
+``stream`` is the chain: synthesis and demodulation run block by block
 (``_BLOCK`` wideband samples, float32), with every filter's state carried
-between blocks, so no array of wideband length exists. Memory is the
-(points, 4) float64 output, 32 bytes per output point, plus a few blocks;
-a 300k-point record passes 4 x 75M wideband samples through it.
+between blocks, and the calibrated output leaves in chunks of
+``_SAMPLE_CHUNK`` points as it is made, so no array of wideband or record
+length exists and memory does not grow with the record (a 300k-point
+record passes 4 x 75M wideband samples through it). ``simulate``
+concatenates the chunks into one batch.
 
 scipy is imported inside the functions that use it, so importing this module
 (and so every direct-engine run) does not load it.
@@ -38,6 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError, RecordLengthError, ValidationError
 from .model import (
+    _SAMPLE_CHUNK,
     SHOT_DIFFERENCE_VARIANCE,
     FourChannelCovariance,
     SampleBatch,
@@ -50,7 +53,7 @@ _LEAD_CUTOFF_PERIODS = 500.0
 _TAIL_CUTOFF_PERIODS = 50.0
 
 # wideband samples per block of the streamed chain; outputs do not depend on it
-_BLOCK = 1 << 18
+_BLOCK = 1 << 16
 
 # rows of q1 wideband samples per polyphase product of the demodulator: one
 # matrix shape at fixed record positions, so no output depends on how the
@@ -207,7 +210,7 @@ def _shaping_filters(cov: FourChannelCovariance, cfg: SignalChainConfig) -> np.n
 def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
                   seed: int) -> Iterator[np.ndarray]:
     """The wideband record for points output points, as consecutive (4, b)
-    float32 blocks (s1, i1, s2, i2).
+    float32 blocks (s1, i1, s2, i2), each a fresh array.
 
     Each mode is unit white noise from its own Philox substream, drawn
     continuously, filtered by overlap-save: fixed FFT segments at fixed
@@ -216,7 +219,8 @@ def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig, points: in
     segment's history is drawn too, so the record is stationary from its
     first sample. Per pair, s = (u + d) / 2 and i = (u - d) / 2 of the
     independent sum (u) and difference (d) modes; the pairs use disjoint
-    substreams, which keeps the cross-pair spectra identically zero.
+    substreams, which keeps the cross-pair spectra identically zero. The
+    draws and the filtered modes go to buffers reused from block to block.
     """
     from scipy import fft as sp_fft
 
@@ -226,24 +230,32 @@ def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig, points: in
     step = nfft - overlap
     spectra = np.fft.rfft(taps, n=nfft).astype(np.complex64)
     streams = [np.random.Generator(np.random.Philox(seed).jumped(k)) for k in range(4)]
-    history = [gen.standard_normal(overlap, dtype=np.float32) for gen in streams]
 
     n = required_synth_samples(cfg, points)
     per_block = max(1, _BLOCK // step) * step
+    # per mode, the last M - 1 samples of the draw before, then the block's draw
+    white = np.empty((4, overlap + per_block), dtype=np.float32)
+    for k, gen in enumerate(streams):
+        gen.standard_normal(dtype=np.float32, out=white[k, :overlap])
+    modes = np.empty((4, per_block), dtype=np.float32)
     for start in range(0, n, per_block):
-        segments = -(-min(per_block, n - start) // step)
-        modes = np.empty((4, segments * step), dtype=np.float32)
+        drawn = -(-min(per_block, n - start) // step) * step
         for k, gen in enumerate(streams):
-            white = np.concatenate(
-                (history[k], gen.standard_normal(segments * step, dtype=np.float32)))
-            windows = sliding_window_view(white, nfft)[::step]
+            gen.standard_normal(dtype=np.float32, out=white[k, overlap:overlap + drawn])
+            windows = sliding_window_view(white[k, :overlap + drawn], nfft)[::step]
             spectrum = sp_fft.rfft(windows)
             spectrum *= spectra[k]
-            modes[k] = sp_fft.irfft(spectrum, n=nfft)[:, overlap:].ravel()
-            history[k] = white[-overlap:].copy()
-        d1, u1, d2, u2 = modes[:, :n - start]
-        yield np.stack(((u1 + d1) * 0.5, (u1 - d1) * 0.5,
-                        (u2 + d2) * 0.5, (u2 - d2) * 0.5))
+            filtered = sp_fft.irfft(spectrum, n=nfft)[:, overlap:]
+            modes[k, :drawn].reshape(-1, step)[...] = filtered
+            white[k, :overlap] = white[k, drawn:drawn + overlap]
+        d1, u1, d2, u2 = modes[:, :min(per_block, n - start)]
+        block = np.empty((4, d1.size), dtype=np.float32)
+        np.add(u1, d1, out=block[0])
+        np.subtract(u1, d1, out=block[1])
+        np.add(u2, d2, out=block[2])
+        np.subtract(u2, d2, out=block[3])
+        block *= 0.5
+        yield block
 
 
 def post_mixer_sos(cfg: SignalChainConfig) -> np.ndarray:
@@ -288,9 +300,10 @@ def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
 
 
 def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
-                  points: int) -> np.ndarray:
-    """The chain's uncalibrated output, shape (points, c), for a record given
-    as consecutive (c, b) float32 blocks.
+                  points: int) -> Iterator[np.ndarray]:
+    """The chain's calibrated output for a record given as consecutive (c, b)
+    float32 blocks: (c, m) float64 chunks of _SAMPLE_CHUNK points (the last
+    one shorter), in record order, each a fresh array.
 
     Mixing by sqrt(2)*cos(omega*t + phase) and then the polyphase FIR
     decimation by q1, with resample_poly's taps and zero-phase alignment, is
@@ -302,10 +315,11 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     and multiplied by those (2R, q1) weights, one BLAS product per run of
     _ROWS rows; sample j sums the R branch diagonals (row j + r times
     branch r) and is rotated by its phase omega*a*dt + phase. Then comes the
-    low-pass with its state carried, decimation by q2 and the trim. The runs
+    low-pass with its state carried, decimation by q2, the trim and the
+    calibration (one multiply by 1/sqrt(_calibration_variance)). The runs
     sit at fixed record positions with one fixed shape (the last one padded
-    with zeros), so every output sample is computed the same way whatever
-    the block lengths.
+    with zeros), filled into one reused buffer, so every output sample is
+    computed the same way whatever the block lengths.
     """
     from scipy import signal as sp_signal
 
@@ -316,38 +330,47 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     branches = weights.shape[0] // 2
     width = _ROWS * q1
     lo_step = 2.0 * math.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
+    scale = 1.0 / math.sqrt(_calibration_variance(cfg))
 
-    out = state = pending = products = folded = None
-    received = filtered = decimated = written = 0
+    run = state = products = folded = chunk = None
+    filled = received = filtered = decimated = written = 0
     # products column c holds row first + c; mid-rate sample first + t sums
     # branch r times row first + t + r
     first = 1 - branches
     for block in itertools.chain(blocks, [None]):
         if block is None:
-            if pending is None:
+            if run is None:
                 break
             # the record ended: pad its last run with zeros
-            block = np.zeros((pending.shape[0], width - pending.shape[1]), dtype=np.float32)
-        else:
-            received += block.shape[1]
-        if pending is None:
+            run[:, filled:] = 0.0
+            filled = width
+            block = run[:, :0]
+        elif run is None:
             channels = block.shape[0]
-            out = np.empty((points, channels))
-            state = np.zeros((sos.shape[0], channels, 2))
+            run = np.empty((channels, width), dtype=np.float32)
             # resample_poly zero-pads before the first sample
-            pending = np.zeros((channels, half), dtype=np.float32)
+            run[:, :half] = 0.0
+            filled = half
+            state = np.zeros((sos.shape[0], channels, 2))
             # the last R - 1 rows' products, then the run's
             products = np.zeros((channels, 2 * branches, branches - 1 + _ROWS),
                                 dtype=np.float32)
             folded = products.reshape(channels, branches, 2, -1)
-        pending = np.concatenate((pending, block), axis=1)
+        received += block.shape[1]
         # mid-rate samples whose inputs have all arrived
         ready = max(0, (received - half - 1) // q1 + 1)
-        while pending.shape[1] >= width:
-            run = pending[:, :width].reshape(channels, _ROWS, q1)
-            pending = pending[:, width:]
+        used = 0
+        while True:
+            take = min(width - filled, block.shape[1] - used)
+            run[:, filled:filled + take] = block[:, used:used + take]
+            filled += take
+            used += take
+            if filled < width:
+                break
+            filled = 0
             products[:, :, :branches - 1] = products[:, :, _ROWS:]
-            np.matmul(weights, run.transpose(0, 2, 1), out=products[:, :, branches - 1:])
+            np.matmul(weights, run.reshape(channels, _ROWS, q1).transpose(0, 2, 1),
+                      out=products[:, :, branches - 1:])
             z = folded[:, 0, :, :_ROWS].copy()
             for branch in range(1, branches):
                 z += folded[:, branch, :, branch:branch + _ROWS]
@@ -364,10 +387,18 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
             # decimated samples lead .. lead + points - 1 are the output
             new = kept[:, max(lead - decimated, 0):][:, :points - written]
             decimated += kept.shape[1]
-            out[written:written + new.shape[1]] = new.T
-            written += new.shape[1]
+            while new.shape[1]:
+                at = written % _SAMPLE_CHUNK
+                if at == 0:
+                    chunk = np.empty((channels, min(_SAMPLE_CHUNK, points - written)))
+                take = min(chunk.shape[1] - at, new.shape[1])
+                np.multiply(new[:, :take], scale, out=chunk[:, at:at + take])
+                new = new[:, take:]
+                written += take
+                if at + take == chunk.shape[1]:
+                    yield chunk
             if written == points:
-                return out
+                return
     raise RecordLengthError(f"record ended {points - written} output points short")
 
 
@@ -387,16 +418,24 @@ def _calibration_variance(cfg: SignalChainConfig) -> float:
     return float(np.dot(response, response))
 
 
-def simulate(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
-             seed: int) -> SampleBatch:
+def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
+           seed: int) -> Iterator[np.ndarray]:
     """Synthesize and demodulate a record of points output points, block by block.
 
-    No array of wideband length exists: memory is the (points, 4) output
-    plus a few blocks of _BLOCK samples. The output is calibrated so that a
+    Yields the calibrated output as (4, m) float64 chunks (s1, i1, s2, i2)
+    of _SAMPLE_CHUNK points, the last one shorter, in record order. No
+    array of wideband or record length exists: memory is a few blocks of
+    _BLOCK samples, the demodulator's run buffer and the chunk being
+    filled, whatever points is. The output is calibrated so that a
     shot-noise input comes out at unit variance.
     """
     points = _require_int("points", points, 1)
     seed = _require_int("seed", seed, 0)
-    out = _demod_stream(_synth_blocks(cov, cfg, points, seed), cfg, points)
-    out *= 1.0 / math.sqrt(_calibration_variance(cfg))
-    return SampleBatch(data=out, seed=seed)
+    return _demod_stream(_synth_blocks(cov, cfg, points, seed), cfg, points)
+
+
+def simulate(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
+             seed: int) -> SampleBatch:
+    """The whole record of ``stream``, as one (points, 4) batch."""
+    chunks = list(stream(cov, cfg, points, seed))
+    return SampleBatch(data=np.concatenate(chunks, axis=1).T, seed=seed)

@@ -3,22 +3,26 @@
 A ScenarioConfig bundles everything one acquisition needs: the two pair
 parameter sets, the measurement setting, the selection rule, sample count,
 seed, and which engine generates the samples (direct Gaussian sampling or
-the wideband detection chain of dsp_chain.simulate). run_scenario always
+the wideband detection chain of dsp_chain.stream). run_scenario always
 evaluates both the conditioned and the unconditioned statistics of the same
 record, the way a paired acquisition would, and overlays the closed-form
 prediction.
 
 The record is consumed chunk by chunk (acquire): the direct engine draws
-each chunk, gates it and keeps only its kept rows, so memory follows the
-kept count, not the record length. The unconditioned statistics a run
+each chunk in a worker thread, the chain engine's stream (dsp_chain.stream)
+hands its chunks over as it demodulates them, and each chunk is gated and
+only its kept rows are kept, so memory follows the kept count, not the
+record length, on either engine. The unconditioned statistics a run
 reports are merged from per-chunk moments, histogram counts and scatter
 rows.
 
-A direct sweep acquires all its rows together at the sweep's seed: each
-chunk is drawn once, and every row computes its own channels from that
-draw, gates them and keeps its own rows (common random numbers, so the
-rows are correlated; each row's interval is valid on its own). Chain rows
-use the same seed and run one after another.
+A sweep acquires all its rows together at the sweep's seed. On the direct
+engine each chunk is drawn once, and every row computes its own channels
+from that draw, gates them and keeps its own rows (common random numbers,
+so the rows are correlated; each row's interval is valid on its own). On
+the chain engine the rows that build the same covariance, all rows of a
+bandwidth_delta sweep, gate one stream; other chain rows run one stream
+after another.
 
 Everything here is deterministic per (config, seed), so results do not
 depend on the worker count.
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -37,12 +40,12 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .dsp_chain import SignalChainConfig, simulate
+from .dsp_chain import SignalChainConfig, stream
 from .errors import (
     ConfigurationError,
     EmptySelectionError,
@@ -93,12 +96,6 @@ SWEEP_PARAMETERS = (
 
 ENGINES = ("direct", "chain")
 
-# Peak memory the chain engine holds per output point: its (n, 4) float64
-# record plus the copies of the demodulator. Peak RSS grows by about 45 B
-# per chain point (1M to 3M points, beside a fixed ~100 MB of wideband
-# blocks); rounded up.
-_BYTES_PER_EVENT = 64
-
 # Peak memory the direct engine holds per kept event: each chunk's kept
 # (i1, i2) row and record index, their concatenation, and the checks and
 # differences of the estimate. Peak RSS of a run that keeps every event
@@ -114,8 +111,23 @@ _BYTES_PER_KEPT = 64
 # sweep: 6.1, 10.3 and 14.3 MB); rounded up.
 _BYTES_PER_CHUNK = 12 << 20
 
+# Peak memory of the chain engine's stream, whatever the record length:
+# the scipy.signal and scipy.fft imports, the filter designs, the synthesis
+# and demodulation buffers and the chunk being filled. Peak RSS of a chain
+# acquisition at a window that keeps almost nothing grows by 88.2, 88.5 and
+# 88.9 MB with 1, 2 and 3 workers over a process that has imported numpy
+# only (66.8 MB of it the scipy imports), 87.4 MB at a third of the record
+# length; less the first worker's _BYTES_PER_CHUNK, rounded up.
+_BYTES_PER_CHAIN_STREAM = 80 << 20
+
 # chunk results in flight (drawn or waiting to be merged) per worker
 _CHUNKS_PER_WORKER = 2
+
+# the selftest gate: a case passes when its conditioned noise is within
+# _SELFTEST_DB_SIGMA standard errors of the oracle and its kept count within
+# _SELFTEST_COUNT_SIGMA binomial standard deviations of the expected count
+_SELFTEST_DB_SIGMA = 3.0
+_SELFTEST_COUNT_SIGMA = 4.0
 
 # seed tags for the scatter subsample streams derived from the batch seed
 _SCATTER_TAG_CONDITIONED = 0x5CA0
@@ -276,25 +288,23 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
                   scatter: bool = False) -> None:
     """Refuse, before any work starts, an acquisition that would not fit in memory.
 
-    The chain engine holds its whole record, _BYTES_PER_EVENT a point. The
-    direct engine holds the kept rows, ``probability`` times n of them, and
-    _BYTES_PER_CHUNK for each worker that has a chunk to draw; with
-    ``scatter`` (a run) also the unconditioned scatter subsample.
-    ``probability`` is the acceptance probability summed over the
-    acquisitions held at once: every row of a direct sweep, or the largest
-    one where they run one at a time (chain sweep rows, selftest cases).
-    Raises ValidationError, rather than let the process be killed part way.
+    Either engine holds the kept rows, ``probability`` times n of them, and
+    _BYTES_PER_CHUNK for each worker that has a chunk to reduce; with
+    ``scatter`` (a run) also the unconditioned scatter subsample, and on the
+    chain engine the stream's fixed _BYTES_PER_CHAIN_STREAM. Nothing of
+    record length is held. ``probability`` is the acceptance probability
+    summed over the acquisitions held at once: every row of a sweep, or the
+    largest selftest case, as the cases run one at a time. Raises
+    ValidationError, rather than let the process be killed part way.
     """
     n = cfg.n_points
-    threads = 0
+    per_point = probability * _BYTES_PER_KEPT
+    threads = min(workers, -(-n // _SAMPLE_CHUNK))
+    fixed = threads * _BYTES_PER_CHUNK
+    if scatter:
+        fixed += min(n, cfg.scatter_points) * _BYTES_PER_KEPT
     if cfg.engine == "chain":
-        per_point, fixed = float(_BYTES_PER_EVENT), 0
-    else:
-        per_point = probability * _BYTES_PER_KEPT
-        threads = min(workers, -(-n // _SAMPLE_CHUNK))
-        fixed = threads * _BYTES_PER_CHUNK
-        if scatter:
-            fixed += min(n, cfg.scatter_points) * _BYTES_PER_KEPT
+        fixed += _BYTES_PER_CHAIN_STREAM
     needed = fixed + n * per_point
     available = _available_memory_bytes()
     if available is None or needed <= available:
@@ -366,10 +376,11 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     The direct engine draws each chunk of _SAMPLE_CHUNK events once, exactly
     as sample_batch draws it, and every config computes its own channels
     from that draw (see _stream): the configs see the same events, as the
-    rows of one sweep do. The chain engine simulates one config's record
-    at a time and reads it in slices of the same length. ``workers``
-    threads reduce chunks in parallel and the parts are merged in chunk
-    order, so the result is the same for any count.
+    rows of one sweep do. The chain engine's stream (dsp_chain.stream)
+    yields chunks of the same length; chain configs that build the same
+    covariance and signal chain read one stream, one after another
+    otherwise. ``workers`` threads reduce chunks in parallel and the parts
+    are merged in chunk order, so the result is the same for any count.
     """
     cfgs = tuple(cfgs)
     workers = _require_int("workers", workers, 1)
@@ -379,40 +390,64 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
         raise ValidationError("configs acquired together must share engine, "
                               "n_points and seed")
     if cfgs[0].engine == "chain":
-        return [_acquire_chain(cfg, workers, unconditioned) for cfg in cfgs]
+        return _acquire_chain(cfgs, workers, unconditioned)
+    n, seed = cfgs[0].n_points, cfgs[0].seed
     terms = [_factor_terms(_covariance_factor(build_covariance(c.pair1, c.pair2, c.setting)))
              for c in cfgs]
-    return _stream(cfgs, terms, functools.partial(_draw_chunk, cfgs[0].seed), workers,
-                   unconditioned)
+
+    def draw(start: int, block: np.ndarray, columns: np.ndarray) -> tuple[int, np.ndarray]:
+        # in the worker thread, into its scratch
+        stop = min(start + _SAMPLE_CHUNK, n)
+        return start, _draw_chunk(seed, start, stop, block, columns[:, :stop - start])
+
+    return _stream(cfgs, terms, range(0, n, _SAMPLE_CHUNK), draw, workers, unconditioned)
 
 
-def _acquire_chain(cfg: ScenarioConfig, workers: int,
-                   unconditioned: bool) -> Acquisition | TwinBeamError:
-    """acquire for one chain config; its record is freed on return."""
-    cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
-    try:
-        # the chain's output is calibrated as one record; read it in slices
-        record = simulate(cov, cfg.signal_chain, cfg.n_points, cfg.seed).data
-    except TwinBeamError as exc:
-        return exc
+def _acquire_chain(cfgs: tuple[ScenarioConfig, ...], workers: int,
+                   unconditioned: bool) -> list[Acquisition | TwinBeamError]:
+    """acquire for chain configs, one stream per distinct (covariance,
+    signal chain): every row of a bandwidth_delta sweep reads one record."""
+    groups: dict[tuple, tuple] = {}
+    for r, cfg in enumerate(cfgs):
+        cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
+        groups.setdefault((cov.matrix.tobytes(), cfg.signal_chain), (cov, []))[1].append(r)
+    n, seed = cfgs[0].n_points, cfgs[0].seed
+    results: list[Acquisition | TwinBeamError] = [None] * len(cfgs)
+    for cov, members in groups.values():
+        group = tuple(cfgs[r] for r in members)
+        try:
+            # the main thread synthesizes; the workers gate and reduce
+            chunks = stream(cov, group[0].signal_chain, n, seed)
+            acquired = _stream(group, [_IDENTITY_TERMS] * len(group), _numbered(chunks),
+                               lambda item, *scratch: item, workers, unconditioned)
+        except TwinBeamError as exc:
+            acquired = [exc] * len(group)
+        for r, one in zip(members, acquired):
+            results[r] = one
+    return results
 
-    def draw(start: int, stop: int, block: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        return record[start:stop].T
 
-    return _stream((cfg,), [_IDENTITY_TERMS], draw, workers, unconditioned)[0]
+def _numbered(chunks: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+    """Each (4, m) chunk with the record index of its first column."""
+    start = 0
+    for chunk in chunks:
+        yield start, chunk
+        start += chunk.shape[1]
 
 
-def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, draw: Callable, workers: int,
-            unconditioned: bool) -> list[Acquisition | EmptySelectionError]:
+def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw: Callable,
+            workers: int, unconditioned: bool) -> list[Acquisition | EmptySelectionError]:
     """The chunk loop of acquire.
 
-    ``draw(start, stop, block, columns)`` returns a chunk as (4, m) columns,
-    using the thread's scratch ``block`` and ``columns`` as it needs; config
-    r's channel k is ``_combine`` of those columns with ``terms[r][k]``. Per
-    chunk and config, s1 and s2 are computed for every event and gated, and
-    i1 and i2 only for the kept events, or for every event with
-    ``unconditioned``, which also reduces the chunk to its moments,
-    histogram counts and scatter rows.
+    ``items`` are pulled in the calling thread, in record order, at most
+    _CHUNKS_PER_WORKER * workers ahead of the merge. ``draw(item, block,
+    columns)`` returns a chunk's first record index and its (4, m) columns,
+    using the worker thread's scratch ``block`` and ``columns`` as it needs;
+    config r's channel k is ``_combine`` of those columns with
+    ``terms[r][k]``. Per chunk and config, s1 and s2 are computed for every
+    event and gated, and i1 and i2 only for the kept events, or for every
+    event with ``unconditioned``, which also reduces the chunk to its
+    moments, histogram counts and scatter rows.
     """
     n, seed = cfgs[0].n_points, cfgs[0].seed
     picks = (_subsample(n, cfgs[0].scatter_points,
@@ -422,14 +457,14 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, draw: Callable, worke
     # faults per 512 KiB once glibc returns the freed pages
     local = threading.local()
 
-    def reduce(start: int) -> list[tuple]:
+    def reduce(item) -> list[tuple]:
         if not hasattr(local, "scratch"):
             local.scratch = (np.empty((_DRAW_BLOCK, 4)), np.empty((4, _SAMPLE_CHUNK)),
                              np.empty((3, _SAMPLE_CHUNK)))
         block, columns, channels = local.scratch
-        stop = min(start + _SAMPLE_CHUNK, n)
-        m = stop - start
-        z = draw(start, stop, block, columns[:, :m])
+        start, z = draw(item, block, columns)
+        m = z.shape[1]
+        stop = start + m
         # the factors are finite, so finite draws make every channel finite
         if not np.isfinite(z).all():
             raise ValidationError("sample data contains non-finite values")
@@ -460,7 +495,7 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, draw: Callable, worke
     scatter = [[] for _ in cfgs]
     moments = [None] * len(cfgs)
     counts = [None] * len(cfgs)
-    for parts in _in_order(reduce, range(0, n, _SAMPLE_CHUNK), workers):
+    for parts in _in_order(reduce, items, workers):
         for r, (kept_indices, kept_rows, *summary) in enumerate(parts):
             indices[r].append(kept_indices)
             rows[r].append(kept_rows)
@@ -660,22 +695,23 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
     """One row per sweep point; failed rows carry the error, never abort.
 
     Every row runs at cfg.seed, in one acquire call streamed by ``workers``
-    threads. On the direct engine the rows share each chunk's draw (common
-    random numbers): row r is bit for bit what acquire gives for that row's
-    config alone, and the rows are correlated, while each row's interval is
-    valid on its own. Chain rows run one after another. The table is
+    threads. The rows share each chunk (common random numbers): on the
+    direct engine its draw, on the chain engine its stream where the rows
+    build the same covariance, as a bandwidth_delta sweep's rows do, while
+    other chain rows run one stream after another. Row r is bit for bit
+    what acquire gives for that row's config alone, and the rows are
+    correlated, while each row's interval is valid on its own. The table is
     identical for any worker count. When out_dir is given, writes sweep.csv
     there. Refuses, with a ValidationError and before any row runs, a sweep
-    whose rows would not fit in available memory: all of a direct sweep's
-    rows, which are held at once, or the largest chain row.
+    whose rows would not fit in available memory: the kept rows of all
+    rows, which are held at once.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
     values = [float(v) for v in cfg.sweep.values()]
     setups = [_row_setup(cfg, v) for v in values]
     probabilities = [p.selection_probability for _, p, _ in setups if p is not None]
-    _check_memory(cfg, sum(probabilities) if cfg.engine == "direct"
-                  else max(probabilities, default=0.0), workers)
+    _check_memory(cfg, sum(probabilities), workers)
     acquired = iter(acquire([row_cfg for row_cfg, _, _ in setups if row_cfg is not None],
                             workers))
     rows = [_sweep_row(v, *setup, next(acquired) if setup[0] is not None else None)
@@ -693,6 +729,16 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
     return rows
 
 
+def selftest_false_alarm_rate(cases: int) -> float:
+    """The probability that ``cases`` selftest cases report FAIL for a
+    correct program: 1 - (1 - a)**cases, where a case fails with probability
+    a, about 0.0028, the two-sided Gaussian tails of its two checks (3 sigma,
+    0.0027, plus 4 sigma, 6e-5)."""
+    per_case = (math.erfc(_SELFTEST_DB_SIGMA / math.sqrt(2.0))
+                + math.erfc(_SELFTEST_COUNT_SIGMA / math.sqrt(2.0)))
+    return 1.0 - (1.0 - per_case) ** cases
+
+
 def run_selftest(seed: int = 0, points: int = 1_000_000,
                  cases: int = 8) -> list[dict[str, Any]]:
     """Randomized closed-form-vs-Monte-Carlo agreement check.
@@ -704,9 +750,8 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
     interval and the kept count to match the predicted probability within 4
     binomial sigma.
 
-    False-alarm rate: for a correct program a case fails with probability
-    about 0.0028 (two-sided 3 sigma, plus 6e-5 for 4 sigma), so the default
-    8 cases fail for about 2.2% of seeds (5 of 300 seeds measured at
+    False-alarm rate (selftest_false_alarm_rate): the default 8 cases fail
+    for about 2.2% of seeds of a correct program (5 of 300 seeds measured at
     points=200000).
     """
     cases = _require_int("cases", cases, 1)
@@ -732,7 +777,8 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
         p = prediction.selection_probability
         count_sigma = math.sqrt(points * p * (1.0 - p)) if p < 1.0 else 1.0
         count_gap = abs(report.kept_count - points * p)
-        ok = bool(db_gap <= 3.0 * se and count_gap <= 4.0 * count_sigma)
+        ok = bool(db_gap <= _SELFTEST_DB_SIGMA * se
+                  and count_gap <= _SELFTEST_COUNT_SIGMA * count_sigma)
         results.append({
             "case": index,
             "squeezing_db": squeezing,

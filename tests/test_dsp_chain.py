@@ -27,6 +27,7 @@ from twinbeam_transfer.dsp_chain import (
     post_mixer_sos,
     required_synth_samples,
     simulate,
+    stream,
 )
 from twinbeam_transfer.errors import ModelError, RecordLengthError, ValidationError
 from twinbeam_transfer.model import (
@@ -54,6 +55,11 @@ SHOT_COV = build_covariance(PAIR, PAIR, MeasurementSetting.COHERENT_STATE)
 def _record(cov, cfg, seed, points=POINTS):
     # the whole (4, n) float32 wideband record that simulate streams
     return np.concatenate(list(_synth_blocks(cov, cfg, points, seed)), axis=1)
+
+
+def _demodulated(blocks, cfg, points):
+    # the calibrated (points, c) output that _demod_stream yields in chunks
+    return np.concatenate(list(_demod_stream(blocks, cfg, points)), axis=1).T
 
 
 def test_config_defaults_are_valid():
@@ -178,17 +184,17 @@ def test_shot_record_demodulates_to_unit_variance():
 
 
 def test_calibration_matches_white_noise_reference():
-    # Monte Carlo reference for the closed-form noise gain: unit white records
-    # through the same chain. The per-record ratio has sd ~0.01, so 0.01 on the
-    # mean of 20 is ~4.5 standard errors (two-sided false-alarm rate ~7e-6).
-    q1, q2 = decimation_plan(CFG)
+    # Monte Carlo reference for the closed-form noise gain the chain divides
+    # by: unit white records through the same chain come out at unit
+    # variance. The per-record variance has sd ~0.01, so 0.01 on the mean of
+    # 20 is ~4.5 standard errors (two-sided false-alarm rate ~7e-6).
     n = required_synth_samples(CFG, POINTS)
-    ratios = []
+    variances = []
     for seed in range(20):
         white = np.random.Generator(np.random.Philox(seed)).standard_normal(
             n, dtype=np.float32)
-        ratios.append(_demod_stream([white[np.newaxis]], CFG, POINTS)[:, 0].var())
-    assert np.mean(ratios) / _calibration_variance(CFG) == pytest.approx(1.0, abs=0.01)
+        variances.append(_demodulated([white[np.newaxis]], CFG, POINTS)[:, 0].var())
+    assert np.mean(variances) == pytest.approx(1.0, abs=0.01)
 
 
 def _mix_upfirdn_reference(channels, cfg, points):
@@ -222,8 +228,9 @@ def _mix_upfirdn_reference(channels, cfg, points):
 ], ids=["test", "phase-incommensurate-lo", "single-stage"])
 def test_folded_demodulator_matches_mix_then_upfirdn(cfg):
     rec = _record(TWIN_COV, cfg, seed=45)
-    reference = _mix_upfirdn_reference(rec, cfg, POINTS)
-    folded = _demod_stream([rec], cfg, POINTS)
+    reference = (_mix_upfirdn_reference(rec, cfg, POINTS)
+                 / math.sqrt(_calibration_variance(cfg)))
+    folded = _demodulated([rec], cfg, POINTS)
     assert folded.shape == reference.shape == (POINTS, 4)
     assert np.abs(folded - reference).max() <= 1e-5 * np.abs(reference).max()
 
@@ -231,27 +238,29 @@ def test_folded_demodulator_matches_mix_then_upfirdn(cfg):
 def test_simulate_equals_demodulated_synthesis():
     streamed = simulate(TWIN_COV, CFG, POINTS, seed=42)
     record = _record(TWIN_COV, CFG, seed=42)
-    whole = _demod_stream([record], CFG, POINTS)
-    whole *= 1.0 / math.sqrt(_calibration_variance(CFG))
+    whole = _demodulated([record], CFG, POINTS)
     assert np.array_equal(streamed.data, whole)
     assert streamed.seed == 42
 
 
 def test_streamed_output_independent_of_block_size(monkeypatch):
+    # the stream's chunks are consecutive slices of one record, _SAMPLE_CHUNK
+    # points each but the last, whatever the synthesis block. The whole
+    # record is also fed to the demodulator in slices of exactly _BLOCK
+    # samples, and 12345 is no multiple of q1 (the synthesis blocks are whole
+    # overlap-save segments); q1 * q2 * 100_000 spans the whole record
     q1, q2 = decimation_plan(CFG)
     record = _record(TWIN_COV, CFG, seed=43)
-    scale = 1.0 / math.sqrt(_calibration_variance(CFG))
-    outputs = []
-    # the whole record is also fed in slices of exactly _BLOCK samples, and
-    # 12345 is no multiple of q1 (simulate's blocks are whole overlap-save
-    # segments); q1 * q2 * 100_000 spans the whole record
+    whole = simulate(TWIN_COV, CFG, POINTS, seed=43).data
+    monkeypatch.setattr(dsp_chain, "_SAMPLE_CHUNK", 7_000)
     for block in (q1 * q2 * 1_000, q1 * q2 * 100_000, 12_345):
         monkeypatch.setattr(dsp_chain, "_BLOCK", block)
-        batch = simulate(TWIN_COV, CFG, POINTS, seed=43)
         slices = (record[:, start:start + block]
                   for start in range(0, record.shape[1], block))
-        outputs += [batch.data, _demod_stream(slices, CFG, POINTS) * scale]
-    assert all(np.array_equal(outputs[0], other) for other in outputs[1:])
+        for chunks in (list(stream(TWIN_COV, CFG, POINTS, seed=43)),
+                       list(_demod_stream(slices, CFG, POINTS))):
+            assert [c.shape for c in chunks] == [(4, 7_000)] * 4 + [(4, 2_000)]
+            assert np.array_equal(np.concatenate(chunks, axis=1), whole.T)
 
 
 def test_simulate_peak_memory_below_wideband_record(monkeypatch):
@@ -349,7 +358,7 @@ def test_post_mixer_filter_contract():
 def test_record_too_short_raises():
     rec = _record(SHOT_COV, CFG, seed=39)
     with pytest.raises(RecordLengthError):
-        _demod_stream([rec], CFG, 80_000)
+        _demodulated([rec], CFG, 80_000)
 
 
 def test_oversqueezed_at_lo_rejected():

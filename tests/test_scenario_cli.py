@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 import twinbeam_transfer
-from twinbeam_transfer import scenario
+from twinbeam_transfer import cli, dsp_chain, scenario
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.errors import ConfigurationError, ValidationError
-from twinbeam_transfer.dsp_chain import SignalChainConfig
+from twinbeam_transfer.dsp_chain import SignalChainConfig, simulate
 from twinbeam_transfer.model import (
     MeasurementSetting,
     TwinPairParams,
@@ -453,24 +453,24 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _room(kept_bytes, workers=1, scatter=0):
+def _room(kept_bytes, workers=1, scatter=0, engine="direct"):
     # an available-memory reading with room for the workers' chunks, a
-    # scatter subsample and kept_bytes of kept rows
+    # scatter subsample, kept_bytes of kept rows and, on the chain engine,
+    # the stream's buffers
+    stream = scenario._BYTES_PER_CHAIN_STREAM if engine == "chain" else 0
     return (workers * scenario._BYTES_PER_CHUNK
-            + scatter * scenario._BYTES_PER_KEPT + kept_bytes)
+            + scatter * scenario._BYTES_PER_KEPT + kept_bytes + stream)
 
 
 @pytest.mark.parametrize("engine", ["direct", "chain"])
 def test_cli_run_beyond_free_memory_exit_code(monkeypatch, capsys, engine):
     # the available-memory reading is lowered, never the machine's memory
-    # used up. The chain holds its record, 64 B a point; the direct engine
-    # its kept rows: here room for 100 of them, where 100k points keep ~340
+    # used up. Either engine holds its kept rows, and the chain its stream's
+    # buffers: here room for 100 kept rows, where 100k points keep ~340
     kept_bytes = 100 * scenario._BYTES_PER_KEPT
-    room = {"direct": _room(kept_bytes, scatter=SMALL.scatter_points),
-            "chain": 1_000_000}[engine]
-    per_point = {"direct": SMALL.predict().selection_probability * scenario._BYTES_PER_KEPT,
-                 "chain": scenario._BYTES_PER_EVENT}[engine]
-    most = int({"direct": kept_bytes, "chain": room}[engine] // per_point)
+    room = _room(kept_bytes, scatter=SMALL.scatter_points, engine=engine)
+    most = int(kept_bytes // (SMALL.predict().selection_probability
+                              * scenario._BYTES_PER_KEPT))
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
     with pytest.raises(ValidationError, match="memory"):
@@ -478,6 +478,25 @@ def test_cli_run_beyond_free_memory_exit_code(monkeypatch, capsys, engine):
     assert main(["run", "--engine", engine, "--points", "100000"]) == 2
     assert f"lower n_points (--points) to at most {most}" in capsys.readouterr().err
     assert 0 < most < 100_000
+
+
+def test_chain_memory_check_charges_no_record(monkeypatch):
+    # a 10^9-point chain run was charged 64 GB for the record it no longer
+    # holds; now it needs room for its kept rows (about 3.4M at the default
+    # window) and the stream's buffers, well under 1 GB
+    cfg = ScenarioConfig(n_points=10 ** 9, engine="chain")
+    p = cfg.predict().selection_probability
+    needed = math.ceil(_room(cfg.n_points * p * scenario._BYTES_PER_KEPT,
+                             scatter=cfg.scatter_points, engine="chain"))
+    assert needed < 2 ** 30
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: needed)
+    scenario._check_memory(cfg, p, workers=1, scatter=True)
+    # the stream's buffers are charged on top of what the direct engine needs
+    monkeypatch.setattr(scenario, "_available_memory_bytes",
+                        lambda: needed - scenario._BYTES_PER_CHAIN_STREAM)
+    scenario._check_memory(dataclasses.replace(cfg, engine="direct"), p, scatter=True)
+    with pytest.raises(ValidationError, match="memory"):
+        scenario._check_memory(cfg, p, workers=1, scatter=True)
 
 
 def test_cli_run_charges_only_workers_with_a_chunk(monkeypatch, capsys):
@@ -533,6 +552,97 @@ def test_cli_selftest_beyond_free_memory_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "lower n_points (--points) to at most" in err
     assert int(err.rsplit(" ", 1)[1]) < 1000
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # chunks of 4096 points, so that a short chain record is many chunks
+    for module in (scenario, dsp_chain):
+        monkeypatch.setattr(module, "_SAMPLE_CHUNK", 4096)
+
+
+def _chain(n_points, **kwargs):
+    return ScenarioConfig(n_points=n_points, engine="chain", signal_chain=SCALED_CHAIN,
+                          selection=SelectionConfig(bandwidth_delta=0.1), **kwargs)
+
+
+def test_chain_acquire_keeps_the_rows_of_simulate(small_chunks):
+    # the streamed chunks, gated by 3 workers, keep exactly the events and
+    # rows that gating the whole simulated record keeps
+    cfg = _chain(30_000, seed=2)
+    (acquired,) = acquire([cfg], workers=3, unconditioned=True)
+    batch = simulate(build_covariance(cfg.pair1, cfg.pair2), SCALED_CHAIN, 30_000, 2)
+    kept = select(batch, cfg.selection).kept_indices
+    assert kept.size > 100
+    assert np.array_equal(acquired.selection.kept_indices, kept)
+    assert np.array_equal(acquired.kept, batch.data[kept][:, [1, 3]])
+    assert acquired.moments.n == 30_000
+
+
+def test_cli_chain_run_identical_for_any_worker_count(tmp_path, small_chunks):
+    # the main thread streams the chain's chunks (8 here, the last one
+    # partial) to 1, 2 or 3 reducers; every output file is the same
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_chain(30_000, scatter_points=1000).to_dict()))
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}"
+        assert main(["run", "--config", str(path), "--seed", "4",
+                     "--workers", str(workers), "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs[0]) == 5
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("axis,records", [
+    (SweepAxis("bandwidth_delta", 0.05, 0.3, 3, scale="log"), 1),
+    (SweepAxis("squeezing_db", 3.0, 9.0, 2), 2),
+], ids=["bandwidth_delta", "squeezing_db"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chain_sweep_rows_share_one_record(monkeypatch, small_chunks, axis, records, workers):
+    # a chain bandwidth_delta sweep synthesizes its record once and gates
+    # every row on it; other axes change the covariance, one record a row.
+    # Row r is bit for bit what acquire gives for that row's config alone.
+    streamed = []
+
+    def counted(*args):
+        streamed.append(args)
+        return dsp_chain.stream(*args)
+
+    monkeypatch.setattr(scenario, "stream", counted)
+    cfg = _chain(30_000, seed=19, sweep=axis)
+    rows = run_sweep(cfg, workers=workers)
+    assert len(streamed) == records
+    row_cfgs = [scenario._apply_axis(cfg, axis.parameter, row["axis_value"]) for row in rows]
+    shared = acquire(row_cfgs, workers=workers)
+    for row, row_cfg, together in zip(rows, row_cfgs, shared):
+        (alone,) = acquire([row_cfg])
+        assert np.array_equal(together.selection.kept_indices, alone.selection.kept_indices)
+        assert np.array_equal(together.kept, alone.kept)
+        report = alone.conditioned(row_cfg.selection)
+        assert row["error"] == ""
+        assert (row["transferred_db"], row["ci_low_db"], row["ci_high_db"],
+                row["kept_count"]) == (report.squeezing_db, report.ci_low_db,
+                                       report.ci_high_db, report.kept_count)
+
+
+def test_chain_acquire_memory_flat_in_points(small_chunks):
+    # nothing of record length is held on the chain's acquire path: the
+    # peak at 4 x 30k points stays within 256 KiB of the peak at 30k, where
+    # holding the (n, 4) float64 output would add 2.9 MB. A first short run
+    # imports scipy, whose allocations tracemalloc would count
+    acquire([_chain(5_000, seed=3)])
+    peaks = []
+    for n in (30_000, 120_000):
+        tracemalloc.start()
+        try:
+            (acquired,) = acquire([_chain(n, seed=3)], workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert acquired.selection.total == n
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 256 * 1024
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -719,6 +829,28 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert "selftest PASS" in out
     assert sum(line.startswith("case ") for line in out.splitlines()) == 3
+
+
+def test_cli_selftest_states_false_alarm_rate(monkeypatch, capsys):
+    # the verdict line states how often a correct program fails that many
+    # cases: 1 - (1 - 0.0028)**cases, 2.2% for the default 8
+    rate = scenario.selftest_false_alarm_rate(8)
+    assert rate == pytest.approx(1 - (1 - 0.0028) ** 8, rel=0.02)
+    assert f"{100 * rate:.2g}%" == "2.2%"
+    assert main(["selftest", "--points", "60000", "--cases", "3"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "selftest PASS (3 cases; false-alarm rate 0.83%)"
+    real = cli.run_selftest
+
+    def first_case_failed(**kwargs):
+        rows = real(**kwargs)
+        rows[0]["ok"] = False
+        return rows
+
+    monkeypatch.setattr(cli, "run_selftest", first_case_failed)
+    assert main(["selftest", "--points", "60000", "--cases", "3"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "selftest FAIL (1 of 3 cases; false-alarm rate 0.83%)"
 
 
 def test_cli_selftest_negative_seed_exit_code(capsys):
