@@ -143,7 +143,7 @@ def _cmd_sweep(args) -> int:
 def _load_fock_input(path: Path) -> tuple[JointFockDistribution, JointFockDistribution]:
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path} must hold an object with keys 'p1' and 'p2'")
@@ -152,8 +152,12 @@ def _load_fock_input(path: Path) -> tuple[JointFockDistribution, JointFockDistri
         raise ValidationError(f"unknown key(s) {unknown} in {path}; expected 'p1', 'p2'")
     if "p1" not in data or "p2" not in data:
         raise ValidationError(f"{path} must supply both 'p1' and 'p2'")
-    return (JointFockDistribution(np.asarray(data["p1"], dtype=float)),
-            JointFockDistribution(np.asarray(data["p2"], dtype=float)))
+    try:
+        p1 = np.asarray(data["p1"], dtype=float)
+        p2 = np.asarray(data["p2"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"'p1' and 'p2' in {path} must be numeric matrices: {exc}") from exc
+    return JointFockDistribution(p1), JointFockDistribution(p2)
 
 
 def _cmd_fock(args) -> int:

@@ -45,6 +45,7 @@ from .model import (
     FourChannelCovariance,
     SampleBatch,
     _require_int,
+    _require_real,
 )
 
 # lead/tail margins around the kept record, in cutoff periods: the lead
@@ -81,13 +82,14 @@ class SignalChainConfig:
     def __post_init__(self):
         for name in ("lo_frequency_hz", "synth_rate_hz", "post_mixer_cutoff_hz",
                      "output_rate_hz", "cavity_bandwidth_hz"):
-            value = float(getattr(self, name))
+            value = _require_real(name, getattr(self, name))
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
             object.__setattr__(self, name, value)
-        if not math.isfinite(float(self.mixer_phase_rad)):
-            raise ValidationError(f"mixer_phase_rad must be finite, got {self.mixer_phase_rad}")
-        object.__setattr__(self, "mixer_phase_rad", float(self.mixer_phase_rad))
+        phase = _require_real("mixer_phase_rad", self.mixer_phase_rad)
+        if not math.isfinite(phase):
+            raise ValidationError(f"mixer_phase_rad must be finite, got {phase}")
+        object.__setattr__(self, "mixer_phase_rad", phase)
 
         if self.output_rate_hz < 2.0 * self.post_mixer_cutoff_hz:
             raise ValidationError(

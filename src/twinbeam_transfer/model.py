@@ -13,7 +13,6 @@ four-channel covariance block diagonal.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,9 +57,17 @@ class MeasurementSetting(Enum):
     COHERENT_STATE = "coherent_state"
 
 
+def _require_real(name: str, value) -> float:
+    # rejects, rather than converts, a boolean, which would pass as 0.0 or
+    # 1.0, and a numeric string such as "7"
+    if isinstance(value, (bool, str)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require_range(name: str, value: float, low: float, high: float,
                    low_open: bool = False) -> float:
-    value = float(value)
+    value = _require_real(name, value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     if low_open:
@@ -312,30 +319,24 @@ def _combine(columns: np.ndarray, terms: tuple[tuple[int, float], ...],
     return out
 
 
-def sample_batch(cov: FourChannelCovariance, n: int, seed: int,
-                 workers: int = 1) -> SampleBatch:
+def sample_batch(cov: FourChannelCovariance, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` independent events from the zero-mean Gaussian model.
 
-    The stream is split into fixed-size chunks (see _draw_chunk), so the
-    result is a pure function of ``(cov, n, seed)`` no matter how many
-    worker threads draw the chunks. Each channel is computed by _combine.
+    The stream is split into fixed-size chunks (see _draw_chunk), drawn one
+    after another into one reused scratch, so the result is a pure function
+    of ``(cov, n, seed)``: the events that scenario.acquire streams chunk by
+    chunk. Each channel is computed by _combine.
     """
     n = _require_int("sample count", n, 1)
     seed = _require_int("seed", seed, 0)
-    workers = _require_int("workers", workers, 1)
     terms = _factor_terms(_covariance_factor(cov))
     out = np.empty((n, 4))
-
-    def fill(start: int) -> None:
+    width = min(n, _SAMPLE_CHUNK)
+    block, columns, scratch = np.empty((_DRAW_BLOCK, 4)), np.empty((4, width)), np.empty(width)
+    for start in range(0, n, _SAMPLE_CHUNK):
         stop = min(start + _SAMPLE_CHUNK, n)
         m = stop - start
-        columns = _draw_chunk(seed, start, stop, np.empty((_DRAW_BLOCK, 4)),
-                              np.empty((4, m)))
-        scratch = np.empty(m)
+        z = _draw_chunk(seed, start, stop, block, columns[:, :m])
         for r, row_terms in enumerate(terms):
-            _combine(columns, row_terms, out[start:stop, r], scratch)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # each chunk is written in place; list() re-raises a worker's error
-        list(pool.map(fill, range(0, n, _SAMPLE_CHUNK)))
+            _combine(z, row_terms, out[start:stop, r], scratch[:m])
     return SampleBatch(data=out, seed=seed)

@@ -48,7 +48,6 @@ from . import __version__
 from .dsp_chain import SignalChainConfig, stream
 from .errors import (
     ConfigurationError,
-    EmptySelectionError,
     InsufficientStatisticsError,
     TwinBeamError,
     ValidationError,
@@ -63,17 +62,16 @@ from .model import (
     _draw_chunk,
     _factor_terms,
     _require_int,
+    _require_real,
     build_covariance,
 )
 from .oracle import TransferPrediction, predict_transfer
 from .selection import (
     SelectionConfig,
-    SelectionResult,
     derived_seed,
     in_window,
     kept_statistics,
     moment_statistics,
-    selection_result,
 )
 from .stats import (
     _BIN_WIDTH_DELTA,
@@ -97,9 +95,10 @@ SWEEP_PARAMETERS = (
 ENGINES = ("direct", "chain")
 
 # Peak memory the direct engine holds per kept event: each chunk's kept
-# (i1, i2) row and record index, their concatenation, and the checks and
-# differences of the estimate. Peak RSS of a run that keeps every event
-# grows by about 57 B per event (2M to 8M events); rounded up.
+# (i1, i2) row, their concatenation, and the checks and differences of the
+# estimate. Peak RSS of a run that keeps every event grows by about 47 B
+# per event (2M to 8M events, one worker), of a 2-row sweep by about 44 B
+# per row and event; rounded up.
 _BYTES_PER_KEPT = 64
 
 # Peak memory per worker thread for the chunk it draws, gates and reduces:
@@ -171,7 +170,8 @@ class SweepAxis:
             raise ConfigurationError(
                 f"sweep parameter must be one of {SWEEP_PARAMETERS}, "
                 f"got {self.parameter!r}")
-        lo, hi = float(self.minimum), float(self.maximum)
+        lo = _require_real("sweep minimum", self.minimum)
+        hi = _require_real("sweep maximum", self.maximum)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValidationError(f"sweep range must be finite with minimum < maximum, "
                                   f"got [{self.minimum}, {self.maximum}]")
@@ -256,10 +256,9 @@ class ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     """Parse a JSON config file into a ScenarioConfig, strictly."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     return ScenarioConfig.from_dict(data)
 
@@ -321,17 +320,17 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
 
 
 class Acquisition(NamedTuple):
-    """What one acquisition keeps of its record.
+    """What one acquisition keeps of its record of ``n`` events.
 
-    ``kept`` holds the (i1, i2) rows of the kept events in record order;
-    ``selection`` their record indices and the record length n. With the
-    unconditioned summary, ``moments`` (of i1 - i2), ``histogram`` and
-    ``scatter`` (the (i1, i2) rows of the unconditioned subsample) cover
-    every event; without it they are None.
+    ``kept`` holds the (i1, i2) rows of the kept events in record order
+    (zero rows when the window keeps none). With the unconditioned summary,
+    ``moments`` (of i1 - i2), ``histogram`` and ``scatter`` (the (i1, i2)
+    rows of the unconditioned subsample) cover every event; without it they
+    are None.
     """
 
     kept: np.ndarray
-    selection: SelectionResult
+    n: int
     seed: int
     moments: Moments | None = None
     histogram: Histogram | None = None
@@ -343,8 +342,8 @@ class Acquisition(NamedTuple):
         return self.kept[:, 0] - self.kept[:, 1]
 
     def conditioned(self, cfg: SelectionConfig) -> TransferReport:
-        """The conditioned noise report; see selection.conditional_statistics."""
-        return kept_statistics(self.differences, self.selection, cfg, self.seed)
+        """The conditioned noise report; see selection.kept_statistics."""
+        return kept_statistics(self.differences, self.n, cfg, self.seed)
 
 
 def _in_order(fn, items, workers: int):
@@ -370,8 +369,9 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
 
     The one acquisition pipeline behind run, sweep and selftest. ``cfgs``
     share engine, n_points and seed; the result has one entry per config,
-    its Acquisition or the TwinBeamError that stopped it (EmptySelectionError
-    when it keeps no event), so one config's failure leaves the others be.
+    its Acquisition, or the TwinBeamError that stopped the chain stream it
+    reads, so one stream's failure leaves the other configs be. A window
+    that keeps no event is reported when its report is made.
 
     The direct engine draws each chunk of _SAMPLE_CHUNK events once, exactly
     as sample_batch draws it, and every config computes its own channels
@@ -436,7 +436,7 @@ def _numbered(chunks: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw: Callable,
-            workers: int, unconditioned: bool) -> list[Acquisition | EmptySelectionError]:
+            workers: int, unconditioned: bool) -> list[Acquisition]:
     """The chunk loop of acquire.
 
     ``items`` are pulled in the calling thread, in record order, at most
@@ -445,9 +445,9 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
     using the worker thread's scratch ``block`` and ``columns`` as it needs;
     config r's channel k is ``_combine`` of those columns with
     ``terms[r][k]``. Per chunk and config, s1 and s2 are computed for every
-    event and gated, and i1 and i2 only for the kept events, or for every
-    event with ``unconditioned``, which also reduces the chunk to its
-    moments, histogram counts and scatter rows.
+    event and gated, and i1 and i2 for the kept events. With
+    ``unconditioned``, i1 and i2 are also computed for every event and
+    reduced to the chunk's moments, histogram counts and scatter rows.
     """
     n, seed = cfgs[0].n_points, cfgs[0].seed
     picks = (_subsample(n, cfgs[0].scatter_points,
@@ -464,7 +464,6 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
         block, columns, channels = local.scratch
         start, z = draw(item, block, columns)
         m = z.shape[1]
-        stop = start + m
         # the factors are finite, so finite draws make every channel finite
         if not np.isfinite(z).all():
             raise ValidationError("sample data contains non-finite values")
@@ -473,31 +472,28 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
         for cfg, (s1_terms, i1_terms, s2_terms, i2_terms) in zip(cfgs, terms):
             kept = in_window(_combine(z, s1_terms, first, scratch),
                              _combine(z, s2_terms, second, scratch), cfg.selection, scratch)
+            kept_z = z[:, kept]
+            rows = np.empty((kept.size, 2))
+            _combine(kept_z, i1_terms, rows[:, 0], scratch[:kept.size])
+            _combine(kept_z, i2_terms, rows[:, 1], scratch[:kept.size])
             if not unconditioned:
-                kept_z = z[:, kept]
-                rows = np.empty((kept.size, 2))
-                _combine(kept_z, i1_terms, rows[:, 0], scratch[:kept.size])
-                _combine(kept_z, i2_terms, rows[:, 1], scratch[:kept.size])
-                parts.append((start + kept, rows))
+                parts.append((rows,))
                 continue
             idler1 = _combine(z, i1_terms, first, scratch)
             idler2 = _combine(z, i2_terms, second, scratch)
             difference = np.subtract(idler1, idler2, out=scratch)
-            low, high = np.searchsorted(picks, (start, stop))
+            low, high = np.searchsorted(picks, (start, start + m))
             picked = picks[low:high] - start
-            parts.append((start + kept, np.column_stack((idler1[kept], idler2[kept])),
-                          Moments.of(difference), _bin_counts(difference, _BIN_WIDTH_DELTA),
+            parts.append((rows, Moments.of(difference), _bin_counts(difference, _BIN_WIDTH_DELTA),
                           np.column_stack((idler1[picked], idler2[picked]))))
         return parts
 
-    indices = [[] for _ in cfgs]
     rows = [[] for _ in cfgs]
     scatter = [[] for _ in cfgs]
     moments = [None] * len(cfgs)
     counts = [None] * len(cfgs)
     for parts in _in_order(reduce, items, workers):
-        for r, (kept_indices, kept_rows, *summary) in enumerate(parts):
-            indices[r].append(kept_indices)
+        for r, (kept_rows, *summary) in enumerate(parts):
             rows[r].append(kept_rows)
             if summary:
                 part_moments, part_counts, part_scatter = summary
@@ -505,22 +501,14 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
                 counts[r] = part_counts if counts[r] is None else _merge_counts(counts[r],
                                                                                 part_counts)
                 scatter[r].append(part_scatter)
-    results: list[Acquisition | EmptySelectionError] = []
-    for r, cfg in enumerate(cfgs):
-        try:
-            selection = selection_result(np.concatenate(indices[r]), n, cfg.selection)
-        except EmptySelectionError as exc:
-            results.append(exc)
-            continue
-        results.append(Acquisition(
-            kept=np.concatenate(rows[r]),
-            selection=selection,
-            seed=seed,
-            moments=moments[r],
-            histogram=_binned(*counts[r], _BIN_WIDTH_DELTA) if unconditioned else None,
-            scatter=np.concatenate(scatter[r]) if unconditioned else None,
-        ))
-    return results
+    return [Acquisition(
+        kept=np.concatenate(rows[r]),
+        n=n,
+        seed=seed,
+        moments=moments[r],
+        histogram=_binned(*counts[r], _BIN_WIDTH_DELTA) if unconditioned else None,
+        scatter=np.concatenate(scatter[r]) if unconditioned else None,
+    ) for r in range(len(cfgs))]
 
 
 def _acquire_one(cfg: ScenarioConfig, workers: int = 1,
@@ -567,7 +555,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
     _check_memory(cfg, prediction.selection_probability, workers, scatter=True)
     acquired = _acquire_one(cfg, workers=workers, unconditioned=True)
     conditioned = acquired.conditioned(cfg.selection)
-    picks = _subsample(acquired.selection.kept_count, cfg.scatter_points,
+    picks = _subsample(len(acquired.kept), cfg.scatter_points,
                        derived_seed(cfg.seed, _SCATTER_TAG_CONDITIONED))
 
     result = ScenarioResult(
@@ -651,46 +639,6 @@ def _apply_axis(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     return dataclasses.replace(cfg, pair1=pair1, pair2=pair2, sweep=None)
 
 
-def _row_setup(cfg: ScenarioConfig, value: float) -> tuple:
-    """A sweep row's (config, prediction, None), or (None, None, error) when
-    either cannot be built; such a row acquires nothing."""
-    try:
-        row_cfg = _apply_axis(cfg, cfg.sweep.parameter, value)
-        return row_cfg, row_cfg.predict(), None
-    except TwinBeamError as exc:
-        return None, None, exc
-
-
-def _sweep_row(value: float, row_cfg: ScenarioConfig | None,
-               prediction: TransferPrediction | None, error: TwinBeamError | None,
-               acquired: Acquisition | TwinBeamError | None) -> dict[str, Any]:
-    row: dict[str, Any] = dict.fromkeys(SWEEP_COLUMNS, math.nan)
-    row["axis_value"] = value
-    row["kept_count"] = 0
-    row["error"] = ""
-    if prediction is not None:
-        # the oracle goes first, so a row whose acquisition fails keeps it
-        row.update(oracle_transferred_db=prediction.transferred_db,
-                   oracle_probability=prediction.selection_probability)
-        try:
-            if isinstance(acquired, TwinBeamError):
-                raise acquired
-            report = acquired.conditioned(row_cfg.selection)
-            row.update(transferred_db=report.squeezing_db,
-                       ci_low_db=report.ci_low_db,
-                       ci_high_db=report.ci_high_db,
-                       kept_count=report.kept_count,
-                       preparation_probability=report.preparation_probability)
-        except TwinBeamError as exc:
-            error = exc
-            if isinstance(exc, InsufficientStatisticsError):
-                row.update(kept_count=exc.kept_count,
-                           preparation_probability=exc.kept_count / row_cfg.n_points)
-    if error is not None:
-        row["error"] = f"{type(error).__name__}: {error}"
-    return row
-
-
 def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[str, Any]]:
     """One row per sweep point; failed rows carry the error, never abort.
 
@@ -708,14 +656,39 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
-    values = [float(v) for v in cfg.sweep.values()]
-    setups = [_row_setup(cfg, v) for v in values]
-    probabilities = [p.selection_probability for _, p, _ in setups if p is not None]
-    _check_memory(cfg, sum(probabilities), workers)
-    acquired = iter(acquire([row_cfg for row_cfg, _, _ in setups if row_cfg is not None],
-                            workers))
-    rows = [_sweep_row(v, *setup, next(acquired) if setup[0] is not None else None)
-            for v, setup in zip(values, setups)]
+    rows: list[dict[str, Any]] = []
+    built: list[tuple[dict[str, Any], ScenarioConfig]] = []
+    for value in cfg.sweep.values():
+        row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
+        row.update(axis_value=float(value), kept_count=0, error="")
+        rows.append(row)
+        try:
+            row_cfg = _apply_axis(cfg, cfg.sweep.parameter, row["axis_value"])
+            prediction = row_cfg.predict()
+        except TwinBeamError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            continue
+        # the oracle goes first, so a row whose acquisition fails keeps it
+        row.update(oracle_transferred_db=prediction.transferred_db,
+                   oracle_probability=prediction.selection_probability)
+        built.append((row, row_cfg))
+    _check_memory(cfg, sum(row["oracle_probability"] for row, _ in built), workers)
+    for (row, row_cfg), acquired in zip(built, acquire([c for _, c in built], workers)):
+        try:
+            if isinstance(acquired, TwinBeamError):
+                raise acquired
+            report = acquired.conditioned(row_cfg.selection)
+        except TwinBeamError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, InsufficientStatisticsError):
+                row.update(kept_count=exc.kept_count,
+                           preparation_probability=exc.kept_count / row_cfg.n_points)
+            continue
+        row.update(transferred_db=report.squeezing_db,
+                   ci_low_db=report.ci_low_db,
+                   ci_high_db=report.ci_high_db,
+                   kept_count=report.kept_count,
+                   preparation_probability=report.preparation_probability)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

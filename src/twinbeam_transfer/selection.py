@@ -19,8 +19,14 @@ from typing import Any
 import numpy as np
 
 from .errors import EmptySelectionError, InsufficientStatisticsError, ValidationError
-from .model import COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE, SampleBatch, _require_int
-from .stats import _MIN_INTERVAL_VALUES, Moments, TransferReport, _variance_estimate
+from .model import (
+    COHERENT_DELTA,
+    SHOT_DIFFERENCE_VARIANCE,
+    SampleBatch,
+    _require_int,
+    _require_real,
+)
+from .stats import _MIN_INTERVAL_VALUES, Moments, TransferReport, _as_clean_1d
 
 # two-sided coverage of the reported interval: one standard error
 _INTERVAL_LEVEL = 0.68
@@ -39,7 +45,7 @@ class SelectionConfig:
     min_kept: int = 100
 
     def __post_init__(self):
-        bw = float(self.bandwidth_delta)
+        bw = _require_real("bandwidth_delta", self.bandwidth_delta)
         if not (math.isfinite(bw) and bw > 0.0):
             raise ValidationError(f"bandwidth_delta must be positive and finite, got {bw}")
         object.__setattr__(self, "bandwidth_delta", bw)
@@ -90,27 +96,26 @@ def in_window(s1: np.ndarray, s2: np.ndarray, cfg: SelectionConfig,
     return np.flatnonzero(distance <= cfg.bandwidth_delta * COHERENT_DELTA)
 
 
-def selection_result(kept: np.ndarray, total: int, cfg: SelectionConfig) -> SelectionResult:
-    """The kept record indices of ``total`` events; raises when none is kept."""
-    if kept.size == 0:
+def _require_kept(count: int, total: int, cfg: SelectionConfig) -> None:
+    if count == 0:
         raise EmptySelectionError(
             f"no events satisfy |s1 - s2| <= {cfg.bandwidth_delta} * delta out of {total}")
-    return SelectionResult(kept_indices=kept, total=total)
 
 
 def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
     """Apply the acceptance rule; pure function of (batch, cfg)."""
-    return selection_result(in_window(batch.s1, batch.s2, cfg), batch.n, cfg)
+    kept = in_window(batch.s1, batch.s2, cfg)
+    _require_kept(kept.size, batch.n, cfg)
+    return SelectionResult(kept_indices=kept, total=batch.n)
 
 
-def _transfer_report(estimate: tuple[float, float, float], kept_count: int,
-                     probability: float, echo: dict[str, Any]) -> TransferReport:
-    point, low, high = estimate
+def _report(moments: Moments, probability: float, echo: dict[str, Any]) -> TransferReport:
+    point, low, high = moments.estimate(SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
     return TransferReport(
         squeezing_db=point,
         ci_low_db=low,
         ci_high_db=high,
-        kept_count=kept_count,
+        kept_count=moments.n,
         preparation_probability=probability,
         config_echo=echo,
     )
@@ -124,17 +129,20 @@ def conditional_statistics(batch: SampleBatch, result: SelectionResult,
     :func:`~twinbeam_transfer.stats.variance_interval`.
     """
     kept = result.kept_indices
-    return kept_statistics(batch.i1[kept] - batch.i2[kept], result, cfg, batch.seed)
+    return kept_statistics(batch.i1[kept] - batch.i2[kept], result.total, cfg, batch.seed)
 
 
-def kept_statistics(values: np.ndarray, result: SelectionResult, cfg: SelectionConfig,
+def kept_statistics(values: np.ndarray, total: int, cfg: SelectionConfig,
                     seed: int) -> TransferReport:
-    """:func:`conditional_statistics` from the kept idler differences ``values``."""
-    if result.kept_count < cfg.min_kept:
-        raise InsufficientStatisticsError(result.kept_count, cfg.min_kept)
-    estimate = _variance_estimate(values, SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
-    echo = {"selection": asdict(cfg), "n": result.total, "seed": seed}
-    return _transfer_report(estimate, values.size, result.preparation_probability, echo)
+    """:func:`conditional_statistics` from the kept idler differences
+    ``values`` of a record of ``total`` events; raises EmptySelectionError
+    when none is kept."""
+    _require_kept(values.size, total, cfg)
+    if values.size < cfg.min_kept:
+        raise InsufficientStatisticsError(values.size, cfg.min_kept)
+    moments = Moments.of(_as_clean_1d(values, _MIN_INTERVAL_VALUES))
+    echo = {"selection": asdict(cfg), "n": total, "seed": seed}
+    return _report(moments, values.size / total, echo)
 
 
 def moment_statistics(moments: Moments, seed: int, cfg: SelectionConfig) -> TransferReport:
@@ -143,7 +151,6 @@ def moment_statistics(moments: Moments, seed: int, cfg: SelectionConfig) -> Tran
     ``moments`` summarize i1 - i2 over the whole record. The echo's
     ``bandwidth_delta`` is null: no selection window applies.
     """
-    estimate = moments.estimate(SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
     echo = {"selection": {**asdict(cfg), "bandwidth_delta": None},
             "n": moments.n, "seed": seed}
-    return _transfer_report(estimate, moments.n, 1.0, echo)
+    return _report(moments, 1.0, echo)

@@ -2,9 +2,10 @@
 
 :func:`variance_interval`, the moment-based (delta-method) interval, is the
 interval every run reports. The test suite checks it against a percentile
-bootstrap reference, which the package does not ship. :class:`Moments`
-gives the same interval from moments merged chunk by chunk, so a streamed
-record needs no copy of every value.
+bootstrap reference, which the package does not ship. :class:`Moments` is
+the one estimator behind it and behind every report: the point and interval
+come from the count and central moment sums of the values, which a streamed
+record merges chunk by chunk, so it needs no copy of every value.
 """
 
 from __future__ import annotations
@@ -164,35 +165,9 @@ def variance_interval(values, shot_reference: float,
     mapped to dB by the derivative (10 / ln 10) / s^2. The interval is
     centred on the point estimate. O(n) and deterministic.
     """
-    _, low, high = _variance_estimate(values, shot_reference, level)
+    _, low, high = Moments.of(_as_clean_1d(values, _MIN_INTERVAL_VALUES)).estimate(
+        shot_reference, level)
     return low, high
-
-
-def _variance_estimate(values, shot_reference: float,
-                       level: float) -> tuple[float, float, float]:
-    """(point, low, high): :func:`variance_db` and :func:`variance_interval`
-    from one validation pass over ``values``."""
-    x = _as_clean_1d(values, minimum=_MIN_INTERVAL_VALUES)
-    level = _check_level(level)
-    n = x.size
-    dev = x - x.mean()
-    dev *= dev
-    # bit-identical to x.var(ddof=1), the estimate variance_db reports
-    s2 = float(dev.sum()) / (n - 1)
-    dev *= dev
-    return _moment_estimate(n, s2, float(dev.sum()) / n, shot_reference, level)
-
-
-def _moment_estimate(n: int, s2: float, m4: float, shot_reference: float,
-                     level: float) -> tuple[float, float, float]:
-    """(point, low, high) from the count, the unbiased variance ``s2`` and the
-    fourth central sample moment ``m4``; see :func:`variance_interval`."""
-    point = _variance_to_db(s2, shot_reference)
-    # m4 >= (s^2 (n-1) / n)^2 (Cauchy-Schwarz), so the radicand is at least
-    # s^4 (3n - 1) / (n^2 (n-1)) > 0
-    se_db = 10.0 / math.log(10.0) * math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n) / s2
-    half = NormalDist().inv_cdf(0.5 + level / 2.0) * se_db
-    return point, point - half, point + half
 
 
 class Moments(NamedTuple):
@@ -240,12 +215,20 @@ class Moments(NamedTuple):
         )
 
     def estimate(self, shot_reference: float, level: float) -> tuple[float, float, float]:
-        """(point, low, high) of :func:`_variance_estimate`, from the moments."""
-        if self.n < _MIN_INTERVAL_VALUES:
-            raise EstimationError(f"need at least {_MIN_INTERVAL_VALUES} values, "
-                                  f"got {self.n}")
-        return _moment_estimate(self.n, self.m2 / (self.n - 1), self.m4 / self.n,
-                                shot_reference, _check_level(level))
+        """(point, low, high): :func:`variance_db` and :func:`variance_interval`
+        of the values, from their moments. The point is bit-identical to
+        ``x.var(ddof=1)`` of the values ``x`` that :meth:`of` summarized."""
+        n = self.n
+        if n < _MIN_INTERVAL_VALUES:
+            raise EstimationError(f"need at least {_MIN_INTERVAL_VALUES} values, got {n}")
+        level = _check_level(level)
+        s2, m4 = self.m2 / (n - 1), self.m4 / n
+        point = _variance_to_db(s2, shot_reference)
+        # m4 >= (s^2 (n-1) / n)^2 (Cauchy-Schwarz), so the radicand is at least
+        # s^4 (3n - 1) / (n^2 (n-1)) > 0
+        se_db = 10.0 / math.log(10.0) * math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n) / s2
+        half = NormalDist().inv_cdf(0.5 + level / 2.0) * se_db
+        return point, point - half, point + half
 
 
 @dataclass(frozen=True)

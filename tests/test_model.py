@@ -159,9 +159,7 @@ def test_sample_batch_deterministic_and_worker_invariant():
                            TwinPairParams(squeezing_db=7.0))
     a = sample_batch(cov, 200_000, seed=42)
     b = sample_batch(cov, 200_000, seed=42)
-    c = sample_batch(cov, 200_000, seed=42, workers=4)
     assert np.array_equal(a.data, b.data)
-    assert np.array_equal(a.data, c.data)
     d = sample_batch(cov, 200_000, seed=43)
     assert not np.array_equal(a.data, d.data)
 
@@ -216,8 +214,7 @@ def test_sample_batch_is_the_elementwise_product_of_the_draw(case):
         assert np.count_nonzero(np.triu(factor, 1)) > 0
         assert (np.count_nonzero(factor, axis=1) >= 2).any()
     expected = _elementwise_batch(factor, 70_000, 31)
-    for workers in (1, 2):
-        assert np.array_equal(sample_batch(cov, 70_000, 31, workers=workers).data, expected)
+    assert np.array_equal(sample_batch(cov, 70_000, 31).data, expected)
 
 
 def test_sample_batch_matches_target_covariance():
@@ -256,10 +253,6 @@ def test_sample_batch_input_validation():
     for n in (0, 2.5, True):
         with pytest.raises(ValidationError, match="sample count"):
             sample_batch(cov, n, seed=1)
-    # never coerced: 0 or True is not one worker, 1.5 not a worker count
-    for workers in (0, True, 1.5):
-        with pytest.raises(ValidationError, match="workers"):
-            sample_batch(cov, 10, seed=1, workers=workers)
 
 
 @pytest.mark.parametrize("seed", [2.7, True, -1])

@@ -42,7 +42,7 @@ from twinbeam_transfer.selection import (
     derived_seed,
     select,
 )
-from twinbeam_transfer.stats import _variance_estimate, histogram
+from twinbeam_transfer.stats import histogram, variance_db, variance_interval
 
 
 SMALL = ScenarioConfig(n_points=100_000, seed=7)
@@ -312,7 +312,7 @@ def test_sweep_rows_match_acquire_of_each_row(axis, workers):
     for row, row_cfg, together in zip(rows, row_cfgs, shared):
         assert row_cfg.seed == cfg.seed
         (alone,) = acquire([row_cfg])
-        assert np.array_equal(together.selection.kept_indices, alone.selection.kept_indices)
+        assert len(together.kept) == len(alone.kept)
         assert np.array_equal(together.kept, alone.kept)
         report = alone.conditioned(row_cfg.selection)
         assert row["error"] == ""
@@ -430,6 +430,13 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     '{"seed": true}',
     '{"scatter_points": true}',
     '{"selection": {"bandwidth_delta": 1e400}}',
+    # a float field takes a number only, as the integer fields do: no
+    # boolean (read as 0.0 or 1.0) and no numeric string
+    '{"pair1": {"squeezing_db": 7.0, "efficiency": true}}',
+    '{"pair1": {"squeezing_db": "7"}}',
+    '{"selection": {"bandwidth_delta": "0.1"}}',
+    '{"signal_chain": {"mixer_phase_rad": true}}',
+    '{"sweep": {"parameter": "squeezing_db", "minimum": false, "maximum": 1, "steps": 2}}',
     # the routing is fixed (gate on s1 - s2, measure i1 - i2): no such keys
     '{"selection": {"bandwidth_delta": 0.03, "trigger_channels": ["s1", "s2"]}}',
     '{"selection": {"bandwidth_delta": 0.03, "target_channels": ["i1", "i2"]}}',
@@ -574,7 +581,7 @@ def test_chain_acquire_keeps_the_rows_of_simulate(small_chunks):
     batch = simulate(build_covariance(cfg.pair1, cfg.pair2), SCALED_CHAIN, 30_000, 2)
     kept = select(batch, cfg.selection).kept_indices
     assert kept.size > 100
-    assert np.array_equal(acquired.selection.kept_indices, kept)
+    assert len(acquired.kept) == kept.size
     assert np.array_equal(acquired.kept, batch.data[kept][:, [1, 3]])
     assert acquired.moments.n == 30_000
 
@@ -617,13 +624,29 @@ def test_chain_sweep_rows_share_one_record(monkeypatch, small_chunks, axis, reco
     shared = acquire(row_cfgs, workers=workers)
     for row, row_cfg, together in zip(rows, row_cfgs, shared):
         (alone,) = acquire([row_cfg])
-        assert np.array_equal(together.selection.kept_indices, alone.selection.kept_indices)
+        assert len(together.kept) == len(alone.kept)
         assert np.array_equal(together.kept, alone.kept)
         report = alone.conditioned(row_cfg.selection)
         assert row["error"] == ""
         assert (row["transferred_db"], row["ci_low_db"], row["ci_high_db"],
                 row["kept_count"]) == (report.squeezing_db, report.ci_low_db,
                                        report.ci_high_db, report.kept_count)
+
+
+def test_chain_sweep_keeps_its_rows_when_one_stream_fails():
+    # at this chain's lo/cavity ratio no squeezing beyond about 14 dB can be
+    # shaped: the 18 dB row's stream raises ModelError, which that row
+    # carries, while the rows before it report as usual
+    cfg = _chain(20_000, seed=5, sweep=SweepAxis("squeezing_db", 6.0, 18.0, 3))
+    rows = run_sweep(cfg, workers=2)
+    assert [row["axis_value"] for row in rows] == [6.0, 12.0, 18.0]
+    deep = rows[2]
+    assert deep["error"].startswith("ModelError: ")
+    assert math.isnan(deep["transferred_db"]) and deep["kept_count"] == 0
+    assert math.isfinite(deep["oracle_transferred_db"])
+    for row in rows[:2]:
+        assert row["error"] == ""
+        assert math.isfinite(row["transferred_db"]) and row["kept_count"] >= 100
 
 
 def test_chain_acquire_memory_flat_in_points(small_chunks):
@@ -640,7 +663,7 @@ def test_chain_acquire_memory_flat_in_points(small_chunks):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert acquired.selection.total == n
+        assert acquired.n == n
         peaks.append(peak)
     assert peaks[1] - peaks[0] < 256 * 1024
 
@@ -726,7 +749,8 @@ def test_streamed_run_matches_batch_path(n, scatter_points, window):
         streamed = (result.unconditioned.squeezing_db, result.unconditioned.ci_low_db,
                     result.unconditioned.ci_high_db)
         assert streamed == pytest.approx(
-            _variance_estimate(ref["difference"], 2.0, 0.68), abs=1e-12)
+            (variance_db(ref["difference"], 2.0), *variance_interval(ref["difference"], 2.0)),
+            abs=1e-12)
         assert result.unconditioned.kept_count == n
 
 
@@ -739,8 +763,8 @@ def test_acquire_keeps_the_batch_path_rows(n):
     ref = _batch_path(cfg)
     kept = ref["selected"].kept_indices
     (acquired,) = acquire([cfg], workers=2, unconditioned=True)
-    assert np.array_equal(acquired.selection.kept_indices, kept)
-    assert acquired.selection.total == n
+    assert len(acquired.kept) == kept.size
+    assert acquired.n == n
     assert np.array_equal(acquired.kept, ref["batch"].data[kept][:, [1, 3]])
     _assert_same_histogram(acquired.histogram, ref["unconditioned_histogram"])
     assert np.array_equal(acquired.scatter, ref["unconditioned_scatter"])
@@ -810,6 +834,22 @@ def test_cli_fock_error_paths(tmp_path, capsys):
     extra.write_text(json.dumps({"p1": [[1.0]], "p2": [[1.0]], "p3": [[1.0]]}))
     assert main(["fock", "--config", str(extra)]) == 2
     assert "p3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, content", [
+    ("run", b'\xff\xfe{"seed": 1}'),
+    ("fock", b'\xff\xfe{"p1": [[1.0]], "p2": [[1.0]]}'),
+    ("fock", b'{"p1": "abc", "p2": [[1.0]]}'),
+    ("fock", b'{"p1": [[0.5, 0.5], [0.0]], "p2": [[1.0]]}'),
+    ("fock", b'{"p1": [[1.0]], "p2": {"n": 1}}'),
+], ids=["run-not-utf8", "fock-not-utf8", "fock-string", "fock-ragged", "fock-object"])
+def test_cli_unreadable_input_file_exit_code(tmp_path, capsys, command, content):
+    # bad bytes or values in an input file are a configuration error (2),
+    # not a crash that exits like a selftest disagreement (1)
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_fock_writes_file(tmp_path, capsys):
