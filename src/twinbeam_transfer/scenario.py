@@ -38,9 +38,10 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -98,16 +99,20 @@ ENGINES = ("direct", "chain")
 # (i1, i2) row, their concatenation, and the checks and differences of the
 # estimate. Peak RSS of a run that keeps every event grows by about 47 B
 # per event (2M to 8M events, one worker), of a 2-row sweep by about 44 B
-# per row and event; rounded up.
+# per row and event; rounded up. A run's unconditioned scatter is charged
+# the same per scatter_points row: its chunks' rows, their concatenation
+# and the subsample positions. Peak RSS of run --out over 1M events grows
+# by about 37 B per row from 20k to 1M scatter rows.
 _BYTES_PER_KEPT = 64
 
 # Peak memory per worker thread for the chunk it draws, gates and reduces:
 # its 3.6 MiB scratch (a 128 KiB piece of the normal draw, the (4, 65536)
-# columns and three channel buffers), and the temporaries of the finiteness
-# check, the moments and the histogram counts. Peak RSS of a 16M-event run
-# at a window that keeps almost nothing grows by 9.2 MB with 1 worker,
-# 14.1 MB with 2 and 18.9 MB with 3, whatever the record length (a 10-row
-# sweep: 6.1, 10.3 and 14.3 MB); rounded up.
+# columns and three channel buffers, which a run's moments and histogram
+# counts reuse), and the temporary of the finiteness check. Peak RSS of a
+# 16M-event run at a window that keeps almost nothing grows by 5.7 MB with
+# 1 worker, 9.8 MB with 2 and 13.9 MB with 3 over the imported package,
+# whatever the record length (a 10-row acquisition: 5.4, 9.8 and 13.9 MB);
+# rounded up.
 _BYTES_PER_CHUNK = 12 << 20
 
 # Peak memory of the chain engine's stream, whatever the record length:
@@ -121,6 +126,9 @@ _BYTES_PER_CHAIN_STREAM = 80 << 20
 
 # chunk results in flight (drawn or waiting to be merged) per worker
 _CHUNKS_PER_WORKER = 2
+
+# rows of a numeric output table formatted per write (_write_table)
+_TABLE_SLICE = 4096
 
 # the selftest gate: a case passes when its conditioned noise is within
 # _SELFTEST_DB_SIGMA standard errors of the oracle and its kept count within
@@ -289,12 +297,14 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
 
     Either engine holds the kept rows, ``probability`` times n of them, and
     _BYTES_PER_CHUNK for each worker that has a chunk to reduce; with
-    ``scatter`` (a run) also the unconditioned scatter subsample, and on the
-    chain engine the stream's fixed _BYTES_PER_CHAIN_STREAM. Nothing of
-    record length is held. ``probability`` is the acceptance probability
-    summed over the acquisitions held at once: every row of a sweep, or the
-    largest selftest case, as the cases run one at a time. Raises
-    ValidationError, rather than let the process be killed part way.
+    ``scatter`` (a run) also the unconditioned scatter subsample, at
+    _BYTES_PER_KEPT a row (about 37 B a row measured; the files are written
+    a slice of rows at a time), and on the chain engine the stream's fixed
+    _BYTES_PER_CHAIN_STREAM. Nothing of record length is held.
+    ``probability`` is the acceptance probability summed over the
+    acquisitions held at once: every row of a sweep, or the largest selftest
+    case, as the cases run one at a time. Raises ValidationError, rather
+    than let the process be killed part way.
     """
     n = cfg.n_points
     per_point = probability * _BYTES_PER_KEPT
@@ -484,8 +494,12 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
             difference = np.subtract(idler1, idler2, out=scratch)
             low, high = np.searchsorted(picks, (start, start + m))
             picked = picks[low:high] - start
-            parts.append((rows, Moments.of(difference), _bin_counts(difference, _BIN_WIDTH_DELTA),
-                          np.column_stack((idler1[picked], idler2[picked]))))
+            # the scatter rows go first: the summary reuses the idler buffers
+            picked_rows = np.column_stack((idler1[picked], idler2[picked]))
+            parts.append((rows, Moments.of(difference, (first, second)),
+                          _bin_counts(difference, _BIN_WIDTH_DELTA,
+                                      (second, first.view(np.int64))),
+                          picked_rows))
         return parts
 
     rows = [[] for _ in cfgs]
@@ -578,13 +592,36 @@ def _comment_lines(cfg: ScenarioConfig) -> list[str]:
     return [f"twinbeam-transfer {__version__}", f"config: {compact}"]
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
+@contextmanager
+def _csv_file(path: Path, comments: list[str], header: Sequence[str]) -> Iterator[TextIO]:
+    """A new CSV file at ``path``, open for its rows after the ``#`` comment
+    lines and the header."""
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        yield fh
+
+
+def _write_table(path: Path, comments: list[str], header: Sequence[str],
+                 columns: Sequence[np.ndarray]) -> None:
+    """A CSV file of the rows of numeric ``columns``, formatted _TABLE_SLICE
+    rows at a time, one write per slice: only one slice's values are ever
+    Python objects.
+
+    csv.writer writes a float or an int as its repr and quotes neither, so
+    the bytes are the ones it would write.
+    """
+    width = len(columns)
+    row = ",".join(["%r"] * width) + "\n"
+    with _csv_file(path, comments, header) as fh:
+        for start in range(0, len(columns[0]), _TABLE_SLICE):
+            parts = [column[start:start + _TABLE_SLICE].tolist() for column in columns]
+            # the slice's values in row order, for one % of the repeated row format
+            values = [None] * (width * len(parts[0]))
+            for j, part in enumerate(parts):
+                values[j::width] = part
+            fh.write(row * len(parts[0]) % tuple(values))
 
 
 def _write_scenario_outputs(result: ScenarioResult, out_dir: Path) -> None:
@@ -594,17 +631,14 @@ def _write_scenario_outputs(result: ScenarioResult, out_dir: Path) -> None:
 
     for name, scatter in (("scatter_conditioned.csv", result.conditioned_scatter),
                           ("scatter_unconditioned.csv", result.unconditioned_scatter)):
-        rows = [(float(a), float(b)) for a, b in scatter]
-        _write_csv(out_dir / name, comments, ["i1", "i2"], rows)
+        _write_table(out_dir / name, comments, ["i1", "i2"], scatter.T)
 
     hist_header = ["bin_left_delta", "bin_right_delta", "count"]
     hist_comments = comments + ["bin edges are in units of delta (coherent-difference sigma)"]
     for name, hist in (("histogram_conditioned.csv", result.conditioned_histogram),
                        ("histogram_unconditioned.csv", result.unconditioned_histogram)):
-        rows = [(float(left), float(right), int(count))
-                for left, right, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:],
-                                              hist.counts)]
-        _write_csv(out_dir / name, hist_comments, hist_header, rows)
+        _write_table(out_dir / name, hist_comments, hist_header,
+                     (hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts))
 
     payload = {
         "version": __version__,
@@ -698,7 +732,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
             f"{cfg.sweep.maximum} in {cfg.sweep.steps} steps ({cfg.sweep.scale})",
             "rows share the seed (common random numbers), so they are correlated; "
             "each row's interval is valid on its own"]
-        _write_csv(out / "sweep.csv", comments, list(SWEEP_COLUMNS), table)
+        # csv.writer, which quotes the error cells as they need
+        with _csv_file(out / "sweep.csv", comments, SWEEP_COLUMNS) as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
     return rows
 
 

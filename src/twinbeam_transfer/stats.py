@@ -124,12 +124,22 @@ def histogram(values, bin_width_delta: float = _BIN_WIDTH_DELTA) -> Histogram:
     return _binned(*_bin_counts(x, w), w)
 
 
-def _bin_counts(x: np.ndarray, w: float) -> tuple[int, np.ndarray]:
-    """(k_min, counts): counts[j] events fall in the bin centred on (k_min + j)*w."""
+def _bin_counts(x: np.ndarray, w: float,
+                scratch: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[int, np.ndarray]:
+    """(k_min, counts): counts[j] events fall in the bin centred on (k_min + j)*w.
+
+    ``scratch`` is a float64 and an int64 buffer of x's length, apart from
+    x and from each other; they are allocated when not given.
+    """
+    t, k = scratch if scratch is not None else (np.empty(x.size), np.empty(x.size, np.int64))
     # bin index k holds the bin centered at k*w (in delta units)
-    k = np.floor(x / COHERENT_DELTA / w + 0.5).astype(np.int64)
+    np.divide(x, COHERENT_DELTA, out=t)
+    np.divide(t, w, out=t)
+    np.add(t, 0.5, out=t)
+    np.floor(t, out=t)
+    np.copyto(k, t, casting="unsafe")
     k_min = int(k.min())
-    return k_min, np.bincount(k - k_min)
+    return k_min, np.bincount(np.subtract(k, k_min, out=k))
 
 
 def _merge_counts(a: tuple[int, np.ndarray],
@@ -187,14 +197,21 @@ class Moments(NamedTuple):
     m4: float
 
     @classmethod
-    def of(cls, values) -> "Moments":
-        """Two-pass moments of a nonempty 1-d array."""
+    def of(cls, values, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> "Moments":
+        """Two-pass moments of a nonempty 1-d array.
+
+        ``scratch`` is two float64 buffers of the array's length, apart from
+        it and from each other; they are allocated when not given.
+        """
         x = np.asarray(values, dtype=np.float64)
+        dev, sq = scratch if scratch is not None else np.empty((2, x.size))
         mean = float(x.mean())
-        dev = x - mean
-        sq = dev * dev
-        return cls(x.size, mean, float(sq.sum()), float((sq * dev).sum()),
-                   float((sq * sq).sum()))
+        np.subtract(x, mean, out=dev)
+        np.multiply(dev, dev, out=sq)
+        m2 = float(sq.sum())
+        # dev is spent once it has made sq * dev
+        m3 = float(np.multiply(sq, dev, out=dev).sum())
+        return cls(x.size, mean, m2, m3, float(np.multiply(sq, sq, out=dev).sum()))
 
     def merge(self, other: "Moments") -> "Moments":
         """The moments of the union of the two sets."""

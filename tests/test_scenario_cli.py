@@ -214,6 +214,38 @@ def test_run_scenario_writes_stable_files(tmp_path):
     assert len(rows) == 1000
 
 
+# awkward values for the table writer: signed zero, the smallest subnormal,
+# repr switching to exponent form, the largest double, integer-valued floats
+_AWKWARD_FLOATS = [-0.0, 5e-324, 1e-05, 1e+16, 1.7976931348623157e+308, 0.0, -2.5, 0.1]
+_AWKWARD_INTS = [0, 2 ** 63 - 1, -(2 ** 63), 7, 1]
+
+
+@pytest.mark.parametrize("n_rows", [3, 4, 5, 9])
+def test_write_table_bytes_match_csv_writer(tmp_path, monkeypatch, n_rows):
+    # a slice of 4 rows: one row short of a slice, exactly one, one past it,
+    # and two slices and a row; the reference is csv.writer over Python
+    # float and int rows
+    monkeypatch.setattr(scenario, "_TABLE_SLICE", 4)
+    comments = ["twinbeam-transfer test", "config: {}"]
+    floats = len(_AWKWARD_FLOATS)
+    pairs = np.array([[_AWKWARD_FLOATS[r % floats], _AWKWARD_FLOATS[(r + 3) % floats]]
+                      for r in range(n_rows)])
+    counts = np.array([_AWKWARD_INTS[r % len(_AWKWARD_INTS)] for r in range(n_rows)],
+                      dtype=np.int64)
+    tables = [(["i1", "i2"], pairs.T, [(float(a), float(b)) for a, b in pairs]),
+              (["left", "right", "count"], (pairs[:, 0], pairs[:, 1], counts),
+               [(float(a), float(b), int(c)) for (a, b), c in zip(pairs, counts)])]
+    for header, columns, rows in tables:
+        scenario._write_table(tmp_path / "table.csv", comments, header, columns)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            fh.writelines(f"# {line}\n" for line in comments)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert ((tmp_path / "table.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+
+
 # ----------------------------------------------------------------- run_sweep
 
 def test_run_sweep_requires_axis():
@@ -687,6 +719,39 @@ def test_run_and_sweep_memory_flat_in_n(command):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_run_scatter_memory_per_row_within_its_charge(tmp_path):
+    # the memory check charges _BYTES_PER_KEPT per scatter_points row: the
+    # peak RSS of run --out over 1M events, in a fresh interpreter, rises by
+    # less than that per row from 20k to 1M scatter rows (about 37 B; a list
+    # of Python float tuples took about 150 B). RSS noise is about 1 MB,
+    # against the 26 MB between that rise and the charge
+    script = textwrap.dedent("""
+        import io, resource, sys
+        from contextlib import redirect_stdout
+        from twinbeam_transfer.cli import main
+        with redirect_stdout(io.StringIO()):
+            code = main(sys.argv[1:])
+        assert code == 0, code
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+    src = str(Path(twinbeam_transfer.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    peaks = {}
+    for scatter in (20_000, 1_000_000):
+        config = tmp_path / f"{scatter}.json"
+        config.write_text(json.dumps({"scatter_points": scatter}))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(config),
+             "--points", "1000000", "--seed", "3", "--out", str(tmp_path / str(scatter))],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        peaks[scatter] = int(result.stdout.split()[-1]) * 1024
+    per_row = (peaks[1_000_000] - peaks[20_000]) / (1_000_000 - 20_000)
+    assert per_row <= scenario._BYTES_PER_KEPT, per_row
 
 
 def _old_subsample(indices, count, seed):

@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from twinbeam_transfer.errors import EstimationError, ValidationError
 from twinbeam_transfer.model import (
+    _SAMPLE_CHUNK,
     COHERENT_DELTA,
     SHOT_DIFFERENCE_VARIANCE,
     build_covariance,
@@ -20,6 +21,7 @@ from twinbeam_transfer.stats import (
     Moments,
     TransferReport,
     _as_clean_1d,
+    _bin_counts,
     _check_level,
     histogram,
     variance_db,
@@ -314,3 +316,39 @@ def test_moments_estimate_needs_30_values():
     assert Moments.of(x).estimate(SHOT_DIFFERENCE_VARIANCE, 0.68) == pytest.approx(
         (variance_db(x, SHOT_DIFFERENCE_VARIANCE),
          *variance_interval(x, SHOT_DIFFERENCE_VARIANCE)), rel=1e-13)
+
+
+def _two_pass_moments(x):
+    # the formulas with fresh temporaries, as Moments.of computed them
+    # before it took buffers
+    mean = float(x.mean())
+    dev = x - mean
+    sq = dev * dev
+    return Moments(x.size, mean, float(sq.sum()), float((sq * dev).sum()),
+                   float((sq * sq).sum()))
+
+
+def _fresh_bin_counts(x, w):
+    k = np.floor(x / COHERENT_DELTA / w + 0.5).astype(np.int64)
+    return int(k.min()), np.bincount(k - k.min())
+
+
+def test_moments_and_bin_counts_in_given_buffers_match_allocating_path():
+    # the run's reducer hands both its reused idler buffers, sliced to the
+    # chunk (one as an int64 view for the bin indices); a full chunk, a short
+    # last chunk and random lengths down to 30 give the same bits as the
+    # allocating path and the formulas with fresh temporaries, and the
+    # values are left as they were
+    rng = np.random.default_rng(29)
+    buffers = np.empty((2, _SAMPLE_CHUNK))
+    lengths = [_SAMPLE_CHUNK, 30, *rng.integers(30, _SAMPLE_CHUNK, size=8, endpoint=True)]
+    for m in lengths:
+        x = rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 20.0), size=m) * COHERENT_DELTA
+        kept = x.copy()
+        first, second = buffers[:, :m]
+        assert Moments.of(x, (first, second)) == Moments.of(x) == _two_pass_moments(x)
+        reference_min, reference = _fresh_bin_counts(x, 0.1)
+        for k_min, counts in (_bin_counts(x, 0.1, (second, first.view(np.int64))),
+                              _bin_counts(x, 0.1)):
+            assert k_min == reference_min and np.array_equal(counts, reference)
+        assert np.array_equal(x, kept)
