@@ -8,9 +8,7 @@ error, 1 selftest disagreement.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -26,13 +24,15 @@ from .errors import (
 )
 from .oracle import JointFockDistribution, fock_transfer
 from .scenario import (
-    SWEEP_COLUMNS,
     ScenarioConfig,
+    _read_json,
+    _reject_unknown,
     load_config,
     run_scenario,
     run_selftest,
     run_sweep,
     selftest_false_alarm_rate,
+    write_sweep_table,
 )
 
 EXIT_OK = 0
@@ -128,12 +128,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_scenario(args)
     rows = run_sweep(cfg, out_dir=args.out, workers=args.workers)
     if args.out is None:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([row[c] for c in SWEEP_COLUMNS])
-        sys.stdout.write(buffer.getvalue())
+        write_sweep_table(rows, sys.stdout)
     else:
         failed = sum(1 for row in rows if row["error"])
         print(f"wrote sweep.csv ({len(rows)} rows, {failed} failed) to {args.out}")
@@ -141,15 +136,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _load_fock_input(path: Path) -> tuple[JointFockDistribution, JointFockDistribution]:
-    try:
-        data = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValidationError(f"{path} must hold an object with keys 'p1' and 'p2'")
-    unknown = sorted(set(data) - {"p1", "p2"})
-    if unknown:
-        raise ValidationError(f"unknown key(s) {unknown} in {path}; expected 'p1', 'p2'")
+    _reject_unknown(data, ("p1", "p2"), str(path))
     if "p1" not in data or "p2" not in data:
         raise ValidationError(f"{path} must supply both 'p1' and 'p2'")
     try:

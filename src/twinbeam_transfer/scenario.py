@@ -13,8 +13,8 @@ each chunk in a worker thread, the chain engine's stream (dsp_chain.stream)
 hands its chunks over as it demodulates them, and each chunk is gated and
 only its kept rows are kept, so memory follows the kept count, not the
 record length, on either engine. The unconditioned statistics a run
-reports are merged from per-chunk moments, histogram counts and scatter
-rows.
+reports are merged from per-chunk moments and histogram counts, and
+their scatter rows are written in place.
 
 A sweep acquires all its rows together at the sweep's seed. On the direct
 engine each chunk is drawn once, and every row computes its own channels
@@ -38,7 +38,6 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -49,6 +48,7 @@ from . import __version__
 from .dsp_chain import SignalChainConfig, stream
 from .errors import (
     ConfigurationError,
+    EmptySelectionError,
     InsufficientStatisticsError,
     TwinBeamError,
     ValidationError,
@@ -100,9 +100,9 @@ ENGINES = ("direct", "chain")
 # estimate. Peak RSS of a run that keeps every event grows by about 47 B
 # per event (2M to 8M events, one worker), of a 2-row sweep by about 44 B
 # per row and event; rounded up. A run's unconditioned scatter is charged
-# the same per scatter_points row: its chunks' rows, their concatenation
-# and the subsample positions. Peak RSS of run --out over 1M events grows
-# by about 37 B per row from 20k to 1M scatter rows.
+# the same per scatter_points row: the (i1, i2) array the workers fill in
+# place and the subsample positions, 24 B. Peak RSS of run --out over 1M
+# events grows by about 24 B per row from 20k to 1M scatter rows.
 _BYTES_PER_KEPT = 64
 
 # Peak memory per worker thread for the chunk it draws, gates and reduces:
@@ -262,13 +262,17 @@ class ScenarioConfig:
                                 self.setting)
 
 
+def _read_json(path) -> Any:
+    """The JSON value in the input file at ``path``, which must be UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_config(path) -> ScenarioConfig:
     """Parse a JSON config file into a ScenarioConfig, strictly."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-    return ScenarioConfig.from_dict(data)
+    return ScenarioConfig.from_dict(_read_json(path))
 
 
 def _available_memory_bytes() -> int | None:
@@ -292,26 +296,25 @@ def _available_memory_bytes() -> int | None:
 
 
 def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
-                  scatter: bool = False) -> None:
+                  scatter: int = 0) -> None:
     """Refuse, before any work starts, an acquisition that would not fit in memory.
 
-    Either engine holds the kept rows, ``probability`` times n of them, and
-    _BYTES_PER_CHUNK for each worker that has a chunk to reduce; with
-    ``scatter`` (a run) also the unconditioned scatter subsample, at
-    _BYTES_PER_KEPT a row (about 37 B a row measured; the files are written
-    a slice of rows at a time), and on the chain engine the stream's fixed
-    _BYTES_PER_CHAIN_STREAM. Nothing of record length is held.
-    ``probability`` is the acceptance probability summed over the
-    acquisitions held at once: every row of a sweep, or the largest selftest
-    case, as the cases run one at a time. Raises ValidationError, rather
-    than let the process be killed part way.
+    acquire's check, made before it draws or streams anything. Either
+    engine holds the kept rows, ``probability`` times n of them, and
+    _BYTES_PER_CHUNK for each worker that has a chunk to reduce; with the
+    unconditioned summary also ``scatter`` scatter subsamples (one per
+    config), at _BYTES_PER_KEPT a row (about 24 B a row measured; the files
+    are written a slice of rows at a time), and on the chain engine the
+    stream's fixed _BYTES_PER_CHAIN_STREAM. Nothing of record length is
+    held. ``probability`` is the acceptance probability summed over the
+    configs acquired together, whose kept rows are held at once. Raises
+    ValidationError, rather than let the process be killed part way.
     """
     n = cfg.n_points
     per_point = probability * _BYTES_PER_KEPT
     threads = min(workers, -(-n // _SAMPLE_CHUNK))
     fixed = threads * _BYTES_PER_CHUNK
-    if scatter:
-        fixed += min(n, cfg.scatter_points) * _BYTES_PER_KEPT
+    fixed += scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
     if cfg.engine == "chain":
         fixed += _BYTES_PER_CHAIN_STREAM
     needed = fixed + n * per_point
@@ -391,6 +394,8 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     covariance and signal chain read one stream, one after another
     otherwise. ``workers`` threads reduce chunks in parallel and the parts
     are merged in chunk order, so the result is the same for any count.
+    Refuses, before it draws or streams anything, what would not fit in
+    memory (_check_memory): every config's kept rows and scatter at once.
     """
     cfgs = tuple(cfgs)
     workers = _require_int("workers", workers, 1)
@@ -399,6 +404,8 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     if len({(c.engine, c.n_points, c.seed) for c in cfgs}) > 1:
         raise ValidationError("configs acquired together must share engine, "
                               "n_points and seed")
+    _check_memory(cfgs[0], sum(c.predict().selection_probability for c in cfgs), workers,
+                  scatter=len(cfgs) if unconditioned else 0)
     if cfgs[0].engine == "chain":
         return _acquire_chain(cfgs, workers, unconditioned)
     n, seed = cfgs[0].n_points, cfgs[0].seed
@@ -457,12 +464,14 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
     ``terms[r][k]``. Per chunk and config, s1 and s2 are computed for every
     event and gated, and i1 and i2 for the kept events. With
     ``unconditioned``, i1 and i2 are also computed for every event and
-    reduced to the chunk's moments, histogram counts and scatter rows.
+    reduced to the chunk's moments and histogram counts, and the chunk's
+    scatter rows are written in place into the config's one scatter array.
     """
     n, seed = cfgs[0].n_points, cfgs[0].seed
     picks = (_subsample(n, cfgs[0].scatter_points,
                         derived_seed(seed, _SCATTER_TAG_UNCONDITIONED))
              if unconditioned else None)
+    scatter = [np.empty((len(picks), 2)) if unconditioned else None for _ in cfgs]
     # one reused scratch per thread: fresh arrays per chunk cost 128 page
     # faults per 512 KiB once glibc returns the freed pages
     local = threading.local()
@@ -479,7 +488,7 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
             raise ValidationError("sample data contains non-finite values")
         first, second, scratch = channels[:, :m]
         parts = []
-        for cfg, (s1_terms, i1_terms, s2_terms, i2_terms) in zip(cfgs, terms):
+        for cfg, (s1_terms, i1_terms, s2_terms, i2_terms), out in zip(cfgs, terms, scatter):
             kept = in_window(_combine(z, s1_terms, first, scratch),
                              _combine(z, s2_terms, second, scratch), cfg.selection, scratch)
             kept_z = z[:, kept]
@@ -495,43 +504,32 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
             low, high = np.searchsorted(picks, (start, start + m))
             picked = picks[low:high] - start
             # the scatter rows go first: the summary reuses the idler buffers
-            picked_rows = np.column_stack((idler1[picked], idler2[picked]))
+            out[low:high, 0] = idler1[picked]
+            out[low:high, 1] = idler2[picked]
             parts.append((rows, Moments.of(difference, (first, second)),
                           _bin_counts(difference, _BIN_WIDTH_DELTA,
-                                      (second, first.view(np.int64))),
-                          picked_rows))
+                                      (second, first.view(np.int64)))))
         return parts
 
     rows = [[] for _ in cfgs]
-    scatter = [[] for _ in cfgs]
     moments = [None] * len(cfgs)
     counts = [None] * len(cfgs)
     for parts in _in_order(reduce, items, workers):
         for r, (kept_rows, *summary) in enumerate(parts):
             rows[r].append(kept_rows)
             if summary:
-                part_moments, part_counts, part_scatter = summary
+                part_moments, part_counts = summary
                 moments[r] = part_moments if moments[r] is None else moments[r].merge(part_moments)
                 counts[r] = part_counts if counts[r] is None else _merge_counts(counts[r],
                                                                                 part_counts)
-                scatter[r].append(part_scatter)
     return [Acquisition(
         kept=np.concatenate(rows[r]),
         n=n,
         seed=seed,
         moments=moments[r],
         histogram=_binned(*counts[r], _BIN_WIDTH_DELTA) if unconditioned else None,
-        scatter=np.concatenate(scatter[r]) if unconditioned else None,
+        scatter=scatter[r],
     ) for r in range(len(cfgs))]
-
-
-def _acquire_one(cfg: ScenarioConfig, workers: int = 1,
-                 unconditioned: bool = False) -> Acquisition:
-    """acquire for one config; raises the error that stopped it."""
-    (acquired,) = acquire([cfg], workers, unconditioned)
-    if isinstance(acquired, TwinBeamError):
-        raise acquired
-    return acquired
 
 
 class ScenarioResult(NamedTuple):
@@ -563,11 +561,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
 
     When out_dir is given, also writes scatter, histogram, and report files
     there (see _write_scenario_outputs for the exact set). Refuses, with a
-    ValidationError, a run that would not fit in available memory.
+    ValidationError, a run that would not fit in available memory (acquire).
     """
     prediction = cfg.predict()
-    _check_memory(cfg, prediction.selection_probability, workers, scatter=True)
-    acquired = _acquire_one(cfg, workers=workers, unconditioned=True)
+    (acquired,) = acquire([cfg], workers, unconditioned=True)
+    if isinstance(acquired, TwinBeamError):
+        raise acquired
     conditioned = acquired.conditioned(cfg.selection)
     picks = _subsample(len(acquired.kept), cfg.scatter_points,
                        derived_seed(cfg.seed, _SCATTER_TAG_CONDITIONED))
@@ -592,15 +591,12 @@ def _comment_lines(cfg: ScenarioConfig) -> list[str]:
     return [f"twinbeam-transfer {__version__}", f"config: {compact}"]
 
 
-@contextmanager
-def _csv_file(path: Path, comments: list[str], header: Sequence[str]) -> Iterator[TextIO]:
-    """A new CSV file at ``path``, open for its rows after the ``#`` comment
-    lines and the header."""
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        yield fh
+def _csv_head(fh: TextIO, comments: Sequence[str], header: Sequence[str]):
+    """Write ``#`` comment lines and a header to ``fh``; the csv.writer for the rows."""
+    fh.writelines(f"# {line}\n" for line in comments)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return writer
 
 
 def _write_table(path: Path, comments: list[str], header: Sequence[str],
@@ -614,7 +610,8 @@ def _write_table(path: Path, comments: list[str], header: Sequence[str],
     """
     width = len(columns)
     row = ",".join(["%r"] * width) + "\n"
-    with _csv_file(path, comments, header) as fh:
+    with open(path, "w", newline="") as fh:
+        _csv_head(fh, comments, header)
         for start in range(0, len(columns[0]), _TABLE_SLICE):
             parts = [column[start:start + _TABLE_SLICE].tolist() for column in columns]
             # the slice's values in row order, for one % of the repeated row format
@@ -664,6 +661,14 @@ SWEEP_COLUMNS = (
 )
 
 
+def write_sweep_table(rows: Sequence[dict[str, Any]], fh: TextIO,
+                      comments: Sequence[str] = ()) -> None:
+    """run_sweep's ``rows`` as sweep.csv holds them, after the ``#`` comment
+    lines and the header; csv.writer quotes the error cells as they need."""
+    _csv_head(fh, comments, SWEEP_COLUMNS).writerows(
+        [row[c] for c in SWEEP_COLUMNS] for row in rows)
+
+
 def _apply_axis(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
     if parameter == "bandwidth_delta":
         selection = dataclasses.replace(cfg.selection, bandwidth_delta=value)
@@ -684,9 +689,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
     what acquire gives for that row's config alone, and the rows are
     correlated, while each row's interval is valid on its own. The table is
     identical for any worker count. When out_dir is given, writes sweep.csv
-    there. Refuses, with a ValidationError and before any row runs, a sweep
-    whose rows would not fit in available memory: the kept rows of all
-    rows, which are held at once.
+    there (write_sweep_table). Refuses, with a ValidationError and before
+    any row runs, a sweep whose rows would not fit in available memory: the
+    kept rows of all rows, which acquire holds at once.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
@@ -706,7 +711,6 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
         row.update(oracle_transferred_db=prediction.transferred_db,
                    oracle_probability=prediction.selection_probability)
         built.append((row, row_cfg))
-    _check_memory(cfg, sum(row["oracle_probability"] for row, _ in built), workers)
     for (row, row_cfg), acquired in zip(built, acquire([c for _, c in built], workers)):
         try:
             if isinstance(acquired, TwinBeamError):
@@ -726,15 +730,13 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        table = [[row[c] for c in SWEEP_COLUMNS] for row in rows]
         comments = _comment_lines(cfg) + [
             f"sweep: {cfg.sweep.parameter} from {cfg.sweep.minimum} to "
             f"{cfg.sweep.maximum} in {cfg.sweep.steps} steps ({cfg.sweep.scale})",
             "rows share the seed (common random numbers), so they are correlated; "
             "each row's interval is valid on its own"]
-        # csv.writer, which quotes the error cells as they need
-        with _csv_file(out / "sweep.csv", comments, SWEEP_COLUMNS) as fh:
-            csv.writer(fh, lineterminator="\n").writerows(table)
+        with open(out / "sweep.csv", "w", newline="") as fh:
+            write_sweep_table(rows, fh, comments)
     return rows
 
 
@@ -757,11 +759,14 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
     (log-uniform), then requires the measured conditional noise to match the
     prediction within 3 standard errors of the moment-based (delta-method)
     interval and the kept count to match the predicted probability within 4
-    binomial sigma.
+    binomial sigma. A case that keeps fewer than its 30-event minimum has
+    NaN mc_db and se_db, and only its count is checked. The cases run
+    largest acceptance first, so the first is the one acquire's memory
+    check refuses; the results are in case order.
 
     False-alarm rate (selftest_false_alarm_rate): the default 8 cases fail
     for about 2.2% of seeds of a correct program (5 of 300 seeds measured at
-    points=200000).
+    points=200000); an upper bound for a run with a case checked by count alone.
     """
     cases = _require_int("cases", cases, 1)
     base = ScenarioConfig(n_points=points, seed=seed)
@@ -777,27 +782,30 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
             base, pair1=pair, pair2=pair, seed=derived_seed(seed, index),
             selection=SelectionConfig(bandwidth_delta=delta_i, min_kept=30))
         drawn.append((index, squeezing, v_plus, delta_i, case, case.predict()))
-    _check_memory(base, max(d[-1].selection_probability for d in drawn))
+    drawn.sort(key=lambda d: -d[-1].selection_probability)
     results = []
     for index, squeezing, v_plus, delta_i, case, prediction in drawn:
-        report = _acquire_one(case).conditioned(case.selection)
-        se = max((report.ci_high_db - report.ci_low_db) / 2.0, 1e-9)
-        db_gap = abs(report.squeezing_db - prediction.transferred_db)
+        (acquired,) = acquire([case])
+        try:
+            report = acquired.conditioned(case.selection)
+            mc, se = report.squeezing_db, max((report.ci_high_db - report.ci_low_db) / 2.0, 1e-9)
+        except (InsufficientStatisticsError, EmptySelectionError):
+            mc = se = math.nan  # no noise estimate: only the count is checked
+        db_ok = math.isnan(mc) or abs(mc - prediction.transferred_db) <= _SELFTEST_DB_SIGMA * se
         p = prediction.selection_probability
         count_sigma = math.sqrt(points * p * (1.0 - p)) if p < 1.0 else 1.0
-        count_gap = abs(report.kept_count - points * p)
-        ok = bool(db_gap <= _SELFTEST_DB_SIGMA * se
-                  and count_gap <= _SELFTEST_COUNT_SIGMA * count_sigma)
+        count_gap = abs(len(acquired.kept) - points * p)
+        ok = bool(db_ok and count_gap <= _SELFTEST_COUNT_SIGMA * count_sigma)
         results.append({
             "case": index,
             "squeezing_db": squeezing,
             "v_plus": v_plus,
             "bandwidth_delta": delta_i,
-            "mc_db": report.squeezing_db,
+            "mc_db": mc,
             "oracle_db": prediction.transferred_db,
             "se_db": se,
-            "kept_count": report.kept_count,
+            "kept_count": len(acquired.kept),
             "expected_count": points * p,
             "ok": ok,
         })
-    return results
+    return sorted(results, key=lambda row: row["case"])

@@ -593,6 +593,38 @@ def test_cli_selftest_beyond_free_memory_exit_code(monkeypatch, capsys):
     assert int(err.rsplit(" ", 1)[1]) < 1000
 
 
+@pytest.mark.parametrize("engine, generator", [("direct", "_draw_chunk"),
+                                               ("chain", "stream")])
+def test_acquire_refuses_beyond_free_memory_before_any_draw(monkeypatch, engine, generator):
+    # acquire itself makes the memory check, so a direct call is refused too,
+    # before the engine draws a chunk or starts a stream
+    def never(*args, **kwargs):
+        raise AssertionError(f"{generator} called before the memory check")
+
+    monkeypatch.setattr(scenario, generator, never)
+    monkeypatch.setattr(scenario, "_available_memory_bytes",
+                        lambda: _room(100 * scenario._BYTES_PER_KEPT, engine=engine))
+    cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
+    for unconditioned in (False, True):
+        with pytest.raises(ValidationError, match="memory"):
+            acquire([cfg], unconditioned=unconditioned)
+
+
+def test_acquire_charges_each_config_its_kept_rows_and_scatter(monkeypatch):
+    # two configs acquired together hold both their kept rows and, with the
+    # unconditioned summary, one scatter subsample each
+    cfgs = [SMALL, dataclasses.replace(SMALL, selection=SelectionConfig(bandwidth_delta=0.1))]
+    kept_bytes = math.ceil(SMALL.n_points * scenario._BYTES_PER_KEPT
+                           * sum(c.predict().selection_probability for c in cfgs))
+    room = _room(kept_bytes, scatter=2 * SMALL.scatter_points)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
+    assert [a.scatter.shape for a in acquire(cfgs, unconditioned=True)] == [(20_000, 2)] * 2
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
+    with pytest.raises(ValidationError, match="memory"):
+        acquire(cfgs, unconditioned=True)
+    assert len(acquire(cfgs)) == 2
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
     # chunks of 4096 points, so that a short chain record is many chunks
@@ -721,21 +753,26 @@ def test_run_and_sweep_memory_flat_in_n(command):
     assert peak < 16 * 2 ** 20
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_run_scatter_memory_per_row_within_its_charge(tmp_path):
     # the memory check charges _BYTES_PER_KEPT per scatter_points row: the
     # peak RSS of run --out over 1M events, in a fresh interpreter, rises by
-    # less than that per row from 20k to 1M scatter rows (about 37 B; a list
-    # of Python float tuples took about 150 B). RSS noise is about 1 MB,
-    # against the 26 MB between that rise and the charge
+    # less than that per row from 20k to 1M scatter rows, and by at most
+    # 32 B: the scatter array the workers fill in place and the subsample
+    # positions are 24 B a row (per-chunk parts and their concatenation
+    # took about 37 B; a list of Python float tuples about 150 B). RSS noise
+    # is about 1 MB, against the 8 MB between 32 B a row and 24 B. The peak
+    # is VmHWM, the child's own: Linux carries ru_maxrss across exec, so it
+    # would start at this process's peak and hide the rise of a short run
     script = textwrap.dedent("""
-        import io, resource, sys
+        import io, sys
         from contextlib import redirect_stdout
         from twinbeam_transfer.cli import main
         with redirect_stdout(io.StringIO()):
             code = main(sys.argv[1:])
         assert code == 0, code
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        with open("/proc/self/status") as fh:
+            print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
         """)
     src = str(Path(twinbeam_transfer.__file__).parents[1])
     env = {**os.environ,
@@ -751,7 +788,24 @@ def test_run_scatter_memory_per_row_within_its_charge(tmp_path):
         assert result.returncode == 0, result.stderr[-2000:]
         peaks[scatter] = int(result.stdout.split()[-1]) * 1024
     per_row = (peaks[1_000_000] - peaks[20_000]) / (1_000_000 - 20_000)
-    assert per_row <= scenario._BYTES_PER_KEPT, per_row
+    assert per_row <= min(scenario._BYTES_PER_KEPT, 32), per_row
+
+
+def test_scatter_written_in_place_under_thread_switching():
+    # the worker threads write their chunks' scatter rows into one shared
+    # array: with more workers than cores and a thread switch every
+    # microsecond, all 21 chunks' rows still land where one worker puts them
+    cfg = ScenarioConfig(n_points=20 * 65_536 + 7, seed=31, scatter_points=10 ** 7)
+    (reference,) = acquire([cfg], workers=1, unconditioned=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        (acquired,) = acquire([cfg], workers=5, unconditioned=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert acquired.scatter.shape == (cfg.n_points, 2)
+    assert np.array_equal(acquired.scatter, reference.scatter)
+    assert np.array_equal(acquired.kept, reference.kept)
 
 
 def _old_subsample(indices, count, seed):
@@ -956,6 +1010,52 @@ def test_cli_selftest_states_false_alarm_rate(monkeypatch, capsys):
     assert main(["selftest", "--points", "60000", "--cases", "3"]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "selftest FAIL (1 of 3 cases; false-alarm rate 0.83%)"
+
+
+def test_cli_selftest_reports_a_short_case(monkeypatch, capsys):
+    # seed 32 at 100k points draws a case that expects 18.8 kept events and
+    # keeps 25, fewer than its minimum of 30: it has no noise estimate, is
+    # checked by its count alone, and the run still ends in a verdict
+    assert main(["selftest", "--points", "100000", "--seed", "32"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"case {i}" for i in range(8)]
+    assert lines[-1] == "selftest PASS (8 cases; false-alarm rate 2.2%)"
+    (short,) = [row for row in run_selftest(seed=32, points=100_000)
+                if row["kept_count"] < 30]
+    assert short["kept_count"] == 25 and short["expected_count"] == pytest.approx(18.8, abs=0.05)
+    assert math.isnan(short["mc_db"]) and math.isnan(short["se_db"])
+    assert short["ok"]
+    # an oracle whose probability is off by 4x fails the short case by its
+    # count (4.7 expected, 25 kept) instead of stopping the run
+    real = scenario.predict_transfer
+
+    def wrong(*args, **kwargs):
+        prediction = real(*args, **kwargs)
+        return dataclasses.replace(prediction,
+                                   selection_probability=prediction.selection_probability / 4)
+
+    monkeypatch.setattr(scenario, "predict_transfer", wrong)
+    rows = run_selftest(seed=32, points=100_000)
+    assert [row["case"] for row in rows] == list(range(8))
+    assert not rows[short["case"]]["ok"] and rows[short["case"]]["kept_count"] == 25
+    assert main(["selftest", "--points", "100000", "--seed", "32"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("selftest FAIL")
+
+
+def test_cli_sweep_stdout_is_the_sweep_csv_table(tmp_path, capsys):
+    # stdout and sweep.csv come from one writer: the file is the stdout
+    # table behind its comment lines, error cells quoted alike
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "n_points": 20_000, "seed": 5, "selection": {"bandwidth_delta": 0.01},
+        "sweep": {"parameter": "squeezing_db", "minimum": 3.0, "maximum": 9.0,
+                  "steps": 2}}))
+    assert main(["sweep", "--config", str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert '"InsufficientStatisticsError: ' in stdout
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "sweep.csv").read_text()
+    assert text.endswith(stdout) and text[:-len(stdout)].count("\n# ") == 3
 
 
 def test_cli_selftest_negative_seed_exit_code(capsys):
