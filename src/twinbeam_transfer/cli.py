@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     EmptySelectionError,
@@ -24,6 +22,7 @@ from .errors import (
 )
 from .oracle import JointFockDistribution, fock_transfer
 from .scenario import (
+    ENGINES,
     ScenarioConfig,
     _read_json,
     _reject_unknown,
@@ -66,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
         cmd.add_argument("--points", type=int, default=None,
                          help="override config n_points")
-        cmd.add_argument("--engine", choices=["direct", "chain"], default=None,
+        cmd.add_argument("--engine", choices=ENGINES, default=None,
                          help="override config engine")
         cmd.add_argument("--out", type=Path, default=None,
                          help="directory for output files")
@@ -142,12 +141,7 @@ def _load_fock_input(path: Path) -> tuple[JointFockDistribution, JointFockDistri
     _reject_unknown(data, ("p1", "p2"), str(path))
     if "p1" not in data or "p2" not in data:
         raise ValidationError(f"{path} must supply both 'p1' and 'p2'")
-    try:
-        p1 = np.asarray(data["p1"], dtype=float)
-        p2 = np.asarray(data["p2"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"'p1' and 'p2' in {path} must be numeric matrices: {exc}") from exc
-    return JointFockDistribution(p1), JointFockDistribution(p2)
+    return JointFockDistribution(data["p1"]), JointFockDistribution(data["p2"])
 
 
 def _cmd_fock(args) -> int:

@@ -145,7 +145,10 @@ class JointFockDistribution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
+        try:
+            m = np.array(self.matrix, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"matrix must be a numeric array: {exc}") from exc
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"matrix must be square and nonempty, got {m.shape}")
         if not np.isfinite(m).all() or np.any(m < 0.0):

@@ -40,6 +40,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -68,6 +69,7 @@ from .model import (
 )
 from .oracle import TransferPrediction, predict_transfer
 from .selection import (
+    _INTERVAL_LEVEL,
     SelectionConfig,
     derived_seed,
     in_window,
@@ -76,6 +78,7 @@ from .selection import (
 )
 from .stats import (
     _BIN_WIDTH_DELTA,
+    _MIN_INTERVAL_VALUES,
     Histogram,
     Moments,
     TransferReport,
@@ -94,6 +97,10 @@ SWEEP_PARAMETERS = (
 )
 
 ENGINES = ("direct", "chain")
+
+# the parts of a config that are objects of their own, in JSON and in Python
+_PARTS = (("pair1", TwinPairParams), ("pair2", TwinPairParams),
+          ("selection", SelectionConfig), ("signal_chain", SignalChainConfig))
 
 # Peak memory the direct engine holds per kept event: each chunk's kept
 # (i1, i2) row, their concatenation, and the checks and differences of the
@@ -135,6 +142,9 @@ _TABLE_SLICE = 4096
 # _SELFTEST_COUNT_SIGMA binomial standard deviations of the expected count
 _SELFTEST_DB_SIGMA = 3.0
 _SELFTEST_COUNT_SIGMA = 4.0
+
+# half-width of the reported interval in standard errors, 0.9945
+_INTERVAL_HALF_WIDTH_SE = NormalDist().inv_cdf(0.5 + _INTERVAL_LEVEL / 2.0)
 
 # seed tags for the scatter subsample streams derived from the batch seed
 _SCATTER_TAG_CONDITIONED = 0x5CA0
@@ -193,9 +203,11 @@ class SweepAxis:
             raise ValidationError(f"log-scale sweep requires minimum > 0, got {lo}")
 
     def values(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.minimum, self.maximum, self.steps)
-        return np.linspace(self.minimum, self.maximum, self.steps)
+        space = np.geomspace if self.scale == "log" else np.linspace
+        try:
+            return space(self.minimum, self.maximum, self.steps)
+        except (MemoryError, ValueError) as exc:  # numpy refuses such an array at once
+            raise ValidationError(f"sweep steps {self.steps} are too many: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -214,11 +226,9 @@ class ScenarioConfig:
     scatter_points: int = 20_000
 
     def __post_init__(self):
-        for name, cls in (("pair1", TwinPairParams), ("pair2", TwinPairParams),
-                          ("selection", SelectionConfig),
-                          ("signal_chain", SignalChainConfig)):
-            if not isinstance(getattr(self, name), cls):
-                raise ConfigurationError(f"{name} must be a {cls.__name__}")
+        for name, part in _PARTS:
+            if not isinstance(getattr(self, name), part):
+                raise ConfigurationError(f"{name} must be a {part.__name__}")
         if not isinstance(self.setting, MeasurementSetting):
             raise ConfigurationError("setting must be a MeasurementSetting")
         if self.sweep is not None and not isinstance(self.sweep, SweepAxis):
@@ -233,9 +243,9 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigurationError(f"config must be an object, got {type(data).__name__}")
         kwargs: dict[str, Any] = dict(data)
-        for name in ("pair1", "pair2"):
+        for name, part in _PARTS:
             if name in kwargs:
-                kwargs[name] = _build_strict(TwinPairParams, kwargs[name], name)
+                kwargs[name] = _build_strict(part, kwargs[name], name)
         if "setting" in kwargs:
             try:
                 kwargs["setting"] = MeasurementSetting(kwargs["setting"])
@@ -243,12 +253,6 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"unknown setting {kwargs['setting']!r}; valid settings: "
                     f"{[s.value for s in MeasurementSetting]}") from exc
-        if "selection" in kwargs:
-            kwargs["selection"] = _build_strict(SelectionConfig, kwargs["selection"],
-                                                "selection")
-        if "signal_chain" in kwargs:
-            kwargs["signal_chain"] = _build_strict(SignalChainConfig,
-                                                   kwargs["signal_chain"], "signal_chain")
         if kwargs.get("sweep") is not None:
             kwargs["sweep"] = _build_strict(SweepAxis, kwargs["sweep"], "sweep")
         return _build_strict(cls, kwargs, "config")
@@ -317,7 +321,7 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     fixed += scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
     if cfg.engine == "chain":
         fixed += _BYTES_PER_CHAIN_STREAM
-    needed = fixed + n * per_point
+    needed = fixed + (n * per_point if n < 1e308 else math.inf)  # beyond float, beyond memory
     available = _available_memory_bytes()
     if available is None or needed <= available:
         return
@@ -344,7 +348,6 @@ class Acquisition(NamedTuple):
 
     kept: np.ndarray
     n: int
-    seed: int
     moments: Moments | None = None
     histogram: Histogram | None = None
     scatter: np.ndarray | None = None
@@ -356,7 +359,7 @@ class Acquisition(NamedTuple):
 
     def conditioned(self, cfg: SelectionConfig) -> TransferReport:
         """The conditioned noise report; see selection.kept_statistics."""
-        return kept_statistics(self.differences, self.n, cfg, self.seed)
+        return kept_statistics(self.differences, self.n, cfg)
 
 
 def _in_order(fn, items, workers: int):
@@ -381,10 +384,10 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     """Generate a record chunk by chunk and keep what each config's estimates need.
 
     The one acquisition pipeline behind run, sweep and selftest. ``cfgs``
-    share engine, n_points and seed; the result has one entry per config,
-    its Acquisition, or the TwinBeamError that stopped the chain stream it
-    reads, so one stream's failure leaves the other configs be. A window
-    that keeps no event is reported when its report is made.
+    share engine, n_points, seed and scatter_points; the result has one
+    entry per config, its Acquisition, or the TwinBeamError that stopped the
+    chain stream it reads, so one stream's failure leaves the other configs
+    be. A window that keeps no event is reported when its report is made.
 
     The direct engine draws each chunk of _SAMPLE_CHUNK events once, exactly
     as sample_batch draws it, and every config computes its own channels
@@ -401,9 +404,9 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     workers = _require_int("workers", workers, 1)
     if not cfgs:
         return []
-    if len({(c.engine, c.n_points, c.seed) for c in cfgs}) > 1:
+    if len({(c.engine, c.n_points, c.seed, c.scatter_points) for c in cfgs}) > 1:
         raise ValidationError("configs acquired together must share engine, "
-                              "n_points and seed")
+                              "n_points, seed and scatter_points")
     _check_memory(cfgs[0], sum(c.predict().selection_probability for c in cfgs), workers,
                   scatter=len(cfgs) if unconditioned else 0)
     if cfgs[0].engine == "chain":
@@ -525,7 +528,6 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
     return [Acquisition(
         kept=np.concatenate(rows[r]),
         n=n,
-        seed=seed,
         moments=moments[r],
         histogram=_binned(*counts[r], _BIN_WIDTH_DELTA) if unconditioned else None,
         scatter=scatter[r],
@@ -573,7 +575,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
 
     result = ScenarioResult(
         conditioned=conditioned,
-        unconditioned=moment_statistics(acquired.moments, cfg.seed, cfg.selection),
+        unconditioned=moment_statistics(acquired.moments),
         oracle=prediction,
         conditioned_histogram=histogram(acquired.differences),
         unconditioned_histogram=acquired.histogram,
@@ -780,7 +782,7 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
                               excess_sum_db=10.0 * math.log10(v_plus / 2.0))
         case = dataclasses.replace(
             base, pair1=pair, pair2=pair, seed=derived_seed(seed, index),
-            selection=SelectionConfig(bandwidth_delta=delta_i, min_kept=30))
+            selection=SelectionConfig(bandwidth_delta=delta_i, min_kept=_MIN_INTERVAL_VALUES))
         drawn.append((index, squeezing, v_plus, delta_i, case, case.predict()))
     drawn.sort(key=lambda d: -d[-1].selection_probability)
     results = []
@@ -788,7 +790,8 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
         (acquired,) = acquire([case])
         try:
             report = acquired.conditioned(case.selection)
-            mc, se = report.squeezing_db, max((report.ci_high_db - report.ci_low_db) / 2.0, 1e-9)
+            half = (report.ci_high_db - report.ci_low_db) / 2.0
+            mc, se = report.squeezing_db, max(half / _INTERVAL_HALF_WIDTH_SE, 1e-9)
         except (InsufficientStatisticsError, EmptySelectionError):
             mc = se = math.nan  # no noise estimate: only the count is checked
         db_ok = math.isnan(mc) or abs(mc - prediction.transferred_db) <= _SELFTEST_DB_SIGMA * se

@@ -13,8 +13,7 @@ full-width convention would halve the preparation probability.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .model import (
 )
 from .stats import _MIN_INTERVAL_VALUES, Moments, TransferReport, _as_clean_1d
 
-# two-sided coverage of the reported interval: one standard error
+# two-sided coverage of the reported interval (half-width 0.9945 standard errors)
 _INTERVAL_LEVEL = 0.68
 
 
@@ -109,7 +108,7 @@ def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
     return SelectionResult(kept_indices=kept, total=batch.n)
 
 
-def _report(moments: Moments, probability: float, echo: dict[str, Any]) -> TransferReport:
+def _report(moments: Moments, probability: float) -> TransferReport:
     point, low, high = moments.estimate(SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
     return TransferReport(
         squeezing_db=point,
@@ -117,7 +116,6 @@ def _report(moments: Moments, probability: float, echo: dict[str, Any]) -> Trans
         ci_high_db=high,
         kept_count=moments.n,
         preparation_probability=probability,
-        config_echo=echo,
     )
 
 
@@ -129,11 +127,10 @@ def conditional_statistics(batch: SampleBatch, result: SelectionResult,
     :func:`~twinbeam_transfer.stats.variance_interval`.
     """
     kept = result.kept_indices
-    return kept_statistics(batch.i1[kept] - batch.i2[kept], result.total, cfg, batch.seed)
+    return kept_statistics(batch.i1[kept] - batch.i2[kept], result.total, cfg)
 
 
-def kept_statistics(values: np.ndarray, total: int, cfg: SelectionConfig,
-                    seed: int) -> TransferReport:
+def kept_statistics(values: np.ndarray, total: int, cfg: SelectionConfig) -> TransferReport:
     """:func:`conditional_statistics` from the kept idler differences
     ``values`` of a record of ``total`` events; raises EmptySelectionError
     when none is kept."""
@@ -141,16 +138,13 @@ def kept_statistics(values: np.ndarray, total: int, cfg: SelectionConfig,
     if values.size < cfg.min_kept:
         raise InsufficientStatisticsError(values.size, cfg.min_kept)
     moments = Moments.of(_as_clean_1d(values, _MIN_INTERVAL_VALUES))
-    echo = {"selection": asdict(cfg), "n": total, "seed": seed}
-    return _report(moments, values.size / total, echo)
+    return _report(moments, values.size / total)
 
 
-def moment_statistics(moments: Moments, seed: int, cfg: SelectionConfig) -> TransferReport:
+def moment_statistics(moments: Moments) -> TransferReport:
     """Noise of the idler difference over every event, from its moments.
 
-    ``moments`` summarize i1 - i2 over the whole record. The echo's
-    ``bandwidth_delta`` is null: no selection window applies.
+    ``moments`` summarize i1 - i2 over the whole record; no selection
+    window applies.
     """
-    echo = {"selection": {**asdict(cfg), "bandwidth_delta": None},
-            "n": moments.n, "seed": seed}
-    return _report(moments, 1.0, echo)
+    return _report(moments, 1.0)

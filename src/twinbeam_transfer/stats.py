@@ -11,9 +11,9 @@ record merges chunk by chunk, so it needs no copy of every value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -255,7 +255,6 @@ class TransferReport:
     squeezing_db is the idler-difference noise relative to the SNL over the
     kept events; the moment-based (delta-method) interval of
     :func:`variance_interval` carries the statistical uncertainty.
-    config_echo records the parameters that produced the numbers.
     """
 
     squeezing_db: float
@@ -263,7 +262,6 @@ class TransferReport:
     ci_high_db: float
     kept_count: int
     preparation_probability: float
-    config_echo: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.ci_low_db <= self.squeezing_db <= self.ci_high_db):

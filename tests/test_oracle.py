@@ -277,3 +277,16 @@ def test_fock_distribution_validation():
         JointFockDistribution(np.array([[0.6, -0.1], [0.3, 0.2]]))
     with pytest.raises(ValidationError):
         JointFockDistribution(np.full((2, 2), 0.3))
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.0, "a"], [0.0, 0.0]],
+    [[0.5, 0.5], [0.0]],
+    [[10 ** 400]],
+    {"n": 1},
+], ids=["non-numeric", "ragged", "overflow", "object"])
+def test_fock_distribution_rejects_non_numeric_matrices(matrix):
+    # the one conversion of a fock matrix to floats reports what it cannot
+    # convert as a ValidationError, not a bare ValueError or OverflowError
+    with pytest.raises(ValidationError, match="numeric array"):
+        JointFockDistribution(matrix)

@@ -200,7 +200,9 @@ def test_run_scenario_writes_stable_files(tmp_path):
     assert report["config"]["n_points"] == 50_000
     assert report["unconditioned"]["kept_count"] == 50_000
     assert report["unconditioned"]["preparation_probability"] == 1.0
-    assert report["unconditioned"]["config_echo"]["selection"]["bandwidth_delta"] is None
+    # the config is kept once, at the top level, not echoed by each report
+    assert "config_echo" not in report["conditioned"]
+    assert "config_echo" not in report["unconditioned"]
     assert report["oracle"]["transferred_db"] == pytest.approx(3.995, abs=0.01)
 
     comments, header, rows = _read_csv(tmp_path / "a" / "histogram_conditioned.csv")
@@ -356,7 +358,8 @@ def test_sweep_rows_match_acquire_of_each_row(axis, workers):
 
 def test_acquire_rejects_configs_that_do_not_share_the_record():
     for other in (dataclasses.replace(SMALL, seed=8), dataclasses.replace(SMALL, n_points=99),
-                  dataclasses.replace(SMALL, engine="chain")):
+                  dataclasses.replace(SMALL, engine="chain"),
+                  dataclasses.replace(SMALL, scatter_points=10)):
         with pytest.raises(ValidationError, match="share"):
             acquire([SMALL, other])
     assert acquire([]) == []
@@ -961,7 +964,9 @@ def test_cli_fock_error_paths(tmp_path, capsys):
     ("fock", b'{"p1": "abc", "p2": [[1.0]]}'),
     ("fock", b'{"p1": [[0.5, 0.5], [0.0]], "p2": [[1.0]]}'),
     ("fock", b'{"p1": [[1.0]], "p2": {"n": 1}}'),
-], ids=["run-not-utf8", "fock-not-utf8", "fock-string", "fock-ragged", "fock-object"])
+    ("fock", b'{"p1": [[1' + b"0" * 400 + b']], "p2": [[1.0]]}'),
+], ids=["run-not-utf8", "fock-not-utf8", "fock-string", "fock-ragged", "fock-object",
+        "fock-overflow"])
 def test_cli_unreadable_input_file_exit_code(tmp_path, capsys, command, content):
     # bad bytes or values in an input file are a configuration error (2),
     # not a crash that exits like a selftest disagreement (1)
@@ -969,6 +974,48 @@ def test_cli_unreadable_input_file_exit_code(tmp_path, capsys, command, content)
     path.write_bytes(content)
     assert main([command, "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_HUGE = 10 ** 400
+_AXIS = {"parameter": "squeezing_db", "minimum": 3.0, "maximum": 9.0, "steps": 2}
+
+
+@pytest.mark.parametrize("command, config, argv", [
+    ("run", None, ["--points", str(_HUGE)]),
+    ("run", {"n_points": _HUGE}, []),
+    ("run", None, ["--engine", "chain", "--points", str(_HUGE)]),
+    ("sweep", {"sweep": _AXIS}, ["--points", str(_HUGE)]),
+    ("selftest", None, ["--points", str(_HUGE)]),
+], ids=["run-points", "run-config", "chain-points", "sweep-points", "selftest-points"])
+def test_cli_absurd_points_exit_code(tmp_path, monkeypatch, capsys, command, config, argv):
+    # a record beyond the float range is a configuration error (2) that names
+    # it, refused before any draw, not an OverflowError that exits 1
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the memory check")
+
+    monkeypatch.setattr(scenario, "_draw_chunk", no_draw)
+    monkeypatch.setattr(scenario, "stream", no_draw)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path), *argv]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {_HUGE} points need about inf GB")
+
+
+@pytest.mark.parametrize("steps", [10 ** 12, _HUGE], ids=["7-TiB", "beyond-numpy"])
+def test_cli_absurd_sweep_steps_exit_code(tmp_path, monkeypatch, capsys, steps):
+    # numpy refuses either axis at once (10**12 steps would take 7.28 TiB):
+    # exit 2 naming the step count before any row is built, not exit 1
+    def no_row(*args):
+        raise AssertionError("built a row")
+
+    monkeypatch.setattr(scenario, "_apply_axis", no_row)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": {**_AXIS, "steps": steps}}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: sweep steps {steps} are too many")
 
 
 def test_cli_fock_writes_file(tmp_path, capsys):
@@ -1040,6 +1087,34 @@ def test_cli_selftest_reports_a_short_case(monkeypatch, capsys):
     assert not rows[short["case"]]["ok"] and rows[short["case"]]["kept_count"] == 25
     assert main(["selftest", "--points", "100000", "--seed", "32"]) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith("selftest FAIL")
+
+
+def test_selftest_gate_is_three_standard_errors(monkeypatch):
+    # the half-width of the reported 68% interval is 0.9945 standard errors,
+    # so an oracle 3.01 half-widths (2.993 sigma) from the Monte Carlo value
+    # is inside the 3 sigma gate, and one 3.03 half-widths (3.013 sigma) out
+    reports = []
+    real_statistics = scenario.kept_statistics
+
+    def recorded(*args):
+        reports.append(real_statistics(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(scenario, "kept_statistics", recorded)
+    (row,) = run_selftest(seed=1, points=100_000, cases=1)
+    (report,) = reports
+    half = (report.ci_high_db - report.ci_low_db) / 2.0
+    assert row["ok"] and row["mc_db"] == report.squeezing_db
+    assert row["se_db"] == pytest.approx(half / 0.994458, rel=1e-6)
+    real_prediction = scenario.predict_transfer
+    for gap, ok in ((3.01, True), (3.03, False)):
+        def moved(*args, gap=gap, **kwargs):
+            return dataclasses.replace(real_prediction(*args, **kwargs),
+                                       transferred_db=report.squeezing_db + gap * half)
+
+        monkeypatch.setattr(scenario, "predict_transfer", moved)
+        (row,) = run_selftest(seed=1, points=100_000, cases=1)
+        assert row["ok"] is ok, gap
 
 
 def test_cli_sweep_stdout_is_the_sweep_csv_table(tmp_path, capsys):
