@@ -35,10 +35,11 @@ COHERENT_DELTA = math.sqrt(2.0)
 # changes the sample stream, so it is a constant, not a parameter.
 _SAMPLE_CHUNK = 1 << 16
 
-# Events per piece of a chunk's normal draw (see _draw_chunk): a 128 KiB
-# piece is transposed while it is still in cache. Any length gives the same
-# stream.
-_DRAW_BLOCK = 1 << 12
+# The layers of |z0| by binary exponent and the substreams of a chunk, its
+# z0's and one per layer (see _draw_chunk); they define the sample stream.
+_LAYER_LOW = -20
+_LAYER_HIGH = -3
+_SUBSTREAMS = 2 + _LAYER_HIGH - _LAYER_LOW
 
 
 class MeasurementSetting(Enum):
@@ -260,35 +261,96 @@ class SampleBatch:
         return self.data[:, 3]
 
 
-def _covariance_factor(cov: FourChannelCovariance) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(cov.matrix)
-    except np.linalg.LinAlgError:
-        # semi-definite edge: eigenfactor with tiny negatives clipped
-        w, v = np.linalg.eigh(cov.matrix)
-        return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _draw_chunk(seed: int, start: int, stop: int, block: np.ndarray,
-                columns: np.ndarray) -> np.ndarray:
-    """Draw the standard normals of events ``start`` to ``stop`` of the stream
-    of ``seed`` into ``columns``, a (4, stop - start) array, and return it.
-
-    ``start`` to ``stop`` lie in one chunk. The stream fills (event, 4)
-    rows in order, ``len(block)`` events at a time into ``block`` (a
-    C-contiguous (k, 4) scratch), and each piece is transposed into
-    ``columns`` while it is in cache; the stream does not depend on k.
-    Chunk ``start // _SAMPLE_CHUNK`` has its own counter-based substream of
-    the seed, so a chunk is the same whichever thread draws it, and whether
-    the events end up in one batch or are consumed chunk by chunk.
+def _covariance_factor(cov: FourChannelCovariance) -> tuple[float, np.ndarray]:
+    """(sigma_g, factor): the rows of ``factor`` weigh the normals (z0, z1,
+    z2, z3) into the channels (s1, i1, s2, i2) so that s1 - s2 = sigma_g * z0
+    (sequential conditional sampling, Glasserman 2003, section 2.3): z1, z2,
+    z3 give (s2, i1, i2) given s1 - s2 through the Cholesky factor of their
+    conditional covariance, or, where that is only semi-definite, its
+    eigenfactor with tiny negative eigenvalues clipped.
     """
-    gen = np.random.Generator(np.random.Philox(seed).jumped(start // _SAMPLE_CHUNK))
-    m, step = stop - start, len(block)
-    for i in range(0, m, step):
-        piece = block[:min(step, m - i)]
-        gen.standard_normal(out=piece)
-        np.copyto(columns[:, i:i + len(piece)], piece.T)
-    return columns
+    # rows (g, s2, i1, i2) of the channels (s1, i1, s2, i2)
+    gate_first = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                           [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    c = gate_first @ cov.matrix @ gate_first.T
+    factor = np.zeros((4, 4))
+    factor[:, 0] = c[:, 0] / math.sqrt(c[0, 0]) if c[0, 0] > 0.0 else 0.0
+    conditional = c[1:, 1:] - np.outer(factor[1:, 0], factor[1:, 0])
+    try:
+        factor[1:, 1:] = np.linalg.cholesky(conditional)
+    except np.linalg.LinAlgError:
+        w, v = np.linalg.eigh(conditional)
+        factor[1:, 1:] = v * np.sqrt(np.clip(w, 0.0, None))
+    g, s2, i1, i2 = factor
+    return factor[0, 0], np.array([g + s2, i1, s2, i2])
+
+
+def _substream(gen: np.random.Generator, key: np.ndarray, chunk: int,
+               slot: int) -> np.random.Generator:
+    """``gen``, a Philox generator, reset to Philox(seed).jumped(chunk *
+    _SUBSTREAMS + slot) for the seed of ``key``: each (chunk, slot) has a
+    jump of its own, 2**128 counter steps, far more than it draws."""
+    counter = np.array([0, 0, chunk * _SUBSTREAMS + slot, 0], dtype=np.uint64)
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": counter, "key": key},
+                               "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
+
+
+def _chunk_scratch(seed: int) -> tuple:
+    """A thread's scratch for _draw_chunk from the stream of ``seed``:
+    (4, _SAMPLE_CHUNK) normals, a generator for _substream to reset (a fifth
+    of the cost of a new one) and the Philox key of ``seed``."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    return np.empty((4, _SAMPLE_CHUNK)), gen, gen.bit_generator.state["state"]["key"]
+
+
+def _draw_chunk(scratch: tuple, start: int, stop: int, reach: float,
+                magnitude: np.ndarray) -> np.ndarray | None:
+    """Draw events ``start`` to ``stop``, in one chunk, of the stream of
+    ``scratch`` (_chunk_scratch) into it; |z0| goes to ``magnitude``.
+
+    The stream: chunk k, events [k, k + 1) * _SAMPLE_CHUNK, draws z0 in
+    event order from its substream 0 (_substream). Layer e holds the events
+    with 2**(e - 1) <= |z0| < 2**e, the lowest layer also every smaller
+    |z0| and the top layer, _LAYER_HIGH, every larger one. A layer below
+    the top draws (z1, z2, z3) for its events in event order, event-major,
+    from substream 1 + e - _LAYER_LOW; event i of the top layer, most
+    events, takes column i of a (3, _SAMPLE_CHUNK) draw of the last one.
+
+    Only the layers up to that of |z0| = ``reach`` are drawn: below the top
+    layer about twice the events with |z0| <= reach at most. With reach in
+    the top layer (or inf), column i of the scratch normals holds event i's
+    (z0, z1, z2, z3), and the result is None; otherwise it is the drawn
+    events' indices, in order, and column j holds event drawn[j]'s.
+    """
+    normals, gen, key = scratch
+    m = stop - start
+    chunk = start // _SAMPLE_CHUNK
+    _substream(gen, key, chunk, 0).standard_normal(out=normals[0, :m])
+    near = np.abs(normals[0, :m], out=magnitude[:m])
+    every = reach >= 2.0 ** (_LAYER_HIGH - 1)
+    top = _LAYER_HIGH - 1 if every else max(math.frexp(reach)[1], _LAYER_LOW)
+    drawn = np.flatnonzero(near < 2.0 ** top)
+    if every:
+        _substream(gen, key, chunk, _SUBSTREAMS - 1).standard_normal(out=normals[1:])
+    else:
+        normals[0, :drawn.size] = normals[0, drawn]
+    # the layer is the binary exponent of |z0|, clipped at the lowest layer
+    _, layer = np.frexp(np.maximum(near[drawn], 2.0 ** (_LAYER_LOW - 1)))
+    slots = (layer + (1 - _LAYER_LOW)).astype(np.uint8)
+    order = np.argsort(slots, kind="stable")
+    rows = np.empty((drawn.size, 3))
+    at = 0
+    for slot, count in enumerate(np.bincount(slots, minlength=_SUBSTREAMS - 1)):
+        if count:
+            _substream(gen, key, chunk, slot).standard_normal(out=rows[at:at + count])
+            at += count
+    columns = drawn[order] if every else order
+    for c in range(3):
+        normals[1 + c, columns] = rows[:, c]
+    return None if every else drawn
 
 
 def _factor_terms(factor: np.ndarray) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -323,20 +385,21 @@ def sample_batch(cov: FourChannelCovariance, n: int, seed: int) -> SampleBatch:
     """Draw ``n`` independent events from the zero-mean Gaussian model.
 
     The stream is split into fixed-size chunks (see _draw_chunk), drawn one
-    after another into one reused scratch, so the result is a pure function
-    of ``(cov, n, seed)``: the events that scenario.acquire streams chunk by
-    chunk. Each channel is computed by _combine.
+    after another, every layer, into one reused scratch, so the result is a
+    pure function of ``(cov, n, seed)``: the events that scenario.acquire
+    streams chunk by chunk. Each channel is computed by _combine from
+    _covariance_factor, so s1 - s2 is sigma_g * z0 to within a few ulps.
     """
     n = _require_int("sample count", n, 1)
     seed = _require_int("seed", seed, 0)
-    terms = _factor_terms(_covariance_factor(cov))
+    terms = _factor_terms(_covariance_factor(cov)[1])
     out = np.empty((n, 4))
-    width = min(n, _SAMPLE_CHUNK)
-    block, columns, scratch = np.empty((_DRAW_BLOCK, 4)), np.empty((4, width)), np.empty(width)
+    draw = _chunk_scratch(seed)
+    normals, scratch = draw[0], np.empty(min(n, _SAMPLE_CHUNK))
     for start in range(0, n, _SAMPLE_CHUNK):
         stop = min(start + _SAMPLE_CHUNK, n)
         m = stop - start
-        z = _draw_chunk(seed, start, stop, block, columns[:, :m])
+        _draw_chunk(draw, start, stop, math.inf, scratch)
         for r, row_terms in enumerate(terms):
-            _combine(z, row_terms, out[start:stop, r], scratch[:m])
+            _combine(normals[:, :m], row_terms, out[start:stop, r], scratch[:m])
     return SampleBatch(data=out, seed=seed)

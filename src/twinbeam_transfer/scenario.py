@@ -17,12 +17,12 @@ reports are merged from per-chunk moments and histogram counts, and
 their scatter rows are written in place.
 
 A sweep acquires all its rows together at the sweep's seed. On the direct
-engine each chunk is drawn once, and every row computes its own channels
-from that draw, gates them and keeps its own rows (common random numbers,
-so the rows are correlated; each row's interval is valid on its own). On
-the chain engine the rows that build the same covariance, all rows of a
-bandwidth_delta sweep, gate one stream; other chain rows run one stream
-after another.
+engine each chunk is drawn once, as far as the widest row's window reaches,
+and every row gates that draw and computes its own kept rows (common random
+numbers, so the rows are correlated; each row's interval is valid on its
+own). On the chain engine the rows that build the same covariance, all
+rows of a bandwidth_delta sweep, gate one stream; other chain rows run one
+stream after another.
 
 Everything here is deterministic per (config, seed), so results do not
 depend on the worker count.
@@ -55,10 +55,11 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    _DRAW_BLOCK,
     _SAMPLE_CHUNK,
+    COHERENT_DELTA,
     MeasurementSetting,
     TwinPairParams,
+    _chunk_scratch,
     _combine,
     _covariance_factor,
     _draw_chunk,
@@ -113,14 +114,19 @@ _PARTS = (("pair1", TwinPairParams), ("pair2", TwinPairParams),
 _BYTES_PER_KEPT = 64
 
 # Peak memory per worker thread for the chunk it draws, gates and reduces:
-# its 3.6 MiB scratch (a 128 KiB piece of the normal draw, the (4, 65536)
-# columns and three channel buffers, which a run's moments and histogram
-# counts reuse), and the temporary of the finiteness check. Peak RSS of a
-# 16M-event run at a window that keeps almost nothing grows by 5.7 MB with
-# 1 worker, 9.8 MB with 2 and 13.9 MB with 3 over the imported package,
-# whatever the record length (a 10-row acquisition: 5.4, 9.8 and 13.9 MB);
-# rounded up.
+# its 3.5 MiB scratch (the (4, 65536) normals and three channel buffers, one
+# holding |z0| during the gate, which a run's moments and histogram counts
+# reuse) and the draw's temporaries. Peak RSS of a 16M-event acquisition
+# with the unconditioned summary grows by 5.7 MB with 1 worker, 9.4 MB with
+# 2 and 13.1 MB with 3 over the imported package, whatever the record
+# length (10 configs: 6.3, 10.1 and 13.9 MB); rounded up.
 _BYTES_PER_CHUNK = 12 << 20
+
+# A sweep row's table row and config (about 0.8 KB; tracemalloc, 5k and 20k
+# rows), and each acquired config's array of kept rows per chunk, held
+# until the merge (about 130 B; 40 configs, 16 against 48 chunks); rounded up.
+_BYTES_PER_SWEEP_ROW = 1024
+_BYTES_PER_ROW_CHUNK = 192
 
 # Peak memory of the chain engine's stream, whatever the record length:
 # the scipy.signal and scipy.fft imports, the filter designs, the synthesis
@@ -300,24 +306,29 @@ def _available_memory_bytes() -> int | None:
 
 
 def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
-                  scatter: int = 0) -> None:
+                  scatter: int = 0, rows: int = 1, sweep: bool = False) -> None:
     """Refuse, before any work starts, an acquisition that would not fit in memory.
 
-    acquire's check, made before it draws or streams anything. Either
-    engine holds the kept rows, ``probability`` times n of them, and
-    _BYTES_PER_CHUNK for each worker that has a chunk to reduce; with the
-    unconditioned summary also ``scatter`` scatter subsamples (one per
-    config), at _BYTES_PER_KEPT a row (about 24 B a row measured; the files
-    are written a slice of rows at a time), and on the chain engine the
-    stream's fixed _BYTES_PER_CHAIN_STREAM. Nothing of record length is
-    held. ``probability`` is the acceptance probability summed over the
-    configs acquired together, whose kept rows are held at once. Raises
+    acquire's check, made before it draws or streams anything, and, with
+    ``sweep``, run_sweep's, before it builds any of its ``rows`` rows
+    (_BYTES_PER_SWEEP_ROW each). Either engine holds the kept rows,
+    ``probability`` times n of them, in an array per chunk for each of the
+    ``rows`` configs acquired together, and _BYTES_PER_CHUNK for each worker
+    that has a chunk to reduce; with the unconditioned summary also
+    ``scatter`` scatter subsamples (one per config), at _BYTES_PER_KEPT a
+    row (about 24 B a row measured; the files are written a slice of rows
+    at a time), and on the chain engine the stream's fixed
+    _BYTES_PER_CHAIN_STREAM. Nothing of record length is held.
+    ``probability`` is the acceptance probability summed over the configs
+    acquired together, whose kept rows are held at once. Raises
     ValidationError, rather than let the process be killed part way.
     """
     n = cfg.n_points
-    per_point = probability * _BYTES_PER_KEPT
+    # a row's arrays per chunk: per point, and one for the partial chunk
+    per_point = probability * _BYTES_PER_KEPT + rows * _BYTES_PER_ROW_CHUNK / _SAMPLE_CHUNK
     threads = min(workers, -(-n // _SAMPLE_CHUNK))
-    fixed = threads * _BYTES_PER_CHUNK
+    fixed = threads * _BYTES_PER_CHUNK + rows * (_BYTES_PER_ROW_CHUNK
+                                                 + sweep * _BYTES_PER_SWEEP_ROW)
     fixed += scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
     if cfg.engine == "chain":
         fixed += _BYTES_PER_CHAIN_STREAM
@@ -325,8 +336,10 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     available = _available_memory_bytes()
     if available is None or needed <= available:
         return
-    if available > fixed and per_point > 0:
+    if available > fixed:
         advice = f"lower n_points (--points) to at most {int((available - fixed) // per_point)}"
+    elif rows > 1:
+        advice = f"lower the sweep steps (now {rows})"
     elif threads > 1:
         advice = f"lower the worker count (--workers, now {workers})"
     else:
@@ -375,8 +388,8 @@ def _in_order(fn, items, workers: int):
             yield pending.popleft().result()
 
 
-# the chain's record holds the channels themselves
-_IDENTITY_TERMS = _factor_terms(np.eye(4))
+# the chain's record holds the channels themselves: i1 and i2
+_IDLER_TERMS = _factor_terms(np.eye(4)[[1, 3]])
 
 
 def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
@@ -390,13 +403,15 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     be. A window that keeps no event is reported when its report is made.
 
     The direct engine draws each chunk of _SAMPLE_CHUNK events once, exactly
-    as sample_batch draws it, and every config computes its own channels
-    from that draw (see _stream): the configs see the same events, as the
-    rows of one sweep do. The chain engine's stream (dsp_chain.stream)
-    yields chunks of the same length; chain configs that build the same
-    covariance and signal chain read one stream, one after another
-    otherwise. ``workers`` threads reduce chunks in parallel and the parts
-    are merged in chunk order, so the result is the same for any count.
+    as sample_batch draws it, as far as the widest window reaches (every
+    layer with the unconditioned summary; model._draw_chunk), and every
+    config gates it on |z0| (see selection): the configs see the same
+    events, as the rows of one sweep do. The chain engine's stream
+    (dsp_chain.stream) yields chunks of the same length, gated by
+    in_window; chain configs that build the same covariance and signal
+    chain read one stream, one after another otherwise. ``workers``
+    threads reduce chunks in parallel and the parts are merged in chunk
+    order, so the result is the same for any count.
     Refuses, before it draws or streams anything, what would not fit in
     memory (_check_memory): every config's kept rows and scatter at once.
     """
@@ -408,19 +423,30 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
         raise ValidationError("configs acquired together must share engine, "
                               "n_points, seed and scatter_points")
     _check_memory(cfgs[0], sum(c.predict().selection_probability for c in cfgs), workers,
-                  scatter=len(cfgs) if unconditioned else 0)
+                  scatter=len(cfgs) if unconditioned else 0, rows=len(cfgs))
     if cfgs[0].engine == "chain":
         return _acquire_chain(cfgs, workers, unconditioned)
     n, seed = cfgs[0].n_points, cfgs[0].seed
-    terms = [_factor_terms(_covariance_factor(build_covariance(c.pair1, c.pair2, c.setting)))
-             for c in cfgs]
+    factors = [_covariance_factor(build_covariance(c.pair1, c.pair2, c.setting)) for c in cfgs]
+    # the gate: |z0| <= bandwidth_delta * delta / sigma_g (see selection)
+    limits = [c.selection.bandwidth_delta * COHERENT_DELTA / sigma
+              for c, (sigma, _) in zip(cfgs, factors)]
+    reach = math.inf if unconditioned else max(limits)
+    local = threading.local()
 
-    def draw(start: int, block: np.ndarray, columns: np.ndarray) -> tuple[int, np.ndarray]:
-        # in the worker thread, into its scratch
-        stop = min(start + _SAMPLE_CHUNK, n)
-        return start, _draw_chunk(seed, start, stop, block, columns[:, :stop - start])
+    def gate(start: int, spare: np.ndarray) -> tuple:
+        # in the worker thread, into its scratch; |z0| goes to spare
+        if not hasattr(local, "draw"):
+            local.draw = _chunk_scratch(seed)
+        m = min(start + _SAMPLE_CHUNK, n) - start
+        drawn = _draw_chunk(local.draw, start, start + m, reach, spare)
+        # |z0| of the events whose columns the normals hold, in order
+        near = spare[:m] if drawn is None else spare[drawn]
+        return start, local.draw[0][:, :near.size], [np.flatnonzero(near <= limit)
+                                                     for limit in limits]
 
-    return _stream(cfgs, terms, range(0, n, _SAMPLE_CHUNK), draw, workers, unconditioned)
+    idlers = [_factor_terms(factor[[1, 3]]) for _, factor in factors]
+    return _stream(cfgs, idlers, range(0, n, _SAMPLE_CHUNK), gate, workers, unconditioned)
 
 
 def _acquire_chain(cfgs: tuple[ScenarioConfig, ...], workers: int,
@@ -435,11 +461,19 @@ def _acquire_chain(cfgs: tuple[ScenarioConfig, ...], workers: int,
     results: list[Acquisition | TwinBeamError] = [None] * len(cfgs)
     for cov, members in groups.values():
         group = tuple(cfgs[r] for r in members)
+
+        def gate(item: tuple[int, np.ndarray], spare: np.ndarray) -> tuple:
+            start, chunk = item
+            if not np.isfinite(chunk).all():
+                raise ValidationError("sample data contains non-finite values")
+            spare = spare[:chunk.shape[1]]
+            return start, chunk, [in_window(chunk[0], chunk[2], c.selection, spare) for c in group]
+
         try:
             # the main thread synthesizes; the workers gate and reduce
             chunks = stream(cov, group[0].signal_chain, n, seed)
-            acquired = _stream(group, [_IDENTITY_TERMS] * len(group), _numbered(chunks),
-                               lambda item, *scratch: item, workers, unconditioned)
+            acquired = _stream(group, [_IDLER_TERMS] * len(group), _numbered(chunks),
+                               gate, workers, unconditioned)
         except TwinBeamError as exc:
             acquired = [exc] * len(group)
         for r, one in zip(members, acquired):
@@ -455,20 +489,19 @@ def _numbered(chunks: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
         start += chunk.shape[1]
 
 
-def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw: Callable,
+def _stream(cfgs: tuple[ScenarioConfig, ...], idlers: list, items: Iterable, gate: Callable,
             workers: int, unconditioned: bool) -> list[Acquisition]:
     """The chunk loop of acquire.
 
     ``items`` are pulled in the calling thread, in record order, at most
-    _CHUNKS_PER_WORKER * workers ahead of the merge. ``draw(item, block,
-    columns)`` returns a chunk's first record index and its (4, m) columns,
-    using the worker thread's scratch ``block`` and ``columns`` as it needs;
-    config r's channel k is ``_combine`` of those columns with
-    ``terms[r][k]``. Per chunk and config, s1 and s2 are computed for every
-    event and gated, and i1 and i2 for the kept events. With
-    ``unconditioned``, i1 and i2 are also computed for every event and
-    reduced to the chunk's moments and histogram counts, and the chunk's
-    scatter rows are written in place into the config's one scatter array.
+    _CHUNKS_PER_WORKER * workers ahead of the merge. ``gate(item, spare)``,
+    in a worker thread and with its scratch row ``spare``, returns a chunk's
+    first record index, its (4, m) columns and, per config, the columns it
+    keeps; config r's i1 and i2, ``_combine`` of the columns with
+    ``idlers[r]``, are computed for those only. With ``unconditioned``, i1
+    and i2 are also computed for every event and reduced to the chunk's
+    moments and histogram counts, and the chunk's scatter rows are written
+    in place into the config's one scatter array.
     """
     n, seed = cfgs[0].n_points, cfgs[0].seed
     picks = (_subsample(n, cfgs[0].scatter_points,
@@ -480,20 +513,13 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], terms: list, items: Iterable, draw
     local = threading.local()
 
     def reduce(item) -> list[tuple]:
-        if not hasattr(local, "scratch"):
-            local.scratch = (np.empty((_DRAW_BLOCK, 4)), np.empty((4, _SAMPLE_CHUNK)),
-                             np.empty((3, _SAMPLE_CHUNK)))
-        block, columns, channels = local.scratch
-        start, z = draw(item, block, columns)
+        if not hasattr(local, "channels"):
+            local.channels = np.empty((3, _SAMPLE_CHUNK))
+        start, z, gates = gate(item, local.channels[0])
         m = z.shape[1]
-        # the factors are finite, so finite draws make every channel finite
-        if not np.isfinite(z).all():
-            raise ValidationError("sample data contains non-finite values")
-        first, second, scratch = channels[:, :m]
+        first, second, scratch = local.channels[:, :m]
         parts = []
-        for cfg, (s1_terms, i1_terms, s2_terms, i2_terms), out in zip(cfgs, terms, scatter):
-            kept = in_window(_combine(z, s1_terms, first, scratch),
-                             _combine(z, s2_terms, second, scratch), cfg.selection, scratch)
+        for (i1_terms, i2_terms), kept, out in zip(idlers, gates, scatter):
             kept_z = z[:, kept]
             rows = np.empty((kept.size, 2))
             _combine(kept_z, i1_terms, rows[:, 0], scratch[:kept.size])
@@ -685,21 +711,25 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
 
     Every row runs at cfg.seed, in one acquire call streamed by ``workers``
     threads. The rows share each chunk (common random numbers): on the
-    direct engine its draw, on the chain engine its stream where the rows
-    build the same covariance, as a bandwidth_delta sweep's rows do, while
-    other chain rows run one stream after another. Row r is bit for bit
-    what acquire gives for that row's config alone, and the rows are
-    correlated, while each row's interval is valid on its own. The table is
-    identical for any worker count. When out_dir is given, writes sweep.csv
-    there (write_sweep_table). Refuses, with a ValidationError and before
-    any row runs, a sweep whose rows would not fit in available memory: the
-    kept rows of all rows, which acquire holds at once.
+    direct engine its draw, which every row gates on its own, on the chain
+    engine its stream where the rows build the same covariance, as a
+    bandwidth_delta sweep's rows do, while other chain rows run one stream
+    after another. Row r is bit for bit what acquire gives for that row's
+    config alone, and the rows are correlated, while each row's interval is
+    valid on its own. The table is identical for any worker count. When
+    out_dir is given, writes sweep.csv there (write_sweep_table). Refuses,
+    with a ValidationError, a sweep
+    whose rows would not fit in available memory: before it builds a row,
+    one whose rows alone would not, and before any row runs, one whose kept
+    rows of all rows, which acquire holds at once, would not.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
+    values = cfg.sweep.values()
+    _check_memory(cfg, 0.0, workers, rows=len(values), sweep=True)
     rows: list[dict[str, Any]] = []
     built: list[tuple[dict[str, Any], ScenarioConfig]] = []
-    for value in cfg.sweep.values():
+    for value in values:
         row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
         row.update(axis_value=float(value), kept_count=0, error="")
         rows.append(row)

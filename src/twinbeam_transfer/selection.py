@@ -5,6 +5,12 @@ signal photocurrents agree to within the selection half-width,
 |s1 - s2| <= bandwidth_delta * delta, and the transferred correlation is
 the noise of the idler difference i1 - i2 over the kept events. The
 closed-form oracle assumes exactly this routing.
+
+The gate, stated once: in_window applies it to s1 - s2, for a batch and
+for the chain engine's chunks. The direct engine draws s1 - s2 =
+sigma_g * z0 (model._covariance_factor), so scenario.acquire applies it as
+|z0| <= bandwidth_delta * delta / sigma_g, before any channel exists; the
+two forms differ only for an event within a few ulps of the window's edge.
 ``bandwidth_delta`` is deliberately the HALF-width of the acceptance window:
 that way bandwidth_delta -> 0 is the exact-coincidence limit. Note a
 full-width convention would halve the preparation probability.

@@ -61,7 +61,7 @@ def test_criterion_01_headline_transfer():
     report = _conditioned_report(TWIN_COV, 300_000, seed=0)
     elapsed = time.perf_counter() - started
     assert report.squeezing_db == pytest.approx(4.0, abs=0.3)
-    assert report.kept_count == 1054
+    assert report.kept_count == 985
     assert elapsed < 5.0
 
 

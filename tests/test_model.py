@@ -16,6 +16,9 @@ from twinbeam_transfer.model import (
     TwinPairParams,
     build_covariance,
     effective_variances,
+    _chunk_scratch,
+    _covariance_factor,
+    _substream,
     sample_batch,
     squeezing_db_of,
 )
@@ -165,32 +168,66 @@ def test_sample_batch_deterministic_and_worker_invariant():
 
 
 def test_sample_batch_prefix_stable_in_n():
-    # growing n must extend the stream, not reshuffle it
+    # growing n must extend the stream, not reshuffle it, also inside a
+    # partial last chunk: every event of chunk 1 that the 70k record holds
+    # is the same in the 140k record, whose chunk 1 is whole
     cov = build_covariance(TwinPairParams(squeezing_db=5.0),
                            TwinPairParams(squeezing_db=5.0))
     short = sample_batch(cov, 70_000, seed=7)
     long = sample_batch(cov, 140_000, seed=7)
-    assert np.array_equal(short.data[: 1 << 16], long.data[: 1 << 16])
+    assert np.array_equal(short.data, long.data[:70_000])
+
+
+# the definition of the direct engine's stream, written out independently
+_CHUNK = 1 << 16
+_LOW, _TOP = -20, -3          # layers of |z0|: lowest and top
+_SUBSTREAMS = 2 + _TOP - _LOW  # per chunk: z0, one per layer
+
+
+def _reference_normals(n, seed):
+    # chunk k of 65536 events draws its z0 in event order from
+    # Philox(seed).jumped(19 k). Layer e of an event is the binary exponent
+    # of |z0| (2**(e - 1) <= |z0| < 2**e), clipped to [-20, -3]. A layer
+    # below the top draws (z1, z2, z3) for its events, event-major and in
+    # event order, from jumped(19 k + 1 + e + 20); event i of the top layer
+    # takes column i of the (3, 65536) draw of jumped(19 k + 18)
+    z = np.empty((n, 4))
+    for start in range(0, n, _CHUNK):
+        k, m = start // _CHUNK, min(_CHUNK, n - start)
+
+        def substream(slot):
+            return np.random.Generator(np.random.Philox(seed).jumped(k * _SUBSTREAMS + slot))
+
+        z0 = substream(0).standard_normal(m)
+        # the count of thresholds 2**-20 ... 2**-4 at or below |z0|
+        layer = _LOW + np.searchsorted(2.0 ** np.arange(_LOW, _TOP), np.abs(z0), side="right")
+        rest = substream(_SUBSTREAMS - 1).standard_normal((3, _CHUNK))[:, :m].T.copy()
+        for e in range(_LOW, _TOP):
+            events = np.flatnonzero(layer == e)
+            rest[events] = substream(1 + e - _LOW).standard_normal((events.size, 3))
+        z[start:start + m, 0] = z0
+        z[start:start + m, 1:] = rest
+    return z
 
 
 def _elementwise_batch(factor, n, seed):
-    # the definition of the stream: chunk k of 65536 events is the (m, 4)
-    # standard-normal draw of Philox(seed).jumped(k), and channel r the sum
-    # of z[:, c] * factor[r, c] over the nonzero factor[r, c], in column order
-    chunk = 1 << 16
+    # channel r is the sum of z[:, c] * factor[r, c] over the nonzero
+    # factor[r, c], in column order
+    z = _reference_normals(n, seed)
     out = np.zeros((n, 4))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        gen = np.random.Generator(np.random.Philox(seed).jumped(start // chunk))
-        z = gen.standard_normal((stop - start, 4))
-        for r in range(4):
-            terms = [z[:, c] * factor[r, c] for c in range(4) if factor[r, c] != 0.0]
-            if terms:
-                total = terms[0]
-                for term in terms[1:]:
-                    total = total + term
-                out[start:stop, r] = total
+    for r in range(4):
+        terms = [z[:, c] * factor[r, c] for c in range(4) if factor[r, c] != 0.0]
+        if terms:
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            out[:, r] = total
     return out
+
+
+# (g, s2, i1, i2) of the channels (s1, i1, s2, i2), g = s1 - s2
+_GATE_FIRST = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                        [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("case", ["cholesky", "eigh"])
@@ -198,23 +235,57 @@ def test_sample_batch_is_the_elementwise_product_of_the_draw(case):
     if case == "cholesky":
         cov = build_covariance(TwinPairParams(squeezing_db=7.0),
                                TwinPairParams(squeezing_db=4.0))
-        factor = np.linalg.cholesky(cov.matrix)
     else:
-        # a singular pair block (signal and idler identical) has no Cholesky
-        # factor; the eigenfactor fallback is not triangular, and some of
-        # its channels sum two terms
+        # a singular pair block (signal and idler identical) leaves s2 and
+        # i1 identical given g, so their conditional covariance has no
+        # Cholesky factor; the eigenfactor fallback is not triangular, and
+        # some of its channels sum two terms
         m = np.zeros((4, 4))
         m[:2, :2] = [[1.0, 1.0], [1.0, 1.0]]
         m[2:, 2:] = [[2.0, 0.5], [0.5, 2.0]]
         cov = FourChannelCovariance(m)
+    sigma, factor = _covariance_factor(cov)
+    # the gate-first factor: s1 - s2 = sigma_g * z0, and the factor
+    # reproduces the covariance
+    c = _GATE_FIRST @ cov.matrix @ _GATE_FIRST.T
+    assert sigma == pytest.approx(math.sqrt(c[0, 0]), rel=1e-15)
+    assert factor[0] - factor[2] == pytest.approx([sigma, 0.0, 0.0, 0.0], abs=1e-14)
+    assert np.allclose(factor @ factor.T, cov.matrix, rtol=0.0, atol=1e-13)
+    gate_first = _GATE_FIRST @ factor
+    if case == "cholesky":
+        assert np.allclose(gate_first, np.linalg.cholesky(c), rtol=1e-13, atol=1e-13)
+    else:
+        coupling = c[1:, 0] / math.sqrt(c[0, 0])
+        conditional = c[1:, 1:] - np.outer(coupling, coupling)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(cov.matrix)
-        w, v = np.linalg.eigh(cov.matrix)
-        factor = v * np.sqrt(np.clip(w, 0.0, None))
-        assert np.count_nonzero(np.triu(factor, 1)) > 0
+            np.linalg.cholesky(conditional)
+        assert np.count_nonzero(np.triu(gate_first, 1)) > 0
         assert (np.count_nonzero(factor, axis=1) >= 2).any()
-    expected = _elementwise_batch(factor, 70_000, 31)
-    assert np.array_equal(sample_batch(cov, 70_000, 31).data, expected)
+    # 140,003 events: two whole chunks and a partial one
+    expected = _elementwise_batch(factor, 140_003, 31)
+    assert np.array_equal(sample_batch(cov, 140_003, 31).data, expected)
+
+
+def test_substreams_never_coincide():
+    # each (chunk, slot) of the stream is Philox(seed).jumped(its own jump
+    # count), so the z0 substream of one chunk is never a layer substream of
+    # another (jumping chunk k to k and its layers to 64 k + slot would
+    # make chunk 64's z0 chunk 1's first layer). A jump is 2**128 counter
+    # steps; a substream uses at most 3 * 65536 / 4 of them per normal draw
+    _, gen, key = _chunk_scratch(5)
+    seen = {}
+    for chunk in range(300):
+        for slot in range(_SUBSTREAMS):
+            counter = tuple(_substream(gen, key, chunk, slot).bit_generator.state["state"]
+                            ["counter"])
+            assert counter[:2] == (0, 0) and counter[3] == 0
+            assert counter not in seen, (chunk, slot, seen.get(counter))
+            seen[counter] = (chunk, slot)
+    assert len(seen) == 300 * _SUBSTREAMS
+    for chunk, slot in ((0, 0), (3, 0), (3, _SUBSTREAMS - 1), (7, 5)):
+        reference = np.random.Generator(np.random.Philox(5).jumped(chunk * _SUBSTREAMS + slot))
+        assert np.array_equal(_substream(gen, key, chunk, slot).standard_normal(9),
+                              reference.standard_normal(9))
 
 
 def test_sample_batch_matches_target_covariance():

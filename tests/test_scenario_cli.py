@@ -20,8 +20,10 @@ from twinbeam_transfer.cli import main
 from twinbeam_transfer.errors import ConfigurationError, ValidationError
 from twinbeam_transfer.dsp_chain import SignalChainConfig, simulate
 from twinbeam_transfer.model import (
+    COHERENT_DELTA,
     MeasurementSetting,
     TwinPairParams,
+    _covariance_factor,
     build_covariance,
     sample_batch,
 )
@@ -40,6 +42,7 @@ from twinbeam_transfer.selection import (
     SelectionConfig,
     conditional_statistics,
     derived_seed,
+    in_window,
     select,
 )
 from twinbeam_transfer.stats import histogram, variance_db, variance_interval
@@ -332,12 +335,15 @@ def test_run_sweep_records_row_errors_without_aborting(monkeypatch):
 @pytest.mark.parametrize("axis", [
     SweepAxis("squeezing_db", 0.5, 12.0, 4),
     SweepAxis("bandwidth_delta", 0.01, 0.3, 4, scale="log"),
-], ids=["squeezing_db", "bandwidth_delta"])
+    SweepAxis("excess_sum_db", 0.0, 40.0, 4),
+], ids=["squeezing_db", "bandwidth_delta", "excess_sum_db"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_sweep_rows_match_acquire_of_each_row(axis, workers):
     # the rows share each chunk's draw, yet row r is bit for bit what
     # acquire gives for that row's config alone, at the sweep's seed;
-    # 150k events are three chunks, the last one partial
+    # 150k events are three chunks, the last one partial. The excess_sum_db
+    # rows reach different layers of |z0| (the 0 dB row every layer, the
+    # 40 dB row only |z0| < 2**-9), so alone a row draws far fewer events
     cfg = ScenarioConfig(n_points=150_000, seed=19,
                          selection=SelectionConfig(bandwidth_delta=0.1), sweep=axis)
     rows = run_sweep(cfg, workers=workers)
@@ -354,6 +360,41 @@ def test_sweep_rows_match_acquire_of_each_row(axis, workers):
             report.squeezing_db, report.ci_low_db, report.ci_high_db)
         assert row["kept_count"] == report.kept_count
         assert row["preparation_probability"] == report.preparation_probability
+
+
+def test_narrow_window_draws_only_its_layers(monkeypatch):
+    # a 0.01 delta window keeps |z0| <= limit, about 0.0014: acquire draws
+    # the other three normals for the events of the layers up to that of
+    # the limit only, |z0| < 2**-9, which is fewer than twice the kept
+    # events; with the unconditioned summary, as in run, for every event
+    cfg = ScenarioConfig(n_points=1_000_000, seed=13,
+                         selection=SelectionConfig(bandwidth_delta=0.01))
+    sigma, _ = _covariance_factor(build_covariance(cfg.pair1, cfg.pair2))
+    limit = 0.01 * COHERENT_DELTA / sigma
+    bound = 2.0 ** math.frexp(limit)[1]
+    assert limit < bound <= 2 * limit
+    counts = []
+
+    def counted(scratch, start, stop, reach, magnitude):
+        drawn = draw_chunk(scratch, start, stop, reach, magnitude)
+        m = stop - start
+        if drawn is not None:
+            assert np.array_equal(drawn, np.flatnonzero(magnitude[:m] < bound))
+        counts.append((m, m if drawn is None else drawn.size))
+        return drawn
+
+    draw_chunk = scenario._draw_chunk
+    monkeypatch.setattr(scenario, "_draw_chunk", counted)
+    (acquired,) = acquire([cfg], workers=2)
+    events, drawn = map(sum, zip(*counts))
+    kept = len(acquired.kept)
+    assert events == cfg.n_points
+    assert 1000 < kept < drawn < 2 * kept
+    counts.clear()
+    (summarized,) = acquire([cfg], workers=2, unconditioned=True)
+    events, drawn = map(sum, zip(*counts))
+    assert drawn == events == cfg.n_points
+    assert np.array_equal(summarized.kept, acquired.kept)
 
 
 def test_acquire_rejects_configs_that_do_not_share_the_record():
@@ -495,13 +536,21 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _room(kept_bytes, workers=1, scatter=0, engine="direct"):
+def _room(kept_bytes, workers=1, scatter=0, engine="direct", rows=1):
     # an available-memory reading with room for the workers' chunks, a
-    # scatter subsample, kept_bytes of kept rows and, on the chain engine,
+    # scatter subsample, kept_bytes of kept rows and their per-chunk arrays
+    # (_per_point), one more such array per row and, on the chain engine,
     # the stream's buffers
     stream = scenario._BYTES_PER_CHAIN_STREAM if engine == "chain" else 0
-    return (workers * scenario._BYTES_PER_CHUNK
+    return (workers * scenario._BYTES_PER_CHUNK + rows * scenario._BYTES_PER_ROW_CHUNK
             + scatter * scenario._BYTES_PER_KEPT + kept_bytes + stream)
+
+
+def _per_point(probability, rows=1):
+    # the charge per point of the record: the kept rows, and each row's
+    # array of them per chunk
+    return (probability * scenario._BYTES_PER_KEPT
+            + rows * scenario._BYTES_PER_ROW_CHUNK / scenario._SAMPLE_CHUNK)
 
 
 @pytest.mark.parametrize("engine", ["direct", "chain"])
@@ -511,8 +560,7 @@ def test_cli_run_beyond_free_memory_exit_code(monkeypatch, capsys, engine):
     # buffers: here room for 100 kept rows, where 100k points keep ~340
     kept_bytes = 100 * scenario._BYTES_PER_KEPT
     room = _room(kept_bytes, scatter=SMALL.scatter_points, engine=engine)
-    most = int(kept_bytes // (SMALL.predict().selection_probability
-                              * scenario._BYTES_PER_KEPT))
+    most = int(kept_bytes // _per_point(SMALL.predict().selection_probability))
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
     with pytest.raises(ValidationError, match="memory"):
@@ -528,7 +576,7 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
     # window) and the stream's buffers, well under 1 GB
     cfg = ScenarioConfig(n_points=10 ** 9, engine="chain")
     p = cfg.predict().selection_probability
-    needed = math.ceil(_room(cfg.n_points * p * scenario._BYTES_PER_KEPT,
+    needed = math.ceil(_room(cfg.n_points * _per_point(p),
                              scatter=cfg.scatter_points, engine="chain"))
     assert needed < 2 ** 30
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: needed)
@@ -545,8 +593,7 @@ def test_cli_run_charges_only_workers_with_a_chunk(monkeypatch, capsys):
     # 100k points are 2 chunks, so --workers 8 is charged 2 chunks, not 8;
     # when those 2 chunks alone do not fit, the refusal asks for fewer
     # workers instead of offering "at most 0" points
-    kept_bytes = math.ceil(100_000 * SMALL.predict().selection_probability
-                           * scenario._BYTES_PER_KEPT) + 1
+    kept_bytes = math.ceil(100_000 * _per_point(SMALL.predict().selection_probability)) + 1
     charged = _room(0, workers=2, scatter=SMALL.scatter_points)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charged + kept_bytes)
     assert main(["run", "--points", "100000", "--workers", "8"]) == 0
@@ -573,9 +620,9 @@ def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
                          sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2))
     p_sum = sum(predict_transfer(TwinPairParams(squeezing_db=s), TwinPairParams(squeezing_db=s),
                                  0.3).selection_probability for s in (3.0, 9.0))
-    kept_bytes = math.ceil(20_000 * p_sum * scenario._BYTES_PER_KEPT) + 1
+    kept_bytes = math.ceil(20_000 * _per_point(p_sum, rows=2)) + 1
     monkeypatch.setattr(scenario, "_available_memory_bytes",
-                        lambda: _room(kept_bytes))
+                        lambda: _room(kept_bytes, rows=2))
     assert [row["error"] for row in run_sweep(cfg, workers=3)] == ["", ""]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
@@ -584,6 +631,35 @@ def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
                  "--workers", "3", "--out", str(out)]) == 2
     assert "lower n_points (--points) to at most 20000" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_sweep_rows_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
+    # a sweep's table rows and configs, and the arrays of kept rows that
+    # acquire holds per row and chunk, are charged before any row is built:
+    # 1000 rows of 1000 points (one chunk) need 1000 * (1024 + 2 * 192) B
+    # beside one worker's chunk, and a reading with room for the table rows
+    # alone refuses the sweep, asking for fewer steps
+    steps, points = 1000, 1000
+    cfg = ScenarioConfig(n_points=points, sweep=SweepAxis("squeezing_db", 1.0, 9.0, steps))
+    charge = (_room(0, rows=steps) + steps * scenario._BYTES_PER_SWEEP_ROW
+              + points * _per_point(0.0, rows=steps))
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: math.ceil(charge))
+    scenario._check_memory(cfg, 0.0, rows=steps, sweep=True)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: math.ceil(charge) - 1)
+    with pytest.raises(ValidationError, match="memory"):
+        scenario._check_memory(cfg, 0.0, rows=steps, sweep=True)
+
+    def no_row(*args):
+        raise AssertionError("built a row")
+
+    monkeypatch.setattr(scenario, "_apply_axis", no_row)
+    monkeypatch.setattr(scenario, "_available_memory_bytes",
+                        lambda: _room(steps * scenario._BYTES_PER_SWEEP_ROW))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"lower the sweep steps (now {steps})" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_selftest_beyond_free_memory_exit_code(monkeypatch, capsys):
@@ -617,9 +693,9 @@ def test_acquire_charges_each_config_its_kept_rows_and_scatter(monkeypatch):
     # two configs acquired together hold both their kept rows and, with the
     # unconditioned summary, one scatter subsample each
     cfgs = [SMALL, dataclasses.replace(SMALL, selection=SelectionConfig(bandwidth_delta=0.1))]
-    kept_bytes = math.ceil(SMALL.n_points * scenario._BYTES_PER_KEPT
-                           * sum(c.predict().selection_probability for c in cfgs))
-    room = _room(kept_bytes, scatter=2 * SMALL.scatter_points)
+    kept_bytes = math.ceil(SMALL.n_points * _per_point(
+        sum(c.predict().selection_probability for c in cfgs), rows=2))
+    room = _room(kept_bytes, scatter=2 * SMALL.scatter_points, rows=2)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
     assert [a.scatter.shape for a in acquire(cfgs, unconditioned=True)] == [(20_000, 2)] * 2
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
@@ -823,21 +899,22 @@ def _old_subsample(indices, count, seed):
 
 
 def _batch_path(cfg):
-    """run's outputs computed from the whole (n, 4) batch."""
+    """run's outputs computed from the whole (n, 4) batch; the conditioned
+    ones are None when the window keeps no event."""
     batch = sample_batch(build_covariance(cfg.pair1, cfg.pair2, cfg.setting),
                          cfg.n_points, cfg.seed)
     difference = batch.i1 - batch.i2
-    selected = select(batch, cfg.selection)
-    kept = selected.kept_indices
+    kept = in_window(batch.s1, batch.s2, cfg.selection)
     cond = _old_subsample(kept, cfg.scatter_points,
                           derived_seed(cfg.seed, scenario._SCATTER_TAG_CONDITIONED))
     uncond = _old_subsample(np.arange(batch.n), cfg.scatter_points,
                             derived_seed(cfg.seed, scenario._SCATTER_TAG_UNCONDITIONED))
     return {
         "batch": batch,
-        "selected": selected,
+        "kept": kept,
+        "selected": select(batch, cfg.selection) if kept.size else None,
         "difference": difference,
-        "conditioned_histogram": histogram(difference[kept]),
+        "conditioned_histogram": histogram(difference[kept]) if kept.size else None,
         "unconditioned_histogram": histogram(difference),
         "conditioned_scatter": np.column_stack([batch.i1[cond], batch.i2[cond]]),
         "unconditioned_scatter": np.column_stack([batch.i1[uncond], batch.i2[uncond]]),
@@ -883,7 +960,7 @@ def test_acquire_keeps_the_batch_path_rows(n):
     cfg = ScenarioConfig(n_points=n, seed=29, scatter_points=4,
                          selection=SelectionConfig(bandwidth_delta=0.5))
     ref = _batch_path(cfg)
-    kept = ref["selected"].kept_indices
+    kept = ref["kept"]
     (acquired,) = acquire([cfg], workers=2, unconditioned=True)
     assert len(acquired.kept) == kept.size
     assert acquired.n == n
@@ -1061,7 +1138,7 @@ def test_cli_selftest_states_false_alarm_rate(monkeypatch, capsys):
 
 def test_cli_selftest_reports_a_short_case(monkeypatch, capsys):
     # seed 32 at 100k points draws a case that expects 18.8 kept events and
-    # keeps 25, fewer than its minimum of 30: it has no noise estimate, is
+    # keeps 28, fewer than its minimum of 30: it has no noise estimate, is
     # checked by its count alone, and the run still ends in a verdict
     assert main(["selftest", "--points", "100000", "--seed", "32"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -1069,11 +1146,11 @@ def test_cli_selftest_reports_a_short_case(monkeypatch, capsys):
     assert lines[-1] == "selftest PASS (8 cases; false-alarm rate 2.2%)"
     (short,) = [row for row in run_selftest(seed=32, points=100_000)
                 if row["kept_count"] < 30]
-    assert short["kept_count"] == 25 and short["expected_count"] == pytest.approx(18.8, abs=0.05)
+    assert short["kept_count"] == 28 and short["expected_count"] == pytest.approx(18.8, abs=0.05)
     assert math.isnan(short["mc_db"]) and math.isnan(short["se_db"])
     assert short["ok"]
     # an oracle whose probability is off by 4x fails the short case by its
-    # count (4.7 expected, 25 kept) instead of stopping the run
+    # count (4.7 expected, 28 kept) instead of stopping the run
     real = scenario.predict_transfer
 
     def wrong(*args, **kwargs):
@@ -1084,7 +1161,7 @@ def test_cli_selftest_reports_a_short_case(monkeypatch, capsys):
     monkeypatch.setattr(scenario, "predict_transfer", wrong)
     rows = run_selftest(seed=32, points=100_000)
     assert [row["case"] for row in rows] == list(range(8))
-    assert not rows[short["case"]]["ok"] and rows[short["case"]]["kept_count"] == 25
+    assert not rows[short["case"]]["ok"] and rows[short["case"]]["kept_count"] == 28
     assert main(["selftest", "--points", "100000", "--seed", "32"]) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith("selftest FAIL")
 

@@ -245,7 +245,7 @@ def test_variance_interval_matches_bootstrap_on_default_batch():
     batch = sample_batch(build_covariance(cfg.pair1, cfg.pair2, cfg.setting),
                          cfg.n_points, cfg.seed)
     difference = batch.i1 - batch.i2
-    for window, kept, tolerance in ((0.03, 1054, 0.03), (0.3, 10292, 0.01)):
+    for window, kept, tolerance in ((0.03, 985, 0.03), (0.3, 10033, 0.01)):
         result = select(batch, SelectionConfig(bandwidth_delta=window))
         assert result.kept_count == kept
         values = difference[result.kept_indices]
