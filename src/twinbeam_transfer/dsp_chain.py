@@ -319,9 +319,17 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     branch r) and is rotated by its phase omega*a*dt + phase. Then comes the
     low-pass with its state carried, decimation by q2, the trim and the
     calibration (one multiply by 1/sqrt(_calibration_variance)). The runs
-    sit at fixed record positions with one fixed shape (the last one padded
-    with zeros), filled into one reused buffer, so every output sample is
-    computed the same way whatever the block lengths.
+    sit at fixed record positions with one fixed shape, filled into one
+    reused buffer, so every output sample is computed the same way whatever
+    the block lengths.
+
+    The last output point is mid-rate sample (lead + points - 1)*q2, so the
+    record must hold needed = (lead + points - 1)*q2*q1 + half + 1 wideband
+    samples; a shorter one raises RecordLengthError, naming the shortfall,
+    when its input ends. A long enough record that ends inside a run has
+    that run padded with zeros. The samples computed from the padding never
+    reach an output: the low-pass is causal, and every output sample's FIR
+    reads no input past needed.
     """
     from scipy import signal as sp_signal
 
@@ -333,20 +341,19 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     width = _ROWS * q1
     lo_step = 2.0 * math.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
     scale = 1.0 / math.sqrt(_calibration_variance(cfg))
+    needed = (lead + points - 1) * q2 * q1 + half + 1
 
     run = state = products = folded = chunk = None
-    filled = received = filtered = decimated = written = 0
+    filled = received = written = 0
     # products column c holds row first + c; mid-rate sample first + t sums
     # branch r times row first + t + r
     first = 1 - branches
     for block in itertools.chain(blocks, [None]):
         if block is None:
-            if run is None:
-                break
+            if received < needed:
+                raise RecordLengthError(f"record ended {needed - received} wideband samples short")
             # the record ended: pad its last run with zeros
-            run[:, filled:] = 0.0
-            filled = width
-            block = run[:, :0]
+            block = np.zeros_like(run[:, filled:])
         elif run is None:
             channels = block.shape[0]
             run = np.empty((channels, width), dtype=np.float32)
@@ -359,14 +366,11 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
                                 dtype=np.float32)
             folded = products.reshape(channels, branches, 2, -1)
         received += block.shape[1]
-        # mid-rate samples whose inputs have all arrived
-        ready = max(0, (received - half - 1) // q1 + 1)
-        used = 0
         while True:
-            take = min(width - filled, block.shape[1] - used)
-            run[:, filled:filled + take] = block[:, used:used + take]
+            take = min(width - filled, block.shape[1])
+            run[:, filled:filled + take] = block[:, :take]
+            block = block[:, take:]
             filled += take
-            used += take
             if filled < width:
                 break
             filled = 0
@@ -376,19 +380,15 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
             z = folded[:, 0, :, :_ROWS].copy()
             for branch in range(1, branches):
                 z += folded[:, branch, :, branch:branch + _ROWS]
-            lo, hi = max(filtered, first), min(first + _ROWS, ready)
-            z = z[:, :, lo - first:hi - first]
+            # the run's mid-rate samples lo .. first + _ROWS - 1
+            lo = max(first, 0)
+            phase = lo_step * (np.arange(lo, first + _ROWS) * q1 - half) + cfg.mixer_phase_rad
+            z = z[:, :, lo - first:]
             first += _ROWS
-            if hi <= lo:
-                continue
-            phase = lo_step * (np.arange(lo, hi) * q1 - half) + cfg.mixer_phase_rad
             mid = math.sqrt(2.0) * (np.cos(phase) * z[:, 0] - np.sin(phase) * z[:, 1])
             low, state = sp_signal.sosfilt(sos, mid, axis=1, zi=state)
-            kept = low[:, (-filtered) % q2::q2]
-            filtered += mid.shape[1]
-            # decimated samples lead .. lead + points - 1 are the output
-            new = kept[:, max(lead - decimated, 0):][:, :points - written]
-            decimated += kept.shape[1]
+            # mid-rate samples lead*q2, (lead + 1)*q2, .. are the output
+            new = low[:, max(lead * q2 - lo, -lo % q2)::q2][:, :points - written]
             while new.shape[1]:
                 at = written % _SAMPLE_CHUNK
                 if at == 0:
@@ -401,7 +401,6 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
                     yield chunk
             if written == points:
                 return
-    raise RecordLengthError(f"record ended {points - written} output points short")
 
 
 def _calibration_variance(cfg: SignalChainConfig) -> float:
@@ -440,4 +439,4 @@ def simulate(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
              seed: int) -> SampleBatch:
     """The whole record of ``stream``, as one (points, 4) batch."""
     chunks = list(stream(cov, cfg, points, seed))
-    return SampleBatch(data=np.concatenate(chunks, axis=1).T, seed=seed)
+    return SampleBatch(data=np.concatenate(chunks, axis=1).T)

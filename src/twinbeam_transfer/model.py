@@ -226,7 +226,6 @@ class SampleBatch:
     """
 
     data: np.ndarray
-    seed: int
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
@@ -238,7 +237,6 @@ class SampleBatch:
             raise ValidationError("sample data contains non-finite values")
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
-        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
 
     @property
     def n(self) -> int:
@@ -402,4 +400,4 @@ def sample_batch(cov: FourChannelCovariance, n: int, seed: int) -> SampleBatch:
         _draw_chunk(draw, start, stop, math.inf, scratch)
         for r, row_terms in enumerate(terms):
             _combine(normals[:, :m], row_terms, out[start:stop, r], scratch[:m])
-    return SampleBatch(data=out, seed=seed)
+    return SampleBatch(data=out)

@@ -41,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -472,21 +472,15 @@ def _acquire_chain(cfgs: tuple[ScenarioConfig, ...], workers: int,
         try:
             # the main thread synthesizes; the workers gate and reduce
             chunks = stream(cov, group[0].signal_chain, n, seed)
-            acquired = _stream(group, [_IDLER_TERMS] * len(group), _numbered(chunks),
+            # the stream's chunks lie on the direct engine's _SAMPLE_CHUNK grid
+            acquired = _stream(group, [_IDLER_TERMS] * len(group),
+                               zip(range(0, n, _SAMPLE_CHUNK), chunks),
                                gate, workers, unconditioned)
         except TwinBeamError as exc:
             acquired = [exc] * len(group)
         for r, one in zip(members, acquired):
             results[r] = one
     return results
-
-
-def _numbered(chunks: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
-    """Each (4, m) chunk with the record index of its first column."""
-    start = 0
-    for chunk in chunks:
-        yield start, chunk
-        start += chunk.shape[1]
 
 
 def _stream(cfgs: tuple[ScenarioConfig, ...], idlers: list, items: Iterable, gate: Callable,

@@ -240,7 +240,6 @@ def test_simulate_equals_demodulated_synthesis():
     record = _record(TWIN_COV, CFG, seed=42)
     whole = _demodulated([record], CFG, POINTS)
     assert np.array_equal(streamed.data, whole)
-    assert streamed.seed == 42
 
 
 def test_streamed_output_independent_of_block_size(monkeypatch):
@@ -299,7 +298,6 @@ def test_demodulate_deterministic():
     a = simulate(TWIN_COV, CFG, POINTS, seed=34)
     b = simulate(TWIN_COV, CFG, POINTS, seed=34)
     assert np.array_equal(a.data, b.data)
-    assert a.seed == 34
 
 
 def test_mixer_phase_pi_flips_sign_only():
@@ -359,6 +357,48 @@ def test_record_too_short_raises():
     rec = _record(SHOT_COV, CFG, seed=39)
     with pytest.raises(RecordLengthError):
         _demodulated([rec], CFG, 80_000)
+
+
+def _needed_samples(cfg, points):
+    # the record-length bound of _demod_stream: the last output point is
+    # mid-rate sample (lead + points - 1) * q2, whose FIR reads up to half
+    # wideband samples past q1 times its index
+    q1, q2 = decimation_plan(cfg)
+    lead, _ = _margins(cfg)
+    half = (_polyphase_fir(q1).size - 1) // 2
+    return (lead + points - 1) * q2 * q1 + half + 1, half
+
+
+def _white_record(cfg, points):
+    rng = np.random.default_rng(40)
+    return rng.standard_normal((2, required_synth_samples(cfg, points)), dtype=np.float32)
+
+
+@pytest.mark.parametrize("run_boundary,block", [(False, None), (False, 7), (True, None)])
+def test_record_at_the_length_bound_matches_the_whole_record(run_boundary, block):
+    # exactly the bound's samples, whole or in blocks of 7; or the first
+    # length past it whose zero-padded half + length is a whole number of
+    # runs, so that a run after the record's last would be all padding
+    points = 2_000
+    rec = _white_record(CFG, points)
+    length, half = _needed_samples(CFG, points)
+    if run_boundary:
+        width = dsp_chain._ROWS * decimation_plan(CFG)[0]
+        length = -(-(half + length) // width) * width - half
+        assert length < rec.shape[1]
+    cut = rec[:, :length]
+    blocks = [cut] if block is None else [cut[:, s:s + block]
+                                          for s in range(0, length, block)]
+    assert np.array_equal(_demodulated(blocks, CFG, points),
+                          _demodulated([rec], CFG, points))
+
+
+def test_record_one_sample_short_raises():
+    points = 2_000
+    rec = _white_record(CFG, points)
+    needed, _ = _needed_samples(CFG, points)
+    with pytest.raises(RecordLengthError, match=r"\b1 wideband samples short"):
+        _demodulated([rec[:, :needed - 1]], CFG, points)
 
 
 def test_oversqueezed_at_lo_rejected():

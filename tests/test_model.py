@@ -12,7 +12,6 @@ from twinbeam_transfer.model import (
     SHOT_DIFFERENCE_VARIANCE,
     FourChannelCovariance,
     MeasurementSetting,
-    SampleBatch,
     TwinPairParams,
     build_covariance,
     effective_variances,
@@ -333,10 +332,3 @@ def test_sample_batch_rejects_bad_seed(seed):
                            TwinPairParams(squeezing_db=3.0))
     with pytest.raises(ValidationError, match="seed"):
         sample_batch(cov, 10, seed)
-
-
-@pytest.mark.parametrize("seed", [2.7, True, -5])
-def test_sample_batch_constructor_rejects_bad_seed(seed):
-    # the public constructor validates like sample_batch: 2.7 is not seed 2
-    with pytest.raises(ValidationError, match="seed"):
-        SampleBatch(np.zeros((2, 4)), seed)

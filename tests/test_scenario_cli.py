@@ -718,7 +718,8 @@ def _chain(n_points, **kwargs):
 
 def test_chain_acquire_keeps_the_rows_of_simulate(small_chunks):
     # the streamed chunks, gated by 3 workers, keep exactly the events and
-    # rows that gating the whole simulated record keeps
+    # rows that gating the whole simulated record keeps, and the scatter
+    # holds the record's rows at the subsample positions
     cfg = _chain(30_000, seed=2)
     (acquired,) = acquire([cfg], workers=3, unconditioned=True)
     batch = simulate(build_covariance(cfg.pair1, cfg.pair2), SCALED_CHAIN, 30_000, 2)
@@ -727,6 +728,9 @@ def test_chain_acquire_keeps_the_rows_of_simulate(small_chunks):
     assert len(acquired.kept) == kept.size
     assert np.array_equal(acquired.kept, batch.data[kept][:, [1, 3]])
     assert acquired.moments.n == 30_000
+    picks = scenario._subsample(30_000, cfg.scatter_points,
+                                derived_seed(2, scenario._SCATTER_TAG_UNCONDITIONED))
+    assert np.array_equal(acquired.scatter, batch.data[picks][:, [1, 3]])
 
 
 def test_cli_chain_run_identical_for_any_worker_count(tmp_path, small_chunks):

@@ -124,7 +124,7 @@ def test_order_invariance():
 
     rng = np.random.default_rng(0)
     perm = rng.permutation(batch.n)
-    permuted = SampleBatch(data=batch.data[perm], seed=batch.seed)
+    permuted = SampleBatch(data=batch.data[perm])
     kept_p = select(permuted, cfg).kept_indices
     pairs_p = np.column_stack([permuted.i1[kept_p], permuted.i2[kept_p]])
 
@@ -184,7 +184,7 @@ def test_swapped_roles_also_transfer():
     # 300k events, 1.5: 10-15% of seeds fall outside it)
     batch = _twin_batch(n=1_000_000, seed=77)
     # permuting the columns to (i1, s1, i2, s2) swaps the roles
-    batch = SampleBatch(batch.data[:, [1, 0, 3, 2]], batch.seed)
+    batch = SampleBatch(batch.data[:, [1, 0, 3, 2]])
     cfg = SelectionConfig(bandwidth_delta=0.03)
     report = conditional_statistics(batch, select(batch, cfg), cfg)
     assert report.squeezing_db == pytest.approx(4.0, abs=0.3)
