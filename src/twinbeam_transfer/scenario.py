@@ -11,10 +11,12 @@ prediction.
 The record is consumed chunk by chunk (acquire): the direct engine draws
 each chunk in a worker thread, the chain engine's stream (dsp_chain.stream)
 hands its chunks over as it demodulates them, and each chunk is gated and
-only its kept rows are kept, so memory follows the kept count, not the
-record length, on either engine. The unconditioned statistics a run
-reports are merged from per-chunk moments and histogram counts, and
-their scatter rows are written in place.
+reduced. The kept events' idler differences are reduced, in record order,
+in blocks of _SAMPLE_CHUNK kept values (stats.BlockedMoments), and the
+conditioned scatter is the first scatter_points kept events; the
+unconditioned statistics are merged from per-chunk moments and histogram
+counts, and their scatter rows are written in place. So memory is flat in
+the record length on either engine, whatever the window keeps.
 
 A sweep acquires all its rows together at the sweep's seed. On the direct
 engine each chunk is drawn once, as far as the widest row's window reaches,
@@ -46,7 +48,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .dsp_chain import SignalChainConfig, stream
+from .dsp_chain import _ROWS, SignalChainConfig, _margins, decimation_plan, stream
 from .errors import (
     ConfigurationError,
     EmptySelectionError,
@@ -74,19 +76,19 @@ from .selection import (
     SelectionConfig,
     derived_seed,
     in_window,
-    kept_statistics,
+    kept_moment_statistics,
     moment_statistics,
 )
 from .stats import (
     _BIN_WIDTH_DELTA,
     _MIN_INTERVAL_VALUES,
+    BlockedMoments,
     Histogram,
     Moments,
     TransferReport,
     _bin_counts,
     _binned,
     _merge_counts,
-    histogram,
 )
 
 SWEEP_PARAMETERS = (
@@ -103,14 +105,19 @@ ENGINES = ("direct", "chain")
 _PARTS = (("pair1", TwinPairParams), ("pair2", TwinPairParams),
           ("selection", SelectionConfig), ("signal_chain", SignalChainConfig))
 
-# Peak memory the direct engine holds per kept event: each chunk's kept
-# (i1, i2) row, their concatenation, and the checks and differences of the
-# estimate. Peak RSS of a run that keeps every event grows by about 47 B
-# per event (2M to 8M events, one worker), of a 2-row sweep by about 44 B
-# per row and event; rounded up. A run's unconditioned scatter is charged
-# the same per scatter_points row: the (i1, i2) array the workers fill in
-# place and the subsample positions, 24 B. Peak RSS of run --out over 1M
-# events grows by about 24 B per row from 20k to 1M scatter rows.
+# Peak memory per kept event of each chunk in flight (drawn, or waiting to
+# be merged; _check_memory), and per scatter_points row of a run's two
+# scatters. A chunk's kept events cost the worker's gathered normals and
+# (i1, i2) rows, the differences and rows it hands to the merge, and the
+# merge's block of them: peak RSS of run over 4M events at a window that
+# keeps every event rises by 9.6 MB with 1 worker and 14.3 MB with 2 over
+# one that keeps almost none, 49 and 44 B per kept event of a chunk in
+# flight (a 10-row sweep keeping every event: 14 and 13 B a row). A
+# scatter row costs 24 B in the unconditioned (i1, i2) array the workers
+# fill in place, with its subsample positions, and 21 B in the first kept
+# rows and their concatenation: peak RSS of run --out over 1M events rises
+# by 24 B a row from 20k to 1M scatter rows, by 45 B a row where every
+# event is kept. Rounded up.
 _BYTES_PER_KEPT = 64
 
 # Peak memory per worker thread for the chunk it draws, gates and reduces:
@@ -122,20 +129,29 @@ _BYTES_PER_KEPT = 64
 # length (10 configs: 6.3, 10.1 and 13.9 MB); rounded up.
 _BYTES_PER_CHUNK = 12 << 20
 
-# A sweep row's table row and config (about 0.8 KB; tracemalloc, 5k and 20k
-# rows), and each acquired config's array of kept rows per chunk, held
-# until the merge (about 130 B; 40 configs, 16 against 48 chunks); rounded up.
+# Per acquired config, its kept differences held between chunks until a
+# block of _SAMPLE_CHUNK is full (stats.BlockedMoments): 8 B each, at most
+# a chunk's worth and at most its kept count. Per sweep row, its table row
+# and config (about 0.8 KB; tracemalloc, 5k and 20k rows); rounded up.
+_BYTES_PER_HELD = 8
 _BYTES_PER_SWEEP_ROW = 1024
-_BYTES_PER_ROW_CHUNK = 192
 
-# Peak memory of the chain engine's stream, whatever the record length:
-# the scipy.signal and scipy.fft imports, the filter designs, the synthesis
-# and demodulation buffers and the chunk being filled. Peak RSS of a chain
-# acquisition at a window that keeps almost nothing grows by 88.2, 88.5 and
-# 88.9 MB with 1, 2 and 3 workers over a process that has imported numpy
-# only (66.8 MB of it the scipy imports), 87.4 MB at a third of the record
-# length; less the first worker's _BYTES_PER_CHUNK, rounded up.
-_BYTES_PER_CHAIN_STREAM = 80 << 20
+# Peak memory of the chain engine's stream that does not grow with its
+# decimation plan: the scipy.signal and scipy.fft imports, the filter
+# designs, the synthesis buffers and the chunk being filled. Peak RSS of a
+# chain acquisition at a window that keeps almost nothing grows by 88.2,
+# 88.5 and 88.9 MB with 1, 2 and 3 workers over a process that has imported
+# numpy only (66.8 MB of it the scipy imports), 87.4 MB at a third of the
+# record length, at the default plan q1 = 50, q2 = 5; less the first
+# worker's _BYTES_PER_CHUNK and the plan's buffers (8.2 MiB), rounded up.
+_BYTES_PER_CHAIN_STREAM = 72 << 20
+
+# The chain's buffers that grow with its decimation plan (q1, q2): the
+# demodulator's run of _ROWS rows of q1 float32 samples of 4 channels
+# (64 KiB per q1) and the zero padding of the last run, up to one more
+# run; and the calibration's response, lead * q2 * q1 float64.
+_BYTES_PER_RUN_Q1 = 2 * 4 * 4 * _ROWS
+_BYTES_PER_CALIBRATION_SAMPLE = 8
 
 # chunk results in flight (drawn or waiting to be merged) per worker
 _CHUNKS_PER_WORKER = 2
@@ -152,8 +168,8 @@ _SELFTEST_COUNT_SIGMA = 4.0
 # half-width of the reported interval in standard errors, 0.9945
 _INTERVAL_HALF_WIDTH_SE = NormalDist().inv_cdf(0.5 + _INTERVAL_LEVEL / 2.0)
 
-# seed tags for the scatter subsample streams derived from the batch seed
-_SCATTER_TAG_CONDITIONED = 0x5CA0
+# seed tag for the unconditioned scatter subsample stream derived from the
+# batch seed
 _SCATTER_TAG_UNCONDITIONED = 0x5CA1
 
 
@@ -243,6 +259,9 @@ class ScenarioConfig:
             raise ConfigurationError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         for name, minimum in (("n_points", 2), ("scatter_points", 1), ("seed", 0)):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), minimum))
+        # the record's event positions are int64 (the chunk grid, the scatter picks)
+        if self.n_points > np.iinfo(np.int64).max:
+            raise ValidationError(f"n_points must be at most 2**63 - 1, got {self.n_points}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -311,39 +330,53 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
 
     acquire's check, made before it draws or streams anything, and, with
     ``sweep``, run_sweep's, before it builds any of its ``rows`` rows
-    (_BYTES_PER_SWEEP_ROW each). Either engine holds the kept rows,
-    ``probability`` times n of them, in an array per chunk for each of the
-    ``rows`` configs acquired together, and _BYTES_PER_CHUNK for each worker
-    that has a chunk to reduce; with the unconditioned summary also
-    ``scatter`` scatter subsamples (one per config), at _BYTES_PER_KEPT a
-    row (about 24 B a row measured; the files are written a slice of rows
-    at a time), and on the chain engine the stream's fixed
-    _BYTES_PER_CHAIN_STREAM. Nothing of record length is held.
-    ``probability`` is the acceptance probability summed over the configs
-    acquired together, whose kept rows are held at once. Raises
-    ValidationError, rather than let the process be killed part way.
+    (_BYTES_PER_SWEEP_ROW each). Nothing it charges grows with n_points
+    past a chunk: _BYTES_PER_CHUNK for each worker that has a chunk to
+    reduce; the kept events of the chunks in flight (_CHUNKS_PER_WORKER per
+    worker and the one being merged) at _BYTES_PER_KEPT, ``probability`` of
+    each chunk's events, where ``probability`` is the acceptance
+    probability summed over the ``rows`` configs acquired together; each
+    config's held kept differences, at most a chunk and at most its
+    expected kept count (_BYTES_PER_HELD); with the unconditioned summary,
+    ``scatter`` configs' pairs of scatters of scatter_points rows, at
+    _BYTES_PER_KEPT a row; and on the chain engine the stream's
+    _BYTES_PER_CHAIN_STREAM and the buffers of its decimation plan. Raises
+    ValidationError, naming what to lower, rather than let the process be
+    killed part way.
     """
     n = cfg.n_points
-    # a row's arrays per chunk: per point, and one for the partial chunk
-    per_point = probability * _BYTES_PER_KEPT + rows * _BYTES_PER_ROW_CHUNK / _SAMPLE_CHUNK
+    chunk = min(n, _SAMPLE_CHUNK)
     threads = min(workers, -(-n // _SAMPLE_CHUNK))
-    fixed = threads * _BYTES_PER_CHUNK + rows * (_BYTES_PER_ROW_CHUNK
-                                                 + sweep * _BYTES_PER_SWEEP_ROW)
-    fixed += scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
+    flights = _CHUNKS_PER_WORKER * threads + 1  # chunks whose kept events are held at once
+    kept = probability * chunk * flights * _BYTES_PER_KEPT
+    # each config holds at most a chunk, and at most what it keeps
+    held = min(rows * chunk, probability * n) * _BYTES_PER_HELD
+    tables = rows * sweep * _BYTES_PER_SWEEP_ROW
+    scattered = scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
+    # (bytes, how to free them) of what a request can lower
+    plan = (0, "")
     if cfg.engine == "chain":
-        fixed += _BYTES_PER_CHAIN_STREAM
-    needed = fixed + (n * per_point if n < 1e308 else math.inf)  # beyond float, beyond memory
+        q1, q2 = decimation_plan(cfg.signal_chain)
+        lead, _ = _margins(cfg.signal_chain)
+        plan = (q1 * (_BYTES_PER_RUN_Q1 + lead * q2 * _BYTES_PER_CALIBRATION_SAMPLE),
+                f"lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
+                f"q1 = {q1}, q2 = {q2})")
+    needed = (threads * _BYTES_PER_CHUNK + kept + held + tables + scattered + plan[0]
+              + (cfg.engine == "chain") * _BYTES_PER_CHAIN_STREAM)
     available = _available_memory_bytes()
     if available is None or needed <= available:
         return
-    if available > fixed:
-        advice = f"lower n_points (--points) to at most {int((available - fixed) // per_point)}"
-    elif rows > 1:
-        advice = f"lower the sweep steps (now {rows})"
-    elif threads > 1:
-        advice = f"lower the worker count (--workers, now {workers})"
-    else:
-        advice = "free some memory first"
+    remedies = (
+        ((threads - 1) * (_BYTES_PER_CHUNK + kept / flights * _CHUNKS_PER_WORKER),
+         f"lower the worker count (--workers, now {workers})"),
+        (scattered, f"lower scatter_points (now {cfg.scatter_points})"),
+        ((1 - 1 / rows) * (kept + held + tables), f"lower the sweep steps (now {rows})"),
+        plan,
+    )
+    # the first remedy that alone would make the acquisition fit; the
+    # worker count, first, changes no output
+    advice = next((text for saved, text in remedies if saved and needed - saved <= available),
+                  "free some memory first")
     raise ValidationError(
         f"{n} points need about {needed / 1e9:.2f} GB but only "
         f"{available / 1e9:.2f} GB of memory is available; {advice}")
@@ -352,27 +385,31 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
 class Acquisition(NamedTuple):
     """What one acquisition keeps of its record of ``n`` events.
 
-    ``kept`` holds the (i1, i2) rows of the kept events in record order
-    (zero rows when the window keeps none). With the unconditioned summary,
-    ``moments`` (of i1 - i2), ``histogram`` and ``scatter`` (the (i1, i2)
-    rows of the unconditioned subsample) cover every event; without it they
-    are None.
+    ``kept_moments`` are the moments of the idler difference i1 - i2 over
+    the kept events, reduced in record order in blocks of _SAMPLE_CHUNK
+    kept values (stats.BlockedMoments), or None when the window keeps none.
+    With the unconditioned summary, ``kept_histogram`` bins those
+    differences, ``kept_scatter`` holds the (i1, i2) rows of the first
+    scatter_points kept events, and ``moments`` (of i1 - i2), ``histogram``
+    and ``scatter`` (the (i1, i2) rows of the unconditioned subsample) cover
+    every event; without it they are None.
     """
 
-    kept: np.ndarray
+    kept_moments: Moments | None
     n: int
+    kept_histogram: Histogram | None = None
+    kept_scatter: np.ndarray | None = None
     moments: Moments | None = None
     histogram: Histogram | None = None
     scatter: np.ndarray | None = None
 
     @property
-    def differences(self) -> np.ndarray:
-        """The idler difference i1 - i2 of each kept event."""
-        return self.kept[:, 0] - self.kept[:, 1]
+    def kept_count(self) -> int:
+        return 0 if self.kept_moments is None else self.kept_moments.n
 
     def conditioned(self, cfg: SelectionConfig) -> TransferReport:
-        """The conditioned noise report; see selection.kept_statistics."""
-        return kept_statistics(self.differences, self.n, cfg)
+        """The conditioned noise report; see selection.kept_moment_statistics."""
+        return kept_moment_statistics(self.kept_moments, self.n, cfg)
 
 
 def _in_order(fn, items, workers: int):
@@ -413,7 +450,8 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     threads reduce chunks in parallel and the parts are merged in chunk
     order, so the result is the same for any count.
     Refuses, before it draws or streams anything, what would not fit in
-    memory (_check_memory): every config's kept rows and scatter at once.
+    memory (_check_memory): the chunks in flight, and every config's held
+    kept differences and scatters at once; none of it grows with n_points.
     """
     cfgs = tuple(cfgs)
     workers = _require_int("workers", workers, 1)
@@ -492,10 +530,12 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], idlers: list, items: Iterable, gat
     in a worker thread and with its scratch row ``spare``, returns a chunk's
     first record index, its (4, m) columns and, per config, the columns it
     keeps; config r's i1 and i2, ``_combine`` of the columns with
-    ``idlers[r]``, are computed for those only. With ``unconditioned``, i1
-    and i2 are also computed for every event and reduced to the chunk's
-    moments and histogram counts, and the chunk's scatter rows are written
-    in place into the config's one scatter array.
+    ``idlers[r]``, are computed for those only, and the merge reduces their
+    differences in blocks (stats.BlockedMoments). With ``unconditioned``
+    the merge also bins those blocks and keeps the first scatter_points
+    kept rows, and i1 and i2 are also computed for every event and reduced
+    to the chunk's moments and histogram counts, and the chunk's scatter
+    rows are written in place into the config's one scatter array.
     """
     n, seed = cfgs[0].n_points, cfgs[0].seed
     picks = (_subsample(n, cfgs[0].scatter_points,
@@ -515,39 +555,49 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], idlers: list, items: Iterable, gat
         parts = []
         for (i1_terms, i2_terms), kept, out in zip(idlers, gates, scatter):
             kept_z = z[:, kept]
-            rows = np.empty((kept.size, 2))
-            _combine(kept_z, i1_terms, rows[:, 0], scratch[:kept.size])
-            _combine(kept_z, i2_terms, rows[:, 1], scratch[:kept.size])
-            if not unconditioned:
-                parts.append((rows,))
-                continue
-            idler1 = _combine(z, i1_terms, first, scratch)
-            idler2 = _combine(z, i2_terms, second, scratch)
-            difference = np.subtract(idler1, idler2, out=scratch)
-            low, high = np.searchsorted(picks, (start, start + m))
-            picked = picks[low:high] - start
-            # the scatter rows go first: the summary reuses the idler buffers
-            out[low:high, 0] = idler1[picked]
-            out[low:high, 1] = idler2[picked]
-            parts.append((rows, Moments.of(difference, (first, second)),
-                          _bin_counts(difference, _BIN_WIDTH_DELTA,
-                                      (second, first.view(np.int64)))))
+            idler1 = _combine(kept_z, i1_terms, first[:kept.size], scratch[:kept.size])
+            idler2 = _combine(kept_z, i2_terms, second[:kept.size], scratch[:kept.size])
+            part = [idler1 - idler2]
+            if unconditioned:
+                part.append(np.column_stack((idler1, idler2)))
+                idler1 = _combine(z, i1_terms, first, scratch)
+                idler2 = _combine(z, i2_terms, second, scratch)
+                difference = np.subtract(idler1, idler2, out=scratch)
+                low, high = np.searchsorted(picks, (start, start + m))
+                picked = picks[low:high] - start
+                # the scatter rows go first: the summary reuses the idler buffers
+                out[low:high, 0] = idler1[picked]
+                out[low:high, 1] = idler2[picked]
+                part += [Moments.of(difference, (first, second)),
+                         _bin_counts(difference, _BIN_WIDTH_DELTA, (second, first.view(np.int64)))]
+            parts.append(part)
         return parts
 
-    rows = [[] for _ in cfgs]
+    blocks = [BlockedMoments(binned=unconditioned) for _ in cfgs]
+    # the first scatter_points kept (i1, i2) rows of each config, in record order
+    firsts: list[list[np.ndarray]] = [[] for _ in cfgs]
+    room = [cfgs[0].scatter_points] * len(cfgs)
     moments = [None] * len(cfgs)
     counts = [None] * len(cfgs)
     for parts in _in_order(reduce, items, workers):
-        for r, (kept_rows, *summary) in enumerate(parts):
-            rows[r].append(kept_rows)
+        for r, (differences, *summary) in enumerate(parts):
+            blocks[r].add(differences)
             if summary:
-                part_moments, part_counts = summary
+                rows, part_moments, part_counts = summary
+                if room[r]:
+                    firsts[r].append(rows[:room[r]])
+                    room[r] -= len(firsts[r][-1])
                 moments[r] = part_moments if moments[r] is None else moments[r].merge(part_moments)
                 counts[r] = part_counts if counts[r] is None else _merge_counts(counts[r],
                                                                                 part_counts)
+    for reduced in blocks:
+        reduced.close()
     return [Acquisition(
-        kept=np.concatenate(rows[r]),
+        kept_moments=blocks[r].moments,
         n=n,
+        kept_histogram=(_binned(*blocks[r].counts, _BIN_WIDTH_DELTA) if blocks[r].counts
+                        else None),
+        kept_scatter=np.concatenate(firsts[r]) if unconditioned else None,
         moments=moments[r],
         histogram=_binned(*counts[r], _BIN_WIDTH_DELTA) if unconditioned else None,
         scatter=scatter[r],
@@ -581,25 +631,25 @@ def _subsample(size: int, count: int, seed: int) -> np.ndarray:
 def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> ScenarioResult:
     """One paired acquisition: conditioned and unconditioned statistics.
 
-    When out_dir is given, also writes scatter, histogram, and report files
-    there (see _write_scenario_outputs for the exact set). Refuses, with a
+    The conditioned scatter holds the first scatter_points kept events in
+    record order: events are independent (direct engine) or stationary
+    (chain), so they are a sample of the kept distribution; the
+    unconditioned scatter is a random subsample of every event. When out_dir
+    is given, also writes scatter, histogram, and report files there (see
+    _write_scenario_outputs for the exact set). Refuses, with a
     ValidationError, a run that would not fit in available memory (acquire).
     """
     prediction = cfg.predict()
     (acquired,) = acquire([cfg], workers, unconditioned=True)
     if isinstance(acquired, TwinBeamError):
         raise acquired
-    conditioned = acquired.conditioned(cfg.selection)
-    picks = _subsample(len(acquired.kept), cfg.scatter_points,
-                       derived_seed(cfg.seed, _SCATTER_TAG_CONDITIONED))
-
     result = ScenarioResult(
-        conditioned=conditioned,
+        conditioned=acquired.conditioned(cfg.selection),
         unconditioned=moment_statistics(acquired.moments),
         oracle=prediction,
-        conditioned_histogram=histogram(acquired.differences),
+        conditioned_histogram=acquired.kept_histogram,
         unconditioned_histogram=acquired.histogram,
-        conditioned_scatter=acquired.kept[picks],
+        conditioned_scatter=acquired.kept_scatter,
         unconditioned_scatter=acquired.scatter,
         config=cfg,
     )
@@ -712,10 +762,11 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
     config alone, and the rows are correlated, while each row's interval is
     valid on its own. The table is identical for any worker count. When
     out_dir is given, writes sweep.csv there (write_sweep_table). Refuses,
-    with a ValidationError, a sweep
-    whose rows would not fit in available memory: before it builds a row,
-    one whose rows alone would not, and before any row runs, one whose kept
-    rows of all rows, which acquire holds at once, would not.
+    with a ValidationError, a sweep whose rows would not fit in available
+    memory: before it builds a row, one whose rows alone would not, and
+    before any row runs, one whose chunks in flight and held kept
+    differences of all rows, which acquire holds at once, would not. None
+    of it grows with n_points.
     """
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
@@ -821,7 +872,7 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
         db_ok = math.isnan(mc) or abs(mc - prediction.transferred_db) <= _SELFTEST_DB_SIGMA * se
         p = prediction.selection_probability
         count_sigma = math.sqrt(points * p * (1.0 - p)) if p < 1.0 else 1.0
-        count_gap = abs(len(acquired.kept) - points * p)
+        count_gap = abs(acquired.kept_count - points * p)
         ok = bool(db_ok and count_gap <= _SELFTEST_COUNT_SIGMA * count_sigma)
         results.append({
             "case": index,
@@ -831,7 +882,7 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
             "mc_db": mc,
             "oracle_db": prediction.transferred_db,
             "se_db": se,
-            "kept_count": len(acquired.kept),
+            "kept_count": acquired.kept_count,
             "expected_count": points * p,
             "ok": ok,
         })

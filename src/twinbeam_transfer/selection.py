@@ -31,7 +31,7 @@ from .model import (
     _require_int,
     _require_real,
 )
-from .stats import _MIN_INTERVAL_VALUES, Moments, TransferReport, _as_clean_1d
+from .stats import _MIN_INTERVAL_VALUES, BlockedMoments, Moments, TransferReport, _as_clean_1d
 
 # two-sided coverage of the reported interval (half-width 0.9945 standard errors)
 _INTERVAL_LEVEL = 0.68
@@ -138,13 +138,25 @@ def conditional_statistics(batch: SampleBatch, result: SelectionResult,
 
 def kept_statistics(values: np.ndarray, total: int, cfg: SelectionConfig) -> TransferReport:
     """:func:`conditional_statistics` from the kept idler differences
-    ``values`` of a record of ``total`` events; raises EmptySelectionError
-    when none is kept."""
-    _require_kept(values.size, total, cfg)
-    if values.size < cfg.min_kept:
-        raise InsufficientStatisticsError(values.size, cfg.min_kept)
-    moments = Moments.of(_as_clean_1d(values, _MIN_INTERVAL_VALUES))
-    return _report(moments, values.size / total)
+    ``values`` of a record of ``total`` events, in record order: their
+    moments are reduced in the blocks a streamed record reduces them in
+    (stats.BlockedMoments), so both give the same bits."""
+    blocks = BlockedMoments()
+    blocks.add(_as_clean_1d(values, 0))
+    return kept_moment_statistics(blocks.close().moments, total, cfg)
+
+
+def kept_moment_statistics(moments: Moments | None, total: int,
+                           cfg: SelectionConfig) -> TransferReport:
+    """:func:`conditional_statistics` from the moments of the kept idler
+    differences of a record of ``total`` events (None when none is kept);
+    raises EmptySelectionError when none is kept and
+    InsufficientStatisticsError when fewer than ``cfg.min_kept`` are."""
+    count = 0 if moments is None else moments.n
+    _require_kept(count, total, cfg)
+    if count < cfg.min_kept:
+        raise InsufficientStatisticsError(count, cfg.min_kept)
+    return _report(moments, count / total)
 
 
 def moment_statistics(moments: Moments) -> TransferReport:

@@ -5,7 +5,10 @@ interval every run reports. The test suite checks it against a percentile
 bootstrap reference, which the package does not ship. :class:`Moments` is
 the one estimator behind it and behind every report: the point and interval
 come from the count and central moment sums of the values, which a streamed
-record merges chunk by chunk, so it needs no copy of every value.
+record merges chunk by chunk, so it needs no copy of every value. The kept
+events' values are merged from blocks of a fixed count
+(:class:`BlockedMoments`), so a streamed record and its batch give the
+same bits.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .model import COHERENT_DELTA
+from .model import _SAMPLE_CHUNK, COHERENT_DELTA
 
 # the moment-based interval needs this many values
 _MIN_INTERVAL_VALUES = 30
@@ -246,6 +249,53 @@ class Moments(NamedTuple):
         se_db = 10.0 / math.log(10.0) * math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n) / s2
         half = NormalDist().inv_cdf(0.5 + level / 2.0) * se_db
         return point, point - half, point + half
+
+
+class BlockedMoments:
+    """Moments of values that arrive in order, reduced in blocks.
+
+    The blocks are cut from the sequence of values, whatever arrays it
+    arrives in: _SAMPLE_CHUNK values each, the last one partial. Each block
+    is reduced to :class:`Moments` and, with ``binned``, to bin counts on
+    the _BIN_WIDTH_DELTA grid, and merged in order, so a sequence fed a
+    chunk at a time gives the bits of the same sequence fed at once. Each
+    value is copied into the one block being filled, which grows as it
+    fills. :meth:`close`
+    reduces that block, full (from :meth:`add`) or the partial last one;
+    ``moments`` is None when no value arrived.
+    """
+
+    def __init__(self, binned: bool = False):
+        self.moments: Moments | None = None
+        self.counts: tuple[int, np.ndarray] | None = None
+        self._binned = binned
+        self._block = np.empty(0)
+        self._filled = 0
+
+    def add(self, values: np.ndarray) -> None:
+        while values.size:
+            end = self._filled + min(values.size, _SAMPLE_CHUNK - self._filled)
+            if end > self._block.size:
+                # doubled, up to a block: a config that keeps few values holds few
+                grown = np.empty(min(max(2 * self._block.size, end), _SAMPLE_CHUNK))
+                grown[:self._filled] = self._block[:self._filled]
+                self._block = grown
+            self._block[self._filled:end] = values[:end - self._filled]
+            values = values[end - self._filled:]
+            self._filled = end
+            if end == _SAMPLE_CHUNK:
+                self.close()
+
+    def close(self) -> "BlockedMoments":
+        if self._filled:
+            block = self._block[:self._filled]
+            part = Moments.of(block)
+            self.moments = part if self.moments is None else self.moments.merge(part)
+            if self._binned:
+                counts = _bin_counts(block, _BIN_WIDTH_DELTA)
+                self.counts = counts if self.counts is None else _merge_counts(self.counts, counts)
+            self._filled = 0
+        return self
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from twinbeam_transfer.selection import (
     in_window,
     select,
 )
-from twinbeam_transfer.stats import histogram, variance_db, variance_interval
+from twinbeam_transfer.stats import BlockedMoments, histogram, variance_db, variance_interval
 
 
 SMALL = ScenarioConfig(n_points=100_000, seed=7)
@@ -352,8 +352,7 @@ def test_sweep_rows_match_acquire_of_each_row(axis, workers):
     for row, row_cfg, together in zip(rows, row_cfgs, shared):
         assert row_cfg.seed == cfg.seed
         (alone,) = acquire([row_cfg])
-        assert len(together.kept) == len(alone.kept)
-        assert np.array_equal(together.kept, alone.kept)
+        assert together.kept_moments == alone.kept_moments
         report = alone.conditioned(row_cfg.selection)
         assert row["error"] == ""
         assert (row["transferred_db"], row["ci_low_db"], row["ci_high_db"]) == (
@@ -387,14 +386,14 @@ def test_narrow_window_draws_only_its_layers(monkeypatch):
     monkeypatch.setattr(scenario, "_draw_chunk", counted)
     (acquired,) = acquire([cfg], workers=2)
     events, drawn = map(sum, zip(*counts))
-    kept = len(acquired.kept)
+    kept = acquired.kept_count
     assert events == cfg.n_points
     assert 1000 < kept < drawn < 2 * kept
     counts.clear()
     (summarized,) = acquire([cfg], workers=2, unconditioned=True)
     events, drawn = map(sum, zip(*counts))
     assert drawn == events == cfg.n_points
-    assert np.array_equal(summarized.kept, acquired.kept)
+    assert summarized.kept_moments == acquired.kept_moments
 
 
 def test_acquire_rejects_configs_that_do_not_share_the_record():
@@ -460,7 +459,7 @@ def test_cli_run_writes_files(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["seed"] == 7
-    assert report["version"] == "0.1.0"
+    assert report["version"] == "0.2.0"
 
 
 def test_cli_run_bit_identical_reruns(tmp_path, capsys):
@@ -536,116 +535,152 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _room(kept_bytes, workers=1, scatter=0, engine="direct", rows=1):
-    # an available-memory reading with room for the workers' chunks, a
-    # scatter subsample, kept_bytes of kept rows and their per-chunk arrays
-    # (_per_point), one more such array per row and, on the chain engine,
-    # the stream's buffers
-    stream = scenario._BYTES_PER_CHAIN_STREAM if engine == "chain" else 0
-    return (workers * scenario._BYTES_PER_CHUNK + rows * scenario._BYTES_PER_ROW_CHUNK
-            + scatter * scenario._BYTES_PER_KEPT + kept_bytes + stream)
+def _room(probability=0.0, workers=1, scatter=0, engine="direct", rows=1, points=100_000,
+          sweep=False, plan=0):
+    # an available-memory reading with room for what acquire holds: the
+    # workers' chunks, the kept events of the chunks in flight, each row's
+    # held differences (and, for a sweep, its table row), scatter rows and,
+    # on the chain engine, the stream's buffers and its plan's; nothing of
+    # it grows with the record past one chunk
+    chunk = min(points, scenario._SAMPLE_CHUNK)
+    flights = scenario._CHUNKS_PER_WORKER * workers + 1
+    stream = scenario._BYTES_PER_CHAIN_STREAM + plan if engine == "chain" else 0
+    return math.ceil(workers * scenario._BYTES_PER_CHUNK
+                     + probability * chunk * flights * scenario._BYTES_PER_KEPT
+                     + min(rows * chunk, probability * points) * scenario._BYTES_PER_HELD
+                     + rows * sweep * scenario._BYTES_PER_SWEEP_ROW
+                     + scatter * scenario._BYTES_PER_KEPT + stream)
 
 
-def _per_point(probability, rows=1):
-    # the charge per point of the record: the kept rows, and each row's
-    # array of them per chunk
-    return (probability * scenario._BYTES_PER_KEPT
-            + rows * scenario._BYTES_PER_ROW_CHUNK / scenario._SAMPLE_CHUNK)
+def _plan_bytes(chain):
+    # the chain's buffers that grow with its decimation plan
+    q1, q2 = dsp_chain.decimation_plan(chain)
+    lead, _ = dsp_chain._margins(chain)
+    return q1 * (scenario._BYTES_PER_RUN_Q1 + lead * q2 * scenario._BYTES_PER_CALIBRATION_SAMPLE)
 
 
 @pytest.mark.parametrize("engine", ["direct", "chain"])
-def test_cli_run_beyond_free_memory_exit_code(monkeypatch, capsys, engine):
+def test_cli_run_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys, engine):
     # the available-memory reading is lowered, never the machine's memory
-    # used up. Either engine holds its kept rows, and the chain its stream's
-    # buffers: here room for 100 kept rows, where 100k points keep ~340
-    kept_bytes = 100 * scenario._BYTES_PER_KEPT
-    room = _room(kept_bytes, scatter=SMALL.scatter_points, engine=engine)
-    most = int(kept_bytes // _per_point(SMALL.predict().selection_probability))
-    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
+    # used up. A run with room for all but its scatter subsamples is
+    # refused, asking for fewer scatter rows; one with room for all runs
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
+    room = _room(cfg.predict().selection_probability, scatter=cfg.scatter_points,
+                 engine=engine, plan=_plan_bytes(SCALED_CHAIN))
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
     with pytest.raises(ValidationError, match="memory"):
         run_scenario(cfg)
-    assert main(["run", "--engine", engine, "--points", "100000"]) == 2
-    assert f"lower n_points (--points) to at most {most}" in capsys.readouterr().err
-    assert 0 < most < 100_000
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "lower scatter_points (now 20000)" in capsys.readouterr().err
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
+    assert run_scenario(cfg).conditioned.kept_count > 100
 
 
 def test_chain_memory_check_charges_no_record(monkeypatch):
     # a 10^9-point chain run was charged 64 GB for the record it no longer
-    # holds; now it needs room for its kept rows (about 3.4M at the default
-    # window) and the stream's buffers, well under 1 GB
+    # holds, then about 0.2 GB for its kept rows; now it needs room for the
+    # chunks in flight, the scatter and the stream's buffers, whatever its
+    # length, as a 100k-point run does
     cfg = ScenarioConfig(n_points=10 ** 9, engine="chain")
     p = cfg.predict().selection_probability
-    needed = math.ceil(_room(cfg.n_points * _per_point(p),
-                             scatter=cfg.scatter_points, engine="chain"))
-    assert needed < 2 ** 30
+    needed = _room(p, scatter=cfg.scatter_points, engine="chain", points=cfg.n_points,
+                   plan=_plan_bytes(cfg.signal_chain))
+    assert needed < 2 ** 27
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: needed)
-    scenario._check_memory(cfg, p, workers=1, scatter=True)
+    for points in (100_000, cfg.n_points, 2 ** 63 - 1):
+        scenario._check_memory(dataclasses.replace(cfg, n_points=points), p, workers=1,
+                               scatter=True)
     # the stream's buffers are charged on top of what the direct engine needs
     monkeypatch.setattr(scenario, "_available_memory_bytes",
-                        lambda: needed - scenario._BYTES_PER_CHAIN_STREAM)
+                        lambda: needed - scenario._BYTES_PER_CHAIN_STREAM
+                        - _plan_bytes(cfg.signal_chain))
     scenario._check_memory(dataclasses.replace(cfg, engine="direct"), p, scatter=True)
     with pytest.raises(ValidationError, match="memory"):
         scenario._check_memory(cfg, p, workers=1, scatter=True)
 
 
+def test_chain_memory_check_charges_the_decimation_plan(monkeypatch, tmp_path, capsys):
+    # a 2e10 Hz synthesis rate with a 1 GHz cavity decimates by q1 = 20000:
+    # its demodulator run buffer, last-run padding and calibration response
+    # need about 3.4 GB, which escaped main as a MemoryError where the
+    # memory was not there. With 2 GiB available, 100 points exit 2 before
+    # any synthesis, naming the plan and what to lower
+    def never(*args, **kwargs):
+        raise AssertionError("synthesized before the memory check")
+
+    monkeypatch.setattr(scenario, "stream", never)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 2 << 30)
+    chain = {"synth_rate_hz": 2.0e10, "cavity_bandwidth_hz": 1.0e9}
+    assert dsp_chain.decimation_plan(SignalChainConfig(**chain)) == (20_000, 5)
+    assert _plan_bytes(SignalChainConfig(**chain)) > 3e9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"engine": "chain", "signal_chain": chain}))
+    assert main(["run", "--config", str(path), "--points", "100"]) == 2
+    err = capsys.readouterr().err
+    assert ("lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
+            "q1 = 20000, q2 = 5)") in err
+
+
 def test_cli_run_charges_only_workers_with_a_chunk(monkeypatch, capsys):
     # 100k points are 2 chunks, so --workers 8 is charged 2 chunks, not 8;
-    # when those 2 chunks alone do not fit, the refusal asks for fewer
-    # workers instead of offering "at most 0" points
-    kept_bytes = math.ceil(100_000 * _per_point(SMALL.predict().selection_probability)) + 1
-    charged = _room(0, workers=2, scatter=SMALL.scatter_points)
-    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charged + kept_bytes)
+    # when those 2 chunks do not fit, the refusal asks for fewer workers,
+    # and when one worker's chunk alone does not, for memory
+    p = SMALL.predict().selection_probability
+    charged = _room(p, workers=2, scatter=SMALL.scatter_points)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charged)
     assert main(["run", "--points", "100000", "--workers", "8"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charged - 1)
     assert main(["run", "--points", "100000", "--workers", "8"]) == 2
-    err = capsys.readouterr().err
-    assert "lower the worker count (--workers, now 8)" in err
-    assert "at most" not in err
-    # one worker's chunk and the scatter alone do not fit: nothing to lower
-    monkeypatch.setattr(scenario, "_available_memory_bytes",
-                        lambda: _room(0, scatter=SMALL.scatter_points) - 1)
+    assert "lower the worker count (--workers, now 8)" in capsys.readouterr().err
+    # one worker's chunk alone does not fit: nothing to lower
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: _room(0.0) - 1)
     assert main(["run", "--points", "100000", "--workers", "1"]) == 2
     assert "memory is available; free some memory first" in capsys.readouterr().err
 
 
 def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
-    # room for the kept rows of both 20k-point rows, which share each chunk's
-    # draw and so are held at once, and for one chunk, the only one a
-    # 20k-point sweep has even with 3 workers: the sweep fits, while a
-    # longer record is refused as a whole before any row runs
+    # room for both 20k-point rows, which share each chunk's draw and so are
+    # held at once, and for one chunk, the only one a 20k-point sweep has
+    # even with 3 workers: the sweep fits, and one byte less is refused as
+    # a whole before any row runs, asking for fewer steps. The charge stops
+    # growing once each row holds a chunk: a room that fits 10^7 points
+    # fits 10^12 and 2^63 - 1
     cfg = ScenarioConfig(n_points=20_000, seed=5,
                          selection=SelectionConfig(bandwidth_delta=0.3),
                          sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2))
     p_sum = sum(predict_transfer(TwinPairParams(squeezing_db=s), TwinPairParams(squeezing_db=s),
                                  0.3).selection_probability for s in (3.0, 9.0))
-    kept_bytes = math.ceil(20_000 * _per_point(p_sum, rows=2)) + 1
-    monkeypatch.setattr(scenario, "_available_memory_bytes",
-                        lambda: _room(kept_bytes, rows=2))
+    room = _room(p_sum, rows=2, points=20_000)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
     assert [row["error"] for row in run_sweep(cfg, workers=3)] == ["", ""]
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--points", "20001",
-                 "--workers", "3", "--out", str(out)]) == 2
-    assert "lower n_points (--points) to at most 20000" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(path), "--workers", "3", "--out", str(out)]) == 2
+    assert "lower the sweep steps (now 2)" in capsys.readouterr().err
     assert not out.exists()
+    room = _room(p_sum, workers=3, rows=2, points=10 ** 7)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
+    for points in (10 ** 7, 10 ** 12, 2 ** 63 - 1):
+        scenario._check_memory(dataclasses.replace(cfg, n_points=points), p_sum, workers=3,
+                               rows=2)
 
 
 def test_cli_sweep_rows_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
-    # a sweep's table rows and configs, and the arrays of kept rows that
-    # acquire holds per row and chunk, are charged before any row is built:
-    # 1000 rows of 1000 points (one chunk) need 1000 * (1024 + 2 * 192) B
-    # beside one worker's chunk, and a reading with room for the table rows
-    # alone refuses the sweep, asking for fewer steps
+    # a sweep's table rows and configs are charged before any row is built:
+    # 1000 rows need 1000 * 1024 B beside one worker's chunk, and a reading
+    # with room for one worker's chunk and half of them refuses the sweep,
+    # asking for fewer steps
     steps, points = 1000, 1000
     cfg = ScenarioConfig(n_points=points, sweep=SweepAxis("squeezing_db", 1.0, 9.0, steps))
-    charge = (_room(0, rows=steps) + steps * scenario._BYTES_PER_SWEEP_ROW
-              + points * _per_point(0.0, rows=steps))
-    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: math.ceil(charge))
+    charge = _room(rows=steps, points=points, sweep=True)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charge)
     scenario._check_memory(cfg, 0.0, rows=steps, sweep=True)
-    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: math.ceil(charge) - 1)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charge - 1)
     with pytest.raises(ValidationError, match="memory"):
         scenario._check_memory(cfg, 0.0, rows=steps, sweep=True)
 
@@ -654,7 +689,7 @@ def test_cli_sweep_rows_beyond_free_memory_exit_code(monkeypatch, tmp_path, caps
 
     monkeypatch.setattr(scenario, "_apply_axis", no_row)
     monkeypatch.setattr(scenario, "_available_memory_bytes",
-                        lambda: _room(steps * scenario._BYTES_PER_SWEEP_ROW))
+                        lambda: _room(points=points) + steps * scenario._BYTES_PER_SWEEP_ROW // 2)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -663,13 +698,16 @@ def test_cli_sweep_rows_beyond_free_memory_exit_code(monkeypatch, tmp_path, caps
 
 
 def test_cli_selftest_beyond_free_memory_exit_code(monkeypatch, capsys):
-    # room for one worker's chunk and 1 kB of kept rows: the default cases,
-    # charged at their largest acceptance probability, are refused
-    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: _room(1000))
+    # room for one worker's chunk and 1 kB: the default cases, charged at
+    # their largest acceptance probability, are refused before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the memory check")
+
+    monkeypatch.setattr(scenario, "_draw_chunk", no_draw)
+    monkeypatch.setattr(scenario, "_available_memory_bytes",
+                        lambda: scenario._BYTES_PER_CHUNK + 1000)
     assert main(["selftest", "--points", "1000000"]) == 2
-    err = capsys.readouterr().err
-    assert "lower n_points (--points) to at most" in err
-    assert int(err.rsplit(" ", 1)[1]) < 1000
+    assert "memory is available; free some memory first" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("engine, generator", [("direct", "_draw_chunk"),
@@ -681,21 +719,22 @@ def test_acquire_refuses_beyond_free_memory_before_any_draw(monkeypatch, engine,
         raise AssertionError(f"{generator} called before the memory check")
 
     monkeypatch.setattr(scenario, generator, never)
-    monkeypatch.setattr(scenario, "_available_memory_bytes",
-                        lambda: _room(100 * scenario._BYTES_PER_KEPT, engine=engine))
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
+    room = _room(cfg.predict().selection_probability, engine=engine,
+                 plan=_plan_bytes(SCALED_CHAIN))
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
     for unconditioned in (False, True):
         with pytest.raises(ValidationError, match="memory"):
             acquire([cfg], unconditioned=unconditioned)
 
 
 def test_acquire_charges_each_config_its_kept_rows_and_scatter(monkeypatch):
-    # two configs acquired together hold both their kept rows and, with the
-    # unconditioned summary, one scatter subsample each
+    # two configs acquired together hold both their kept events in flight
+    # and their held differences and, with the unconditioned summary, one
+    # pair of scatters each
     cfgs = [SMALL, dataclasses.replace(SMALL, selection=SelectionConfig(bandwidth_delta=0.1))]
-    kept_bytes = math.ceil(SMALL.n_points * _per_point(
-        sum(c.predict().selection_probability for c in cfgs), rows=2))
-    room = _room(kept_bytes, scatter=2 * SMALL.scatter_points, rows=2)
+    room = _room(sum(c.predict().selection_probability for c in cfgs),
+                 scatter=2 * SMALL.scatter_points, rows=2)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
     assert [a.scatter.shape for a in acquire(cfgs, unconditioned=True)] == [(20_000, 2)] * 2
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
@@ -717,16 +756,18 @@ def _chain(n_points, **kwargs):
 
 
 def test_chain_acquire_keeps_the_rows_of_simulate(small_chunks):
-    # the streamed chunks, gated by 3 workers, keep exactly the events and
-    # rows that gating the whole simulated record keeps, and the scatter
-    # holds the record's rows at the subsample positions
-    cfg = _chain(30_000, seed=2)
+    # the streamed chunks, gated by 3 workers, keep exactly the events that
+    # gating the whole simulated record keeps: the same moments of their
+    # differences, their first rows as the conditioned scatter, and the
+    # unconditioned scatter holds the record's rows at the subsample positions
+    cfg = _chain(30_000, seed=2, scatter_points=200)
     (acquired,) = acquire([cfg], workers=3, unconditioned=True)
     batch = simulate(build_covariance(cfg.pair1, cfg.pair2), SCALED_CHAIN, 30_000, 2)
     kept = select(batch, cfg.selection).kept_indices
-    assert kept.size > 100
-    assert len(acquired.kept) == kept.size
-    assert np.array_equal(acquired.kept, batch.data[kept][:, [1, 3]])
+    assert kept.size > 200
+    assert acquired.kept_count == kept.size
+    assert acquired.kept_moments == _blocked(batch.i1[kept] - batch.i2[kept])
+    assert np.array_equal(acquired.kept_scatter, batch.data[kept[:200]][:, [1, 3]])
     assert acquired.moments.n == 30_000
     picks = scenario._subsample(30_000, cfg.scatter_points,
                                 derived_seed(2, scenario._SCATTER_TAG_UNCONDITIONED))
@@ -771,8 +812,7 @@ def test_chain_sweep_rows_share_one_record(monkeypatch, small_chunks, axis, reco
     shared = acquire(row_cfgs, workers=workers)
     for row, row_cfg, together in zip(rows, row_cfgs, shared):
         (alone,) = acquire([row_cfg])
-        assert len(together.kept) == len(alone.kept)
-        assert np.array_equal(together.kept, alone.kept)
+        assert together.kept_moments == alone.kept_moments
         report = alone.conditioned(row_cfg.selection)
         assert row["error"] == ""
         assert (row["transferred_db"], row["ci_low_db"], row["ci_high_db"],
@@ -836,6 +876,31 @@ def test_run_and_sweep_memory_flat_in_n(command):
     assert peak < 16 * 2 ** 20
 
 
+_PEAK_SCRIPT = textwrap.dedent("""
+    import io, sys
+    from contextlib import redirect_stdout
+    from twinbeam_transfer.cli import main
+    with redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+    assert code == 0, code
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+    """)
+
+
+def _peak_rss(argv):
+    # the peak RSS in bytes of main(argv) in a fresh interpreter: VmHWM, the
+    # child's own, since Linux carries ru_maxrss across exec, so it would
+    # start at this process's peak and hide the rise of a short run
+    src = str(Path(twinbeam_transfer.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *argv],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return int(result.stdout.split()[-1]) * 1024
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_run_scatter_memory_per_row_within_its_charge(tmp_path):
     # the memory check charges _BYTES_PER_KEPT per scatter_points row: the
@@ -844,34 +909,31 @@ def test_run_scatter_memory_per_row_within_its_charge(tmp_path):
     # 32 B: the scatter array the workers fill in place and the subsample
     # positions are 24 B a row (per-chunk parts and their concatenation
     # took about 37 B; a list of Python float tuples about 150 B). RSS noise
-    # is about 1 MB, against the 8 MB between 32 B a row and 24 B. The peak
-    # is VmHWM, the child's own: Linux carries ru_maxrss across exec, so it
-    # would start at this process's peak and hide the rise of a short run
-    script = textwrap.dedent("""
-        import io, sys
-        from contextlib import redirect_stdout
-        from twinbeam_transfer.cli import main
-        with redirect_stdout(io.StringIO()):
-            code = main(sys.argv[1:])
-        assert code == 0, code
-        with open("/proc/self/status") as fh:
-            print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
-        """)
-    src = str(Path(twinbeam_transfer.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    # is about 1 MB, against the 8 MB between 32 B a row and 24 B
     peaks = {}
     for scatter in (20_000, 1_000_000):
         config = tmp_path / f"{scatter}.json"
         config.write_text(json.dumps({"scatter_points": scatter}))
-        result = subprocess.run(
-            [sys.executable, "-c", script, "run", "--config", str(config),
-             "--points", "1000000", "--seed", "3", "--out", str(tmp_path / str(scatter))],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert result.returncode == 0, result.stderr[-2000:]
-        peaks[scatter] = int(result.stdout.split()[-1]) * 1024
+        peaks[scatter] = _peak_rss(["run", "--config", str(config), "--points", "1000000",
+                                    "--seed", "3", "--out", str(tmp_path / str(scatter))])
     per_row = (peaks[1_000_000] - peaks[20_000]) / (1_000_000 - 20_000)
     assert per_row <= min(scenario._BYTES_PER_KEPT, 32), per_row
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_wide_sweep_peak_rss_flat_in_points(tmp_path):
+    # a 10-row sweep of windows from 0.3 to 3 delta keeps about 1.36 events
+    # a drawn event over its rows, and reduces them in blocks as they
+    # arrive: its peak RSS at 8M events stays within 8 MB of that at 2M,
+    # where holding every kept (i1, i2) row until one concatenation took
+    # 295 MB more (RSS noise is about 1 MB)
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"sweep": {"parameter": "bandwidth_delta", "minimum": 0.3,
+                                            "maximum": 3.0, "steps": 10, "scale": "log"}}))
+    peaks = [_peak_rss(["sweep", "--config", str(config), "--points", str(points),
+                        "--workers", "2", "--out", str(tmp_path / str(points))])
+             for points in (2_000_000, 8_000_000)]
+    assert abs(peaks[1] - peaks[0]) < 8 << 20, peaks
 
 
 def test_scatter_written_in_place_under_thread_switching():
@@ -888,18 +950,26 @@ def test_scatter_written_in_place_under_thread_switching():
         sys.setswitchinterval(interval)
     assert acquired.scatter.shape == (cfg.n_points, 2)
     assert np.array_equal(acquired.scatter, reference.scatter)
-    assert np.array_equal(acquired.kept, reference.kept)
+    assert acquired.kept_moments == reference.kept_moments
+    assert np.array_equal(acquired.kept_scatter, reference.kept_scatter)
 
 
 def _old_subsample(indices, count, seed):
-    # the batch path's scatter subsample: indices chosen without
-    # replacement from the Philox stream of the seed, sorted
+    # the batch path's unconditioned scatter subsample: indices chosen
+    # without replacement from the Philox stream of the seed, sorted
     if indices.size <= count:
         return indices
     rng = np.random.Generator(np.random.Philox(seed))
     chosen = rng.choice(indices.size, size=count, replace=False)
     chosen.sort()
     return indices[chosen]
+
+
+def _blocked(values):
+    # the moments of values reduced in blocks, as the batch path reduces them
+    blocks = BlockedMoments()
+    blocks.add(values)
+    return blocks.close().moments
 
 
 def _batch_path(cfg):
@@ -909,8 +979,8 @@ def _batch_path(cfg):
                          cfg.n_points, cfg.seed)
     difference = batch.i1 - batch.i2
     kept = in_window(batch.s1, batch.s2, cfg.selection)
-    cond = _old_subsample(kept, cfg.scatter_points,
-                          derived_seed(cfg.seed, scenario._SCATTER_TAG_CONDITIONED))
+    # the conditioned scatter: the first scatter_points kept events
+    cond = kept[:cfg.scatter_points]
     uncond = _old_subsample(np.arange(batch.n), cfg.scatter_points,
                             derived_seed(cfg.seed, scenario._SCATTER_TAG_UNCONDITIONED))
     return {
@@ -935,6 +1005,7 @@ def _assert_same_histogram(a, b):
     (65_537, 20_000, 0.03),   # one event past the first chunk
     (20_000, 20_000, 0.3),    # every event in the unconditioned scatter
     (200_003, 500, 0.1),
+    (200_003, 20_000, 3.0),   # more kept events than a block of 65,536
 ])
 def test_streamed_run_matches_batch_path(n, scatter_points, window):
     cfg = ScenarioConfig(n_points=n, seed=23, scatter_points=scatter_points,
@@ -966,9 +1037,12 @@ def test_acquire_keeps_the_batch_path_rows(n):
     ref = _batch_path(cfg)
     kept = ref["kept"]
     (acquired,) = acquire([cfg], workers=2, unconditioned=True)
-    assert len(acquired.kept) == kept.size
+    assert acquired.kept_count == kept.size
     assert acquired.n == n
-    assert np.array_equal(acquired.kept, ref["batch"].data[kept][:, [1, 3]])
+    assert acquired.kept_moments == _blocked(ref["difference"][kept])
+    assert np.array_equal(acquired.kept_scatter, ref["conditioned_scatter"])
+    if kept.size:
+        _assert_same_histogram(acquired.kept_histogram, ref["conditioned_histogram"])
     _assert_same_histogram(acquired.histogram, ref["unconditioned_histogram"])
     assert np.array_equal(acquired.scatter, ref["unconditioned_scatter"])
     dev = ref["difference"] - ref["difference"].mean()
@@ -977,7 +1051,8 @@ def test_acquire_keeps_the_batch_path_rows(n):
         assert got == pytest.approx(float((dev ** power).sum()), rel=1e-12)
     # a sweep row or selftest case keeps the same rows, without the summary
     (rows_only,) = acquire([cfg])
-    assert np.array_equal(rows_only.kept, acquired.kept)
+    assert rows_only.kept_moments == acquired.kept_moments
+    assert rows_only.kept_scatter is None and rows_only.kept_histogram is None
     assert rows_only.moments is None and rows_only.scatter is None
 
 
@@ -1069,8 +1144,9 @@ _AXIS = {"parameter": "squeezing_db", "minimum": 3.0, "maximum": 9.0, "steps": 2
     ("selftest", None, ["--points", str(_HUGE)]),
 ], ids=["run-points", "run-config", "chain-points", "sweep-points", "selftest-points"])
 def test_cli_absurd_points_exit_code(tmp_path, monkeypatch, capsys, command, config, argv):
-    # a record beyond the float range is a configuration error (2) that names
-    # it, refused before any draw, not an OverflowError that exits 1
+    # a record beyond the int64 range of its event positions is a
+    # configuration error (2) that names it, refused before any draw, not an
+    # OverflowError that exits 1
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before the memory check")
 
@@ -1082,7 +1158,7 @@ def test_cli_absurd_points_exit_code(tmp_path, monkeypatch, capsys, command, con
         argv = ["--config", str(path), *argv]
     assert main([command, *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {_HUGE} points need about inf GB")
+    assert err.startswith(f"error: n_points must be at most 2**63 - 1, got {_HUGE}")
 
 
 @pytest.mark.parametrize("steps", [10 ** 12, _HUGE], ids=["7-TiB", "beyond-numpy"])
@@ -1175,13 +1251,13 @@ def test_selftest_gate_is_three_standard_errors(monkeypatch):
     # so an oracle 3.01 half-widths (2.993 sigma) from the Monte Carlo value
     # is inside the 3 sigma gate, and one 3.03 half-widths (3.013 sigma) out
     reports = []
-    real_statistics = scenario.kept_statistics
+    real_statistics = scenario.kept_moment_statistics
 
     def recorded(*args):
         reports.append(real_statistics(*args))
         return reports[-1]
 
-    monkeypatch.setattr(scenario, "kept_statistics", recorded)
+    monkeypatch.setattr(scenario, "kept_moment_statistics", recorded)
     (row,) = run_selftest(seed=1, points=100_000, cases=1)
     (report,) = reports
     half = (report.ci_high_db - report.ci_low_db) / 2.0
@@ -1223,7 +1299,7 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert "twinbeam-transfer 0.1.0" in capsys.readouterr().out
+    assert "twinbeam-transfer 0.2.0" in capsys.readouterr().out
 
 
 def test_cli_without_chain_engine_never_imports_scipy(tmp_path):

@@ -17,12 +17,14 @@ from twinbeam_transfer.model import (
 from twinbeam_transfer.scenario import ScenarioConfig
 from twinbeam_transfer.selection import SelectionConfig, select
 from twinbeam_transfer.stats import (
+    BlockedMoments,
     Histogram,
     Moments,
     TransferReport,
     _as_clean_1d,
     _bin_counts,
     _check_level,
+    _merge_counts,
     histogram,
     variance_db,
     variance_interval,
@@ -352,3 +354,46 @@ def test_moments_and_bin_counts_in_given_buffers_match_allocating_path():
                               _bin_counts(x, 0.1)):
             assert k_min == reference_min and np.array_equal(counts, reference)
         assert np.array_equal(x, kept)
+
+
+def _blocked_reference(x):
+    # the moments and bin counts of x's blocks of _SAMPLE_CHUNK values,
+    # merged in order
+    moments = counts = None
+    for start in range(0, x.size, _SAMPLE_CHUNK):
+        block = x[start:start + _SAMPLE_CHUNK]
+        part, part_counts = Moments.of(block), _bin_counts(block, 0.1)
+        moments = part if moments is None else moments.merge(part)
+        counts = part_counts if counts is None else _merge_counts(counts, part_counts)
+    return moments, counts
+
+
+@pytest.mark.parametrize("sizes", [
+    (),                                   # nothing arrives
+    (0, 0),                               # empty arrays only
+    (40,),                                # one partial block
+    (_SAMPLE_CHUNK,),                     # one whole block
+    (_SAMPLE_CHUNK, 0, 1),                # a block, an empty array, one more value
+    (70_000, 1, 65_535, 3),               # arrays across block edges
+    (5_000,) * 30,                        # many short arrays
+    (2 * _SAMPLE_CHUNK + 7,),             # several blocks in one array
+])
+def test_blocked_moments_do_not_depend_on_the_arrays_they_arrive_in(sizes):
+    # the blocks are cut from the sequence of values: any cut of it into
+    # arrays gives the bits of the blocks of the whole, moments and bin
+    # counts, and less than a block of values is held between arrays, in a
+    # buffer no longer than a block
+    rng = np.random.default_rng(41)
+    x = rng.normal(0.3, 2.0, size=sum(sizes)) * COHERENT_DELTA
+    blocks = BlockedMoments(binned=True)
+    for part in np.split(x, np.cumsum(sizes)[:-1]) if sizes else ():
+        blocks.add(part)
+        assert blocks._filled < _SAMPLE_CHUNK and blocks._block.size <= _SAMPLE_CHUNK
+    blocks.close()
+    moments, counts = _blocked_reference(x)
+    assert blocks.moments == moments
+    if counts is None:
+        assert blocks.counts is None
+    else:
+        assert blocks.counts[0] == counts[0] and np.array_equal(blocks.counts[1], counts[1])
+    assert BlockedMoments().close().moments is None
