@@ -546,7 +546,7 @@ def _stream(cfgs: tuple[ScenarioConfig, ...], idlers: list, items: Iterable, gat
     # faults per 512 KiB once glibc returns the freed pages
     local = threading.local()
 
-    def reduce(item) -> list[tuple]:
+    def reduce(item) -> list[list]:
         if not hasattr(local, "channels"):
             local.channels = np.empty((3, _SAMPLE_CHUNK))
         start, z, gates = gate(item, local.channels[0])

@@ -260,9 +260,8 @@ class BlockedMoments:
     the _BIN_WIDTH_DELTA grid, and merged in order, so a sequence fed a
     chunk at a time gives the bits of the same sequence fed at once. Each
     value is copied into the one block being filled, which grows as it
-    fills. :meth:`close`
-    reduces that block, full (from :meth:`add`) or the partial last one;
-    ``moments`` is None when no value arrived.
+    fills. :meth:`close` reduces that block, full (from :meth:`add`) or
+    the partial last one; ``moments`` is None when no value arrived.
     """
 
     def __init__(self, binned: bool = False):
