@@ -11,11 +11,11 @@ prediction.
 The record is consumed chunk by chunk (acquire): the direct engine draws
 each chunk in a worker thread, the chain engine's stream (dsp_chain.stream)
 hands its chunks over as it demodulates them, and each chunk is gated and
-reduced. The kept events' idler differences are reduced, in record order,
-in blocks of _SAMPLE_CHUNK kept values (stats.BlockedMoments), and the
-conditioned scatter is the first scatter_points kept events; the
-unconditioned statistics are merged from per-chunk moments and histogram
-counts, and their scatter rows are written in place. So memory is flat in
+reduced. Each window's kept idler differences are reduced, in record
+order, in blocks of _SAMPLE_CHUNK kept values (stats.BlockedMoments), and
+its scatter is its first scatter_points kept events. The unconditioned
+statistics are those of one more window, the whole record, which keeps
+every event, so its blocks are the record's chunks. So memory is flat in
 the record length on either engine, whatever the window keeps.
 
 A sweep acquires all its rows together at the sweep's seed. On the direct
@@ -86,9 +86,7 @@ from .stats import (
     Histogram,
     Moments,
     TransferReport,
-    _bin_counts,
     _binned,
-    _merge_counts,
 )
 
 SWEEP_PARAMETERS = (
@@ -108,30 +106,29 @@ _PARTS = (("pair1", TwinPairParams), ("pair2", TwinPairParams),
 # Peak memory per kept event of each chunk in flight (drawn, or waiting to
 # be merged; _check_memory), and per scatter_points row of a run's two
 # scatters. A chunk's kept events cost the worker's gathered normals and
-# (i1, i2) rows, the differences and rows it hands to the merge, and the
-# merge's block of them: peak RSS of run over 4M events at a window that
-# keeps every event rises by 9.6 MB with 1 worker and 14.3 MB with 2 over
-# one that keeps almost none, 49 and 44 B per kept event of a chunk in
-# flight (a 10-row sweep keeping every event: 14 and 13 B a row). A
-# scatter row costs 24 B in the unconditioned (i1, i2) array the workers
-# fill in place, with its subsample positions, and 21 B in the first kept
-# rows and their concatenation: peak RSS of run --out over 1M events rises
-# by 24 B a row from 20k to 1M scatter rows, by 45 B a row where every
-# event is kept. Rounded up.
+# (i1, i2) rows, the differences and at most scatter_points rows it hands
+# to the merge, and the merge's block of them: peak RSS of a 4M-event
+# acquisition with the unconditioned summary, at a window that keeps every
+# event, rises by 3.7 MB with 1 worker and 7.8 MB with 2 over one that
+# keeps almost none, 19 and 24 B per kept event of a chunk in flight (a
+# 10-row sweep keeping every event: 13 and 12 B a row). A scatter row
+# costs 16 B in each window's (i1, i2) array, which the merge fills: peak
+# RSS of run --out over 1M events rises by 17 B a row from 20k to 1M
+# scatter rows, by 35 B a row where every event is kept. Rounded up.
 _BYTES_PER_KEPT = 64
 
 # Peak memory per worker thread for the chunk it draws, gates and reduces:
 # its 3.5 MiB scratch (the (4, 65536) normals and three channel buffers, one
-# holding |z0| during the gate, which a run's moments and histogram counts
-# reuse) and the draw's temporaries. Peak RSS of a 16M-event acquisition
-# with the unconditioned summary grows by 5.7 MB with 1 worker, 9.4 MB with
-# 2 and 13.1 MB with 3 over the imported package, whatever the record
-# length (10 configs: 6.3, 10.1 and 13.9 MB); rounded up.
+# holding |z0| during the gate) and the draw's temporaries. Peak RSS of a
+# 16M-event acquisition that draws every layer (a 0.45 delta window, which
+# keeps 5% of the events) grows by 6.4 MB with 1 worker, 9.3 MB with 2 and
+# 12.4 MB with 3 over the imported package, whatever the record length
+# (4M events: the same to 0.1 MB); rounded up.
 _BYTES_PER_CHUNK = 12 << 20
 
-# Per acquired config, its kept differences held between chunks until a
-# block of _SAMPLE_CHUNK is full (stats.BlockedMoments): 8 B each, at most
-# a chunk's worth and at most its kept count. Per sweep row, its table row
+# Per window, its kept differences held between chunks until a block of
+# _SAMPLE_CHUNK is full (stats.BlockedMoments): 8 B each, at most a
+# chunk's worth and at most its kept count. Per sweep row, its table row
 # and config (about 0.8 KB; tracemalloc, 5k and 20k rows); rounded up.
 _BYTES_PER_HELD = 8
 _BYTES_PER_SWEEP_ROW = 1024
@@ -167,10 +164,6 @@ _SELFTEST_COUNT_SIGMA = 4.0
 
 # half-width of the reported interval in standard errors, 0.9945
 _INTERVAL_HALF_WIDTH_SE = NormalDist().inv_cdf(0.5 + _INTERVAL_LEVEL / 2.0)
-
-# seed tag for the unconditioned scatter subsample stream derived from the
-# batch seed
-_SCATTER_TAG_UNCONDITIONED = 0x5CA1
 
 
 def _reject_unknown(data: dict, known: tuple[str, ...], context: str) -> None:
@@ -330,27 +323,30 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
 
     acquire's check, made before it draws or streams anything, and, with
     ``sweep``, run_sweep's, before it builds any of its ``rows`` rows
-    (_BYTES_PER_SWEEP_ROW each). Nothing it charges grows with n_points
-    past a chunk: _BYTES_PER_CHUNK for each worker that has a chunk to
-    reduce; the kept events of the chunks in flight (_CHUNKS_PER_WORKER per
-    worker and the one being merged) at _BYTES_PER_KEPT, ``probability`` of
-    each chunk's events, where ``probability`` is the acceptance
-    probability summed over the ``rows`` configs acquired together; each
-    config's held kept differences, at most a chunk and at most its
-    expected kept count (_BYTES_PER_HELD); with the unconditioned summary,
-    ``scatter`` configs' pairs of scatters of scatter_points rows, at
-    _BYTES_PER_KEPT a row; and on the chain engine the stream's
-    _BYTES_PER_CHAIN_STREAM and the buffers of its decimation plan. Raises
-    ValidationError, naming what to lower, rather than let the process be
-    killed part way.
+    (_BYTES_PER_SWEEP_ROW each). Its windows are the ``rows`` configs
+    acquired together, whose acceptance probabilities sum to
+    ``probability``, and the record windows of the ``scatter`` configs
+    acquired with the unconditioned summary, at probability 1 each. Nothing
+    it charges grows with n_points past a chunk: _BYTES_PER_CHUNK for each
+    worker that has a chunk to reduce; the kept events of the chunks in
+    flight (_CHUNKS_PER_WORKER per worker and the one being merged) at
+    _BYTES_PER_KEPT, the windows' probability of each chunk's events; each
+    window's held kept differences, at most a chunk and at most its
+    expected kept count (_BYTES_PER_HELD); the ``scatter`` configs' pairs
+    of scatters of scatter_points rows, at _BYTES_PER_KEPT a row; and on
+    the chain engine the stream's _BYTES_PER_CHAIN_STREAM and the buffers
+    of its decimation plan. Raises ValidationError, naming what to lower,
+    rather than let the process be killed part way.
     """
     n = cfg.n_points
     chunk = min(n, _SAMPLE_CHUNK)
     threads = min(workers, -(-n // _SAMPLE_CHUNK))
     flights = _CHUNKS_PER_WORKER * threads + 1  # chunks whose kept events are held at once
+    # a record window keeps every event
+    probability += scatter
     kept = probability * chunk * flights * _BYTES_PER_KEPT
-    # each config holds at most a chunk, and at most what it keeps
-    held = min(rows * chunk, probability * n) * _BYTES_PER_HELD
+    # each window holds at most a chunk, and at most what it keeps
+    held = min((rows + scatter) * chunk, probability * n) * _BYTES_PER_HELD
     tables = rows * sweep * _BYTES_PER_SWEEP_ROW
     scattered = scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
     # (bytes, how to free them) of what a request can lower
@@ -383,25 +379,21 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
 
 
 class Acquisition(NamedTuple):
-    """What one acquisition keeps of its record of ``n`` events.
+    """What one window of an acquisition keeps of its record of ``n`` events.
 
     ``kept_moments`` are the moments of the idler difference i1 - i2 over
     the kept events, reduced in record order in blocks of _SAMPLE_CHUNK
     kept values (stats.BlockedMoments), or None when the window keeps none.
     With the unconditioned summary, ``kept_histogram`` bins those
-    differences, ``kept_scatter`` holds the (i1, i2) rows of the first
-    scatter_points kept events, and ``moments`` (of i1 - i2), ``histogram``
-    and ``scatter`` (the (i1, i2) rows of the unconditioned subsample) cover
-    every event; without it they are None.
+    differences and ``kept_scatter`` holds the (i1, i2) rows of the first
+    scatter_points kept events; without it they are None. A record window
+    keeps every event: its fields are run's unconditioned statistics.
     """
 
     kept_moments: Moments | None
     n: int
     kept_histogram: Histogram | None = None
     kept_scatter: np.ndarray | None = None
-    moments: Moments | None = None
-    histogram: Histogram | None = None
-    scatter: np.ndarray | None = None
 
     @property
     def kept_count(self) -> int:
@@ -438,20 +430,24 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     entry per config, its Acquisition, or the TwinBeamError that stopped the
     chain stream it reads, so one stream's failure leaves the other configs
     be. A window that keeps no event is reported when its report is made.
+    With ``unconditioned``, each config also reduces the whole record, a
+    window that keeps every event, through its idler terms; those record
+    windows follow the configs' in the result, in config order, and every
+    window keeps its histogram and scatter.
 
     The direct engine draws each chunk of _SAMPLE_CHUNK events once, exactly
     as sample_batch draws it, as far as the widest window reaches (every
-    layer with the unconditioned summary; model._draw_chunk), and every
-    config gates it on |z0| (see selection): the configs see the same
-    events, as the rows of one sweep do. The chain engine's stream
-    (dsp_chain.stream) yields chunks of the same length, gated by
-    in_window; chain configs that build the same covariance and signal
-    chain read one stream, one after another otherwise. ``workers``
-    threads reduce chunks in parallel and the parts are merged in chunk
-    order, so the result is the same for any count.
+    layer for a record window; model._draw_chunk), and every config gates
+    it on |z0| (see selection): the configs see the same events, as the
+    rows of one sweep do. The chain engine's stream (dsp_chain.stream)
+    yields chunks of the same length, gated by in_window; chain configs
+    that build the same covariance and signal chain read one stream, one
+    after another otherwise. ``workers`` threads reduce chunks in parallel
+    and the parts are merged in chunk order, so the result is the same for
+    any count.
     Refuses, before it draws or streams anything, what would not fit in
-    memory (_check_memory): the chunks in flight, and every config's held
-    kept differences and scatters at once; none of it grows with n_points.
+    memory (_check_memory): the chunks in flight, and every window's held
+    kept differences and scatter at once; none of it grows with n_points.
     """
     cfgs = tuple(cfgs)
     workers = _require_int("workers", workers, 1)
@@ -466,10 +462,11 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
         return _acquire_chain(cfgs, workers, unconditioned)
     n, seed = cfgs[0].n_points, cfgs[0].seed
     factors = [_covariance_factor(build_covariance(c.pair1, c.pair2, c.setting)) for c in cfgs]
-    # the gate: |z0| <= bandwidth_delta * delta / sigma_g (see selection)
+    # the gate: |z0| <= bandwidth_delta * delta / sigma_g (see selection);
+    # a record window's has no bound
     limits = [c.selection.bandwidth_delta * COHERENT_DELTA / sigma
-              for c, (sigma, _) in zip(cfgs, factors)]
-    reach = math.inf if unconditioned else max(limits)
+              for c, (sigma, _) in zip(cfgs, factors)] + [math.inf] * (len(cfgs) * unconditioned)
+    reach = max(limits)
     local = threading.local()
 
     def gate(start: int, spare: np.ndarray) -> tuple:
@@ -480,11 +477,10 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
         drawn = _draw_chunk(local.draw, start, start + m, reach, spare)
         # |z0| of the events whose columns the normals hold, in order
         near = spare[:m] if drawn is None else spare[drawn]
-        return start, local.draw[0][:, :near.size], [np.flatnonzero(near <= limit)
-                                                     for limit in limits]
+        return local.draw[0][:, :near.size], [np.flatnonzero(near <= limit) for limit in limits]
 
-    idlers = [_factor_terms(factor[[1, 3]]) for _, factor in factors]
-    return _stream(cfgs, idlers, range(0, n, _SAMPLE_CHUNK), gate, workers, unconditioned)
+    idlers = [_factor_terms(factor[[1, 3]]) for _, factor in factors] * (1 + unconditioned)
+    return _stream(cfgs[0], idlers, range(0, n, _SAMPLE_CHUNK), gate, workers, unconditioned)
 
 
 def _acquire_chain(cfgs: tuple[ScenarioConfig, ...], workers: int,
@@ -496,112 +492,80 @@ def _acquire_chain(cfgs: tuple[ScenarioConfig, ...], workers: int,
         cov = build_covariance(cfg.pair1, cfg.pair2, cfg.setting)
         groups.setdefault((cov.matrix.tobytes(), cfg.signal_chain), (cov, []))[1].append(r)
     n, seed = cfgs[0].n_points, cfgs[0].seed
-    results: list[Acquisition | TwinBeamError] = [None] * len(cfgs)
+    results: list[Acquisition | TwinBeamError] = [None] * (len(cfgs) * (1 + unconditioned))
     for cov, members in groups.values():
         group = tuple(cfgs[r] for r in members)
 
-        def gate(item: tuple[int, np.ndarray], spare: np.ndarray) -> tuple:
-            start, chunk = item
+        def gate(chunk: np.ndarray, spare: np.ndarray) -> tuple:
             if not np.isfinite(chunk).all():
                 raise ValidationError("sample data contains non-finite values")
             spare = spare[:chunk.shape[1]]
-            return start, chunk, [in_window(chunk[0], chunk[2], c.selection, spare) for c in group]
+            kept = [in_window(chunk[0], chunk[2], c.selection, spare) for c in group]
+            return chunk, kept + [np.arange(chunk.shape[1])] * (len(group) * unconditioned)
 
         try:
             # the main thread synthesizes; the workers gate and reduce
-            chunks = stream(cov, group[0].signal_chain, n, seed)
-            # the stream's chunks lie on the direct engine's _SAMPLE_CHUNK grid
-            acquired = _stream(group, [_IDLER_TERMS] * len(group),
-                               zip(range(0, n, _SAMPLE_CHUNK), chunks),
-                               gate, workers, unconditioned)
+            acquired = _stream(group[0], [_IDLER_TERMS] * (len(group) * (1 + unconditioned)),
+                               stream(cov, group[0].signal_chain, n, seed), gate, workers,
+                               unconditioned)
         except TwinBeamError as exc:
-            acquired = [exc] * len(group)
-        for r, one in zip(members, acquired):
+            acquired = [exc] * (len(group) * (1 + unconditioned))
+        # the group's windows, then their record windows, to the same places
+        for r, one in zip(members + [len(cfgs) + r for r in members], acquired):
             results[r] = one
     return results
 
 
-def _stream(cfgs: tuple[ScenarioConfig, ...], idlers: list, items: Iterable, gate: Callable,
+def _stream(cfg: ScenarioConfig, idlers: list, items: Iterable, gate: Callable,
             workers: int, unconditioned: bool) -> list[Acquisition]:
-    """The chunk loop of acquire.
+    """The chunk loop of acquire, for the record of ``cfg``.
 
     ``items`` are pulled in the calling thread, in record order, at most
     _CHUNKS_PER_WORKER * workers ahead of the merge. ``gate(item, spare)``,
     in a worker thread and with its scratch row ``spare``, returns a chunk's
-    first record index, its (4, m) columns and, per config, the columns it
-    keeps; config r's i1 and i2, ``_combine`` of the columns with
-    ``idlers[r]``, are computed for those only, and the merge reduces their
-    differences in blocks (stats.BlockedMoments). With ``unconditioned``
-    the merge also bins those blocks and keeps the first scatter_points
-    kept rows, and i1 and i2 are also computed for every event and reduced
-    to the chunk's moments and histogram counts, and the chunk's scatter
-    rows are written in place into the config's one scatter array.
+    (4, m) columns and, per window, the columns it keeps; window r's i1 and
+    i2, ``_combine`` of the columns with ``idlers[r]``, are computed for
+    those only (in place when it keeps them all), and the merge reduces
+    their differences in blocks (stats.BlockedMoments). With
+    ``unconditioned`` the merge also bins those blocks and fills each
+    window's scatter with its first scatter_points kept rows, in record
+    order, of which the worker hands over at most scatter_points a chunk.
     """
-    n, seed = cfgs[0].n_points, cfgs[0].seed
-    picks = (_subsample(n, cfgs[0].scatter_points,
-                        derived_seed(seed, _SCATTER_TAG_UNCONDITIONED))
-             if unconditioned else None)
-    scatter = [np.empty((len(picks), 2)) if unconditioned else None for _ in cfgs]
+    n, points = cfg.n_points, cfg.scatter_points
     # one reused scratch per thread: fresh arrays per chunk cost 128 page
     # faults per 512 KiB once glibc returns the freed pages
     local = threading.local()
 
-    def reduce(item) -> list[list]:
+    def reduce(item) -> list[tuple]:
         if not hasattr(local, "channels"):
             local.channels = np.empty((3, _SAMPLE_CHUNK))
-        start, z, gates = gate(item, local.channels[0])
-        m = z.shape[1]
-        first, second, scratch = local.channels[:, :m]
+        z, gates = gate(item, local.channels[0])
+        first, second, scratch = local.channels
         parts = []
-        for (i1_terms, i2_terms), kept, out in zip(idlers, gates, scatter):
-            kept_z = z[:, kept]
+        for (i1_terms, i2_terms), kept in zip(idlers, gates):
+            kept_z = z if kept.size == z.shape[1] else z[:, kept]
             idler1 = _combine(kept_z, i1_terms, first[:kept.size], scratch[:kept.size])
             idler2 = _combine(kept_z, i2_terms, second[:kept.size], scratch[:kept.size])
-            part = [idler1 - idler2]
-            if unconditioned:
-                part.append(np.column_stack((idler1, idler2)))
-                idler1 = _combine(z, i1_terms, first, scratch)
-                idler2 = _combine(z, i2_terms, second, scratch)
-                difference = np.subtract(idler1, idler2, out=scratch)
-                low, high = np.searchsorted(picks, (start, start + m))
-                picked = picks[low:high] - start
-                # the scatter rows go first: the summary reuses the idler buffers
-                out[low:high, 0] = idler1[picked]
-                out[low:high, 1] = idler2[picked]
-                part += [Moments.of(difference, (first, second)),
-                         _bin_counts(difference, _BIN_WIDTH_DELTA, (second, first.view(np.int64)))]
-            parts.append(part)
+            rows = np.column_stack((idler1[:points], idler2[:points])) if unconditioned else None
+            parts.append((idler1 - idler2, rows))
         return parts
 
-    blocks = [BlockedMoments(binned=unconditioned) for _ in cfgs]
-    # the first scatter_points kept (i1, i2) rows of each config, in record order
-    firsts: list[list[np.ndarray]] = [[] for _ in cfgs]
-    room = [cfgs[0].scatter_points] * len(cfgs)
-    moments = [None] * len(cfgs)
-    counts = [None] * len(cfgs)
+    blocks = [BlockedMoments(binned=unconditioned) for _ in idlers]
+    scatters = [np.empty((min(n, points), 2)) if unconditioned else None for _ in idlers]
+    filled = [0] * len(idlers)
     for parts in _in_order(reduce, items, workers):
-        for r, (differences, *summary) in enumerate(parts):
+        for r, (differences, rows) in enumerate(parts):
             blocks[r].add(differences)
-            if summary:
-                rows, part_moments, part_counts = summary
-                if room[r]:
-                    firsts[r].append(rows[:room[r]])
-                    room[r] -= len(firsts[r][-1])
-                moments[r] = part_moments if moments[r] is None else moments[r].merge(part_moments)
-                counts[r] = part_counts if counts[r] is None else _merge_counts(counts[r],
-                                                                                part_counts)
-    for reduced in blocks:
-        reduced.close()
+            if unconditioned:
+                rows = rows[:len(scatters[r]) - filled[r]]
+                scatters[r][filled[r]:filled[r] + len(rows)] = rows
+                filled[r] += len(rows)
     return [Acquisition(
-        kept_moments=blocks[r].moments,
+        kept_moments=reduced.close().moments,
         n=n,
-        kept_histogram=(_binned(*blocks[r].counts, _BIN_WIDTH_DELTA) if blocks[r].counts
-                        else None),
-        kept_scatter=np.concatenate(firsts[r]) if unconditioned else None,
-        moments=moments[r],
-        histogram=_binned(*counts[r], _BIN_WIDTH_DELTA) if unconditioned else None,
-        scatter=scatter[r],
-    ) for r in range(len(cfgs))]
+        kept_histogram=_binned(*reduced.counts, _BIN_WIDTH_DELTA) if reduced.counts else None,
+        kept_scatter=None if scatter is None else scatter[:count],
+    ) for reduced, scatter, count in zip(blocks, scatters, filled)]
 
 
 class ScenarioResult(NamedTuple):
@@ -617,40 +581,30 @@ class ScenarioResult(NamedTuple):
     config: ScenarioConfig
 
 
-def _subsample(size: int, count: int, seed: int) -> np.ndarray:
-    """Sorted positions of a ``count``-row scatter subsample of ``size`` rows
-    (all of them when there are no more than ``count``)."""
-    if size <= count:
-        return np.arange(size)
-    rng = np.random.Generator(np.random.Philox(seed))
-    chosen = rng.choice(size, size=count, replace=False)
-    chosen.sort()
-    return chosen
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> ScenarioResult:
     """One paired acquisition: conditioned and unconditioned statistics.
 
-    The conditioned scatter holds the first scatter_points kept events in
-    record order: events are independent (direct engine) or stationary
-    (chain), so they are a sample of the kept distribution; the
-    unconditioned scatter is a random subsample of every event. When out_dir
-    is given, also writes scatter, histogram, and report files there (see
-    _write_scenario_outputs for the exact set). Refuses, with a
-    ValidationError, a run that would not fit in available memory (acquire).
+    The unconditioned statistics are those of the record window, which
+    keeps every event (acquire). Each scatter holds the first
+    scatter_points events its window keeps, in record order: events are
+    independent (direct engine) or stationary (chain), so they are a sample
+    of the window's distribution. When out_dir is given, also writes
+    scatter, histogram, and report files there (see _write_scenario_outputs
+    for the exact set). Refuses, with a ValidationError, a run that would
+    not fit in available memory (acquire).
     """
     prediction = cfg.predict()
-    (acquired,) = acquire([cfg], workers, unconditioned=True)
+    acquired, record = acquire([cfg], workers, unconditioned=True)
     if isinstance(acquired, TwinBeamError):
         raise acquired
     result = ScenarioResult(
         conditioned=acquired.conditioned(cfg.selection),
-        unconditioned=moment_statistics(acquired.moments),
+        unconditioned=moment_statistics(record.kept_moments),
         oracle=prediction,
         conditioned_histogram=acquired.kept_histogram,
-        unconditioned_histogram=acquired.histogram,
+        unconditioned_histogram=record.kept_histogram,
         conditioned_scatter=acquired.kept_scatter,
-        unconditioned_scatter=acquired.scatter,
+        unconditioned_scatter=record.kept_scatter,
         config=cfg,
     )
     if out_dir is not None:

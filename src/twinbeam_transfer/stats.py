@@ -127,14 +127,9 @@ def histogram(values, bin_width_delta: float = _BIN_WIDTH_DELTA) -> Histogram:
     return _binned(*_bin_counts(x, w), w)
 
 
-def _bin_counts(x: np.ndarray, w: float,
-                scratch: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[int, np.ndarray]:
-    """(k_min, counts): counts[j] events fall in the bin centred on (k_min + j)*w.
-
-    ``scratch`` is a float64 and an int64 buffer of x's length, apart from
-    x and from each other; they are allocated when not given.
-    """
-    t, k = scratch if scratch is not None else (np.empty(x.size), np.empty(x.size, np.int64))
+def _bin_counts(x: np.ndarray, w: float) -> tuple[int, np.ndarray]:
+    """(k_min, counts): counts[j] events fall in the bin centred on (k_min + j)*w."""
+    t, k = np.empty(x.size), np.empty(x.size, np.int64)
     # bin index k holds the bin centered at k*w (in delta units)
     np.divide(x, COHERENT_DELTA, out=t)
     np.divide(t, w, out=t)
@@ -200,14 +195,10 @@ class Moments(NamedTuple):
     m4: float
 
     @classmethod
-    def of(cls, values, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> "Moments":
-        """Two-pass moments of a nonempty 1-d array.
-
-        ``scratch`` is two float64 buffers of the array's length, apart from
-        it and from each other; they are allocated when not given.
-        """
+    def of(cls, values) -> "Moments":
+        """Two-pass moments of a nonempty 1-d array."""
         x = np.asarray(values, dtype=np.float64)
-        dev, sq = scratch if scratch is not None else np.empty((2, x.size))
+        dev, sq = np.empty((2, x.size))
         mean = float(x.mean())
         np.subtract(x, mean, out=dev)
         np.multiply(dev, dev, out=sq)

@@ -24,7 +24,7 @@ import twinbeam_transfer
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.scenario import run_selftest
 
-PINNED_VERSION = "0.2.0"
+PINNED_VERSION = "0.3.0"
 
 # the first normals of Philox(0), float64 then float32, exactly
 PHILOX_CANARY = (
@@ -33,8 +33,8 @@ PHILOX_CANARY = (
 )
 
 DIGESTS = {
-    "run_direct": "68c607e709a2d434",
-    "run_direct_scatter_100": "2c9045931a937875",
+    "run_direct": "7c8d8bd5cfc783fd",
+    "run_direct_scatter_100": "b96d0f841aab7cc5",
     "run_chain": "cc600195897572b3",
     "sweep_direct": "22b41f47e80ae3c5",
     "sweep_chain": "b76a11b2fa260db5",

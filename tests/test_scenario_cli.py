@@ -41,7 +41,6 @@ from twinbeam_transfer.scenario import (
 from twinbeam_transfer.selection import (
     SelectionConfig,
     conditional_statistics,
-    derived_seed,
     in_window,
     select,
 )
@@ -390,7 +389,7 @@ def test_narrow_window_draws_only_its_layers(monkeypatch):
     assert events == cfg.n_points
     assert 1000 < kept < drawn < 2 * kept
     counts.clear()
-    (summarized,) = acquire([cfg], workers=2, unconditioned=True)
+    summarized, _ = acquire([cfg], workers=2, unconditioned=True)
     events, drawn = map(sum, zip(*counts))
     assert drawn == events == cfg.n_points
     assert summarized.kept_moments == acquired.kept_moments
@@ -459,7 +458,7 @@ def test_cli_run_writes_files(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["seed"] == 7
-    assert report["version"] == "0.2.0"
+    assert report["version"] == "0.3.0"
 
 
 def test_cli_run_bit_identical_reruns(tmp_path, capsys):
@@ -538,18 +537,22 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
 def _room(probability=0.0, workers=1, scatter=0, engine="direct", rows=1, points=100_000,
           sweep=False, plan=0):
     # an available-memory reading with room for what acquire holds: the
-    # workers' chunks, the kept events of the chunks in flight, each row's
-    # held differences (and, for a sweep, its table row), scatter rows and,
-    # on the chain engine, the stream's buffers and its plan's; nothing of
-    # it grows with the record past one chunk
+    # workers' chunks, the kept events of the chunks in flight, each
+    # window's held differences (and, for a sweep, its table row), for each
+    # of the ``scatter`` configs acquired with the unconditioned summary a
+    # record window, which keeps every event, and a pair of 20k-row
+    # scatters, and, on the chain engine, the stream's buffers and its
+    # plan's; nothing of it grows with the record past one chunk
     chunk = min(points, scenario._SAMPLE_CHUNK)
     flights = scenario._CHUNKS_PER_WORKER * workers + 1
+    probability += scatter
     stream = scenario._BYTES_PER_CHAIN_STREAM + plan if engine == "chain" else 0
     return math.ceil(workers * scenario._BYTES_PER_CHUNK
                      + probability * chunk * flights * scenario._BYTES_PER_KEPT
-                     + min(rows * chunk, probability * points) * scenario._BYTES_PER_HELD
+                     + min((rows + scatter) * chunk, probability * points)
+                     * scenario._BYTES_PER_HELD
                      + rows * sweep * scenario._BYTES_PER_SWEEP_ROW
-                     + scatter * scenario._BYTES_PER_KEPT + stream)
+                     + scatter * min(points, 20_000) * scenario._BYTES_PER_KEPT + stream)
 
 
 def _plan_bytes(chain):
@@ -565,7 +568,7 @@ def test_cli_run_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys, eng
     # used up. A run with room for all but its scatter subsamples is
     # refused, asking for fewer scatter rows; one with room for all runs
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
-    room = _room(cfg.predict().selection_probability, scatter=cfg.scatter_points,
+    room = _room(cfg.predict().selection_probability, scatter=1,
                  engine=engine, plan=_plan_bytes(SCALED_CHAIN))
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
     with pytest.raises(ValidationError, match="memory"):
@@ -585,7 +588,7 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
     # length, as a 100k-point run does
     cfg = ScenarioConfig(n_points=10 ** 9, engine="chain")
     p = cfg.predict().selection_probability
-    needed = _room(p, scatter=cfg.scatter_points, engine="chain", points=cfg.n_points,
+    needed = _room(p, scatter=1, engine="chain", points=cfg.n_points,
                    plan=_plan_bytes(cfg.signal_chain))
     assert needed < 2 ** 27
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: needed)
@@ -628,7 +631,7 @@ def test_cli_run_charges_only_workers_with_a_chunk(monkeypatch, capsys):
     # when those 2 chunks do not fit, the refusal asks for fewer workers,
     # and when one worker's chunk alone does not, for memory
     p = SMALL.predict().selection_probability
-    charged = _room(p, workers=2, scatter=SMALL.scatter_points)
+    charged = _room(p, workers=2, scatter=1)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charged)
     assert main(["run", "--points", "100000", "--workers", "8"]) == 0
     capsys.readouterr()
@@ -730,13 +733,14 @@ def test_acquire_refuses_beyond_free_memory_before_any_draw(monkeypatch, engine,
 
 def test_acquire_charges_each_config_its_kept_rows_and_scatter(monkeypatch):
     # two configs acquired together hold both their kept events in flight
-    # and their held differences and, with the unconditioned summary, one
-    # pair of scatters each
+    # and their held differences and, with the unconditioned summary, a
+    # record window and a pair of scatters each
     cfgs = [SMALL, dataclasses.replace(SMALL, selection=SelectionConfig(bandwidth_delta=0.1))]
-    room = _room(sum(c.predict().selection_probability for c in cfgs),
-                 scatter=2 * SMALL.scatter_points, rows=2)
+    room = _room(sum(c.predict().selection_probability for c in cfgs), scatter=2, rows=2)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
-    assert [a.scatter.shape for a in acquire(cfgs, unconditioned=True)] == [(20_000, 2)] * 2
+    acquired = acquire(cfgs, unconditioned=True)
+    assert [a.kept_count for a in acquired[2:]] == [SMALL.n_points] * 2
+    assert [a.kept_scatter.shape for a in acquired[2:]] == [(20_000, 2)] * 2
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
     with pytest.raises(ValidationError, match="memory"):
         acquire(cfgs, unconditioned=True)
@@ -758,20 +762,21 @@ def _chain(n_points, **kwargs):
 def test_chain_acquire_keeps_the_rows_of_simulate(small_chunks):
     # the streamed chunks, gated by 3 workers, keep exactly the events that
     # gating the whole simulated record keeps: the same moments of their
-    # differences, their first rows as the conditioned scatter, and the
-    # unconditioned scatter holds the record's rows at the subsample positions
+    # differences, their first rows as the conditioned scatter; the record
+    # window has the moments and histogram of every event's difference and
+    # the record's first rows as the unconditioned scatter
     cfg = _chain(30_000, seed=2, scatter_points=200)
-    (acquired,) = acquire([cfg], workers=3, unconditioned=True)
+    acquired, record = acquire([cfg], workers=3, unconditioned=True)
     batch = simulate(build_covariance(cfg.pair1, cfg.pair2), SCALED_CHAIN, 30_000, 2)
     kept = select(batch, cfg.selection).kept_indices
     assert kept.size > 200
     assert acquired.kept_count == kept.size
     assert acquired.kept_moments == _blocked(batch.i1[kept] - batch.i2[kept])
     assert np.array_equal(acquired.kept_scatter, batch.data[kept[:200]][:, [1, 3]])
-    assert acquired.moments.n == 30_000
-    picks = scenario._subsample(30_000, cfg.scatter_points,
-                                derived_seed(2, scenario._SCATTER_TAG_UNCONDITIONED))
-    assert np.array_equal(acquired.scatter, batch.data[picks][:, [1, 3]])
+    assert record.kept_count == 30_000
+    assert record.kept_moments == _blocked(batch.i1 - batch.i2)
+    _assert_same_histogram(record.kept_histogram, histogram(batch.i1 - batch.i2))
+    assert np.array_equal(record.kept_scatter, batch.data[:200][:, [1, 3]])
 
 
 def test_cli_chain_run_identical_for_any_worker_count(tmp_path, small_chunks):
@@ -858,8 +863,8 @@ def test_chain_acquire_memory_flat_in_points(small_chunks):
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_run_and_sweep_memory_flat_in_n(command):
     # nothing of length n is held: the peak is the workers' chunks, the
-    # kept rows (~14k at n = 4M and the default window) and the scatter
-    # subsamples, far below the 128 MB of a (4M, 4) float64 batch
+    # kept rows (~14k at n = 4M and the default window) and the scatters,
+    # far below the 128 MB of a (4M, 4) float64 batch
     cfg = ScenarioConfig(n_points=4_000_000, seed=3,
                          sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2))
     tracemalloc.start()
@@ -906,10 +911,11 @@ def test_run_scatter_memory_per_row_within_its_charge(tmp_path):
     # the memory check charges _BYTES_PER_KEPT per scatter_points row: the
     # peak RSS of run --out over 1M events, in a fresh interpreter, rises by
     # less than that per row from 20k to 1M scatter rows, and by at most
-    # 32 B: the scatter array the workers fill in place and the subsample
-    # positions are 24 B a row (per-chunk parts and their concatenation
-    # took about 37 B; a list of Python float tuples about 150 B). RSS noise
-    # is about 1 MB, against the 8 MB between 32 B a row and 24 B
+    # 32 B: the record window's scatter array, which the merge fills, is
+    # 16 B a row, 17 B measured (a subsample the workers wrote in place
+    # took 24 B, per-chunk parts and their concatenation about 37 B, a list
+    # of Python float tuples about 150 B). RSS noise is about 1 MB, against
+    # the 15 MB between 32 B a row and 16 B
     peaks = {}
     for scatter in (20_000, 1_000_000):
         config = tmp_path / f"{scatter}.json"
@@ -936,33 +942,22 @@ def test_wide_sweep_peak_rss_flat_in_points(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 8 << 20, peaks
 
 
-def test_scatter_written_in_place_under_thread_switching():
-    # the worker threads write their chunks' scatter rows into one shared
-    # array: with more workers than cores and a thread switch every
+def test_scatter_filled_by_the_merge_under_thread_switching():
+    # the merge fills each window's scatter from the chunks' rows in record
+    # order: with more workers than cores and a thread switch every
     # microsecond, all 21 chunks' rows still land where one worker puts them
     cfg = ScenarioConfig(n_points=20 * 65_536 + 7, seed=31, scatter_points=10 ** 7)
-    (reference,) = acquire([cfg], workers=1, unconditioned=True)
+    reference = acquire([cfg], workers=1, unconditioned=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        (acquired,) = acquire([cfg], workers=5, unconditioned=True)
+        acquired = acquire([cfg], workers=5, unconditioned=True)
     finally:
         sys.setswitchinterval(interval)
-    assert acquired.scatter.shape == (cfg.n_points, 2)
-    assert np.array_equal(acquired.scatter, reference.scatter)
-    assert acquired.kept_moments == reference.kept_moments
-    assert np.array_equal(acquired.kept_scatter, reference.kept_scatter)
-
-
-def _old_subsample(indices, count, seed):
-    # the batch path's unconditioned scatter subsample: indices chosen
-    # without replacement from the Philox stream of the seed, sorted
-    if indices.size <= count:
-        return indices
-    rng = np.random.Generator(np.random.Philox(seed))
-    chosen = rng.choice(indices.size, size=count, replace=False)
-    chosen.sort()
-    return indices[chosen]
+    assert acquired[1].kept_scatter.shape == (cfg.n_points, 2)
+    for window, expected in zip(acquired, reference):
+        assert window.kept_moments == expected.kept_moments
+        assert np.array_equal(window.kept_scatter, expected.kept_scatter)
 
 
 def _blocked(values):
@@ -979,10 +974,9 @@ def _batch_path(cfg):
                          cfg.n_points, cfg.seed)
     difference = batch.i1 - batch.i2
     kept = in_window(batch.s1, batch.s2, cfg.selection)
-    # the conditioned scatter: the first scatter_points kept events
+    # each scatter: the first scatter_points events its window keeps
     cond = kept[:cfg.scatter_points]
-    uncond = _old_subsample(np.arange(batch.n), cfg.scatter_points,
-                            derived_seed(cfg.seed, scenario._SCATTER_TAG_UNCONDITIONED))
+    uncond = slice(cfg.scatter_points)
     return {
         "batch": batch,
         "kept": kept,
@@ -1036,24 +1030,25 @@ def test_acquire_keeps_the_batch_path_rows(n):
                          selection=SelectionConfig(bandwidth_delta=0.5))
     ref = _batch_path(cfg)
     kept = ref["kept"]
-    (acquired,) = acquire([cfg], workers=2, unconditioned=True)
+    acquired, record = acquire([cfg], workers=2, unconditioned=True)
     assert acquired.kept_count == kept.size
-    assert acquired.n == n
+    assert acquired.n == record.n == n
     assert acquired.kept_moments == _blocked(ref["difference"][kept])
     assert np.array_equal(acquired.kept_scatter, ref["conditioned_scatter"])
     if kept.size:
         _assert_same_histogram(acquired.kept_histogram, ref["conditioned_histogram"])
-    _assert_same_histogram(acquired.histogram, ref["unconditioned_histogram"])
-    assert np.array_equal(acquired.scatter, ref["unconditioned_scatter"])
+    # the record window keeps every event
+    _assert_same_histogram(record.kept_histogram, ref["unconditioned_histogram"])
+    assert np.array_equal(record.kept_scatter, ref["unconditioned_scatter"])
+    assert record.kept_moments == _blocked(ref["difference"])
     dev = ref["difference"] - ref["difference"].mean()
-    assert acquired.moments.n == n
-    for got, power in ((acquired.moments.m2, 2), (acquired.moments.m4, 4)):
+    assert record.kept_count == n
+    for got, power in ((record.kept_moments.m2, 2), (record.kept_moments.m4, 4)):
         assert got == pytest.approx(float((dev ** power).sum()), rel=1e-12)
     # a sweep row or selftest case keeps the same rows, without the summary
     (rows_only,) = acquire([cfg])
     assert rows_only.kept_moments == acquired.kept_moments
     assert rows_only.kept_scatter is None and rows_only.kept_histogram is None
-    assert rows_only.moments is None and rows_only.scatter is None
 
 
 
@@ -1299,7 +1294,7 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert "twinbeam-transfer 0.2.0" in capsys.readouterr().out
+    assert "twinbeam-transfer 0.3.0" in capsys.readouterr().out
 
 
 def test_cli_without_chain_engine_never_imports_scipy(tmp_path):

@@ -335,24 +335,19 @@ def _fresh_bin_counts(x, w):
     return int(k.min()), np.bincount(k - k.min())
 
 
-def test_moments_and_bin_counts_in_given_buffers_match_allocating_path():
-    # the run's reducer hands both its reused idler buffers, sliced to the
-    # chunk (one as an int64 view for the bin indices); a full chunk, a short
-    # last chunk and random lengths down to 30 give the same bits as the
-    # allocating path and the formulas with fresh temporaries, and the
-    # values are left as they were
+def test_moments_and_bin_counts_match_the_formulas():
+    # a full block, a short last block and random lengths down to 30 give
+    # the bits of the formulas with fresh temporaries, and the values are
+    # left as they were
     rng = np.random.default_rng(29)
-    buffers = np.empty((2, _SAMPLE_CHUNK))
     lengths = [_SAMPLE_CHUNK, 30, *rng.integers(30, _SAMPLE_CHUNK, size=8, endpoint=True)]
     for m in lengths:
         x = rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 20.0), size=m) * COHERENT_DELTA
         kept = x.copy()
-        first, second = buffers[:, :m]
-        assert Moments.of(x, (first, second)) == Moments.of(x) == _two_pass_moments(x)
+        assert Moments.of(x) == _two_pass_moments(x)
         reference_min, reference = _fresh_bin_counts(x, 0.1)
-        for k_min, counts in (_bin_counts(x, 0.1, (second, first.view(np.int64))),
-                              _bin_counts(x, 0.1)):
-            assert k_min == reference_min and np.array_equal(counts, reference)
+        k_min, counts = _bin_counts(x, 0.1)
+        assert k_min == reference_min and np.array_equal(counts, reference)
         assert np.array_equal(x, kept)
 
 
