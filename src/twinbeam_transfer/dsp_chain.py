@@ -48,10 +48,9 @@ from .model import (
     _require_real,
 )
 
-# lead/tail margins around the kept record, in cutoff periods: the lead
-# swallows the causal filter transient, the tail the polyphase edge effects
+# the lead before the kept record, in cutoff periods: it swallows the
+# causal filter transient
 _LEAD_CUTOFF_PERIODS = 500.0
-_TAIL_CUTOFF_PERIODS = 50.0
 
 # wideband samples per block of the streamed chain; outputs do not depend on it
 _BLOCK = 1 << 16
@@ -129,17 +128,27 @@ def decimation_plan(cfg: SignalChainConfig) -> tuple[int, int]:
     return 1, m
 
 
-def _margins(cfg: SignalChainConfig) -> tuple[int, int]:
-    lead = math.ceil(_LEAD_CUTOFF_PERIODS * cfg.output_rate_hz / cfg.post_mixer_cutoff_hz)
-    tail = math.ceil(_TAIL_CUTOFF_PERIODS * cfg.output_rate_hz / cfg.post_mixer_cutoff_hz)
-    return lead, tail
+def _lead(cfg: SignalChainConfig) -> int:
+    """Output points demodulated and discarded before the record."""
+    return math.ceil(_LEAD_CUTOFF_PERIODS * cfg.output_rate_hz / cfg.post_mixer_cutoff_hz)
+
+
+def _fir_half(q1: int) -> int:
+    """Half-length of the polyphase FIR for ratio q1: 10*q1, as in
+    resample_poly's default design for down=q1, and 0 for the one-tap
+    identity filter of a single-stage plan."""
+    return 10 * q1 if q1 > 1 else 0
 
 
 def required_synth_samples(cfg: SignalChainConfig, points: int) -> int:
-    """Wideband samples needed for points output points plus warm-up."""
+    """Wideband samples that points output points read, warm-up included.
+
+    The last output point is mid-rate sample (lead + points - 1)*q2, and the
+    polyphase FIR of mid-rate sample j reads the wideband samples up to
+    j*q1 + half (_demod_stream), so no output reads past this many.
+    """
     q1, q2 = decimation_plan(cfg)
-    lead, tail = _margins(cfg)
-    return (lead + points + tail) * q1 * q2
+    return (_lead(cfg) + points - 1) * q2 * q1 + _fir_half(q1) + 1
 
 
 def _lorentzian_depths(cov: FourChannelCovariance, cfg: SignalChainConfig,
@@ -276,7 +285,7 @@ def _polyphase_fir(q1: int) -> np.ndarray:
     # calibration sees exactly the taps the chain applies
     from scipy import signal as sp_signal
 
-    return sp_signal.firwin(20 * q1 + 1, 1.0 / q1,
+    return sp_signal.firwin(2 * _fir_half(q1) + 1, 1.0 / q1,
                             window=("kaiser", 5.0)).astype(np.float32)
 
 
@@ -325,8 +334,8 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
 
     The last output point is mid-rate sample (lead + points - 1)*q2, so the
     record must hold needed = (lead + points - 1)*q2*q1 + half + 1 wideband
-    samples; a shorter one raises RecordLengthError, naming the shortfall,
-    when its input ends. A long enough record that ends inside a run has
+    samples (required_synth_samples); a shorter one raises
+    RecordLengthError, naming the shortfall, when its input ends. A long enough record that ends inside a run has
     that run padded with zeros. The samples computed from the padding never
     reach an output: the low-pass is causal, and every output sample's FIR
     reads no input past needed.
@@ -334,14 +343,14 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     from scipy import signal as sp_signal
 
     q1, q2 = decimation_plan(cfg)
-    lead, _ = _margins(cfg)
+    lead = _lead(cfg)
     sos = post_mixer_sos(cfg)
     weights, half = _folded_fir(cfg)
     branches = weights.shape[0] // 2
     width = _ROWS * q1
     lo_step = 2.0 * math.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
     scale = 1.0 / math.sqrt(_calibration_variance(cfg))
-    needed = (lead + points - 1) * q2 * q1 + half + 1
+    needed = required_synth_samples(cfg, points)
 
     run = state = products = folded = chunk = None
     filled = received = written = 0
@@ -412,8 +421,7 @@ def _calibration_variance(cfg: SignalChainConfig) -> float:
     from scipy import signal as sp_signal
 
     q1, q2 = decimation_plan(cfg)
-    lead, _ = _margins(cfg)
-    response = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(lead * q2))
+    response = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(_lead(cfg) * q2))
     if q1 > 1:
         response = sp_signal.upfirdn(_polyphase_fir(q1), response, up=q1)
     return float(np.dot(response, response))

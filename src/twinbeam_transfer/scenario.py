@@ -48,7 +48,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .dsp_chain import _ROWS, SignalChainConfig, _margins, decimation_plan, stream
+from .dsp_chain import _ROWS, SignalChainConfig, _lead, decimation_plan, stream
 from .errors import (
     ConfigurationError,
     EmptySelectionError,
@@ -353,7 +353,7 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     plan = (0, "")
     if cfg.engine == "chain":
         q1, q2 = decimation_plan(cfg.signal_chain)
-        lead, _ = _margins(cfg.signal_chain)
+        lead = _lead(cfg.signal_chain)
         plan = (q1 * (_BYTES_PER_RUN_Q1 + lead * q2 * _BYTES_PER_CALIBRATION_SAMPLE),
                 f"lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
                 f"q1 = {q1}, q2 = {q2})")

@@ -18,7 +18,7 @@ from twinbeam_transfer.dsp_chain import (
     SignalChainConfig,
     _calibration_variance,
     _demod_stream,
-    _margins,
+    _lead,
     _mode_densities,
     _polyphase_fir,
     _shaping_filters,
@@ -109,12 +109,20 @@ def test_decimation_plan(synth, output, plan):
     assert decimation_plan(cfg) == plan
 
 
-def test_required_samples_divisible_by_ratio():
-    q1, q2 = decimation_plan(CFG)
-    n = required_synth_samples(CFG, POINTS)
-    assert n % (q1 * q2) == 0
-    lead_tail_and_record = POINTS + 1250 + 125
-    assert n >= lead_tail_and_record * q1 * q2
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    SignalChainConfig(),
+    # ratio 5: a single-stage plan, q1 = 1, whose FIR is one tap
+    dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4, lo_frequency_hz=1.0e5),
+], ids=["test", "default", "single-stage"])
+def test_required_samples_are_the_demodulator_bound(cfg):
+    # the record is synthesized exactly as far as the last output point's
+    # polyphase FIR reads, past the 1250-point lead of the test config
+    assert required_synth_samples(cfg, POINTS) == _needed_samples(cfg, POINTS)[0]
+    if cfg == CFG:
+        q1, q2 = decimation_plan(CFG)
+        assert _lead(CFG) == 1250
+        assert required_synth_samples(CFG, POINTS) == (1250 + POINTS - 1) * q2 * q1 + 10 * q1 + 1
 
 
 def test_synthesize_deterministic():
@@ -203,7 +211,7 @@ def _mix_upfirdn_reference(channels, cfg, points):
     # FIR decimation by q1 through upfirdn, the low-pass, decimation by q2
     # and the trim
     q1, q2 = decimation_plan(cfg)
-    lead, _ = _margins(cfg)
+    lead = _lead(cfg)
     fir = _polyphase_fir(q1) if q1 > 1 else np.ones(1, dtype=np.float32)
     half = (fir.size - 1) // 2
     t = np.arange(channels.shape[1], dtype=np.float64) / cfg.synth_rate_hz
@@ -364,14 +372,15 @@ def _needed_samples(cfg, points):
     # mid-rate sample (lead + points - 1) * q2, whose FIR reads up to half
     # wideband samples past q1 times its index
     q1, q2 = decimation_plan(cfg)
-    lead, _ = _margins(cfg)
-    half = (_polyphase_fir(q1).size - 1) // 2
-    return (lead + points - 1) * q2 * q1 + half + 1, half
+    fir = _polyphase_fir(q1) if q1 > 1 else np.ones(1, dtype=np.float32)
+    half = (fir.size - 1) // 2
+    return (_lead(cfg) + points - 1) * q2 * q1 + half + 1, half
 
 
 def _white_record(cfg, points):
-    rng = np.random.default_rng(40)
-    return rng.standard_normal((2, required_synth_samples(cfg, points)), dtype=np.float32)
+    # a record a demodulator run longer than the length bound
+    length = _needed_samples(cfg, points)[0] + dsp_chain._ROWS * decimation_plan(cfg)[0]
+    return np.random.default_rng(40).standard_normal((2, length), dtype=np.float32)
 
 
 @pytest.mark.parametrize("run_boundary,block", [(False, None), (False, 7), (True, None)])

@@ -558,7 +558,7 @@ def _room(probability=0.0, workers=1, scatter=0, engine="direct", rows=1, points
 def _plan_bytes(chain):
     # the chain's buffers that grow with its decimation plan
     q1, q2 = dsp_chain.decimation_plan(chain)
-    lead, _ = dsp_chain._margins(chain)
+    lead = dsp_chain._lead(chain)
     return q1 * (scenario._BYTES_PER_RUN_Q1 + lead * q2 * scenario._BYTES_PER_CALIBRATION_SAMPLE)
 
 
