@@ -416,15 +416,20 @@ def _calibration_variance(cfg: SignalChainConfig) -> float:
     # noise gain of the chain for a unit white (shot-noise) input: the
     # sqrt(2)*cos mixer keeps it white with unit variance and decimation by
     # q2 keeps the variance, so the output variance is the squared norm of
-    # the polyphase FIR followed by the low-pass upsampled by q1. The
-    # low-pass response is cut where the chain discards its warm-up.
+    # the polyphase FIR h followed by the low-pass response x upsampled by
+    # q1, upfirdn(h, x, up=q1). That is the sum of c_l * R_x[l] * R_h[l*q1]
+    # over the lags l*q1 < len(h), with R the autocorrelations, c_0 = 1 and
+    # c_l = 2 (x[k] meets x[k + l] through R_h[l*q1]), so no response of
+    # length lead*q2*q1 is formed. The low-pass response is cut where the
+    # chain discards its warm-up.
     from scipy import signal as sp_signal
 
     q1, q2 = decimation_plan(cfg)
-    response = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(_lead(cfg) * q2))
-    if q1 > 1:
-        response = sp_signal.upfirdn(_polyphase_fir(q1), response, up=q1)
-    return float(np.dot(response, response))
+    x = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(_lead(cfg) * q2))
+    h = _polyphase_fir(q1).astype(np.float64) if q1 > 1 else np.ones(1)
+    return float(sum((2.0 if lag else 1.0) * np.dot(x[:x.size - lag], x[lag:])
+                     * np.dot(h[:h.size - lag * q1], h[lag * q1:])
+                     for lag in range(-(-h.size // q1))))
 
 
 def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,

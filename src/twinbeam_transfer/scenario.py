@@ -48,7 +48,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .dsp_chain import _ROWS, SignalChainConfig, _lead, decimation_plan, stream
+from .dsp_chain import _ROWS, SignalChainConfig, decimation_plan, stream
 from .errors import (
     ConfigurationError,
     EmptySelectionError,
@@ -143,12 +143,10 @@ _BYTES_PER_SWEEP_ROW = 1024
 # worker's _BYTES_PER_CHUNK and the plan's buffers (8.2 MiB), rounded up.
 _BYTES_PER_CHAIN_STREAM = 72 << 20
 
-# The chain's buffers that grow with its decimation plan (q1, q2): the
+# The chain's buffers that grow with its decimation plan: the
 # demodulator's run of _ROWS rows of q1 float32 samples of 4 channels
-# (64 KiB per q1) and the zero padding of the last run, up to one more
-# run; and the calibration's response, lead * q2 * q1 float64.
+# (64 KiB per q1) and the zero padding of the last run, up to one more run.
 _BYTES_PER_RUN_Q1 = 2 * 4 * 4 * _ROWS
-_BYTES_PER_CALIBRATION_SAMPLE = 8
 
 # chunk results in flight (drawn or waiting to be merged) per worker
 _CHUNKS_PER_WORKER = 2
@@ -353,8 +351,7 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     plan = (0, "")
     if cfg.engine == "chain":
         q1, q2 = decimation_plan(cfg.signal_chain)
-        lead = _lead(cfg.signal_chain)
-        plan = (q1 * (_BYTES_PER_RUN_Q1 + lead * q2 * _BYTES_PER_CALIBRATION_SAMPLE),
+        plan = (q1 * _BYTES_PER_RUN_Q1,
                 f"lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
                 f"q1 = {q1}, q2 = {q2})")
     needed = (threads * _BYTES_PER_CHUNK + kept + held + tables + scattered + plan[0]

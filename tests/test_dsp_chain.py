@@ -191,6 +191,26 @@ def test_shot_record_demodulates_to_unit_variance():
     assert np.abs(off).max() < 0.02
 
 
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    SignalChainConfig(),
+    # q1 = 400
+    SignalChainConfig(synth_rate_hz=4.0e8, cavity_bandwidth_hz=4.0e7),
+    # ratio 5: a single-stage plan, q1 = 1, whose FIR is one tap
+    dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4, lo_frequency_hz=1.0e5),
+], ids=["test", "default", "q1-400", "single-stage"])
+def test_calibration_is_the_squared_norm_of_the_upsampled_response(cfg):
+    # the noise gain from the autocorrelations of the polyphase FIR and the
+    # low-pass response against the squared norm of the response it stands
+    # for: the FIR convolved with the low-pass response upsampled by q1
+    q1, q2 = decimation_plan(cfg)
+    response = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(_lead(cfg) * q2))
+    if q1 > 1:
+        response = sp_signal.upfirdn(_polyphase_fir(q1), response, up=q1)
+    assert _calibration_variance(cfg) == pytest.approx(float(np.dot(response, response)),
+                                                       rel=1e-13)
+
+
 def test_calibration_matches_white_noise_reference():
     # Monte Carlo reference for the closed-form noise gain the chain divides
     # by: unit white records through the same chain come out at unit

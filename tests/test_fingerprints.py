@@ -35,7 +35,7 @@ PHILOX_CANARY = (
 DIGESTS = {
     "run_direct": "7c8d8bd5cfc783fd",
     "run_direct_scatter_100": "b96d0f841aab7cc5",
-    "run_chain": "cc600195897572b3",
+    "run_chain": "dbc207be421bb381",
     "sweep_direct": "22b41f47e80ae3c5",
     "sweep_chain": "b76a11b2fa260db5",
     "selftest": "c31cce5e6f05f8f5",

@@ -557,9 +557,7 @@ def _room(probability=0.0, workers=1, scatter=0, engine="direct", rows=1, points
 
 def _plan_bytes(chain):
     # the chain's buffers that grow with its decimation plan
-    q1, q2 = dsp_chain.decimation_plan(chain)
-    lead = dsp_chain._lead(chain)
-    return q1 * (scenario._BYTES_PER_RUN_Q1 + lead * q2 * scenario._BYTES_PER_CALIBRATION_SAMPLE)
+    return dsp_chain.decimation_plan(chain)[0] * scenario._BYTES_PER_RUN_Q1
 
 
 @pytest.mark.parametrize("engine", ["direct", "chain"])
@@ -606,10 +604,10 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
 
 def test_chain_memory_check_charges_the_decimation_plan(monkeypatch, tmp_path, capsys):
     # a 2e10 Hz synthesis rate with a 1 GHz cavity decimates by q1 = 20000:
-    # its demodulator run buffer, last-run padding and calibration response
-    # need about 3.4 GB, which escaped main as a MemoryError where the
-    # memory was not there. With 2 GiB available, 100 points exit 2 before
-    # any synthesis, naming the plan and what to lower
+    # its demodulator run buffer and last-run padding need about 2.6 GB,
+    # which escaped main as a MemoryError where the memory was not there.
+    # With 2 GiB available, 100 points exit 2 before any synthesis, naming
+    # the plan and what to lower
     def never(*args, **kwargs):
         raise AssertionError("synthesized before the memory check")
 
@@ -617,7 +615,7 @@ def test_chain_memory_check_charges_the_decimation_plan(monkeypatch, tmp_path, c
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 2 << 30)
     chain = {"synth_rate_hz": 2.0e10, "cavity_bandwidth_hz": 1.0e9}
     assert dsp_chain.decimation_plan(SignalChainConfig(**chain)) == (20_000, 5)
-    assert _plan_bytes(SignalChainConfig(**chain)) > 3e9
+    assert _plan_bytes(SignalChainConfig(**chain)) > 2 << 30
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"engine": "chain", "signal_chain": chain}))
     assert main(["run", "--config", str(path), "--points", "100"]) == 2
