@@ -276,6 +276,9 @@ def _covariance_factor(cov: FourChannelCovariance) -> tuple[float, np.ndarray]:
     conditional = c[1:, 1:] - np.outer(factor[1:, 0], factor[1:, 0])
     try:
         factor[1:, 1:] = np.linalg.cholesky(conditional)
+        # given g and s2, so s1 and s2, i1 and i2 are independent (the pairs
+        # are): i2's weight on z2 is 0, though roundoff leaves about 1e-14
+        factor[3, 2] = 0.0
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(conditional)
         factor[1:, 1:] = v * np.sqrt(np.clip(w, 0.0, None))

@@ -253,6 +253,10 @@ def test_sample_batch_is_the_elementwise_product_of_the_draw(case):
     gate_first = _GATE_FIRST @ factor
     if case == "cholesky":
         assert np.allclose(gate_first, np.linalg.cholesky(c), rtol=1e-13, atol=1e-13)
+        # i1 and i2 are independent given s1 and s2: i2 weighs z0, z1 and
+        # z3 only, where the 7/4 dB Cholesky factor leaves about 1e-14 on z2
+        assert factor[3, 2] == 0.0
+        assert np.count_nonzero(factor[3]) == 3
     else:
         coupling = c[1:, 0] / math.sqrt(c[0, 0])
         conditional = c[1:, 1:] - np.outer(coupling, coupling)
