@@ -335,10 +335,11 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     The last output point is mid-rate sample (lead + points - 1)*q2, so the
     record must hold needed = (lead + points - 1)*q2*q1 + half + 1 wideband
     samples (required_synth_samples); a shorter one raises
-    RecordLengthError, naming the shortfall, when its input ends. A long enough record that ends inside a run has
-    that run padded with zeros. The samples computed from the padding never
-    reach an output: the low-pass is causal, and every output sample's FIR
-    reads no input past needed.
+    RecordLengthError, naming the shortfall, when its input ends. A long
+    enough record that ends inside a run has that run padded with zeros.
+    The samples computed from the padding never reach an output: the
+    low-pass is causal, and every output sample's FIR reads no input past
+    needed.
     """
     from scipy import signal as sp_signal
 
@@ -361,8 +362,9 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
         if block is None:
             if received < needed:
                 raise RecordLengthError(f"record ended {needed - received} wideband samples short")
-            # the record ended: pad its last run with zeros
-            block = np.zeros_like(run[:, filled:])
+            # the record ended: pad its last run with zeros, in place
+            run[:, filled:] = 0.0
+            filled, block = width, run[:, width:]
         elif run is None:
             channels = block.shape[0]
             run = np.empty((channels, width), dtype=np.float32)

@@ -143,10 +143,11 @@ _BYTES_PER_SWEEP_ROW = 1024
 # worker's _BYTES_PER_CHUNK and the plan's buffers (8.2 MiB), rounded up.
 _BYTES_PER_CHAIN_STREAM = 72 << 20
 
-# The chain's buffers that grow with its decimation plan: the
+# The chain's buffer that grows with its decimation plan: the
 # demodulator's run of _ROWS rows of q1 float32 samples of 4 channels
-# (64 KiB per q1) and the zero padding of the last run, up to one more run.
-_BYTES_PER_RUN_Q1 = 2 * 4 * 4 * _ROWS
+# (64 KiB per q1), whose tail is zeroed in place at the record's end. Peak
+# RSS of a 2000-point chain run rises by 65 KB per q1 from q1 = 50 to 2000.
+_BYTES_PER_RUN_Q1 = 4 * 4 * _ROWS
 
 # chunk results in flight (drawn or waiting to be merged) per worker
 _CHUNKS_PER_WORKER = 2

@@ -604,18 +604,19 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
 
 def test_chain_memory_check_charges_the_decimation_plan(monkeypatch, tmp_path, capsys):
     # a 2e10 Hz synthesis rate with a 1 GHz cavity decimates by q1 = 20000:
-    # its demodulator run buffer and last-run padding need about 2.6 GB,
-    # which escaped main as a MemoryError where the memory was not there.
-    # With 2 GiB available, 100 points exit 2 before any synthesis, naming
-    # the plan and what to lower
+    # its demodulator run buffer needs about 1.3 GB (with the calibration
+    # response and a separate last-run padding it took about 3.4 GB, which
+    # escaped main as a MemoryError where the memory was not there). With
+    # 1 GiB available, 100 points exit 2 before any synthesis, naming the
+    # plan and what to lower
     def never(*args, **kwargs):
         raise AssertionError("synthesized before the memory check")
 
     monkeypatch.setattr(scenario, "stream", never)
-    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 2 << 30)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 1 << 30)
     chain = {"synth_rate_hz": 2.0e10, "cavity_bandwidth_hz": 1.0e9}
     assert dsp_chain.decimation_plan(SignalChainConfig(**chain)) == (20_000, 5)
-    assert _plan_bytes(SignalChainConfig(**chain)) > 2 << 30
+    assert _plan_bytes(SignalChainConfig(**chain)) > 1 << 30
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"engine": "chain", "signal_chain": chain}))
     assert main(["run", "--config", str(path), "--points", "100"]) == 2
