@@ -155,7 +155,7 @@ def test_run_scenario_reports_and_artifacts():
     assert result.unconditioned.kept_count == SMALL.n_points
     assert result.conditioned_histogram.total == result.conditioned.kept_count
     assert result.unconditioned_histogram.total == SMALL.n_points
-    # conditioned scatter holds every kept event when below the subsample cap
+    # the conditioned scatter holds every kept event below scatter_points
     assert result.conditioned_scatter.shape == (result.conditioned.kept_count, 2)
     assert result.unconditioned_scatter.shape == (SMALL.scatter_points, 2)
 
@@ -563,7 +563,7 @@ def _plan_bytes(chain):
 @pytest.mark.parametrize("engine", ["direct", "chain"])
 def test_cli_run_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys, engine):
     # the available-memory reading is lowered, never the machine's memory
-    # used up. A run with room for all but its scatter subsamples is
+    # used up. A run with room for all but its scatters is
     # refused, asking for fewer scatter rows; one with room for all runs
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
     room = _room(cfg.predict().selection_probability, scatter=1,
