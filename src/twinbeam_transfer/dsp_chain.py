@@ -18,11 +18,11 @@ then rotated by its LO phase, so no full-rate LO or product is formed.
 
 ``stream`` is the chain: synthesis and demodulation run block by block
 (``_BLOCK`` wideband samples, float32), with every filter's state carried
-between blocks, and the calibrated output leaves in chunks of
-``_SAMPLE_CHUNK`` points as it is made, so no array of wideband or record
-length exists and memory does not grow with the record (a 300k-point
-record passes 4 x 75M wideband samples through it). ``simulate``
-concatenates the chunks into one batch.
+between blocks, and the calibrated output leaves as each demodulator run
+makes it, at most ceil(_ROWS / q2) points at a time, so no array of
+wideband or record length exists and memory does not grow with the record
+(a 300k-point record passes 4 x 75M wideband samples through it).
+``simulate`` concatenates the chunks into one batch.
 
 scipy is imported inside the functions that use it, so importing this module
 (and so every direct-engine run) does not load it.
@@ -40,7 +40,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError, RecordLengthError, ValidationError
 from .model import (
-    _SAMPLE_CHUNK,
     SHOT_DIFFERENCE_VARIANCE,
     FourChannelCovariance,
     SampleBatch,
@@ -313,8 +312,9 @@ def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
 def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
                   points: int) -> Iterator[np.ndarray]:
     """The chain's calibrated output for a record given as consecutive (c, b)
-    float32 blocks: (c, m) float64 chunks of _SAMPLE_CHUNK points (the last
-    one shorter), in record order, each a fresh array.
+    float32 blocks: (c, m) float64 chunks in record order, each a fresh
+    array, one per run of _ROWS rows that reaches the record, holding the
+    run's output points (1 to ceil(_ROWS / q2) of them).
 
     Mixing by sqrt(2)*cos(omega*t + phase) and then the polyphase FIR
     decimation by q1, with resample_poly's taps and zero-phase alignment, is
@@ -353,7 +353,7 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     scale = 1.0 / math.sqrt(_calibration_variance(cfg))
     needed = required_synth_samples(cfg, points)
 
-    run = state = products = folded = chunk = None
+    run = state = products = folded = None
     filled = received = written = 0
     # products column c holds row first + c; mid-rate sample first + t sums
     # branch r times row first + t + r
@@ -400,16 +400,9 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
             low, state = sp_signal.sosfilt(sos, mid, axis=1, zi=state)
             # mid-rate samples lead*q2, (lead + 1)*q2, .. are the output
             new = low[:, max(lead * q2 - lo, -lo % q2)::q2][:, :points - written]
-            while new.shape[1]:
-                at = written % _SAMPLE_CHUNK
-                if at == 0:
-                    chunk = np.empty((channels, min(_SAMPLE_CHUNK, points - written)))
-                take = min(chunk.shape[1] - at, new.shape[1])
-                np.multiply(new[:, :take], scale, out=chunk[:, at:at + take])
-                new = new[:, take:]
-                written += take
-                if at + take == chunk.shape[1]:
-                    yield chunk
+            if new.shape[1]:
+                written += new.shape[1]
+                yield new * scale
             if written == points:
                 return
 
@@ -439,10 +432,10 @@ def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
     """Synthesize and demodulate a record of points output points, block by block.
 
     Yields the calibrated output as (4, m) float64 chunks (s1, i1, s2, i2)
-    of _SAMPLE_CHUNK points, the last one shorter, in record order. No
-    array of wideband or record length exists: memory is a few blocks of
-    _BLOCK samples, the demodulator's run buffer and the chunk being
-    filled, whatever points is. The output is calibrated so that a
+    in record order, one per demodulator run, at most ceil(_ROWS / q2)
+    points each (_demod_stream). No array of wideband or record length
+    exists: memory is a few blocks of _BLOCK samples and the demodulator's
+    run buffer, whatever points is. The output is calibrated so that a
     shot-noise input comes out at unit variance.
     """
     points = _require_int("points", points, 1)

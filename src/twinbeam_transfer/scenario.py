@@ -9,14 +9,15 @@ record, the way a paired acquisition would, and overlays the closed-form
 prediction.
 
 The record is consumed chunk by chunk (acquire): the direct engine draws
-each chunk in a worker thread, the chain engine's stream (dsp_chain.stream)
-hands its chunks over as it demodulates them, and each chunk is gated and
-reduced. Each window's kept idler differences are reduced, in record
-order, in blocks of _SAMPLE_CHUNK kept values (stats.BlockedMoments), and
-its scatter is its first scatter_points kept events. The unconditioned
-statistics are those of one more window, the whole record, which keeps
-every event, so its blocks are the record's chunks. So memory is flat in
-the record length on either engine, whatever the window keeps.
+each chunk of _SAMPLE_CHUNK events in a worker thread, the chain engine's
+stream (dsp_chain.stream) hands over each demodulator run's points as it
+makes them, and each chunk is gated and reduced. Each window's kept idler
+differences are reduced, in record order, in blocks of _SAMPLE_CHUNK kept
+values (stats.BlockedMoments), and its scatter is its first scatter_points
+kept events, so no result depends on how the record is cut into chunks.
+The unconditioned statistics are those of one more window, the whole
+record, which keeps every event. So memory is flat in the record length on
+either engine, whatever the window keeps.
 
 A sweep acquires all its rows together at the sweep's seed. On the direct
 engine each chunk is drawn once, as far as the widest row's window reaches,
@@ -77,7 +78,6 @@ from .selection import (
     derived_seed,
     in_window,
     kept_moment_statistics,
-    moment_statistics,
 )
 from .stats import (
     _BIN_WIDTH_DELTA,
@@ -135,12 +135,13 @@ _BYTES_PER_SWEEP_ROW = 1024
 
 # Peak memory of the chain engine's stream that does not grow with its
 # decimation plan: the scipy.signal and scipy.fft imports, the filter
-# designs, the synthesis buffers and the chunk being filled. Peak RSS of a
-# chain acquisition at a window that keeps almost nothing grows by 88.2,
-# 88.5 and 88.9 MB with 1, 2 and 3 workers over a process that has imported
-# numpy only (66.8 MB of it the scipy imports), 87.4 MB at a third of the
+# designs and the synthesis buffers. Peak RSS of a 60k-point chain
+# acquisition at a window that keeps almost nothing grows by 92.7, 92.7
+# and 92.6 MB with 1, 2 and 3 workers over a process that has imported
+# numpy only (76.0 MB of it the scipy imports), 92.5 MB at a third of the
 # record length, at the default plan q1 = 50, q2 = 5; less the first
-# worker's _BYTES_PER_CHUNK and the plan's buffers (8.2 MiB), rounded up.
+# worker's _BYTES_PER_CHUNK and the plan's buffers (8.2 MiB), 68.2 MiB;
+# rounded up.
 _BYTES_PER_CHAIN_STREAM = 72 << 20
 
 # The chain's buffer that grows with its decimation plan: the
@@ -317,25 +318,25 @@ def _available_memory_bytes() -> int | None:
 
 
 def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
-                  scatter: int = 0, rows: int = 1, sweep: bool = False) -> None:
+                  scatter: int = 0, rows: int = 1) -> None:
     """Refuse, before any work starts, an acquisition that would not fit in memory.
 
-    acquire's check, made before it draws or streams anything, and, with
-    ``sweep``, run_sweep's, before it builds any of its ``rows`` rows
-    (_BYTES_PER_SWEEP_ROW each). Its windows are the ``rows`` configs
-    acquired together, whose acceptance probabilities sum to
-    ``probability``, and the record windows of the ``scatter`` configs
-    acquired with the unconditioned summary, at probability 1 each. Nothing
-    it charges grows with n_points past a chunk: _BYTES_PER_CHUNK for each
-    worker that has a chunk to reduce; the kept events of the chunks in
-    flight (_CHUNKS_PER_WORKER per worker and the one being merged) at
-    _BYTES_PER_KEPT, the windows' probability of each chunk's events; each
-    window's held kept differences, at most a chunk and at most its
-    expected kept count (_BYTES_PER_HELD); the ``scatter`` configs' pairs
-    of scatters of scatter_points rows, at _BYTES_PER_KEPT a row; and on
-    the chain engine the stream's _BYTES_PER_CHAIN_STREAM and the buffers
-    of its decimation plan. Raises ValidationError, naming what to lower,
-    rather than let the process be killed part way.
+    acquire's check, made before it draws or streams anything, and
+    run_sweep's, before it builds any of its ``rows`` rows. Its windows are
+    the ``rows`` configs acquired together, whose acceptance probabilities
+    sum to ``probability``, and the record windows of the ``scatter``
+    configs acquired with the unconditioned summary, at probability 1 each.
+    Nothing it charges grows with n_points past a chunk: each row's table
+    row and config (_BYTES_PER_SWEEP_ROW, alive while acquire runs);
+    _BYTES_PER_CHUNK for each worker that has a chunk to reduce; the kept
+    events of the chunks in flight (_CHUNKS_PER_WORKER per worker and the
+    one being merged) at _BYTES_PER_KEPT, the windows' probability of each
+    chunk's events; each window's held kept differences, at most a chunk and
+    at most its expected kept count (_BYTES_PER_HELD); the ``scatter``
+    configs' pairs of scatters of scatter_points rows, at _BYTES_PER_KEPT a
+    row; and on the chain engine the stream's _BYTES_PER_CHAIN_STREAM and
+    the buffers of its decimation plan. Raises ValidationError, naming what
+    to lower, rather than let the process be killed part way.
     """
     n = cfg.n_points
     chunk = min(n, _SAMPLE_CHUNK)
@@ -346,7 +347,7 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     kept = probability * chunk * flights * _BYTES_PER_KEPT
     # each window holds at most a chunk, and at most what it keeps
     held = min((rows + scatter) * chunk, probability * n) * _BYTES_PER_HELD
-    tables = rows * sweep * _BYTES_PER_SWEEP_ROW
+    tables = rows * _BYTES_PER_SWEEP_ROW
     scattered = scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
     # (bytes, how to free them) of what a request can lower
     plan = (0, "")
@@ -397,8 +398,8 @@ class Acquisition(NamedTuple):
     def kept_count(self) -> int:
         return 0 if self.kept_moments is None else self.kept_moments.n
 
-    def conditioned(self, cfg: SelectionConfig) -> TransferReport:
-        """The conditioned noise report; see selection.kept_moment_statistics."""
+    def report(self, cfg: SelectionConfig) -> TransferReport:
+        """The window's noise report; see selection.kept_moment_statistics."""
         return kept_moment_statistics(self.kept_moments, self.n, cfg)
 
 
@@ -438,11 +439,12 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     layer for a record window; model._draw_chunk), and every config gates
     it on |z0| (see selection): the configs see the same events, as the
     rows of one sweep do. The chain engine's stream (dsp_chain.stream)
-    yields chunks of the same length, gated by in_window; chain configs
-    that build the same covariance and signal chain read one stream, one
-    after another otherwise. ``workers`` threads reduce chunks in parallel
-    and the parts are merged in chunk order, so the result is the same for
-    any count.
+    yields each demodulator run's points as one chunk, at most _ROWS / 2
+    of them, so a worker's scratch of _SAMPLE_CHUNK holds it; in_window
+    gates it. Chain configs that build the same covariance and signal chain
+    read one stream, one after another otherwise. ``workers`` threads
+    reduce chunks in parallel and the parts are merged in chunk order, so
+    the result is the same for any count.
     Refuses, before it draws or streams anything, what would not fit in
     memory (_check_memory): the chunks in flight, and every window's held
     kept differences and scatter at once; none of it grows with n_points.
@@ -596,8 +598,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> Scenari
     if isinstance(acquired, TwinBeamError):
         raise acquired
     result = ScenarioResult(
-        conditioned=acquired.conditioned(cfg.selection),
-        unconditioned=moment_statistics(record.kept_moments),
+        conditioned=acquired.report(cfg.selection),
+        unconditioned=record.report(cfg.selection),
         oracle=prediction,
         conditioned_histogram=acquired.kept_histogram,
         unconditioned_histogram=record.kept_histogram,
@@ -723,7 +725,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
     if cfg.sweep is None:
         raise ConfigurationError("sweep requires a config with a sweep axis")
     values = cfg.sweep.values()
-    _check_memory(cfg, 0.0, workers, rows=len(values), sweep=True)
+    _check_memory(cfg, 0.0, workers, rows=len(values))
     rows: list[dict[str, Any]] = []
     built: list[tuple[dict[str, Any], ScenarioConfig]] = []
     for value in values:
@@ -744,7 +746,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
         try:
             if isinstance(acquired, TwinBeamError):
                 raise acquired
-            report = acquired.conditioned(row_cfg.selection)
+            report = acquired.report(row_cfg.selection)
         except TwinBeamError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
             if isinstance(exc, InsufficientStatisticsError):
@@ -816,7 +818,7 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
     for index, squeezing, v_plus, delta_i, case, prediction in drawn:
         (acquired,) = acquire([case])
         try:
-            report = acquired.conditioned(case.selection)
+            report = acquired.report(case.selection)
             half = (report.ci_high_db - report.ci_low_db) / 2.0
             mc, se = report.squeezing_db, max(half / _INTERVAL_HALF_WIDTH_SE, 1e-9)
         except (InsufficientStatisticsError, EmptySelectionError):

@@ -114,36 +114,20 @@ def select(batch: SampleBatch, cfg: SelectionConfig) -> SelectionResult:
     return SelectionResult(kept_indices=kept, total=batch.n)
 
 
-def _report(moments: Moments, probability: float) -> TransferReport:
-    point, low, high = moments.estimate(SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
-    return TransferReport(
-        squeezing_db=point,
-        ci_low_db=low,
-        ci_high_db=high,
-        kept_count=moments.n,
-        preparation_probability=probability,
-    )
-
-
 def conditional_statistics(batch: SampleBatch, result: SelectionResult,
                            cfg: SelectionConfig) -> TransferReport:
     """Noise of the idler difference i1 - i2 over the kept events.
 
     The interval is the moment-based (delta-method) interval of
-    :func:`~twinbeam_transfer.stats.variance_interval`.
+    :func:`~twinbeam_transfer.stats.variance_interval`. The kept
+    differences are reduced in record order, in the blocks a streamed
+    record reduces them in (stats.BlockedMoments), so both give the same
+    bits.
     """
     kept = result.kept_indices
-    return kept_statistics(batch.i1[kept] - batch.i2[kept], result.total, cfg)
-
-
-def kept_statistics(values: np.ndarray, total: int, cfg: SelectionConfig) -> TransferReport:
-    """:func:`conditional_statistics` from the kept idler differences
-    ``values`` of a record of ``total`` events, in record order: their
-    moments are reduced in the blocks a streamed record reduces them in
-    (stats.BlockedMoments), so both give the same bits."""
     blocks = BlockedMoments()
-    blocks.add(_as_clean_1d(values, 0))
-    return kept_moment_statistics(blocks.close().moments, total, cfg)
+    blocks.add(_as_clean_1d(batch.i1[kept] - batch.i2[kept], 0))
+    return kept_moment_statistics(blocks.close().moments, result.total, cfg)
 
 
 def kept_moment_statistics(moments: Moments | None, total: int,
@@ -151,18 +135,18 @@ def kept_moment_statistics(moments: Moments | None, total: int,
     """:func:`conditional_statistics` from the moments of the kept idler
     differences of a record of ``total`` events (None when none is kept);
     raises EmptySelectionError when none is kept and
-    InsufficientStatisticsError when fewer than ``cfg.min_kept`` are."""
+    InsufficientStatisticsError when fewer than ``cfg.min_kept`` are. A
+    window that keeps every event reports the unconditioned noise, at
+    preparation probability 1."""
     count = 0 if moments is None else moments.n
     _require_kept(count, total, cfg)
     if count < cfg.min_kept:
         raise InsufficientStatisticsError(count, cfg.min_kept)
-    return _report(moments, count / total)
-
-
-def moment_statistics(moments: Moments) -> TransferReport:
-    """Noise of the idler difference over every event, from its moments.
-
-    ``moments`` summarize i1 - i2 over the whole record; no selection
-    window applies.
-    """
-    return _report(moments, 1.0)
+    point, low, high = moments.estimate(SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
+    return TransferReport(
+        squeezing_db=point,
+        ci_low_db=low,
+        ci_high_db=high,
+        kept_count=count,
+        preparation_probability=count / total,
+    )

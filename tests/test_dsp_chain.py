@@ -58,7 +58,7 @@ def _record(cov, cfg, seed, points=POINTS):
 
 
 def _demodulated(blocks, cfg, points):
-    # the calibrated (points, c) output that _demod_stream yields in chunks
+    # the calibrated (points, c) output that _demod_stream yields run by run
     return np.concatenate(list(_demod_stream(blocks, cfg, points)), axis=1).T
 
 
@@ -271,22 +271,23 @@ def test_simulate_equals_demodulated_synthesis():
 
 
 def test_streamed_output_independent_of_block_size(monkeypatch):
-    # the stream's chunks are consecutive slices of one record, _SAMPLE_CHUNK
-    # points each but the last, whatever the synthesis block. The whole
-    # record is also fed to the demodulator in slices of exactly _BLOCK
-    # samples, and 12345 is no multiple of q1 (the synthesis blocks are whole
-    # overlap-save segments); q1 * q2 * 100_000 spans the whole record
+    # the stream's chunks are consecutive slices of one record, one per
+    # demodulator run that reaches it, 1 to ceil(_ROWS / q2) points each,
+    # whatever the synthesis block. The whole record is also fed to the
+    # demodulator in slices of exactly _BLOCK samples, and 12345 is no
+    # multiple of q1 (the synthesis blocks are whole overlap-save segments);
+    # q1 * q2 * 100_000 spans the whole record
     q1, q2 = decimation_plan(CFG)
     record = _record(TWIN_COV, CFG, seed=43)
     whole = simulate(TWIN_COV, CFG, POINTS, seed=43).data
-    monkeypatch.setattr(dsp_chain, "_SAMPLE_CHUNK", 7_000)
+    most = -(-dsp_chain._ROWS // q2)
     for block in (q1 * q2 * 1_000, q1 * q2 * 100_000, 12_345):
         monkeypatch.setattr(dsp_chain, "_BLOCK", block)
         slices = (record[:, start:start + block]
                   for start in range(0, record.shape[1], block))
         for chunks in (list(stream(TWIN_COV, CFG, POINTS, seed=43)),
                        list(_demod_stream(slices, CFG, POINTS))):
-            assert [c.shape for c in chunks] == [(4, 7_000)] * 4 + [(4, 2_000)]
+            assert all(c.shape[0] == 4 and 1 <= c.shape[1] <= most for c in chunks)
             assert np.array_equal(np.concatenate(chunks, axis=1), whole.T)
 
 

@@ -352,7 +352,7 @@ def test_sweep_rows_match_acquire_of_each_row(axis, workers):
         assert row_cfg.seed == cfg.seed
         (alone,) = acquire([row_cfg])
         assert together.kept_moments == alone.kept_moments
-        report = alone.conditioned(row_cfg.selection)
+        report = alone.report(row_cfg.selection)
         assert row["error"] == ""
         assert (row["transferred_db"], row["ci_low_db"], row["ci_high_db"]) == (
             report.squeezing_db, report.ci_low_db, report.ci_high_db)
@@ -535,10 +535,10 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
 
 
 def _room(probability=0.0, workers=1, scatter=0, engine="direct", rows=1, points=100_000,
-          sweep=False, plan=0):
+          plan=0):
     # an available-memory reading with room for what acquire holds: the
     # workers' chunks, the kept events of the chunks in flight, each
-    # window's held differences (and, for a sweep, its table row), for each
+    # window's held differences and each row's table row and config, for each
     # of the ``scatter`` configs acquired with the unconditioned summary a
     # record window, which keeps every event, and a pair of 20k-row
     # scatters, and, on the chain engine, the stream's buffers and its
@@ -551,7 +551,7 @@ def _room(probability=0.0, workers=1, scatter=0, engine="direct", rows=1, points
                      + probability * chunk * flights * scenario._BYTES_PER_KEPT
                      + min((rows + scatter) * chunk, probability * points)
                      * scenario._BYTES_PER_HELD
-                     + rows * sweep * scenario._BYTES_PER_SWEEP_ROW
+                     + rows * scenario._BYTES_PER_SWEEP_ROW
                      + scatter * min(points, 20_000) * scenario._BYTES_PER_KEPT + stream)
 
 
@@ -679,12 +679,12 @@ def test_cli_sweep_rows_beyond_free_memory_exit_code(monkeypatch, tmp_path, caps
     # asking for fewer steps
     steps, points = 1000, 1000
     cfg = ScenarioConfig(n_points=points, sweep=SweepAxis("squeezing_db", 1.0, 9.0, steps))
-    charge = _room(rows=steps, points=points, sweep=True)
+    charge = _room(rows=steps, points=points)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charge)
-    scenario._check_memory(cfg, 0.0, rows=steps, sweep=True)
+    scenario._check_memory(cfg, 0.0, rows=steps)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: charge - 1)
     with pytest.raises(ValidationError, match="memory"):
-        scenario._check_memory(cfg, 0.0, rows=steps, sweep=True)
+        scenario._check_memory(cfg, 0.0, rows=steps)
 
     def no_row(*args):
         raise AssertionError("built a row")
@@ -748,9 +748,9 @@ def test_acquire_charges_each_config_its_kept_rows_and_scatter(monkeypatch):
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    # chunks of 4096 points, so that a short chain record is many chunks
-    for module in (scenario, dsp_chain):
-        monkeypatch.setattr(module, "_SAMPLE_CHUNK", 4096)
+    # a worker scratch of 4096 points, which a chain chunk, the points of one
+    # demodulator run (820 at SCALED_CHAIN's plan), must still fit
+    monkeypatch.setattr(scenario, "_SAMPLE_CHUNK", 4096)
 
 
 def _chain(n_points, **kwargs):
@@ -778,9 +778,32 @@ def test_chain_acquire_keeps_the_rows_of_simulate(small_chunks):
     assert np.array_equal(record.kept_scatter, batch.data[:200][:, [1, 3]])
 
 
+def test_chain_acquire_independent_of_how_the_record_is_cut(monkeypatch):
+    # the windows reduce their kept values in blocks cut from the value
+    # sequence, and fill their scatters in record order, so the record cut
+    # into 7000-point or 1-point chunks gives what the stream's own chunks,
+    # one per demodulator run, give: the same moments, histograms, scatters
+    # and kept counts of both windows
+    cfg = _chain(20_000, seed=6)
+    reference = acquire([cfg], workers=2, unconditioned=True)
+    assert reference[1].kept_count == 20_000
+    for size in (7_000, 1):
+        def recut(*args, size=size):
+            record = np.concatenate(list(dsp_chain.stream(*args)), axis=1)
+            return (record[:, start:start + size] for start in range(0, record.shape[1], size))
+
+        monkeypatch.setattr(scenario, "stream", recut)
+        acquired = acquire([cfg], workers=2, unconditioned=True)
+        assert [a.kept_count for a in acquired] == [a.kept_count for a in reference]
+        for window, expected in zip(acquired, reference):
+            assert window.kept_moments == expected.kept_moments
+            _assert_same_histogram(window.kept_histogram, expected.kept_histogram)
+            assert np.array_equal(window.kept_scatter, expected.kept_scatter)
+
+
 def test_cli_chain_run_identical_for_any_worker_count(tmp_path, small_chunks):
-    # the main thread streams the chain's chunks (8 here, the last one
-    # partial) to 1, 2 or 3 reducers; every output file is the same
+    # the main thread streams the chain's chunks (one per demodulator run,
+    # 38 here) to 1, 2 or 3 reducers; every output file is the same
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_chain(30_000, scatter_points=1000).to_dict()))
     outputs = []
@@ -817,7 +840,7 @@ def test_chain_sweep_rows_share_one_record(monkeypatch, small_chunks, axis, reco
     for row, row_cfg, together in zip(rows, row_cfgs, shared):
         (alone,) = acquire([row_cfg])
         assert together.kept_moments == alone.kept_moments
-        report = alone.conditioned(row_cfg.selection)
+        report = alone.report(row_cfg.selection)
         assert row["error"] == ""
         assert (row["transferred_db"], row["ci_low_db"], row["ci_high_db"],
                 row["kept_count"]) == (report.squeezing_db, report.ci_low_db,

@@ -22,10 +22,10 @@ from twinbeam_transfer.selection import (
     SelectionConfig,
     SelectionResult,
     conditional_statistics,
-    moment_statistics,
     select,
 )
-from twinbeam_transfer.stats import Moments, histogram, variance_db
+from twinbeam_transfer.scenario import ScenarioConfig, acquire
+from twinbeam_transfer.stats import histogram, variance_db
 
 
 PAIR = TwinPairParams(squeezing_db=7.0, excess_sum_db=20.0)
@@ -107,11 +107,15 @@ def test_unconditional_limit_equals_plain_statistics():
 
 
 def test_moment_statistics_matches_widest_window():
+    # run's unconditioned report is that of the record window, which keeps
+    # every event: it is the report of a window wide enough to keep them
+    # all, at preparation probability exactly 1
+    cfg = ScenarioConfig(pair1=PAIR, pair2=PAIR, n_points=100_000, seed=101)
     batch = _twin_batch(n=100_000)
-    cfg = SelectionConfig(bandwidth_delta=1e9)
-    wide = conditional_statistics(batch, select(batch, cfg), cfg)
-    report = moment_statistics(Moments.of(batch.i1 - batch.i2))
-    assert report == wide
+    wide = SelectionConfig(bandwidth_delta=1e9)
+    _, record = acquire([cfg], unconditioned=True)
+    report = record.report(cfg.selection)
+    assert report == conditional_statistics(batch, select(batch, wide), wide)
     assert report.kept_count == batch.n
     assert report.preparation_probability == 1.0
 
