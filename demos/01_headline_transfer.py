@@ -30,11 +30,11 @@ def main():
           % (result.oracle.transferred_db, result.oracle.selection_probability))
     print()
 
-    cond = result.conditioned_histogram
-    uncond = result.unconditioned_histogram
-    print("difference-histogram widths (in units of delta):")
-    print("  conditioned    %.3f" % cond.std)
-    print("  unconditioned  %.3f" % uncond.std)
+    # the noise in dB below the shot level is -20 log10 of the standard
+    # deviation in units of delta
+    print("idler-difference standard deviations (in units of delta):")
+    print("  conditioned    %.3f" % 10 ** (-result.conditioned.squeezing_db / 20))
+    print("  unconditioned  %.3f" % 10 ** (-result.unconditioned.squeezing_db / 20))
     print()
     print("conditioned scatter sample (first 5 of %d points):"
           % len(result.conditioned_scatter))

@@ -212,11 +212,6 @@ def build_covariance(pair1: TwinPairParams, pair2: TwinPairParams,
     return FourChannelCovariance(m)
 
 
-def squeezing_db_of(cov: FourChannelCovariance, pair_index: int) -> float:
-    """Intra-pair difference squeezing in dB below the SNL (positive = squeezed)."""
-    return -10.0 * math.log10(cov.difference_variance(pair_index) / SHOT_DIFFERENCE_VARIANCE)
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     """Columnar batch of demodulated photocurrent fluctuation samples.

@@ -43,7 +43,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import NormalDist
 from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -72,15 +71,9 @@ from .model import (
     build_covariance,
 )
 from .oracle import TransferPrediction, predict_transfer
-from .selection import (
-    _INTERVAL_LEVEL,
-    SelectionConfig,
-    derived_seed,
-    in_window,
-    kept_moment_statistics,
-)
+from .selection import SelectionConfig, derived_seed, in_window, kept_moment_statistics
 from .stats import (
-    _BIN_WIDTH_DELTA,
+    _INTERVAL_HALF_WIDTH_SE,
     _MIN_INTERVAL_VALUES,
     BlockedMoments,
     Histogram,
@@ -135,14 +128,14 @@ _BYTES_PER_SWEEP_ROW = 1024
 
 # Peak memory of the chain engine's stream that does not grow with its
 # decimation plan: the scipy.signal and scipy.fft imports, the filter
-# designs and the synthesis buffers. Peak RSS of a 60k-point chain
-# acquisition at a window that keeps almost nothing grows by 92.7, 92.7
-# and 92.6 MB with 1, 2 and 3 workers over a process that has imported
-# numpy only (76.0 MB of it the scipy imports), 92.5 MB at a third of the
-# record length, at the default plan q1 = 50, q2 = 5; less the first
-# worker's _BYTES_PER_CHUNK and the plan's buffers (8.2 MiB), 68.2 MiB;
-# rounded up.
-_BYTES_PER_CHAIN_STREAM = 72 << 20
+# designs and the synthesis buffers. Peak RSS (VmHWM) of a default
+# 100k-point chain run (plan q1 = 50, q2 = 5) grows by 93.5-94.7,
+# 93.6-94.3 and 93.7-94.1 MiB with 1, 2 and 3 workers (5 runs each) over a
+# process that has imported numpy only; less the rest of a 1-worker run's
+# charge (17.3 MiB: the worker's _BYTES_PER_CHUNK, the plan's buffers,
+# the kept, held and scatter terms), at most 77.4 MiB; rounded up.
+# tests/test_scenario_cli.py re-measures the run at 1 and 2 workers.
+_BYTES_PER_CHAIN_STREAM = 80 << 20
 
 # The chain's buffer that grows with its decimation plan: the
 # demodulator's run of _ROWS rows of q1 float32 samples of 4 channels
@@ -161,9 +154,6 @@ _TABLE_SLICE = 4096
 # _SELFTEST_COUNT_SIGMA binomial standard deviations of the expected count
 _SELFTEST_DB_SIGMA = 3.0
 _SELFTEST_COUNT_SIGMA = 4.0
-
-# half-width of the reported interval in standard errors, 0.9945
-_INTERVAL_HALF_WIDTH_SE = NormalDist().inv_cdf(0.5 + _INTERVAL_LEVEL / 2.0)
 
 
 def _reject_unknown(data: dict, known: tuple[str, ...], context: str) -> None:
@@ -331,24 +321,18 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     _BYTES_PER_CHUNK for each worker that has a chunk to reduce; the kept
     events of the chunks in flight (_CHUNKS_PER_WORKER per worker and the
     one being merged) at _BYTES_PER_KEPT, the windows' probability of each
-    chunk's events; each window's held kept differences, at most a chunk and
-    at most its expected kept count (_BYTES_PER_HELD); the ``scatter``
-    configs' pairs of scatters of scatter_points rows, at _BYTES_PER_KEPT a
-    row; and on the chain engine the stream's _BYTES_PER_CHAIN_STREAM and
-    the buffers of its decimation plan. Raises ValidationError, naming what
-    to lower, rather than let the process be killed part way.
+    chunk's events, where a chain chunk is one demodulator run's points (at
+    most ceil(_ROWS / q2)); each window's held kept differences, at most a
+    block of _SAMPLE_CHUNK and at most its expected kept count
+    (_BYTES_PER_HELD); the ``scatter`` configs' pairs of scatters of
+    scatter_points rows, at _BYTES_PER_KEPT a row; and on the chain engine
+    the stream's _BYTES_PER_CHAIN_STREAM and the buffers of its decimation
+    plan. Raises ValidationError, naming what to lower, rather than let the
+    process be killed part way.
     """
     n = cfg.n_points
-    chunk = min(n, _SAMPLE_CHUNK)
-    threads = min(workers, -(-n // _SAMPLE_CHUNK))
-    flights = _CHUNKS_PER_WORKER * threads + 1  # chunks whose kept events are held at once
-    # a record window keeps every event
-    probability += scatter
-    kept = probability * chunk * flights * _BYTES_PER_KEPT
-    # each window holds at most a chunk, and at most what it keeps
-    held = min((rows + scatter) * chunk, probability * n) * _BYTES_PER_HELD
-    tables = rows * _BYTES_PER_SWEEP_ROW
-    scattered = scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
+    # a block of held values, and a chunk in flight: a direct chunk is a block
+    chunk = item = min(n, _SAMPLE_CHUNK)
     # (bytes, how to free them) of what a request can lower
     plan = (0, "")
     if cfg.engine == "chain":
@@ -356,6 +340,16 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
         plan = (q1 * _BYTES_PER_RUN_Q1,
                 f"lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
                 f"q1 = {q1}, q2 = {q2})")
+        item = min(n, -(-_ROWS // q2))
+    threads = min(workers, -(-n // item))
+    flights = _CHUNKS_PER_WORKER * threads + 1  # chunks whose kept events are held at once
+    # a record window keeps every event
+    probability += scatter
+    kept = probability * item * flights * _BYTES_PER_KEPT
+    # each window holds at most a block, and at most what it keeps
+    held = min((rows + scatter) * chunk, probability * n) * _BYTES_PER_HELD
+    tables = rows * _BYTES_PER_SWEEP_ROW
+    scattered = scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
     needed = (threads * _BYTES_PER_CHUNK + kept + held + tables + scattered + plan[0]
               + (cfg.engine == "chain") * _BYTES_PER_CHAIN_STREAM)
     available = _available_memory_bytes()
@@ -563,7 +557,7 @@ def _stream(cfg: ScenarioConfig, idlers: list, items: Iterable, gate: Callable,
     return [Acquisition(
         kept_moments=reduced.close().moments,
         n=n,
-        kept_histogram=_binned(*reduced.counts, _BIN_WIDTH_DELTA) if reduced.counts else None,
+        kept_histogram=_binned(*reduced.counts) if reduced.counts else None,
         kept_scatter=None if scatter is None else scatter[:count],
     ) for reduced, scatter, count in zip(blocks, scatters, filled)]
 

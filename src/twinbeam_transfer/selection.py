@@ -24,17 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySelectionError, InsufficientStatisticsError, ValidationError
-from .model import (
-    COHERENT_DELTA,
-    SHOT_DIFFERENCE_VARIANCE,
-    SampleBatch,
-    _require_int,
-    _require_real,
-)
+from .model import COHERENT_DELTA, SampleBatch, _require_int, _require_real
 from .stats import _MIN_INTERVAL_VALUES, BlockedMoments, Moments, TransferReport, _as_clean_1d
-
-# two-sided coverage of the reported interval (half-width 0.9945 standard errors)
-_INTERVAL_LEVEL = 0.68
 
 
 def derived_seed(base_seed: int, tag: int) -> int:
@@ -82,10 +73,6 @@ class SelectionResult:
     def kept_count(self) -> int:
         return self.kept_indices.size
 
-    @property
-    def preparation_probability(self) -> float:
-        return self.kept_count / self.total
-
 
 def in_window(s1: np.ndarray, s2: np.ndarray, cfg: SelectionConfig,
               scratch: np.ndarray | None = None) -> np.ndarray:
@@ -119,7 +106,7 @@ def conditional_statistics(batch: SampleBatch, result: SelectionResult,
     """Noise of the idler difference i1 - i2 over the kept events.
 
     The interval is the moment-based (delta-method) interval of
-    :func:`~twinbeam_transfer.stats.variance_interval`. The kept
+    :meth:`~twinbeam_transfer.stats.Moments.estimate`. The kept
     differences are reduced in record order, in the blocks a streamed
     record reduces them in (stats.BlockedMoments), so both give the same
     bits.
@@ -142,7 +129,7 @@ def kept_moment_statistics(moments: Moments | None, total: int,
     _require_kept(count, total, cfg)
     if count < cfg.min_kept:
         raise InsufficientStatisticsError(count, cfg.min_kept)
-    point, low, high = moments.estimate(SHOT_DIFFERENCE_VARIANCE, _INTERVAL_LEVEL)
+    point, low, high = moments.estimate()
     return TransferReport(
         squeezing_db=point,
         ci_low_db=low,

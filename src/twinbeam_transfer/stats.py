@@ -1,14 +1,14 @@
-"""Estimation utilities: shot-normalized variance in dB, histograms, intervals.
+"""Estimation utilities: shot-normalized variance in dB, binning, intervals.
 
-:func:`variance_interval`, the moment-based (delta-method) interval, is the
-interval every run reports. The test suite checks it against a percentile
-bootstrap reference, which the package does not ship. :class:`Moments` is
-the one estimator behind it and behind every report: the point and interval
-come from the count and central moment sums of the values, which a streamed
-record merges chunk by chunk, so it needs no copy of every value. The kept
-events' values are merged from blocks of a fixed count
-(:class:`BlockedMoments`), so a streamed record and its batch give the
-same bits.
+:class:`Moments` is the one estimator behind every report: the point and
+its moment-based (delta-method) interval (:meth:`Moments.estimate`) come
+from the count and central moment sums of the values, which a streamed
+record merges chunk by chunk, so it needs no copy of every value. The test
+suite checks the interval against a percentile bootstrap reference, which
+the package does not ship. The kept events' values are merged from blocks
+of a fixed count (:class:`BlockedMoments`), so a streamed record and its
+batch give the same bits; the same blocks are binned on the one
+_BIN_WIDTH_DELTA grid (:func:`_bin_counts`).
 """
 
 from __future__ import annotations
@@ -21,13 +21,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .model import _SAMPLE_CHUNK, COHERENT_DELTA
+from .model import _SAMPLE_CHUNK, COHERENT_DELTA, SHOT_DIFFERENCE_VARIANCE
 
 # the moment-based interval needs this many values
 _MIN_INTERVAL_VALUES = 30
 
-# default histogram bin width, in units of delta
+# histogram bin width, in units of delta
 _BIN_WIDTH_DELTA = 0.1
+
+# two-sided coverage of the reported interval, and its half-width in
+# standard errors, 0.9945
+_INTERVAL_LEVEL = 0.68
+_INTERVAL_HALF_WIDTH_SE = NormalDist().inv_cdf(0.5 + _INTERVAL_LEVEL / 2.0)
 
 
 def _as_clean_1d(values, minimum: int) -> np.ndarray:
@@ -62,15 +67,13 @@ def _variance_to_db(var: float, shot_reference: float) -> float:
 class Histogram:
     """Binned distribution of difference-photocurrent values.
 
-    Everything is expressed in units of delta (the coherent-state difference
-    standard deviation): ``bin_width`` is the spacing and ``bin_edges`` the
-    boundaries, with 0 always at a bin center.
+    ``bin_edges`` are the bin boundaries in units of delta (the
+    coherent-state difference standard deviation), _BIN_WIDTH_DELTA apart
+    with 0 always at a bin center; ``counts`` the events in each bin.
     """
 
-    bin_width: float
     bin_edges: np.ndarray
     counts: np.ndarray
-    total: int
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=np.float64)
@@ -79,60 +82,21 @@ class Histogram:
             raise ValidationError("bin_edges must be 1-d with one more entry than counts")
         if not np.all(np.diff(edges) > 0):
             raise ValidationError("bin_edges must be strictly increasing")
-        widths = np.diff(edges)
-        if not np.allclose(widths, self.bin_width, rtol=1e-9, atol=1e-12):
-            raise ValidationError("bin_edges spacing must equal bin_width")
         if np.any(counts < 0):
             raise ValidationError("counts must be non-negative")
-        if int(counts.sum()) != int(self.total):
-            raise ValidationError("counts must sum to total")
         edges.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(self.total))
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    @property
-    def densities(self) -> np.ndarray:
-        """Probability density per bin, normalized in delta units."""
-        return self.counts / (self.total * self.bin_width)
-
-    @property
-    def mean(self) -> float:
-        """Binned mean in delta units."""
-        return float(np.average(self.centers, weights=self.counts))
-
-    @property
-    def std(self) -> float:
-        """Binned standard deviation in delta units."""
-        dev = self.centers - self.mean
-        return float(math.sqrt(np.average(dev * dev, weights=self.counts)))
 
 
-def histogram(values, bin_width_delta: float = _BIN_WIDTH_DELTA) -> Histogram:
-    """Bin difference samples (model units) on a grid of width ``bin_width_delta``.
-
-    The grid is anchored so that 0 is a bin center and extends just far
-    enough to cover the data, so every value lands in exactly one bin.
-    """
-    x = _as_clean_1d(values, minimum=1)
-    w = float(bin_width_delta)
-    if not (0.0 < w < 1.0):
-        raise ValidationError(f"bin_width_delta must be in (0, 1), got {w}")
-
-    return _binned(*_bin_counts(x, w), w)
-
-
-def _bin_counts(x: np.ndarray, w: float) -> tuple[int, np.ndarray]:
-    """(k_min, counts): counts[j] events fall in the bin centred on (k_min + j)*w."""
+def _bin_counts(x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(k_min, counts): counts[j] events fall in the bin centred on
+    (k_min + j) * _BIN_WIDTH_DELTA, in delta units."""
     t, k = np.empty(x.size), np.empty(x.size, np.int64)
-    # bin index k holds the bin centered at k*w (in delta units)
+    # bin index k holds the bin centered at k * _BIN_WIDTH_DELTA (in delta units)
     np.divide(x, COHERENT_DELTA, out=t)
-    np.divide(t, w, out=t)
+    np.divide(t, _BIN_WIDTH_DELTA, out=t)
     np.add(t, 0.5, out=t)
     np.floor(t, out=t)
     np.copyto(k, t, casting="unsafe")
@@ -142,7 +106,7 @@ def _bin_counts(x: np.ndarray, w: float) -> tuple[int, np.ndarray]:
 
 def _merge_counts(a: tuple[int, np.ndarray],
                   b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
-    """Sum two (k_min, counts) pairs of _bin_counts on the same grid; exact."""
+    """Sum two (k_min, counts) pairs of _bin_counts; exact."""
     low = min(a[0], b[0])
     counts = np.zeros(max(a[0] + a[1].size, b[0] + b[1].size) - low, dtype=np.int64)
     for k_min, part in (a, b):
@@ -150,32 +114,10 @@ def _merge_counts(a: tuple[int, np.ndarray],
     return low, counts
 
 
-def _binned(k_min: int, counts: np.ndarray, w: float) -> Histogram:
-    edges = (np.arange(k_min, k_min + counts.size + 1) - 0.5) * w
-    return Histogram(bin_width=w, bin_edges=edges, counts=counts, total=int(counts.sum()))
-
-
-def _check_level(level: float) -> float:
-    level = float(level)
-    if not (0.0 < level < 1.0):
-        raise ValidationError(f"level must be in (0, 1), got {level}")
-    return level
-
-
-def variance_interval(values, shot_reference: float,
-                      level: float = 0.68) -> tuple[float, float]:
-    """Moment-based (delta-method) interval for :func:`variance_db`.
-
-    The sample variance s^2 has asymptotic variance (mu4 - sigma^4)/n for any
-    distribution with a finite fourth moment, so the interval stays valid for
-    the non-Gaussian conditioned record. With m4 the fourth central sample
-    moment, the standard error of s^2 is sqrt((m4 - s^4 (n-3)/(n-1)) / n),
-    mapped to dB by the derivative (10 / ln 10) / s^2. The interval is
-    centred on the point estimate. O(n) and deterministic.
-    """
-    _, low, high = Moments.of(_as_clean_1d(values, _MIN_INTERVAL_VALUES)).estimate(
-        shot_reference, level)
-    return low, high
+def _binned(k_min: int, counts: np.ndarray) -> Histogram:
+    """The Histogram of a (k_min, counts) pair of _bin_counts."""
+    edges = (np.arange(k_min, k_min + counts.size + 1) - 0.5) * _BIN_WIDTH_DELTA
+    return Histogram(bin_edges=edges, counts=counts)
 
 
 class Moments(NamedTuple):
@@ -225,20 +167,29 @@ class Moments(NamedTuple):
                 + 4.0 * d_n * (na * other.m3 - nb * self.m3)),
         )
 
-    def estimate(self, shot_reference: float, level: float) -> tuple[float, float, float]:
-        """(point, low, high): :func:`variance_db` and :func:`variance_interval`
-        of the values, from their moments. The point is bit-identical to
-        ``x.var(ddof=1)`` of the values ``x`` that :meth:`of` summarized."""
+    def estimate(self) -> tuple[float, float, float]:
+        """(point, low, high): the noise of the values in dB below the shot
+        reference (:func:`variance_db` at SHOT_DIFFERENCE_VARIANCE) and its
+        moment-based (delta-method) interval, from their moments.
+
+        The point is bit-identical to ``x.var(ddof=1)`` of the values ``x``
+        that :meth:`of` summarized. The sample variance s^2 has asymptotic
+        variance (mu4 - sigma^4)/n for any distribution with a finite fourth
+        moment, so the interval stays valid for the non-Gaussian conditioned
+        record. With m4 the fourth central sample moment, the standard error
+        of s^2 is sqrt((m4 - s^4 (n-3)/(n-1)) / n), mapped to dB by the
+        derivative (10 / ln 10) / s^2; the interval is centred on the point
+        and _INTERVAL_HALF_WIDTH_SE standard errors wide on each side.
+        """
         n = self.n
         if n < _MIN_INTERVAL_VALUES:
             raise EstimationError(f"need at least {_MIN_INTERVAL_VALUES} values, got {n}")
-        level = _check_level(level)
         s2, m4 = self.m2 / (n - 1), self.m4 / n
-        point = _variance_to_db(s2, shot_reference)
+        point = _variance_to_db(s2, SHOT_DIFFERENCE_VARIANCE)
         # m4 >= (s^2 (n-1) / n)^2 (Cauchy-Schwarz), so the radicand is at least
         # s^4 (3n - 1) / (n^2 (n-1)) > 0
         se_db = 10.0 / math.log(10.0) * math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n) / s2
-        half = NormalDist().inv_cdf(0.5 + level / 2.0) * se_db
+        half = _INTERVAL_HALF_WIDTH_SE * se_db
         return point, point - half, point + half
 
 
@@ -282,7 +233,7 @@ class BlockedMoments:
             part = Moments.of(block)
             self.moments = part if self.moments is None else self.moments.merge(part)
             if self._binned:
-                counts = _bin_counts(block, _BIN_WIDTH_DELTA)
+                counts = _bin_counts(block)
                 self.counts = counts if self.counts is None else _merge_counts(self.counts, counts)
             self._filled = 0
         return self
@@ -294,7 +245,7 @@ class TransferReport:
 
     squeezing_db is the idler-difference noise relative to the SNL over the
     kept events; the moment-based (delta-method) interval of
-    :func:`variance_interval` carries the statistical uncertainty.
+    :meth:`Moments.estimate` carries the statistical uncertainty.
     """
 
     squeezing_db: float

@@ -2,10 +2,15 @@
 
 Each case runs in-process and is reduced to a digest of its outputs:
 integers (kept counts, histogram counts, row counts) exactly, floats
-rounded to 12 significant digits, so a last-bit difference from another
-CPU's SIMD or LAPACK path does not move a digest, while any change of the
-streams or of the estimates does. A change that moves a digest on purpose
-bumps __version__ and re-pins the digests it moves, in the same commit.
+rounded to 12 significant digits, so any change of the streams or of the
+estimates moves a digest. The rounding does not hide every difference
+between CPUs: the chain's demodulator product is a float32 OpenBLAS sgemm
+whose summation order depends on the kernel OpenBLAS picks, and under
+OPENBLAS_CORETYPE=Haswell or Zen (the kernels of AVX2-only and AMD CPUs)
+the run_chain and sweep_chain digests move; the direct cases do not. ROADMAP
+item 1 makes that product independent of the kernel. A change that moves a
+digest on purpose bumps __version__ and re-pins the digests it moves, in
+the same commit.
 
 The Philox canary runs first: numpy may change a Generator stream between
 versions (NEP 19), and the canary reports such a change as what it is,

@@ -19,7 +19,6 @@ from twinbeam_transfer.model import (
     _covariance_factor,
     _substream,
     sample_batch,
-    squeezing_db_of,
 )
 
 
@@ -126,17 +125,20 @@ def test_covariance_derived_variances_roundtrip():
 
 @pytest.mark.parametrize("s_db,expected", [(7.0, 7.0), (0.0, 0.0), (3.01, 3.01)])
 def test_squeezing_db_roundtrip(s_db, expected):
+    # each pair's difference sits ``expected`` dB below the shot level
     cov = build_covariance(TwinPairParams(squeezing_db=s_db),
                            TwinPairParams(squeezing_db=s_db))
-    assert squeezing_db_of(cov, 1) == pytest.approx(expected, abs=1e-9)
-    assert squeezing_db_of(cov, 2) == pytest.approx(expected, abs=1e-9)
+    for k in (1, 2):
+        assert cov.difference_variance(k) == pytest.approx(
+            SHOT_DIFFERENCE_VARIANCE * 10.0 ** (-expected / 10.0), rel=1e-12)
 
 
 def test_squeezing_db_of_coherent_is_zero():
+    # coherent states: the difference is at the shot level, 0 dB
     cov = build_covariance(TwinPairParams(squeezing_db=7.0),
                            TwinPairParams(squeezing_db=7.0),
                            MeasurementSetting.COHERENT_STATE)
-    assert squeezing_db_of(cov, 1) == pytest.approx(0.0, abs=1e-12)
+    assert cov.difference_variance(1) == pytest.approx(SHOT_DIFFERENCE_VARIANCE, rel=1e-12)
 
 
 def test_covariance_rejects_nonzero_cross_block():

@@ -44,7 +44,7 @@ from twinbeam_transfer.selection import (
     in_window,
     select,
 )
-from twinbeam_transfer.stats import BlockedMoments, histogram, variance_db, variance_interval
+from twinbeam_transfer.stats import BlockedMoments, Moments, _bin_counts, _binned, variance_db
 
 
 SMALL = ScenarioConfig(n_points=100_000, seed=7)
@@ -153,8 +153,8 @@ def test_run_scenario_reports_and_artifacts():
         result.oracle.transferred_db, abs=1.0)
     assert result.unconditioned.preparation_probability == 1.0
     assert result.unconditioned.kept_count == SMALL.n_points
-    assert result.conditioned_histogram.total == result.conditioned.kept_count
-    assert result.unconditioned_histogram.total == SMALL.n_points
+    assert result.conditioned_histogram.counts.sum() == result.conditioned.kept_count
+    assert result.unconditioned_histogram.counts.sum() == SMALL.n_points
     # the conditioned scatter holds every kept event below scatter_points
     assert result.conditioned_scatter.shape == (result.conditioned.kept_count, 2)
     assert result.unconditioned_scatter.shape == (SMALL.scatter_points, 2)
@@ -534,21 +534,25 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _room(probability=0.0, workers=1, scatter=0, engine="direct", rows=1, points=100_000,
-          plan=0):
+def _room(probability=0.0, workers=1, scatter=0, chain=None, rows=1, points=100_000):
     # an available-memory reading with room for what acquire holds: the
     # workers' chunks, the kept events of the chunks in flight, each
     # window's held differences and each row's table row and config, for each
     # of the ``scatter`` configs acquired with the unconditioned summary a
     # record window, which keeps every event, and a pair of 20k-row
-    # scatters, and, on the chain engine, the stream's buffers and its
-    # plan's; nothing of it grows with the record past one chunk
-    chunk = min(points, scenario._SAMPLE_CHUNK)
+    # scatters, and, on the engine of the signal chain ``chain``, the
+    # stream's buffers and its plan's, where a chunk in flight is one
+    # demodulator run's points; nothing of it grows with the record past one
+    # block of held values
+    chunk = item = min(points, scenario._SAMPLE_CHUNK)
+    stream = 0
+    if chain is not None:
+        item = min(points, -(-dsp_chain._ROWS // dsp_chain.decimation_plan(chain)[1]))
+        stream = scenario._BYTES_PER_CHAIN_STREAM + _plan_bytes(chain)
     flights = scenario._CHUNKS_PER_WORKER * workers + 1
     probability += scatter
-    stream = scenario._BYTES_PER_CHAIN_STREAM + plan if engine == "chain" else 0
     return math.ceil(workers * scenario._BYTES_PER_CHUNK
-                     + probability * chunk * flights * scenario._BYTES_PER_KEPT
+                     + probability * item * flights * scenario._BYTES_PER_KEPT
                      + min((rows + scatter) * chunk, probability * points)
                      * scenario._BYTES_PER_HELD
                      + rows * scenario._BYTES_PER_SWEEP_ROW
@@ -567,7 +571,7 @@ def test_cli_run_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys, eng
     # refused, asking for fewer scatter rows; one with room for all runs
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
     room = _room(cfg.predict().selection_probability, scatter=1,
-                 engine=engine, plan=_plan_bytes(SCALED_CHAIN))
+                 chain=SCALED_CHAIN if engine == "chain" else None)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
     with pytest.raises(ValidationError, match="memory"):
         run_scenario(cfg)
@@ -586,18 +590,18 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
     # length, as a 100k-point run does
     cfg = ScenarioConfig(n_points=10 ** 9, engine="chain")
     p = cfg.predict().selection_probability
-    needed = _room(p, scatter=1, engine="chain", points=cfg.n_points,
-                   plan=_plan_bytes(cfg.signal_chain))
+    needed = _room(p, scatter=1, chain=cfg.signal_chain, points=cfg.n_points)
     assert needed < 2 ** 27
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: needed)
     for points in (100_000, cfg.n_points, 2 ** 63 - 1):
         scenario._check_memory(dataclasses.replace(cfg, n_points=points), p, workers=1,
                                scatter=True)
-    # the stream's buffers are charged on top of what the direct engine needs
-    monkeypatch.setattr(scenario, "_available_memory_bytes",
-                        lambda: needed - scenario._BYTES_PER_CHAIN_STREAM
-                        - _plan_bytes(cfg.signal_chain))
-    scenario._check_memory(dataclasses.replace(cfg, engine="direct"), p, scatter=True)
+    # the stream's buffers and its plan's are charged on top of its chunks
+    # in flight, which hold one demodulator run's points each, fewer than
+    # the direct engine's chunks of 65536 events
+    chunks = needed - scenario._BYTES_PER_CHAIN_STREAM - _plan_bytes(cfg.signal_chain)
+    assert chunks < _room(p, scatter=1, points=cfg.n_points)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: chunks)
     with pytest.raises(ValidationError, match="memory"):
         scenario._check_memory(cfg, p, workers=1, scatter=True)
 
@@ -722,8 +726,8 @@ def test_acquire_refuses_beyond_free_memory_before_any_draw(monkeypatch, engine,
 
     monkeypatch.setattr(scenario, generator, never)
     cfg = dataclasses.replace(SMALL, engine=engine, signal_chain=SCALED_CHAIN)
-    room = _room(cfg.predict().selection_probability, engine=engine,
-                 plan=_plan_bytes(SCALED_CHAIN))
+    room = _room(cfg.predict().selection_probability,
+                 chain=SCALED_CHAIN if engine == "chain" else None)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room - 1)
     for unconditioned in (False, True):
         with pytest.raises(ValidationError, match="memory"):
@@ -774,7 +778,7 @@ def test_chain_acquire_keeps_the_rows_of_simulate(small_chunks):
     assert np.array_equal(acquired.kept_scatter, batch.data[kept[:200]][:, [1, 3]])
     assert record.kept_count == 30_000
     assert record.kept_moments == _blocked(batch.i1 - batch.i2)
-    _assert_same_histogram(record.kept_histogram, histogram(batch.i1 - batch.i2))
+    _assert_same_histogram(record.kept_histogram, _histogram(batch.i1 - batch.i2))
     assert np.array_equal(record.kept_scatter, batch.data[:200][:, [1, 3]])
 
 
@@ -915,17 +919,44 @@ _PEAK_SCRIPT = textwrap.dedent("""
     """)
 
 
-def _peak_rss(argv):
-    # the peak RSS in bytes of main(argv) in a fresh interpreter: VmHWM, the
-    # child's own, since Linux carries ru_maxrss across exec, so it would
-    # start at this process's peak and hide the rise of a short run
+_NUMPY_PEAK_SCRIPT = textwrap.dedent("""
+    import numpy
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+    """)
+
+
+def _peak_rss(argv, script=_PEAK_SCRIPT):
+    # the peak RSS in bytes of main(argv) (or of ``script``) in a fresh
+    # interpreter: VmHWM, the child's own, since Linux carries ru_maxrss
+    # across exec, so it would start at this process's peak and hide the
+    # rise of a short run
     src = str(Path(twinbeam_transfer.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *argv],
+    result = subprocess.run([sys.executable, "-c", script, *argv],
                             env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
     return int(result.stdout.split()[-1]) * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chain_run_memory_within_its_charge(monkeypatch, capsys, workers):
+    # the memory check charges a default 100k-point chain run at least the
+    # peak RSS it grows by over a process that has imported numpy only
+    # (about 94 MiB at 1 and 2 workers): with one byte less than that
+    # growth available, the run is refused before it synthesizes anything
+    argv = ["run", "--engine", "chain", "--points", "100000", "--workers", str(workers)]
+    growth = _peak_rss(argv) - _peak_rss([], _NUMPY_PEAK_SCRIPT)
+
+    def never(*args, **kwargs):
+        raise AssertionError("synthesized before the memory check")
+
+    monkeypatch.setattr(scenario, "stream", never)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: growth - 1)
+    assert main(argv) == 2
+    assert "memory is available" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -989,6 +1020,11 @@ def _blocked(values):
     return blocks.close().moments
 
 
+def _histogram(values):
+    # the histogram of all the values at once, binned as the reducer bins a block
+    return _binned(*_bin_counts(values))
+
+
 def _batch_path(cfg):
     """run's outputs computed from the whole (n, 4) batch; the conditioned
     ones are None when the window keeps no event."""
@@ -1004,15 +1040,14 @@ def _batch_path(cfg):
         "kept": kept,
         "selected": select(batch, cfg.selection) if kept.size else None,
         "difference": difference,
-        "conditioned_histogram": histogram(difference[kept]) if kept.size else None,
-        "unconditioned_histogram": histogram(difference),
+        "conditioned_histogram": _histogram(difference[kept]) if kept.size else None,
+        "unconditioned_histogram": _histogram(difference),
         "conditioned_scatter": np.column_stack([batch.i1[cond], batch.i2[cond]]),
         "unconditioned_scatter": np.column_stack([batch.i1[uncond], batch.i2[uncond]]),
     }
 
 
 def _assert_same_histogram(a, b):
-    assert a.bin_width == b.bin_width and a.total == b.total
     assert np.array_equal(a.bin_edges, b.bin_edges)
     assert np.array_equal(a.counts, b.counts)
 
@@ -1039,7 +1074,7 @@ def test_streamed_run_matches_batch_path(n, scatter_points, window):
         streamed = (result.unconditioned.squeezing_db, result.unconditioned.ci_low_db,
                     result.unconditioned.ci_high_db)
         assert streamed == pytest.approx(
-            (variance_db(ref["difference"], 2.0), *variance_interval(ref["difference"], 2.0)),
+            (variance_db(ref["difference"], 2.0), *Moments.of(ref["difference"]).estimate()[1:]),
             abs=1e-12)
         assert result.unconditioned.kept_count == n
 
@@ -1317,6 +1352,18 @@ def test_cli_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "twinbeam-transfer 0.3.0" in capsys.readouterr().out
+
+
+def test_distribution_version_is_the_package_version():
+    # pyproject.toml reads the version from __version__, so the installed
+    # distribution's metadata cannot name another one (Python 3.10 has no tomllib)
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(twinbeam_transfer.__file__).parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text())
+    assert project["project"]["dynamic"] == ["version"]
+    assert "version" not in project["project"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "twinbeam_transfer.__version__"}
 
 
 def test_cli_without_chain_engine_never_imports_scipy(tmp_path):

@@ -25,7 +25,7 @@ from twinbeam_transfer.selection import (
     select,
 )
 from twinbeam_transfer.scenario import ScenarioConfig, acquire
-from twinbeam_transfer.stats import histogram, variance_db
+from twinbeam_transfer.stats import variance_db
 
 
 PAIR = TwinPairParams(squeezing_db=7.0, excess_sum_db=20.0)
@@ -43,7 +43,7 @@ def test_select_all_when_window_huge():
     batch = _twin_batch(n=50_000)
     result = select(batch, SelectionConfig(bandwidth_delta=1e6))
     assert result.kept_count == batch.n
-    assert result.preparation_probability == 1.0
+    assert result.kept_count / result.total == 1.0
     assert np.array_equal(result.kept_indices, np.arange(batch.n))
 
 
@@ -53,7 +53,7 @@ def test_selection_probability_coherent():
     # trigger difference is N(0, 2), so P(|D| <= 0.03*delta) = erf(0.03/sqrt(2))
     expected = math.erf(0.03 / math.sqrt(2.0))
     sigma = math.sqrt(expected * (1 - expected) / batch.n)
-    assert abs(result.preparation_probability - expected) < 3.5 * sigma
+    assert abs(result.kept_count / result.total - expected) < 3.5 * sigma
 
 
 def test_selection_probability_twin_beams():
@@ -62,7 +62,7 @@ def test_selection_probability_twin_beams():
     expected = predict_transfer(PAIR, PAIR, 0.03).selection_probability
     assert expected == pytest.approx(3.4e-3, rel=0.02)
     sigma = math.sqrt(expected * (1 - expected) / batch.n)
-    assert abs(result.preparation_probability - expected) < 3.5 * sigma
+    assert abs(result.kept_count / result.total - expected) < 3.5 * sigma
 
 
 def test_conditional_statistics_headline_transfer():
@@ -148,13 +148,13 @@ def test_mc_matches_oracle_at_moderate_window():
 
 def test_conditioned_histogram_narrower_than_coherent():
     # transferred squeezing of ~4 dB shows up as a width ratio of 10^(-4/20)
+    # between the standard deviations of the idler differences
     twin = _twin_batch()
     cfg = SelectionConfig(bandwidth_delta=0.03)
     kept = select(twin, cfg).kept_indices
-    conditioned = histogram(twin.i1[kept] - twin.i2[kept], 0.1)
+    conditioned = (twin.i1[kept] - twin.i2[kept]).std(ddof=1)
     coherent_batch = _coherent_batch()
-    reference = histogram(coherent_batch.i1 - coherent_batch.i2, 0.1)
-    ratio = conditioned.std / reference.std
+    ratio = conditioned / (coherent_batch.i1 - coherent_batch.i2).std(ddof=1)
     assert ratio == pytest.approx(10 ** (-4.0 / 20.0), abs=0.05)
 
 

@@ -23,11 +23,9 @@ from twinbeam_transfer.stats import (
     TransferReport,
     _as_clean_1d,
     _bin_counts,
-    _check_level,
+    _binned,
     _merge_counts,
-    histogram,
     variance_db,
-    variance_interval,
 )
 
 
@@ -35,8 +33,8 @@ def bootstrap_ci(values, shot_reference: float, resamples: int = 1000,
                  level: float = 0.68, seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap interval for :func:`variance_db`.
 
-    O(n * resamples); the reference that :func:`variance_interval` is tested
-    against. Deterministic for a fixed seed. The returned interval is
+    O(n * resamples); the reference that :meth:`Moments.estimate`'s interval
+    is tested against. Deterministic for a fixed seed. The returned interval is
     widened, if necessary, to contain the point estimate (percentile
     intervals can exclude it by a hair on skewed resample distributions).
     """
@@ -44,7 +42,9 @@ def bootstrap_ci(values, shot_reference: float, resamples: int = 1000,
     resamples = int(resamples)
     if resamples < 200:
         raise ValidationError(f"resamples must be >= 200, got {resamples}")
-    level = _check_level(level)
+    level = float(level)
+    if not (0.0 < level < 1.0):
+        raise ValidationError(f"level must be in (0, 1), got {level}")
 
     point = variance_db(x, shot_reference)
     rng = np.random.default_rng(int(seed))
@@ -100,21 +100,26 @@ def test_variance_db_rejects_degenerate_input():
         variance_db([0.0, np.nan], 2.0)
 
 
+def _histogram(x):
+    # the histogram of values x, as the reducer bins a block of them
+    return _binned(*_bin_counts(np.asarray(x, dtype=np.float64)))
+
+
 def test_histogram_single_value_at_zero():
-    h = histogram([0.0], bin_width_delta=0.1)
-    assert h.total == 1
+    h = _histogram([0.0])
     assert h.counts.sum() == 1
     (idx,) = np.nonzero(h.counts)
-    assert h.bin_edges[idx[0]] < 0.0 < h.bin_edges[idx[0] + 1]
+    left, right = h.bin_edges[idx[0]], h.bin_edges[idx[0] + 1]
+    assert left < 0.0 < right
     # zero sits at a bin center
-    assert h.centers[idx[0]] == pytest.approx(0.0, abs=1e-12)
+    assert 0.5 * (left + right) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_histogram_conserves_counts_and_units():
     rng = np.random.default_rng(11)
     x = rng.normal(0, COHERENT_DELTA, size=10_000)
-    h = histogram(x, bin_width_delta=0.1)
-    assert h.counts.sum() == h.total == x.size
+    h = _histogram(x)
+    assert h.counts.sum() == x.size
     assert np.all(np.diff(h.bin_edges) > 0)
     assert np.allclose(np.diff(h.bin_edges), 0.1)
     # edges are in delta units: they must cover the data rescaled by delta
@@ -127,36 +132,25 @@ def test_histogram_matches_unit_gaussian():
     # binned distribution in delta units must fit a standard normal
     rng = np.random.default_rng(808)
     x = rng.normal(0, COHERENT_DELTA, size=1_000_000)
-    h = histogram(x, bin_width_delta=0.1)
+    h = _histogram(x)
     prob = np.diff(sps.norm.cdf(h.bin_edges))
-    expected = h.total * prob
+    expected = h.counts.sum() * prob
     keep = expected >= 10.0
     chi2 = float(((h.counts[keep] - expected[keep]) ** 2 / expected[keep]).sum())
     pvalue = sps.chi2.sf(chi2, df=int(keep.sum()) - 1)
     assert pvalue > 0.001
 
 
-def test_histogram_moments():
-    rng = np.random.default_rng(21)
-    x = rng.normal(0, COHERENT_DELTA, size=200_000)
-    h = histogram(x, bin_width_delta=0.05)
-    # binned std in delta units approximates 1 (binning bias ~ w^2/12)
-    assert h.std == pytest.approx(1.0, abs=0.01)
-    assert h.mean == pytest.approx(0.0, abs=0.01)
-    assert h.densities.sum() * h.bin_width == pytest.approx(1.0, rel=1e-12)
-
-
 def test_histogram_validation():
-    with pytest.raises(EstimationError):
-        histogram([], bin_width_delta=0.1)
-    with pytest.raises(ValidationError):
-        histogram([0.0], bin_width_delta=0.0)
-    with pytest.raises(ValidationError):
-        histogram([0.0], bin_width_delta=1.0)
-    with pytest.raises(ValidationError):
-        Histogram(bin_width=0.1, bin_edges=[0.0, 0.1, 0.3], counts=[1, 1], total=2)
-    with pytest.raises(ValidationError):
-        Histogram(bin_width=0.1, bin_edges=[0.0, 0.1, 0.2], counts=[1, 1], total=3)
+    Histogram(bin_edges=[0.0, 0.1, 0.3], counts=[1, 0])
+    for edges, counts in (([[0.0, 0.1], [0.2, 0.3]], [1]),   # 2-d edges
+                          ([0.0, 0.1, 0.2], [[1, 1]]),         # 2-d counts
+                          ([0.0, 0.1], [1, 1]),                # as many edges as counts
+                          ([0.0, 0.2, 0.1], [1, 1]),           # decreasing edges
+                          ([0.0, 0.1, 0.1], [1, 1]),           # a bin of no width
+                          ([0.0, 0.1, 0.2], [1, -1])):         # a negative count
+        with pytest.raises(ValidationError):
+            Histogram(bin_edges=edges, counts=counts)
 
 
 def test_bootstrap_deterministic_and_contains_point():
@@ -219,25 +213,22 @@ def test_bootstrap_validation():
         bootstrap_ci(x, 2.0, level=1.0)
 
 
+def _interval(x):
+    # the interval a report gives values x
+    return Moments.of(x).estimate()[1:]
+
+
 def test_variance_interval_centred_on_point_and_validated():
     x = np.random.default_rng(8).normal(0, 1, size=500)
     point = variance_db(x, 2.0)
-    lo, hi = variance_interval(x, 2.0)
+    lo, hi = _interval(x)
     assert lo < point < hi
     assert point - lo == pytest.approx(hi - point, rel=1e-12)
-    # a wider level gives a wider interval
-    lo95, hi95 = variance_interval(x, 2.0, level=0.95)
-    assert lo95 < lo and hi < hi95
     # two-point data sit at the Cauchy-Schwarz minimum of m4: still finite
-    lo2, hi2 = variance_interval(np.tile([-1.0, 1.0], 15), 2.0)
+    lo2, hi2 = _interval(np.tile([-1.0, 1.0], 15))
     assert math.isfinite(lo2) and lo2 < hi2
     with pytest.raises(EstimationError):
-        variance_interval(np.arange(29.0), 2.0)
-    with pytest.raises(EstimationError):
-        variance_interval(np.append(x, np.inf), 2.0)
-    for level in (0.0, 1.0):
-        with pytest.raises(ValidationError):
-            variance_interval(x, 2.0, level=level)
+        _interval(np.arange(29.0))
 
 
 def test_variance_interval_matches_bootstrap_on_default_batch():
@@ -252,7 +243,7 @@ def test_variance_interval_matches_bootstrap_on_default_batch():
         assert result.kept_count == kept
         values = difference[result.kept_indices]
         reference = bootstrap_ci(values, SHOT_DIFFERENCE_VARIANCE, resamples=1000)
-        interval = variance_interval(values, SHOT_DIFFERENCE_VARIANCE)
+        interval = _interval(values)
         assert interval == pytest.approx(reference, abs=tolerance)
 
 
@@ -274,7 +265,7 @@ def test_variance_interval_coverage(draw):
     data = draw(rng, (reps, 2000))
     hits = 0
     for x in data:
-        lo, hi = variance_interval(x, 2.0)
+        lo, hi = _interval(x)
         hits += lo <= truth <= hi
     assert 0.64 * reps <= hits <= 0.72 * reps
 
@@ -313,11 +304,18 @@ def test_moments_merge_matches_two_pass(cuts):
 
 def test_moments_estimate_needs_30_values():
     with pytest.raises(EstimationError):
-        Moments.of(np.arange(29.0)).estimate(SHOT_DIFFERENCE_VARIANCE, 0.68)
+        Moments.of(np.arange(29.0)).estimate()
+    # at 30 values: the point of variance_db at the shot reference, and the
+    # delta-method interval of the formula, the 68% normal quantile of
+    # standard errors each side
     x = np.arange(30.0)
-    assert Moments.of(x).estimate(SHOT_DIFFERENCE_VARIANCE, 0.68) == pytest.approx(
-        (variance_db(x, SHOT_DIFFERENCE_VARIANCE),
-         *variance_interval(x, SHOT_DIFFERENCE_VARIANCE)), rel=1e-13)
+    n, s2 = x.size, x.var(ddof=1)
+    m4 = float(((x - x.mean()) ** 4).mean())
+    se_db = 10.0 / math.log(10.0) * math.sqrt((m4 - s2 * s2 * (n - 3) / (n - 1)) / n) / s2
+    half = sps.norm.ppf(0.84) * se_db
+    point = variance_db(x, SHOT_DIFFERENCE_VARIANCE)
+    assert Moments.of(x).estimate() == pytest.approx((point, point - half, point + half),
+                                                     rel=1e-13)
 
 
 def _two_pass_moments(x):
@@ -346,7 +344,7 @@ def test_moments_and_bin_counts_match_the_formulas():
         kept = x.copy()
         assert Moments.of(x) == _two_pass_moments(x)
         reference_min, reference = _fresh_bin_counts(x, 0.1)
-        k_min, counts = _bin_counts(x, 0.1)
+        k_min, counts = _bin_counts(x)
         assert k_min == reference_min and np.array_equal(counts, reference)
         assert np.array_equal(x, kept)
 
@@ -357,7 +355,7 @@ def _blocked_reference(x):
     moments = counts = None
     for start in range(0, x.size, _SAMPLE_CHUNK):
         block = x[start:start + _SAMPLE_CHUNK]
-        part, part_counts = Moments.of(block), _bin_counts(block, 0.1)
+        part, part_counts = Moments.of(block), _bin_counts(block)
         moments = part if moments is None else moments.merge(part)
         counts = part_counts if counts is None else _merge_counts(counts, part_counts)
     return moments, counts
