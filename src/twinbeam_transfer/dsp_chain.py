@@ -7,7 +7,7 @@ The configured pair variances are defined AT the analysis frequency
 Lorentzian value there. Each pair is built from independent difference and
 sum modes, unit white noise passed through a FIR shaping filter whose
 |H|^2 follows the mode's density. Demodulation multiplies by
-sqrt(2)*cos(2*pi*lo*t + phase), decimates by q1 through a polyphase FIR,
+sqrt(2)*cos(2*pi*lo*t), decimates by q1 through a polyphase FIR,
 low-pass filters, decimates by q2 to ``output_rate_hz``, discards the filter
 warm-up, and divides by the square root of the chain's noise gain (the
 squared norm of its impulse response, computed from the filter taps) so
@@ -40,6 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError, RecordLengthError, ValidationError
 from .model import (
+    CHANNELS,
     SHOT_DIFFERENCE_VARIANCE,
     FourChannelCovariance,
     SampleBatch,
@@ -75,7 +76,6 @@ class SignalChainConfig:
     post_mixer_cutoff_hz: float = 1.0e5
     output_rate_hz: float = 2.0e5
     cavity_bandwidth_hz: float = 1.0e7
-    mixer_phase_rad: float = 0.0
 
     def __post_init__(self):
         for name in ("lo_frequency_hz", "synth_rate_hz", "post_mixer_cutoff_hz",
@@ -84,10 +84,6 @@ class SignalChainConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
             object.__setattr__(self, name, value)
-        phase = _require_real("mixer_phase_rad", self.mixer_phase_rad)
-        if not math.isfinite(phase):
-            raise ValidationError(f"mixer_phase_rad must be finite, got {phase}")
-        object.__setattr__(self, "mixer_phase_rad", phase)
 
         if self.output_rate_hz < 2.0 * self.post_mixer_cutoff_hz:
             raise ValidationError(
@@ -311,21 +307,21 @@ def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
 
 def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
                   points: int) -> Iterator[np.ndarray]:
-    """The chain's calibrated output for a record given as consecutive (c, b)
-    float32 blocks: (c, m) float64 chunks in record order, each a fresh
-    array, one per run of _ROWS rows that reaches the record, holding the
-    run's output points (1 to ceil(_ROWS / q2) of them).
+    """The chain's calibrated output for a record given as consecutive (4, b)
+    float32 blocks of the four channels (s1, i1, s2, i2): (4, m) float64
+    chunks in record order, each a fresh array, one per run of _ROWS rows
+    that reaches the record, holding the run's output points (1 to
+    ceil(_ROWS / q2) of them).
 
-    Mixing by sqrt(2)*cos(omega*t + phase) and then the polyphase FIR
-    decimation by q1, with resample_poly's taps and zero-phase alignment, is
-    one modulated polyphase filter (Crochiere & Rabiner 1983). Mid-rate
-    sample j reads the inputs a = j*q1 - half .. a + 2*half, and since
-    cos(omega*(a + k)*dt + phase) = Re(exp(i*(omega*a*dt + phase)) *
-    exp(i*omega*k*dt)), the LO folds into the complex taps of _folded_fir,
-    exactly for any LO frequency. The input is cut into rows of q1 samples
+    Mixing by sqrt(2)*cos(omega*t) and then the polyphase FIR decimation by
+    q1, with resample_poly's taps and zero-phase alignment, is one modulated
+    polyphase filter (Crochiere & Rabiner 1983). Mid-rate sample j reads the
+    inputs a = j*q1 - half .. a + 2*half, and since cos(omega*(a + k)*dt) =
+    Re(exp(i*omega*a*dt) * exp(i*omega*k*dt)), the LO folds into the
+    complex taps of _folded_fir, exactly for any LO frequency. The input is cut into rows of q1 samples
     and multiplied by those (2R, q1) weights, one BLAS product per run of
     _ROWS rows; sample j sums the R branch diagonals (row j + r times
-    branch r) and is rotated by its phase omega*a*dt + phase. Then comes the
+    branch r) and is rotated by its LO phase omega*a*dt. Then comes the
     low-pass with its state carried, decimation by q2, the trim and the
     calibration (one multiply by 1/sqrt(_calibration_variance)). The runs
     sit at fixed record positions with one fixed shape, filled into one
@@ -353,8 +349,15 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     scale = 1.0 / math.sqrt(_calibration_variance(cfg))
     needed = required_synth_samples(cfg, points)
 
-    run = state = products = folded = None
-    filled = received = written = 0
+    channels = len(CHANNELS)
+    run = np.empty((channels, width), dtype=np.float32)
+    # resample_poly zero-pads before the first sample
+    run[:, :half] = 0.0
+    state = np.zeros((sos.shape[0], channels, 2))
+    # the last R - 1 rows' products, then the run's
+    products = np.zeros((channels, 2 * branches, branches - 1 + _ROWS), dtype=np.float32)
+    folded = products.reshape(channels, branches, 2, -1)
+    filled, received, written = half, 0, 0
     # products column c holds row first + c; mid-rate sample first + t sums
     # branch r times row first + t + r
     first = 1 - branches
@@ -365,17 +368,6 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
             # the record ended: pad its last run with zeros, in place
             run[:, filled:] = 0.0
             filled, block = width, run[:, width:]
-        elif run is None:
-            channels = block.shape[0]
-            run = np.empty((channels, width), dtype=np.float32)
-            # resample_poly zero-pads before the first sample
-            run[:, :half] = 0.0
-            filled = half
-            state = np.zeros((sos.shape[0], channels, 2))
-            # the last R - 1 rows' products, then the run's
-            products = np.zeros((channels, 2 * branches, branches - 1 + _ROWS),
-                                dtype=np.float32)
-            folded = products.reshape(channels, branches, 2, -1)
         received += block.shape[1]
         while True:
             take = min(width - filled, block.shape[1])
@@ -393,7 +385,7 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
                 z += folded[:, branch, :, branch:branch + _ROWS]
             # the run's mid-rate samples lo .. first + _ROWS - 1
             lo = max(first, 0)
-            phase = lo_step * (np.arange(lo, first + _ROWS) * q1 - half) + cfg.mixer_phase_rad
+            phase = lo_step * (np.arange(lo, first + _ROWS) * q1 - half)
             z = z[:, :, lo - first:]
             first += _ROWS
             mid = math.sqrt(2.0) * (np.cos(phase) * z[:, 0] - np.sin(phase) * z[:, 1])

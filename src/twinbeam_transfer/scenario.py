@@ -110,13 +110,16 @@ _PARTS = (("pair1", TwinPairParams), ("pair2", TwinPairParams),
 # scatter rows, by 35 B a row where every event is kept. Rounded up.
 _BYTES_PER_KEPT = 64
 
-# Peak memory per worker thread for the chunk it draws, gates and reduces:
-# its 3.5 MiB scratch (the (4, 65536) normals and three channel buffers, one
-# holding |z0| during the gate) and the draw's temporaries. Peak RSS of a
-# 16M-event acquisition that draws every layer (a 0.45 delta window, which
-# keeps 5% of the events) grows by 6.4 MB with 1 worker, 9.3 MB with 2 and
-# 12.4 MB with 3 over the imported package, whatever the record length
-# (4M events: the same to 0.1 MB); rounded up.
+# Peak memory per direct-engine worker thread for the chunk it draws,
+# gates and reduces: its 3.5 MiB scratch (the (4, 65536) normals and three
+# channel buffers, one holding |z0| during the gate) and the draw's
+# temporaries. Peak RSS of a 16M-event acquisition that draws every layer
+# (a 0.45 delta window, which keeps 5% of the events) grows by 6.4 MB with
+# 1 worker, 9.3 MB with 2 and 12.4 MB with 3 over the imported package,
+# whatever the record length (4M events: the same to 0.1 MB); rounded up.
+# A chain worker draws nothing and touches only ceil(_ROWS / q2) columns
+# of its three channel buffers (about 20 KB at the default plan), so it is
+# charged none of this.
 _BYTES_PER_CHUNK = 12 << 20
 
 # Per window, its kept differences held between chunks until a block of
@@ -130,12 +133,14 @@ _BYTES_PER_SWEEP_ROW = 1024
 # decimation plan: the scipy.signal and scipy.fft imports, the filter
 # designs and the synthesis buffers. Peak RSS (VmHWM) of a default
 # 100k-point chain run (plan q1 = 50, q2 = 5) grows by 93.5-94.7,
-# 93.6-94.3 and 93.7-94.1 MiB with 1, 2 and 3 workers (5 runs each) over a
-# process that has imported numpy only; less the rest of a 1-worker run's
-# charge (17.3 MiB: the worker's _BYTES_PER_CHUNK, the plan's buffers,
-# the kept, held and scatter terms), at most 77.4 MiB; rounded up.
-# tests/test_scenario_cli.py re-measures the run at 1 and 2 workers.
-_BYTES_PER_CHAIN_STREAM = 80 << 20
+# 93.6-94.3 and 93.7-94.1 MiB with 1, 2 and 3 workers (5 runs each; 93.5 to
+# 94.8 MiB in later runs) over a process that has imported numpy only:
+# flat in the worker count. Less the rest of a 1-worker run's charge
+# (5.3 MiB: the plan's buffers, the kept, held and scatter terms), at most
+# 89.5 MiB; rounded up to 92 MiB, so a 1-worker run is charged 97.3 MiB,
+# 2.5 MiB above the largest growth measured.
+# tests/test_scenario_cli.py re-measures the run at 1 and 3 workers.
+_BYTES_PER_CHAIN_STREAM = 92 << 20
 
 # The chain's buffer that grows with its decimation plan: the
 # demodulator's run of _ROWS rows of q1 float32 samples of 4 channels
@@ -317,14 +322,14 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     sum to ``probability``, and the record windows of the ``scatter``
     configs acquired with the unconditioned summary, at probability 1 each.
     Nothing it charges grows with n_points past a chunk: each row's table
-    row and config (_BYTES_PER_SWEEP_ROW, alive while acquire runs);
-    _BYTES_PER_CHUNK for each worker that has a chunk to reduce; the kept
-    events of the chunks in flight (_CHUNKS_PER_WORKER per worker and the
-    one being merged) at _BYTES_PER_KEPT, the windows' probability of each
-    chunk's events, where a chain chunk is one demodulator run's points (at
-    most ceil(_ROWS / q2)); each window's held kept differences, at most a
-    block of _SAMPLE_CHUNK and at most its expected kept count
-    (_BYTES_PER_HELD); the ``scatter`` configs' pairs of scatters of
+    row and config (_BYTES_PER_SWEEP_ROW, alive while acquire runs); on the
+    direct engine, _BYTES_PER_CHUNK for each worker that has a chunk to
+    draw; the kept events of the chunks in flight (_CHUNKS_PER_WORKER per
+    worker and the one being merged) at _BYTES_PER_KEPT, the windows'
+    probability of each chunk's events, where a chain chunk is one
+    demodulator run's points (at most ceil(_ROWS / q2)); each window's held
+    kept differences, at most a block of _SAMPLE_CHUNK and at most its
+    expected kept count (_BYTES_PER_HELD); the ``scatter`` configs' pairs of scatters of
     scatter_points rows, at _BYTES_PER_KEPT a row; and on the chain engine
     the stream's _BYTES_PER_CHAIN_STREAM and the buffers of its decimation
     plan. Raises ValidationError, naming what to lower, rather than let the
@@ -333,9 +338,11 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     n = cfg.n_points
     # a block of held values, and a chunk in flight: a direct chunk is a block
     chunk = item = min(n, _SAMPLE_CHUNK)
-    # (bytes, how to free them) of what a request can lower
-    plan = (0, "")
+    # each worker's draw scratch, the chain's stream, and (bytes, how to
+    # free them) of what a request can lower
+    scratch, stream_bytes, plan = _BYTES_PER_CHUNK, 0, (0, "")
     if cfg.engine == "chain":
+        scratch, stream_bytes = 0, _BYTES_PER_CHAIN_STREAM
         q1, q2 = decimation_plan(cfg.signal_chain)
         plan = (q1 * _BYTES_PER_RUN_Q1,
                 f"lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
@@ -350,13 +357,12 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     held = min((rows + scatter) * chunk, probability * n) * _BYTES_PER_HELD
     tables = rows * _BYTES_PER_SWEEP_ROW
     scattered = scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
-    needed = (threads * _BYTES_PER_CHUNK + kept + held + tables + scattered + plan[0]
-              + (cfg.engine == "chain") * _BYTES_PER_CHAIN_STREAM)
+    needed = threads * scratch + kept + held + tables + scattered + plan[0] + stream_bytes
     available = _available_memory_bytes()
     if available is None or needed <= available:
         return
     remedies = (
-        ((threads - 1) * (_BYTES_PER_CHUNK + kept / flights * _CHUNKS_PER_WORKER),
+        ((threads - 1) * (scratch + kept / flights * _CHUNKS_PER_WORKER),
          f"lower the worker count (--workers, now {workers})"),
         (scattered, f"lower scatter_points (now {cfg.scatter_points})"),
         ((1 - 1 / rows) * (kept + held + tables), f"lower the sweep steps (now {rows})"),

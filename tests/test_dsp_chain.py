@@ -58,7 +58,7 @@ def _record(cov, cfg, seed, points=POINTS):
 
 
 def _demodulated(blocks, cfg, points):
-    # the calibrated (points, c) output that _demod_stream yields run by run
+    # the calibrated (points, 4) output that _demod_stream yields run by run
     return np.concatenate(list(_demod_stream(blocks, cfg, points)), axis=1).T
 
 
@@ -72,7 +72,7 @@ def test_config_defaults_are_valid():
 @pytest.mark.parametrize("kwargs,fragment", [
     (dict(output_rate_hz=3.0e4), "output_rate_hz"),
     (dict(synth_rate_hz=4.0e5), "synth_rate_hz"),
-    (dict(mixer_phase_rad=math.nan), "mixer_phase_rad"),
+    (dict(synth_rate_hz=math.nan), "synth_rate_hz"),
     (dict(lo_frequency_hz=1.0e4), "lo_frequency_hz"),
     (dict(post_mixer_cutoff_hz=-1.0), "post_mixer_cutoff_hz"),
     (dict(cavity_bandwidth_hz=math.inf), "cavity_bandwidth_hz"),
@@ -215,13 +215,15 @@ def test_calibration_matches_white_noise_reference():
     # Monte Carlo reference for the closed-form noise gain the chain divides
     # by: unit white records through the same chain come out at unit
     # variance. The per-record variance has sd ~0.01, so 0.01 on the mean of
-    # 20 is ~4.5 standard errors (two-sided false-alarm rate ~7e-6).
+    # 20 (5 draws of the four channels, each an independent record) is ~4.5
+    # standard errors (two-sided false-alarm rate ~7e-6).
     n = required_synth_samples(CFG, POINTS)
     variances = []
-    for seed in range(20):
+    for seed in range(5):
         white = np.random.Generator(np.random.Philox(seed)).standard_normal(
-            n, dtype=np.float32)
-        variances.append(_demodulated([white[np.newaxis]], CFG, POINTS)[:, 0].var())
+            (4, n), dtype=np.float32)
+        variances.extend(_demodulated([white], CFG, POINTS).var(axis=0))
+    assert len(variances) == 20
     assert np.mean(variances) == pytest.approx(1.0, abs=0.01)
 
 
@@ -235,8 +237,7 @@ def _mix_upfirdn_reference(channels, cfg, points):
     fir = _polyphase_fir(q1) if q1 > 1 else np.ones(1, dtype=np.float32)
     half = (fir.size - 1) // 2
     t = np.arange(channels.shape[1], dtype=np.float64) / cfg.synth_rate_hz
-    lo = math.sqrt(2.0) * np.cos(2.0 * math.pi * cfg.lo_frequency_hz * t
-                                 + cfg.mixer_phase_rad)
+    lo = math.sqrt(2.0) * np.cos(2.0 * math.pi * cfg.lo_frequency_hz * t)
     mixed = np.concatenate((np.zeros((channels.shape[0], half), dtype=np.float32),
                             channels * lo.astype(np.float32)), axis=1)
     count = (mixed.shape[1] - 2 * half - 1) // q1 + 1
@@ -248,8 +249,9 @@ def _mix_upfirdn_reference(channels, cfg, points):
 
 @pytest.mark.parametrize("cfg", [
     CFG,
-    # lo/fs = 0.1065: q1 = 8 is no multiple of half the LO period
-    dataclasses.replace(CFG, mixer_phase_rad=0.7, lo_frequency_hz=2.13e5),
+    # lo/fs = 0.1065: q1 = 8 is no multiple of half the LO period, so the
+    # LO phase at the start of each row is no multiple of pi
+    dataclasses.replace(CFG, lo_frequency_hz=2.13e5),
     # ratio 5: a single-stage plan, q1 = 1
     dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4,
                         lo_frequency_hz=1.0e5),
@@ -329,25 +331,6 @@ def test_demodulate_deterministic():
     assert np.array_equal(a.data, b.data)
 
 
-def test_mixer_phase_pi_flips_sign_only():
-    # the mixer phase does not enter synthesis: both calls see one record
-    flipped_cfg = dataclasses.replace(CFG, mixer_phase_rad=math.pi)
-    var_a = simulate(SHOT_COV, CFG, POINTS, seed=35).data.var(axis=0)
-    var_b = simulate(SHOT_COV, flipped_cfg, POINTS, seed=35).data.var(axis=0)
-    assert var_b == pytest.approx(var_a, rel=1e-5)
-
-
-def test_mixer_quadrature_phase_same_distribution():
-    # intensity-noise demodulation is phase-insensitive in distribution
-    quad_cfg = dataclasses.replace(CFG, mixer_phase_rad=math.pi / 2)
-    d_a = simulate(TWIN_COV, CFG, POINTS, seed=36)
-    d_b = simulate(TWIN_COV, quad_cfg, POINTS, seed=36)
-    v_a = (d_a.s1 - d_a.i1).var(ddof=1)
-    v_b = (d_b.s1 - d_b.i1).var(ddof=1)
-    # two-sample variance-ratio check, ~4 sigma of log F statistic
-    assert abs(math.log(v_a / v_b)) < 4.0 * math.sqrt(4.0 / d_a.n)
-
-
 def test_output_approximately_white():
     batch = simulate(SHOT_COV, CFG, POINTS, seed=37)
     x = batch.s1 - batch.s1.mean()
@@ -401,7 +384,7 @@ def _needed_samples(cfg, points):
 def _white_record(cfg, points):
     # a record a demodulator run longer than the length bound
     length = _needed_samples(cfg, points)[0] + dsp_chain._ROWS * decimation_plan(cfg)[0]
-    return np.random.default_rng(40).standard_normal((2, length), dtype=np.float32)
+    return np.random.default_rng(40).standard_normal((4, length), dtype=np.float32)
 
 
 @pytest.mark.parametrize("run_boundary,block", [(False, None), (False, 7), (True, None)])

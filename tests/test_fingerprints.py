@@ -29,7 +29,7 @@ import twinbeam_transfer
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.scenario import run_selftest
 
-PINNED_VERSION = "0.3.0"
+PINNED_VERSION = "0.4.0"
 
 # the first normals of Philox(0), float64 then float32, exactly
 PHILOX_CANARY = (
@@ -38,9 +38,9 @@ PHILOX_CANARY = (
 )
 
 DIGESTS = {
-    "run_direct": "7c8d8bd5cfc783fd",
-    "run_direct_scatter_100": "b96d0f841aab7cc5",
-    "run_chain": "dbc207be421bb381",
+    "run_direct": "2c5eb9f6badf46f4",
+    "run_direct_scatter_100": "ca98358f25a554bc",
+    "run_chain": "94c9cc7367e0a948",
     "sweep_direct": "22b41f47e80ae3c5",
     "sweep_chain": "b76a11b2fa260db5",
     "selftest": "c31cce5e6f05f8f5",

@@ -127,6 +127,8 @@ def test_config_defaults_match_reference_scenario():
                 "steps": 2, "spacing": "log"}}, "spacing"),
     ({"setting": "heterodyne"}, "heterodyne"),
     ({"engine": "gpu"}, "gpu"),
+    # the LO's common phase moves no reported number: no such key
+    ({"signal_chain": {"mixer_phase_rad": 0.0}}, "mixer_phase_rad"),
 ])
 def test_config_rejects_unknown_or_invalid_keys(data, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
@@ -458,7 +460,7 @@ def test_cli_run_writes_files(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["seed"] == 7
-    assert report["version"] == "0.3.0"
+    assert report["version"] == "0.4.0"
 
 
 def test_cli_run_bit_identical_reruns(tmp_path, capsys):
@@ -509,7 +511,7 @@ def test_cli_bad_config_exit_codes(tmp_path, capsys):
     '{"pair1": {"squeezing_db": 7.0, "efficiency": true}}',
     '{"pair1": {"squeezing_db": "7"}}',
     '{"selection": {"bandwidth_delta": "0.1"}}',
-    '{"signal_chain": {"mixer_phase_rad": true}}',
+    '{"signal_chain": {"lo_frequency_hz": true}}',
     '{"sweep": {"parameter": "squeezing_db", "minimum": false, "maximum": 1, "steps": 2}}',
     # the routing is fixed (gate on s1 - s2, measure i1 - i2): no such keys
     '{"selection": {"bandwidth_delta": 0.03, "trigger_channels": ["s1", "s2"]}}',
@@ -536,22 +538,22 @@ def test_cli_model_error_exit_code(tmp_path, capsys):
 
 def _room(probability=0.0, workers=1, scatter=0, chain=None, rows=1, points=100_000):
     # an available-memory reading with room for what acquire holds: the
-    # workers' chunks, the kept events of the chunks in flight, each
-    # window's held differences and each row's table row and config, for each
-    # of the ``scatter`` configs acquired with the unconditioned summary a
-    # record window, which keeps every event, and a pair of 20k-row
-    # scatters, and, on the engine of the signal chain ``chain``, the
-    # stream's buffers and its plan's, where a chunk in flight is one
-    # demodulator run's points; nothing of it grows with the record past one
-    # block of held values
+    # direct engine's workers' draw scratch, the kept events of the chunks
+    # in flight, each window's held differences and each row's table row
+    # and config, for each of the ``scatter`` configs acquired with the
+    # unconditioned summary a record window, which keeps every event, and a
+    # pair of 20k-row scatters, and, on the engine of the signal chain
+    # ``chain``, the stream's buffers and its plan's, where a chunk in
+    # flight is one demodulator run's points; nothing of it grows with the
+    # record past one block of held values
     chunk = item = min(points, scenario._SAMPLE_CHUNK)
-    stream = 0
+    scratch, stream = scenario._BYTES_PER_CHUNK, 0
     if chain is not None:
         item = min(points, -(-dsp_chain._ROWS // dsp_chain.decimation_plan(chain)[1]))
-        stream = scenario._BYTES_PER_CHAIN_STREAM + _plan_bytes(chain)
+        scratch, stream = 0, scenario._BYTES_PER_CHAIN_STREAM + _plan_bytes(chain)
     flights = scenario._CHUNKS_PER_WORKER * workers + 1
     probability += scatter
-    return math.ceil(workers * scenario._BYTES_PER_CHUNK
+    return math.ceil(workers * scratch
                      + probability * item * flights * scenario._BYTES_PER_KEPT
                      + min((rows + scatter) * chunk, probability * points)
                      * scenario._BYTES_PER_HELD
@@ -598,7 +600,8 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
                                scatter=True)
     # the stream's buffers and its plan's are charged on top of its chunks
     # in flight, which hold one demodulator run's points each, fewer than
-    # the direct engine's chunks of 65536 events
+    # the direct engine's chunks of 65536 events, and its worker draws
+    # nothing
     chunks = needed - scenario._BYTES_PER_CHAIN_STREAM - _plan_bytes(cfg.signal_chain)
     assert chunks < _room(p, scatter=1, points=cfg.n_points)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: chunks)
@@ -941,11 +944,11 @@ def _peak_rss(argv, script=_PEAK_SCRIPT):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 3])
 def test_chain_run_memory_within_its_charge(monkeypatch, capsys, workers):
     # the memory check charges a default 100k-point chain run at least the
     # peak RSS it grows by over a process that has imported numpy only
-    # (about 94 MiB at 1 and 2 workers): with one byte less than that
+    # (about 94 MiB at 1, 2 and 3 workers): with one byte less than that
     # growth available, the run is refused before it synthesizes anything
     argv = ["run", "--engine", "chain", "--points", "100000", "--workers", str(workers)]
     growth = _peak_rss(argv) - _peak_rss([], _NUMPY_PEAK_SCRIPT)
@@ -957,6 +960,32 @@ def test_chain_run_memory_within_its_charge(monkeypatch, capsys, workers):
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: growth - 1)
     assert main(argv) == 2
     assert "memory is available" in capsys.readouterr().err
+
+
+def test_chain_charge_flat_in_workers(monkeypatch):
+    # a chain worker draws nothing, and the run's peak RSS is flat in the
+    # worker count (test_chain_run_memory_within_its_charge): the least
+    # available memory at which a default 100k-point chain run passes the
+    # memory check is the same to within 1 MiB at 1, 2 and 3 workers (not
+    # 12 MiB more a worker, the direct engine's draw scratch)
+    cfg = ScenarioConfig(n_points=100_000, engine="chain")
+    p = cfg.predict().selection_probability
+
+    def charge(workers):
+        low, high = 0, 1 << 40
+        while low < high:
+            room = (low + high) // 2
+            monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
+            try:
+                scenario._check_memory(cfg, p, workers, scatter=1)
+            except ValidationError:
+                low = room + 1
+            else:
+                high = room
+        return low
+
+    charges = [charge(workers) for workers in (1, 2, 3)]
+    assert max(charges) - min(charges) <= 1 << 20, charges
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -1351,7 +1380,7 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert "twinbeam-transfer 0.3.0" in capsys.readouterr().out
+    assert "twinbeam-transfer 0.4.0" in capsys.readouterr().out
 
 
 def test_distribution_version_is_the_package_version():
