@@ -25,7 +25,8 @@ and every row gates that draw and computes its own kept rows (common random
 numbers, so the rows are correlated; each row's interval is valid on its
 own). On the chain engine the rows that build the same covariance, all
 rows of a bandwidth_delta sweep, gate one stream; other chain rows run one
-stream after another.
+stream after another. The selftest is such a sweep, whose rows are cases
+drawn at random.
 
 Everything here is deterministic per (config, seed), so results do not
 depend on the worker count.
@@ -51,7 +52,6 @@ from . import __version__
 from .dsp_chain import _ROWS, SignalChainConfig, decimation_plan, stream
 from .errors import (
     ConfigurationError,
-    EmptySelectionError,
     InsufficientStatisticsError,
     TwinBeamError,
     ValidationError,
@@ -71,7 +71,7 @@ from .model import (
     build_covariance,
 )
 from .oracle import TransferPrediction, predict_transfer
-from .selection import SelectionConfig, derived_seed, in_window, kept_moment_statistics
+from .selection import SelectionConfig, in_window, kept_moment_statistics
 from .stats import (
     _INTERVAL_HALF_WIDTH_SE,
     _MIN_INTERVAL_VALUES,
@@ -124,10 +124,13 @@ _BYTES_PER_CHUNK = 12 << 20
 
 # Per window, its kept differences held between chunks until a block of
 # _SAMPLE_CHUNK is full (stats.BlockedMoments): 8 B each, at most a
-# chunk's worth and at most its kept count. Per sweep row, its table row
-# and config (about 0.8 KB; tracemalloc, 5k and 20k rows); rounded up.
+# chunk's worth and at most its kept count. Per sweep row or selftest
+# case, its table row and config and what acquire keeps of it (its
+# covariance factor, gate limit, idler terms, reducer and report): peak RSS
+# (VmHWM) of a 200-point sweep rises by 3.2 KB a row, and of a selftest by
+# 3.7 KB a case, from 5k to 50k rows; rounded up.
 _BYTES_PER_HELD = 8
-_BYTES_PER_SWEEP_ROW = 1024
+_BYTES_PER_SWEEP_ROW = 4 << 10
 
 # Peak memory of the chain engine's stream that does not grow with its
 # decimation plan: the scipy.signal and scipy.fft imports, the filter
@@ -316,13 +319,15 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
                   scatter: int = 0, rows: int = 1) -> None:
     """Refuse, before any work starts, an acquisition that would not fit in memory.
 
-    acquire's check, made before it draws or streams anything, and
-    run_sweep's, before it builds any of its ``rows`` rows. Its windows are
-    the ``rows`` configs acquired together, whose acceptance probabilities
-    sum to ``probability``, and the record windows of the ``scatter``
-    configs acquired with the unconditioned summary, at probability 1 each.
-    Nothing it charges grows with n_points past a chunk: each row's table
-    row and config (_BYTES_PER_SWEEP_ROW, alive while acquire runs); on the
+    acquire's check, made before it draws or streams anything; run_sweep's,
+    before it builds any of its ``rows`` rows; and run_selftest's, before
+    it draws any of its ``rows`` cases. Its windows are the ``rows`` configs
+    acquired together, whose acceptance probabilities sum to
+    ``probability``, and the record windows of the ``scatter`` configs
+    acquired with the unconditioned summary, at probability 1 each.
+    Nothing it charges grows with n_points past a chunk: each row's or
+    case's table row, config and what acquire keeps of it
+    (_BYTES_PER_SWEEP_ROW, alive while acquire runs); on the
     direct engine, _BYTES_PER_CHUNK for each worker that has a chunk to
     draw; the kept events of the chunks in flight (_CHUNKS_PER_WORKER per
     worker and the one being merged) at _BYTES_PER_KEPT, the windows'
@@ -365,7 +370,8 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
         ((threads - 1) * (scratch + kept / flights * _CHUNKS_PER_WORKER),
          f"lower the worker count (--workers, now {workers})"),
         (scattered, f"lower scatter_points (now {cfg.scatter_points})"),
-        ((1 - 1 / rows) * (kept + held + tables), f"lower the sweep steps (now {rows})"),
+        ((1 - 1 / rows) * (kept + held + tables),
+         f"lower the sweep steps or selftest cases (now {rows})"),
         plan,
     )
     # the first remedy that alone would make the acquisition fit; the
@@ -704,6 +710,32 @@ def _apply_axis(cfg: ScenarioConfig, parameter: str, value: float) -> ScenarioCo
     return dataclasses.replace(cfg, pair1=pair1, pair2=pair2, sweep=None)
 
 
+def _blank_row(**columns) -> dict[str, Any]:
+    """A row of SWEEP_COLUMNS with ``columns`` set, that kept nothing and has no error."""
+    return {**dict.fromkeys(SWEEP_COLUMNS, math.nan), "kept_count": 0, "error": "", **columns}
+
+
+def _acquire_rows(built: Sequence[tuple[dict[str, Any], ScenarioConfig]], workers: int) -> None:
+    """Acquire the configs of ``built``, (row, config) pairs, in one acquire
+    call, and fill each row's report columns, or its error, in place."""
+    for (row, row_cfg), acquired in zip(built, acquire([c for _, c in built], workers)):
+        try:
+            if isinstance(acquired, TwinBeamError):
+                raise acquired
+            report = acquired.report(row_cfg.selection)
+        except TwinBeamError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, InsufficientStatisticsError):
+                row.update(kept_count=exc.kept_count,
+                           preparation_probability=exc.kept_count / row_cfg.n_points)
+            continue
+        row.update(transferred_db=report.squeezing_db,
+                   ci_low_db=report.ci_low_db,
+                   ci_high_db=report.ci_high_db,
+                   kept_count=report.kept_count,
+                   preparation_probability=report.preparation_probability)
+
+
 def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[str, Any]]:
     """One row per sweep point; failed rows carry the error, never abort.
 
@@ -729,8 +761,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
     rows: list[dict[str, Any]] = []
     built: list[tuple[dict[str, Any], ScenarioConfig]] = []
     for value in values:
-        row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
-        row.update(axis_value=float(value), kept_count=0, error="")
+        row = _blank_row(axis_value=float(value))
         rows.append(row)
         try:
             row_cfg = _apply_axis(cfg, cfg.sweep.parameter, row["axis_value"])
@@ -742,22 +773,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
         row.update(oracle_transferred_db=prediction.transferred_db,
                    oracle_probability=prediction.selection_probability)
         built.append((row, row_cfg))
-    for (row, row_cfg), acquired in zip(built, acquire([c for _, c in built], workers)):
-        try:
-            if isinstance(acquired, TwinBeamError):
-                raise acquired
-            report = acquired.report(row_cfg.selection)
-        except TwinBeamError as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            if isinstance(exc, InsufficientStatisticsError):
-                row.update(kept_count=exc.kept_count,
-                           preparation_probability=exc.kept_count / row_cfg.n_points)
-            continue
-        row.update(transferred_db=report.squeezing_db,
-                   ci_low_db=report.ci_low_db,
-                   ci_high_db=report.ci_high_db,
-                   kept_count=report.kept_count,
-                   preparation_probability=report.preparation_probability)
+    _acquire_rows(built, workers)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -772,10 +788,17 @@ def run_sweep(cfg: ScenarioConfig, out_dir=None, workers: int = 1) -> list[dict[
 
 
 def selftest_false_alarm_rate(cases: int) -> float:
-    """The probability that ``cases`` selftest cases report FAIL for a
-    correct program: 1 - (1 - a)**cases, where a case fails with probability
-    a, about 0.0028, the two-sided Gaussian tails of its two checks (3 sigma,
-    0.0027, plus 4 sigma, 6e-5)."""
+    """An upper bound on the probability that ``cases`` selftest cases
+    report FAIL for a correct program: 1 - (1 - a)**cases, where a case
+    fails with probability at most a, about 0.0028, the two-sided Gaussian
+    tails of its two checks (3 sigma, 0.0027, plus 4 sigma, 6e-5).
+
+    The cases share one record, as a sweep's rows do, so their checks are
+    correlated. For jointly Gaussian two-sided checks, Sidak's inequality
+    (Sidak 1967) gives P(all pass) >= the product of each one's pass
+    probability, under any correlation; so the bound holds as the checks
+    hold, asymptotically in the kept count.
+    """
     per_case = (math.erfc(_SELFTEST_DB_SIGMA / math.sqrt(2.0))
                 + math.erfc(_SELFTEST_COUNT_SIGMA / math.sqrt(2.0)))
     return 1.0 - (1.0 - per_case) ** cases
@@ -783,7 +806,8 @@ def selftest_false_alarm_rate(cases: int) -> float:
 
 def run_selftest(seed: int = 0, points: int = 1_000_000,
                  cases: int = 8) -> list[dict[str, Any]]:
-    """Randomized closed-form-vs-Monte-Carlo agreement check.
+    """Randomized closed-form-vs-Monte-Carlo agreement check: a sweep whose
+    rows are drawn at random.
 
     Each case draws squeezing in [0, 12] dB, sum-mode variance in [2, 1e4]
     (log-uniform), and a selection half-width in [0.01, 3] delta
@@ -791,18 +815,26 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
     prediction within 3 standard errors of the moment-based (delta-method)
     interval and the kept count to match the predicted probability within 4
     binomial sigma. A case that keeps fewer than its 30-event minimum has
-    NaN mc_db and se_db, and only its count is checked. The cases run
-    largest acceptance first, so the first is the one acquire's memory
-    check refuses; the results are in case order.
+    NaN mc_db and se_db, and only its count is checked. The cases are
+    acquired as a sweep's rows are, in one acquire call at ``seed``: they
+    share each chunk's draw (common random numbers), so they are
+    correlated, and each case is bit for bit what acquire gives for its
+    config alone. Refuses, with a ValidationError, a case count whose rows
+    and configs would not fit in available memory, before it draws a case.
 
     False-alarm rate (selftest_false_alarm_rate): the default 8 cases fail
-    for about 2.2% of seeds of a correct program (5 of 300 seeds measured at
-    points=200000); an upper bound for a run with a case checked by count alone.
+    for at most about 2.2% of seeds of a correct program (5 of 300 seeds
+    measured at points=200000); an upper bound, by Sidak's inequality, and
+    more so for a run with a case checked by count alone.
     """
     cases = _require_int("cases", cases, 1)
     base = ScenarioConfig(n_points=points, seed=seed)
+    try:
+        _check_memory(base, 0.0, rows=cases)
+    except OverflowError as exc:  # a charge beyond the float range
+        raise ValidationError(f"selftest cases {cases} are too many: {exc}") from exc
     rng = np.random.Generator(np.random.Philox(seed))
-    drawn = []
+    results, built = [], []
     for index in range(cases):
         squeezing = float(rng.uniform(0.0, 12.0))
         v_plus = float(10.0 ** rng.uniform(math.log10(2.0), 4.0))
@@ -810,34 +842,23 @@ def run_selftest(seed: int = 0, points: int = 1_000_000,
         pair = TwinPairParams(squeezing_db=squeezing,
                               excess_sum_db=10.0 * math.log10(v_plus / 2.0))
         case = dataclasses.replace(
-            base, pair1=pair, pair2=pair, seed=derived_seed(seed, index),
+            base, pair1=pair, pair2=pair,
             selection=SelectionConfig(bandwidth_delta=delta_i, min_kept=_MIN_INTERVAL_VALUES))
-        drawn.append((index, squeezing, v_plus, delta_i, case, case.predict()))
-    drawn.sort(key=lambda d: -d[-1].selection_probability)
-    results = []
-    for index, squeezing, v_plus, delta_i, case, prediction in drawn:
-        (acquired,) = acquire([case])
-        try:
-            report = acquired.report(case.selection)
-            half = (report.ci_high_db - report.ci_low_db) / 2.0
-            mc, se = report.squeezing_db, max(half / _INTERVAL_HALF_WIDTH_SE, 1e-9)
-        except (InsufficientStatisticsError, EmptySelectionError):
-            mc = se = math.nan  # no noise estimate: only the count is checked
+        results.append({"case": index, "squeezing_db": squeezing, "v_plus": v_plus,
+                        "bandwidth_delta": delta_i})
+        built.append((_blank_row(), case))
+    _acquire_rows(built, 1)
+    for result, (row, case) in zip(results, built):
+        prediction = case.predict()
+        # NaN where the case kept too few events for a noise estimate: max
+        # keeps its NaN first argument, and only the count is checked
+        mc = row["transferred_db"]
+        se = max((row["ci_high_db"] - row["ci_low_db"]) / 2.0 / _INTERVAL_HALF_WIDTH_SE, 1e-9)
         db_ok = math.isnan(mc) or abs(mc - prediction.transferred_db) <= _SELFTEST_DB_SIGMA * se
         p = prediction.selection_probability
         count_sigma = math.sqrt(points * p * (1.0 - p)) if p < 1.0 else 1.0
-        count_gap = abs(acquired.kept_count - points * p)
-        ok = bool(db_ok and count_gap <= _SELFTEST_COUNT_SIGMA * count_sigma)
-        results.append({
-            "case": index,
-            "squeezing_db": squeezing,
-            "v_plus": v_plus,
-            "bandwidth_delta": delta_i,
-            "mc_db": mc,
-            "oracle_db": prediction.transferred_db,
-            "se_db": se,
-            "kept_count": acquired.kept_count,
-            "expected_count": points * p,
-            "ok": ok,
-        })
-    return sorted(results, key=lambda row: row["case"])
+        count_gap = abs(row["kept_count"] - points * p)
+        result.update(mc_db=mc, oracle_db=prediction.transferred_db, se_db=se,
+                      kept_count=row["kept_count"], expected_count=points * p,
+                      ok=bool(db_ok and count_gap <= _SELFTEST_COUNT_SIGMA * count_sigma))
+    return results

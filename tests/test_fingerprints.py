@@ -29,7 +29,7 @@ import twinbeam_transfer
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.scenario import run_selftest
 
-PINNED_VERSION = "0.4.0"
+PINNED_VERSION = "0.5.0"
 
 # the first normals of Philox(0), float64 then float32, exactly
 PHILOX_CANARY = (
@@ -43,7 +43,7 @@ DIGESTS = {
     "run_chain": "94c9cc7367e0a948",
     "sweep_direct": "22b41f47e80ae3c5",
     "sweep_chain": "b76a11b2fa260db5",
-    "selftest": "c31cce5e6f05f8f5",
+    "selftest": "5f126b48cd7972f2",
 }
 
 _DIRECT_SWEEP = {"sweep": {"parameter": "squeezing_db", "minimum": 3.0, "maximum": 9.0,

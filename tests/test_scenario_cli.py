@@ -445,6 +445,37 @@ def test_run_selftest_passes_and_is_deterministic():
     assert {row["case"] for row in first} == {0, 1, 2, 3}
 
 
+def test_selftest_cases_are_one_acquisition_at_its_seed(monkeypatch):
+    # the cases are acquired as a sweep's rows are, in one acquire call at
+    # the selftest's own seed, and each case's count and estimates are bit
+    # for bit those of acquire for its config alone; seed 32 at 100k points
+    # draws a case that keeps fewer than its minimum of 30
+    calls = []
+
+    def recorded(cfgs, *args, **kwargs):
+        calls.append(tuple(cfgs))
+        return acquire(cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "acquire", recorded)
+    rows = run_selftest(seed=32, points=100_000)
+    (cases,) = calls
+    assert len(cases) == len(rows) == 8
+    assert any(math.isnan(row["mc_db"]) for row in rows)
+    for row, case in zip(rows, cases):
+        assert (case.seed, case.n_points) == (32, 100_000)
+        assert (case.pair1.squeezing_db, case.selection.bandwidth_delta) == (
+            row["squeezing_db"], row["bandwidth_delta"])
+        (alone,) = acquire([case])
+        assert row["kept_count"] == alone.kept_count
+        if alone.kept_count < case.selection.min_kept:
+            assert math.isnan(row["mc_db"]) and math.isnan(row["se_db"])
+            continue
+        report = alone.report(case.selection)
+        half = (report.ci_high_db - report.ci_low_db) / 2.0
+        assert row["mc_db"] == report.squeezing_db
+        assert row["se_db"] == max(half / scenario._INTERVAL_HALF_WIDTH_SE, 1e-9)
+
+
 # ------------------------------------------------------------------------ cli
 
 def test_cli_run_default_config(capsys):
@@ -460,7 +491,7 @@ def test_cli_run_writes_files(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["seed"] == 7
-    assert report["version"] == "0.4.0"
+    assert report["version"] == "0.5.0"
 
 
 def test_cli_run_bit_identical_reruns(tmp_path, capsys):
@@ -670,7 +701,7 @@ def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--workers", "3", "--out", str(out)]) == 2
-    assert "lower the sweep steps (now 2)" in capsys.readouterr().err
+    assert "lower the sweep steps or selftest cases (now 2)" in capsys.readouterr().err
     assert not out.exists()
     room = _room(p_sum, workers=3, rows=2, points=10 ** 7)
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
@@ -681,9 +712,9 @@ def test_cli_sweep_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
 
 def test_cli_sweep_rows_beyond_free_memory_exit_code(monkeypatch, tmp_path, capsys):
     # a sweep's table rows and configs are charged before any row is built:
-    # 1000 rows need 1000 * 1024 B beside one worker's chunk, and a reading
-    # with room for one worker's chunk and half of them refuses the sweep,
-    # asking for fewer steps
+    # 1000 rows need 1000 * _BYTES_PER_SWEEP_ROW beside one worker's chunk,
+    # and a reading with room for one worker's chunk and half of them
+    # refuses the sweep, asking for fewer steps
     steps, points = 1000, 1000
     cfg = ScenarioConfig(n_points=points, sweep=SweepAxis("squeezing_db", 1.0, 9.0, steps))
     charge = _room(rows=steps, points=points)
@@ -702,13 +733,13 @@ def test_cli_sweep_rows_beyond_free_memory_exit_code(monkeypatch, tmp_path, caps
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"lower the sweep steps (now {steps})" in capsys.readouterr().err
+    assert f"lower the sweep steps or selftest cases (now {steps})" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_cli_selftest_beyond_free_memory_exit_code(monkeypatch, capsys):
-    # room for one worker's chunk and 1 kB: the default cases, charged at
-    # their largest acceptance probability, are refused before any draw
+    # room for one worker's chunk and 1 kB: the default cases, charged
+    # their rows before they are drawn, are refused before any draw
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before the memory check")
 
@@ -1256,6 +1287,21 @@ def test_cli_absurd_sweep_steps_exit_code(tmp_path, monkeypatch, capsys, steps):
     assert capsys.readouterr().err.startswith(f"error: sweep steps {steps} are too many")
 
 
+@pytest.mark.parametrize("cases", [10 ** 12, _HUGE], ids=["4-PB", "beyond-float"])
+def test_cli_absurd_selftest_cases_exit_code(monkeypatch, capsys, cases):
+    # the cases' rows and configs are charged before any case is drawn:
+    # 10**12 cases would take about 4 PB, and a count whose charge is beyond
+    # the float range is refused as too many; either exits 2 naming the count
+    def no_case(*args, **kwargs):
+        raise AssertionError("drew a case")
+
+    monkeypatch.setattr(scenario, "TwinPairParams", no_case)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 8 << 30)
+    assert main(["selftest", "--cases", str(cases)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cases) in err
+
+
 def test_cli_fock_writes_file(tmp_path, capsys):
     path = tmp_path / "fock.json"
     path.write_text(json.dumps({"p1": [[0.25, 0.25], [0.25, 0.25]],
@@ -1299,7 +1345,7 @@ def test_cli_selftest_states_false_alarm_rate(monkeypatch, capsys):
 
 def test_cli_selftest_reports_a_short_case(monkeypatch, capsys):
     # seed 32 at 100k points draws a case that expects 18.8 kept events and
-    # keeps 28, fewer than its minimum of 30: it has no noise estimate, is
+    # keeps 27, fewer than its minimum of 30: it has no noise estimate, is
     # checked by its count alone, and the run still ends in a verdict
     assert main(["selftest", "--points", "100000", "--seed", "32"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -1307,11 +1353,11 @@ def test_cli_selftest_reports_a_short_case(monkeypatch, capsys):
     assert lines[-1] == "selftest PASS (8 cases; false-alarm rate 2.2%)"
     (short,) = [row for row in run_selftest(seed=32, points=100_000)
                 if row["kept_count"] < 30]
-    assert short["kept_count"] == 28 and short["expected_count"] == pytest.approx(18.8, abs=0.05)
+    assert short["kept_count"] == 27 and short["expected_count"] == pytest.approx(18.8, abs=0.05)
     assert math.isnan(short["mc_db"]) and math.isnan(short["se_db"])
     assert short["ok"]
     # an oracle whose probability is off by 4x fails the short case by its
-    # count (4.7 expected, 28 kept) instead of stopping the run
+    # count (4.7 expected, 27 kept) instead of stopping the run
     real = scenario.predict_transfer
 
     def wrong(*args, **kwargs):
@@ -1322,7 +1368,7 @@ def test_cli_selftest_reports_a_short_case(monkeypatch, capsys):
     monkeypatch.setattr(scenario, "predict_transfer", wrong)
     rows = run_selftest(seed=32, points=100_000)
     assert [row["case"] for row in rows] == list(range(8))
-    assert not rows[short["case"]]["ok"] and rows[short["case"]]["kept_count"] == 28
+    assert not rows[short["case"]]["ok"] and rows[short["case"]]["kept_count"] == 27
     assert main(["selftest", "--points", "100000", "--seed", "32"]) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith("selftest FAIL")
 
@@ -1380,7 +1426,7 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert "twinbeam-transfer 0.4.0" in capsys.readouterr().out
+    assert "twinbeam-transfer 0.5.0" in capsys.readouterr().out
 
 
 def test_distribution_version_is_the_package_version():
