@@ -13,16 +13,18 @@ warm-up, and divides by the square root of the chain's noise gain (the
 squared norm of its impulse response, computed from the filter taps) so
 that a shot-limited input yields unit sample variance. The mixer is folded
 into the polyphase FIR as complex taps: the input, cut into rows of q1
-samples, meets them in one matrix product, and each decimated sample is
-then rotated by its LO phase, so no full-rate LO or product is formed.
+samples, meets them in one einsum per channel and run, and each decimated
+sample is then rotated by its LO phase, so no full-rate LO or product is
+formed, and no BLAS call is made.
 
 ``stream`` is the chain: synthesis and demodulation run block by block
 (``_BLOCK`` wideband samples, float32), with every filter's state carried
 between blocks, and the calibrated output leaves as each demodulator run
 makes it, at most ceil(_ROWS / q2) points at a time, so no array of
 wideband or record length exists and memory does not grow with the record
-(a 300k-point record passes 4 x 75M wideband samples through it).
-``simulate`` concatenates the chunks into one batch.
+(a 300k-point record passes 4 x 75M wideband samples through it). Each
+beam pair has its own pipeline, pair 2's on a helper thread. ``simulate``
+concatenates the chunks into one batch.
 
 scipy is imported inside the functions that use it, so importing this module
 (and so every direct-engine run) does not load it.
@@ -32,15 +34,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import queue
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ModelError, RecordLengthError, ValidationError
 from .model import (
-    CHANNELS,
     SHOT_DIFFERENCE_VARIANCE,
     FourChannelCovariance,
     SampleBatch,
@@ -55,10 +59,12 @@ _LEAD_CUTOFF_PERIODS = 500.0
 # wideband samples per block of the streamed chain; outputs do not depend on it
 _BLOCK = 1 << 16
 
-# rows of q1 wideband samples per polyphase product of the demodulator: one
-# matrix shape at fixed record positions, so no output depends on how the
-# BLAS library treats a particular matrix size
+# rows of q1 wideband samples per polyphase product of the demodulator:
+# one matrix shape at fixed record positions
 _ROWS = 1 << 12
+
+# demodulator runs that pair 2's pipeline may make ahead of pair 1's (stream)
+_PAIR_AHEAD = 4
 
 # the mode shaping filters: largest error of |H|^2 against the model density,
 # and the range of tap counts searched for it
@@ -201,7 +207,7 @@ def _shaping_filters(cov: FourChannelCovariance, cfg: SignalChainConfig) -> np.n
         zero_phase = np.fft.irfft(np.sqrt(density), n=grid)
         h = np.concatenate((zero_phase[:, -half:], zero_phase[:, :half + 1]), axis=1)
         lo_phasor = np.exp(-2j * math.pi * cfg.lo_frequency_hz / fs * np.arange(taps))
-        h *= np.sqrt(at_lo / np.abs(h @ lo_phasor) ** 2)[:, np.newaxis]
+        h *= np.sqrt(at_lo / np.abs(np.einsum("km,m->k", h, lo_phasor)) ** 2)[:, np.newaxis]
         error = (np.abs(np.abs(np.fft.rfft(h, n=grid)) ** 2 - density)
                  / np.maximum(density, SHOT_DIFFERENCE_VARIANCE))
         if error.max() <= _SHAPING_TOL:
@@ -213,37 +219,41 @@ def _shaping_filters(cov: FourChannelCovariance, cfg: SignalChainConfig) -> np.n
         "raise cavity_bandwidth_hz or lower synth_rate_hz")
 
 
-def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
-                  seed: int) -> Iterator[np.ndarray]:
-    """The wideband record for points output points, as consecutive (4, b)
-    float32 blocks (s1, i1, s2, i2), each a fresh array.
+def _synth_blocks(taps: np.ndarray, cfg: SignalChainConfig, points: int, seed: int,
+                  modes: range) -> Iterator[np.ndarray]:
+    """The wideband record of the pairs of ``modes`` for points output
+    points, as consecutive (len(modes), b) float32 blocks, each a fresh
+    array: (s, i) of each pair in turn, whose modes are an even mode, the
+    difference d, and the next, the sum u. ``taps`` are the (4, M) shaping
+    filters of all four modes (_shaping_filters).
 
-    Each mode is unit white noise from its own Philox substream, drawn
-    continuously, filtered by overlap-save: fixed FFT segments at fixed
-    positions of the record, each taking the last M - 1 input samples of the
-    one before, so the record does not depend on the block size. The first
-    segment's history is drawn too, so the record is stationary from its
-    first sample. Per pair, s = (u + d) / 2 and i = (u - d) / 2 of the
-    independent sum (u) and difference (d) modes; the pairs use disjoint
-    substreams, which keeps the cross-pair spectra identically zero. The
-    draws and the filtered modes go to buffers reused from block to block.
+    Mode k is unit white noise from its own Philox substream,
+    ``Philox(seed).jumped(k)``, drawn continuously and filtered by taps[k]
+    by overlap-save: fixed FFT segments at fixed positions of the record,
+    each taking the last M - 1 input samples of the one before, so the
+    record does not depend on the block size. The first segment's history
+    is drawn too, so the record is stationary from its first sample. Per
+    pair, s = (u + d) / 2 and i = (u - d) / 2 of its independent modes; the
+    pairs use disjoint substreams, which keeps the cross-pair spectra
+    identically zero, and no mode depends on which others are synthesized
+    with it. The draws and the filtered modes go to buffers reused from
+    block to block.
     """
     from scipy import fft as sp_fft
 
-    taps = _shaping_filters(cov, cfg)
     overlap = taps.shape[1] - 1
     nfft = 1 << max(12, (16 * overlap - 1).bit_length())
     step = nfft - overlap
-    spectra = np.fft.rfft(taps, n=nfft).astype(np.complex64)
-    streams = [np.random.Generator(np.random.Philox(seed).jumped(k)) for k in range(4)]
+    spectra = np.fft.rfft(taps[modes], n=nfft).astype(np.complex64)
+    streams = [np.random.Generator(np.random.Philox(seed).jumped(k)) for k in modes]
 
     n = required_synth_samples(cfg, points)
     per_block = max(1, _BLOCK // step) * step
     # per mode, the last M - 1 samples of the draw before, then the block's draw
-    white = np.empty((4, overlap + per_block), dtype=np.float32)
+    white = np.empty((len(modes), overlap + per_block), dtype=np.float32)
     for k, gen in enumerate(streams):
         gen.standard_normal(dtype=np.float32, out=white[k, :overlap])
-    modes = np.empty((4, per_block), dtype=np.float32)
+    filtered = np.empty((len(modes), per_block), dtype=np.float32)
     for start in range(0, n, per_block):
         drawn = -(-min(per_block, n - start) // step) * step
         for k, gen in enumerate(streams):
@@ -251,17 +261,19 @@ def _synth_blocks(cov: FourChannelCovariance, cfg: SignalChainConfig, points: in
             windows = sliding_window_view(white[k, :overlap + drawn], nfft)[::step]
             spectrum = sp_fft.rfft(windows)
             spectrum *= spectra[k]
-            filtered = sp_fft.irfft(spectrum, n=nfft)[:, overlap:]
-            modes[k, :drawn].reshape(-1, step)[...] = filtered
+            segments = filtered[k, :drawn].reshape(-1, step)
+            segments[...] = sp_fft.irfft(spectrum, n=nfft)[:, overlap:]
+            # freed before the next mode's is made, as the block below before
+            # the next block: two pipelines run at once, and their peaks add
+            del spectrum
             white[k, :overlap] = white[k, drawn:drawn + overlap]
-        d1, u1, d2, u2 = modes[:, :min(per_block, n - start)]
-        block = np.empty((4, d1.size), dtype=np.float32)
-        np.add(u1, d1, out=block[0])
-        np.subtract(u1, d1, out=block[1])
-        np.add(u2, d2, out=block[2])
-        np.subtract(u2, d2, out=block[3])
+        d, u = filtered[0::2, :n - start], filtered[1::2, :n - start]
+        block = np.empty((len(modes), d.shape[1]), dtype=np.float32)
+        np.add(u, d, out=block[0::2])
+        np.subtract(u, d, out=block[1::2])
         block *= 0.5
         yield block
+        del block
 
 
 def post_mixer_sos(cfg: SignalChainConfig) -> np.ndarray:
@@ -305,28 +317,64 @@ def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
     return weights.astype(np.float32), (fir.size - 1) // 2
 
 
-def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
-                  points: int) -> Iterator[np.ndarray]:
-    """The chain's calibrated output for a record given as consecutive (4, b)
-    float32 blocks of the four channels (s1, i1, s2, i2): (4, m) float64
-    chunks in record order, each a fresh array, one per run of _ROWS rows
-    that reaches the record, holding the run's output points (1 to
-    ceil(_ROWS / q2) of them).
+class _Demodulator(NamedTuple):
+    """The demodulator's designs for one signal chain (_demodulator)."""
+
+    sos: np.ndarray
+    weights: np.ndarray
+    half: int
+    scale: float
+
+
+def _demodulator(cfg: SignalChainConfig) -> _Demodulator:
+    """The low-pass sections, the folded polyphase weights and their
+    half-length, and the calibration factor 1/sqrt(_calibration_variance)."""
+    weights, half = _folded_fir(cfg)
+    return _Demodulator(post_mixer_sos(cfg), weights, half,
+                        1.0 / math.sqrt(_calibration_variance(cfg)))
+
+
+def _put(rows: np.ndarray, start: int, values: np.ndarray) -> None:
+    """Write ``values``, (channels, n), to the positions start .. start + n
+    of ``rows``, a (channels, rows, q1) view read row after row: the rest of
+    a begun row, the whole rows, and the start of the last."""
+    q1 = rows.shape[2]
+    row, col = divmod(start, q1)
+    if col:
+        head = min(q1 - col, values.shape[1])
+        rows[:, row, col:col + head] = values[:, :head]
+        values, row = values[:, head:], row + 1
+    whole = values.shape[1] // q1
+    rows[:, row:row + whole] = values[:, :whole * q1].reshape(rows.shape[0], whole, q1)
+    if values.shape[1] > whole * q1:
+        rows[:, row + whole, :values.shape[1] - whole * q1] = values[:, whole * q1:]
+
+
+def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: int,
+                  demod: _Demodulator) -> Iterator[np.ndarray]:
+    """The chain's calibrated output for a record given as consecutive
+    (c, b) float32 blocks of c channels: (c, m) float64 chunks in record
+    order, each a fresh array, one per run of _ROWS rows that reaches the
+    record, holding the run's output points (1 to ceil(_ROWS / q2) of
+    them). ``demod`` is the chain's _demodulator(cfg).
 
     Mixing by sqrt(2)*cos(omega*t) and then the polyphase FIR decimation by
     q1, with resample_poly's taps and zero-phase alignment, is one modulated
     polyphase filter (Crochiere & Rabiner 1983). Mid-rate sample j reads the
     inputs a = j*q1 - half .. a + 2*half, and since cos(omega*(a + k)*dt) =
     Re(exp(i*omega*a*dt) * exp(i*omega*k*dt)), the LO folds into the
-    complex taps of _folded_fir, exactly for any LO frequency. The input is cut into rows of q1 samples
-    and multiplied by those (2R, q1) weights, one BLAS product per run of
-    _ROWS rows; sample j sums the R branch diagonals (row j + r times
-    branch r) and is rotated by its LO phase omega*a*dt. Then comes the
-    low-pass with its state carried, decimation by q2, the trim and the
-    calibration (one multiply by 1/sqrt(_calibration_variance)). The runs
-    sit at fixed record positions with one fixed shape, filled into one
-    reused buffer, so every output sample is computed the same way whatever
-    the block lengths.
+    complex taps of _folded_fir, exactly for any LO frequency. The input is
+    cut into rows of q1 samples, held sample by row, so that each channel
+    of a run of _ROWS rows is one contiguous (q1, _ROWS) matrix, and the
+    (2R, q1) weights multiply it in one einsum: a fixed loop whose
+    summation order depends on no BLAS library or CPU kernel. Sample j sums
+    the R branch diagonals (row j + r times branch r) and is rotated by its
+    LO phase omega*a*dt. Then comes the low-pass with its state carried,
+    decimation by q2, the trim and the calibration (one multiply by
+    demod.scale). The runs sit at fixed record positions with one fixed
+    shape, filled into one reused buffer, so every output sample is
+    computed the same way whatever the block lengths, and each channel the
+    same way whatever channels come with it.
 
     The last output point is mid-rate sample (lead + points - 1)*q2, so the
     record must hold needed = (lead + points - 1)*q2*q1 + half + 1 wideband
@@ -341,18 +389,20 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
 
     q1, q2 = decimation_plan(cfg)
     lead = _lead(cfg)
-    sos = post_mixer_sos(cfg)
-    weights, half = _folded_fir(cfg)
+    sos, weights, half, scale = demod
     branches = weights.shape[0] // 2
     width = _ROWS * q1
     lo_step = 2.0 * math.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
-    scale = 1.0 / math.sqrt(_calibration_variance(cfg))
     needed = required_synth_samples(cfg, points)
 
-    channels = len(CHANNELS)
-    run = np.empty((channels, width), dtype=np.float32)
+    blocks = iter(blocks)
+    block = next(blocks, None)
+    channels = 0 if block is None else block.shape[0]
+    run = np.empty((channels, q1, _ROWS), dtype=np.float32)
+    # the run as rows of q1 samples
+    rows = run.transpose(0, 2, 1)
     # resample_poly zero-pads before the first sample
-    run[:, :half] = 0.0
+    _put(rows, 0, np.broadcast_to(np.float32(0.0), (channels, half)))
     state = np.zeros((sos.shape[0], channels, 2))
     # the last R - 1 rows' products, then the run's
     products = np.zeros((channels, 2 * branches, branches - 1 + _ROWS), dtype=np.float32)
@@ -361,25 +411,27 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig,
     # products column c holds row first + c; mid-rate sample first + t sums
     # branch r times row first + t + r
     first = 1 - branches
-    for block in itertools.chain(blocks, [None]):
+    for block in itertools.chain([block], blocks, [None]):
         if block is None:
             if received < needed:
                 raise RecordLengthError(f"record ended {needed - received} wideband samples short")
-            # the record ended: pad its last run with zeros, in place
-            run[:, filled:] = 0.0
-            filled, block = width, run[:, width:]
+            # the record ended: pad its last run with zeros
+            block = np.broadcast_to(np.float32(0.0), (channels, width - filled))
         received += block.shape[1]
         while True:
             take = min(width - filled, block.shape[1])
-            run[:, filled:filled + take] = block[:, :take]
+            _put(rows, filled, block[:, :take])
             block = block[:, take:]
             filled += take
             if filled < width:
+                # the spent block is freed before the next is made
+                del block
                 break
             filled = 0
             products[:, :, :branches - 1] = products[:, :, _ROWS:]
-            np.matmul(weights, run.reshape(channels, _ROWS, q1).transpose(0, 2, 1),
-                      out=products[:, :, branches - 1:])
+            for channel in range(channels):
+                np.einsum("kq,qr->kr", weights, run[channel],
+                          out=products[channel, :, branches - 1:], optimize=False)
             z = folded[:, 0, :, :_ROWS].copy()
             for branch in range(1, branches):
                 z += folded[:, branch, :, branch:branch + _ROWS]
@@ -414,9 +466,18 @@ def _calibration_variance(cfg: SignalChainConfig) -> float:
     q1, q2 = decimation_plan(cfg)
     x = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(_lead(cfg) * q2))
     h = _polyphase_fir(q1).astype(np.float64) if q1 > 1 else np.ones(1)
-    return float(sum((2.0 if lag else 1.0) * np.dot(x[:x.size - lag], x[lag:])
-                     * np.dot(h[:h.size - lag * q1], h[lag * q1:])
+    return float(sum((2.0 if lag else 1.0) * np.einsum("i,i->", x[:x.size - lag], x[lag:])
+                     * np.einsum("i,i->", h[:h.size - lag * q1], h[lag * q1:])
                      for lag in range(-(-h.size // q1))))
+
+
+def _pair_stream(taps: np.ndarray, demod: _Demodulator, cfg: SignalChainConfig,
+                 points: int, seed: int, pair: int) -> Iterator[np.ndarray]:
+    """Pair ``pair``'s pipeline: its (s, i) record from modes 2*pair - 2
+    and 2*pair - 1 (_synth_blocks), demodulated with its own buffers and
+    filter state (_demod_stream), as (2, m) chunks."""
+    modes = range(2 * pair - 2, 2 * pair)
+    return _demod_stream(_synth_blocks(taps, cfg, points, seed, modes), cfg, points, demod)
 
 
 def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
@@ -427,12 +488,62 @@ def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
     in record order, one per demodulator run, at most ceil(_ROWS / q2)
     points each (_demod_stream). No array of wideband or record length
     exists: memory is a few blocks of _BLOCK samples and the demodulator's
-    run buffer, whatever points is. The output is calibrated so that a
+    run buffers, whatever points is. The output is calibrated so that a
     shot-noise input comes out at unit variance.
+
+    The two beam pairs are independent until the idlers are selected, so
+    each has its own pipeline (_pair_stream): the calling thread advances
+    pair 1's while one helper thread advances pair 2's, at most _PAIR_AHEAD
+    runs ahead, and each run's chunks are stacked. Both pipelines share one
+    design: the shaping filters, whose tap count holds all four modes to
+    _SHAPING_TOL, and the demodulator's. Neither pipeline reads the other's
+    data, so the output is what running them one after the other gives. An
+    error of either pipeline reaches the caller, pair 1's first, and
+    closing the stream, or its end, joins the helper thread.
     """
     points = _require_int("points", points, 1)
     seed = _require_int("seed", seed, 0)
-    return _demod_stream(_synth_blocks(cov, cfg, points, seed), cfg, points)
+    return _paired(cov, cfg, points, seed)
+
+
+def _paired(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
+            seed: int) -> Iterator[np.ndarray]:
+    # stream's generator: pair 2's chunks, or the exception that ended its
+    # pipeline, come through a queue the calling thread drains on its way out
+    taps = _shaping_filters(cov, cfg)
+    demod = _demodulator(cfg)
+    first, second = (_pair_stream(taps, demod, cfg, points, seed, pair) for pair in (1, 2))
+    handoff: queue.Queue = queue.Queue(_PAIR_AHEAD)
+    stop = threading.Event()
+
+    def advance():
+        # after stop is set this puts at most once more, and a drained
+        # queue has room for that, so the join below cannot wait forever
+        try:
+            for chunk in second:
+                handoff.put(chunk)
+                if stop.is_set():
+                    return
+        except BaseException as exc:
+            # whatever ended the pipeline, which the calling thread raises
+            handoff.put(exc)
+
+    helper = threading.Thread(target=advance, name="pair-2-pipeline", daemon=True)
+    helper.start()
+    try:
+        for chunk in first:
+            other = handoff.get()
+            if isinstance(other, BaseException):
+                raise other
+            yield np.concatenate((chunk, other))
+    finally:
+        stop.set()
+        while True:
+            try:
+                handoff.get_nowait()
+            except queue.Empty:
+                break
+        helper.join()
 
 
 def simulate(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,

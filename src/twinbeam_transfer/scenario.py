@@ -42,6 +42,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
@@ -134,21 +135,26 @@ _BYTES_PER_SWEEP_ROW = 4 << 10
 
 # Peak memory of the chain engine's stream that does not grow with its
 # decimation plan: the scipy.signal and scipy.fft imports, the filter
-# designs and the synthesis buffers. Peak RSS (VmHWM) of a default
-# 100k-point chain run (plan q1 = 50, q2 = 5) grows by 93.5-94.7,
-# 93.6-94.3 and 93.7-94.1 MiB with 1, 2 and 3 workers (5 runs each; 93.5 to
-# 94.8 MiB in later runs) over a process that has imported numpy only:
-# flat in the worker count. Less the rest of a 1-worker run's charge
-# (5.3 MiB: the plan's buffers, the kept, held and scatter terms), at most
-# 89.5 MiB; rounded up to 92 MiB, so a 1-worker run is charged 97.3 MiB,
-# 2.5 MiB above the largest growth measured.
+# designs, and the synthesis buffers of its two pair pipelines, one of them
+# on the stream's helper thread. Peak RSS (VmHWM) of a default 100k-point
+# chain run (plan q1 = 50, q2 = 5) grows by 94.3-94.9, 94.2-94.6 and
+# 94.1-94.6 MiB with 1, 2 and 3 workers (5 runs each) over a process that
+# has imported numpy only: flat in the worker count. Less the rest of a
+# 1-worker run's charge (5.3 MiB: the plan's buffers, the kept, held and
+# scatter terms), at most 89.6 MiB; rounded up to 92 MiB, so a 1-worker
+# run is charged 97.3 MiB, 2.4 MiB above the largest growth measured.
 # tests/test_scenario_cli.py re-measures the run at 1 and 3 workers.
 _BYTES_PER_CHAIN_STREAM = 92 << 20
 
-# The chain's buffer that grows with its decimation plan: the
-# demodulator's run of _ROWS rows of q1 float32 samples of 4 channels
-# (64 KiB per q1), whose tail is zeroed in place at the record's end. Peak
-# RSS of a 2000-point chain run rises by 65 KB per q1 from q1 = 50 to 2000.
+# The chain's buffers that grow with its decimation plan: each pair
+# pipeline's demodulator run of _ROWS rows of q1 float32 samples of its 2
+# channels, 4 channels in all (64 KiB per q1). Each channel's product reads
+# its run in place, held sample by row, so there is no per-q1 product
+# scratch, and the run's tail is zeroed in place at the record's end. Peak
+# RSS of a 2000-point chain run rises by 64.2 KiB per q1 from q1 = 50 to
+# 2000 (cavity_bandwidth_hz scaled with synth_rate_hz, which holds the
+# shaping filters at 1025 taps): 0.4 MiB more than charged at q1 = 2000,
+# less than the slack of _BYTES_PER_CHAIN_STREAM.
 _BYTES_PER_RUN_Q1 = 4 * 4 * _ROWS
 
 # chunk results in flight (drawn or waiting to be merged) per worker
@@ -338,7 +344,9 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     scatter_points rows, at _BYTES_PER_KEPT a row; and on the chain engine
     the stream's _BYTES_PER_CHAIN_STREAM and the buffers of its decimation
     plan. Raises ValidationError, naming what to lower, rather than let the
-    process be killed part way.
+    process be killed part way; the message opens with the rows' count when
+    their table rows are the larger part of the charge, with the record's
+    points otherwise.
     """
     n = cfg.n_points
     # a block of held values, and a chunk in flight: a direct chunk is a block
@@ -378,8 +386,10 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     # worker count, first, changes no output
     advice = next((text for saved, text in remedies if saved and needed - saved <= available),
                   "free some memory first")
+    # named by what the larger part of the charge is for
+    what = f"{rows} sweep steps or selftest cases" if 2 * tables > needed else f"{n} points"
     raise ValidationError(
-        f"{n} points need about {needed / 1e9:.2f} GB but only "
+        f"{what} need about {needed / 1e9:.2f} GB but only "
         f"{available / 1e9:.2f} GB of memory is available; {advice}")
 
 
@@ -510,10 +520,13 @@ def _acquire_chain(cfgs: tuple[ScenarioConfig, ...], workers: int,
             return chunk, kept + [np.arange(chunk.shape[1])] * (len(group) * unconditioned)
 
         try:
-            # the main thread synthesizes; the workers gate and reduce
-            acquired = _stream(group[0], [_IDLER_TERMS] * (len(group) * (1 + unconditioned)),
-                               stream(cov, group[0].signal_chain, n, seed), gate, workers,
-                               unconditioned)
+            # the calling thread and the stream's helper synthesize and
+            # demodulate; the workers gate and reduce. Closing the stream,
+            # also when a chunk fails its gate, joins its helper
+            with closing(stream(cov, group[0].signal_chain, n, seed)) as chunks:
+                acquired = _stream(group[0],
+                                   [_IDLER_TERMS] * (len(group) * (1 + unconditioned)),
+                                   chunks, gate, workers, unconditioned)
         except TwinBeamError as exc:
             acquired = [exc] * (len(group) * (1 + unconditioned))
         # the group's windows, then their record windows, to the same places

@@ -7,6 +7,8 @@ mirror the defaults.
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,8 +20,10 @@ from twinbeam_transfer.dsp_chain import (
     SignalChainConfig,
     _calibration_variance,
     _demod_stream,
+    _demodulator,
     _lead,
     _mode_densities,
+    _pair_stream,
     _polyphase_fir,
     _shaping_filters,
     _synth_blocks,
@@ -54,12 +58,14 @@ SHOT_COV = build_covariance(PAIR, PAIR, MeasurementSetting.COHERENT_STATE)
 
 def _record(cov, cfg, seed, points=POINTS):
     # the whole (4, n) float32 wideband record that simulate streams
-    return np.concatenate(list(_synth_blocks(cov, cfg, points, seed)), axis=1)
+    return np.concatenate(list(_synth_blocks(_shaping_filters(cov, cfg), cfg, points, seed,
+                                              range(4))), axis=1)
 
 
 def _demodulated(blocks, cfg, points):
     # the calibrated (points, 4) output that _demod_stream yields run by run
-    return np.concatenate(list(_demod_stream(blocks, cfg, points)), axis=1).T
+    return np.concatenate(list(_demod_stream(blocks, cfg, points, _demodulator(cfg))),
+                          axis=1).T
 
 
 def test_config_defaults_are_valid():
@@ -288,9 +294,79 @@ def test_streamed_output_independent_of_block_size(monkeypatch):
         slices = (record[:, start:start + block]
                   for start in range(0, record.shape[1], block))
         for chunks in (list(stream(TWIN_COV, CFG, POINTS, seed=43)),
-                       list(_demod_stream(slices, CFG, POINTS))):
+                       list(_demod_stream(slices, CFG, POINTS, _demodulator(CFG)))):
             assert all(c.shape[0] == 4 and 1 <= c.shape[1] <= most for c in chunks)
             assert np.array_equal(np.concatenate(chunks, axis=1), whole.T)
+
+
+def test_stream_stacks_the_pair_pipelines_run_one_after_the_other():
+    # the helper thread changes no arithmetic: the stream's chunks are, bit
+    # for bit, each pair's pipeline run in this thread, one pair after the
+    # other, stacked run by run
+    taps, demod = _shaping_filters(TWIN_COV, CFG), _demodulator(CFG)
+    pairs = [list(_pair_stream(taps, demod, CFG, POINTS, 46, pair)) for pair in (1, 2)]
+    chunks = list(stream(TWIN_COV, CFG, POINTS, seed=46))
+    assert len(chunks) == len(pairs[0]) == len(pairs[1])
+    for chunk, one, two in zip(chunks, *pairs):
+        assert one.shape[0] == two.shape[0] == 2
+        assert np.array_equal(chunk, np.concatenate((one, two)))
+
+
+def _failing_pairs(monkeypatch, pairs):
+    # make the pipelines of ``pairs`` raise after their first block
+    synth = dsp_chain._synth_blocks
+
+    def failing(taps, cfg, points, seed, modes):
+        blocks = synth(taps, cfg, points, seed, modes)
+        pair = modes.start // 2 + 1
+        if pair in pairs:
+            yield next(blocks)
+            raise ModelError(f"pair {pair} pipeline failed")
+        yield from blocks
+
+    monkeypatch.setattr(dsp_chain, "_synth_blocks", failing)
+
+
+def test_stream_joins_its_helper_thread(monkeypatch):
+    # pair 2's pipeline runs on one helper thread, joined when the stream is
+    # exhausted, closed early or ended by an error, which reaches the caller
+    before = threading.active_count()
+    assert len(list(stream(TWIN_COV, CFG, 2_000, seed=47))) > 1
+    assert threading.active_count() == before
+    # closed after 1 to 30 of a record's 37 runs, with the helper at most
+    # _PAIR_AHEAD runs ahead, blocked or running; a short switch interval
+    # interleaves the two threads finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for taken in (1, 2, 3, 5, 8, 13, 30):
+            chunks = stream(TWIN_COV, CFG, POINTS, seed=47)
+            for _ in range(taken):
+                next(chunks)
+            assert threading.active_count() == before + 1
+            chunks.close()
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    _failing_pairs(monkeypatch, {2})
+    with pytest.raises(ModelError, match="pair 2 pipeline failed"):
+        list(stream(TWIN_COV, CFG, POINTS, seed=47))
+    assert threading.active_count() == before
+
+
+def test_both_pairs_failing_raise_pair_1s_error(monkeypatch):
+    # as when one thread ran both pairs: the design refuses pair 1 first,
+    # and of two pipelines failing at the same run, pair 1's error is raised.
+    # This narrow cavity needs V- >= 1.72 at the lo: 0.3 dB passes, 7 fails
+    cfg = dataclasses.replace(CFG, cavity_bandwidth_hz=8.0e4)
+    shallow = TwinPairParams(squeezing_db=0.3)
+    with pytest.raises(ModelError, match="^pair 1: difference variance"):
+        list(stream(TWIN_COV, cfg, POINTS, seed=48))
+    with pytest.raises(ModelError, match="^pair 2: difference variance"):
+        list(stream(build_covariance(shallow, PAIR), cfg, POINTS, seed=48))
+    _failing_pairs(monkeypatch, {1, 2})
+    with pytest.raises(ModelError, match="pair 1 pipeline failed"):
+        list(stream(TWIN_COV, CFG, POINTS, seed=48))
 
 
 def test_simulate_peak_memory_below_wideband_record(monkeypatch):

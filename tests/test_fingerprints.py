@@ -3,14 +3,18 @@
 Each case runs in-process and is reduced to a digest of its outputs:
 integers (kept counts, histogram counts, row counts) exactly, floats
 rounded to 12 significant digits, so any change of the streams or of the
-estimates moves a digest. The rounding does not hide every difference
-between CPUs: the chain's demodulator product is a float32 OpenBLAS sgemm
-whose summation order depends on the kernel OpenBLAS picks, and under
-OPENBLAS_CORETYPE=Haswell or Zen (the kernels of AVX2-only and AMD CPUs)
-the run_chain and sweep_chain digests move; the direct cases do not. ROADMAP
-item 1 makes that product independent of the kernel. A change that moves a
-digest on purpose bumps __version__ and re-pins the digests it moves, in
-the same commit.
+estimates moves a digest. A change that moves a digest on purpose bumps
+__version__ and re-pins the digests it moves, in the same commit.
+
+No case makes a BLAS call whose result reaches an output: the chain's
+demodulator product is an einsum, whose summation order is fixed in
+numpy's baseline build, not picked by a BLAS library for the CPU. So the
+digests do not depend on the CPU's kernels, and a subprocess test runs the
+chain cases under OpenBLAS's SkylakeX, Haswell and Zen kernels
+(OPENBLAS_CORETYPE, the kernels it picks on AVX-512, AVX2-only and AMD
+CPUs) and with numpy's AVX-512 loops switched off
+(NPY_DISABLE_CPU_FEATURES), and requires the pinned digests under each.
+Those variables are set in the child's environment only.
 
 The Philox canary runs first: numpy may change a Generator stream between
 versions (NEP 19), and the canary reports such a change as what it is,
@@ -21,6 +25,12 @@ import csv
 import hashlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +39,7 @@ import twinbeam_transfer
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.scenario import run_selftest
 
-PINNED_VERSION = "0.5.0"
+PINNED_VERSION = "0.6.0"
 
 # the first normals of Philox(0), float64 then float32, exactly
 PHILOX_CANARY = (
@@ -40,9 +50,9 @@ PHILOX_CANARY = (
 DIGESTS = {
     "run_direct": "2c5eb9f6badf46f4",
     "run_direct_scatter_100": "ca98358f25a554bc",
-    "run_chain": "94c9cc7367e0a948",
+    "run_chain": "246735129a97e2a7",
     "sweep_direct": "22b41f47e80ae3c5",
-    "sweep_chain": "b76a11b2fa260db5",
+    "sweep_chain": "27cded83d6d4ed03",
     "selftest": "5f126b48cd7972f2",
 }
 
@@ -120,16 +130,73 @@ def test_pins_are_for_this_version():
     assert twinbeam_transfer.__version__ == PINNED_VERSION
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_case_fingerprint(name, tmp_path, capsys):
+def _case_digest(name, directory) -> str:
+    """The digest of case ``name``'s outputs, written under ``directory``."""
     command, config, points = CASES[name]
-    path = tmp_path / "cfg.json"
+    path = directory / "cfg.json"
     path.write_text(json.dumps(config))
-    out = tmp_path / "out"
+    out = directory / "out"
     assert main([command, "--config", str(path), "--points", str(points),
                  "--out", str(out)]) == 0
+    return _digest(_outputs(out))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_case_fingerprint(name, tmp_path, capsys):
+    digest = _case_digest(name, tmp_path)
     capsys.readouterr()
-    assert _digest(_outputs(out)) == DIGESTS[name]
+    assert digest == DIGESTS[name]
+
+
+_CHAIN_CASES = ["run_chain", "sweep_chain"]
+
+# name: (the child's environment, the /proc/cpuinfo flag its kernels need)
+_KERNELS = {
+    "openblas-skylakex": ({"OPENBLAS_CORETYPE": "SkylakeX"}, "avx512f"),
+    "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, "avx2"),
+    "openblas-zen": ({"OPENBLAS_CORETYPE": "Zen"}, "avx2"),
+    "numpy-without-avx512": ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                             "avx512f"),
+}
+
+# the chain cases' digests as a JSON object, each case in its own directory
+_KERNEL_CHILD = textwrap.dedent("""
+    import io, json, sys, tempfile
+    from contextlib import redirect_stdout
+    from pathlib import Path
+    sys.path.insert(0, sys.argv[1])
+    import test_fingerprints
+    digests = {}
+    for name in sys.argv[2:]:
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+            digests[name] = test_fingerprints._case_digest(name, Path(tmp))
+    print(json.dumps(digests))
+    """)
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return set(next(line for line in fh if line.startswith("flags")).split())
+    except (OSError, StopIteration):
+        return set()
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_chain_fingerprints_independent_of_cpu_kernels(kernel):
+    # a kernel the CPU cannot run would die of SIGILL, so it is skipped
+    variables, flag = _KERNELS[kernel]
+    if platform.machine().lower() not in ("x86_64", "amd64") or flag not in _cpu_flags():
+        pytest.skip(f"the CPU has no {flag}")
+    src = str(Path(twinbeam_transfer.__file__).parents[1])
+    env = {**os.environ, **variables,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", _KERNEL_CHILD, str(Path(__file__).parent),
+                             *_CHAIN_CASES], env=env, capture_output=True, text=True,
+                            timeout=600)
+    assert result.returncode == 0, result.stderr[-2000:]
+    digests = json.loads(result.stdout.splitlines()[-1])
+    assert digests == {name: DIGESTS[name] for name in _CHAIN_CASES}
 
 
 def test_selftest_fingerprint():

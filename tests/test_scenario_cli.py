@@ -5,9 +5,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 import twinbeam_transfer
 from twinbeam_transfer import cli, dsp_chain, scenario
 from twinbeam_transfer.cli import main
-from twinbeam_transfer.errors import ConfigurationError, ValidationError
+from twinbeam_transfer.errors import ConfigurationError, ModelError, ValidationError
 from twinbeam_transfer.dsp_chain import SignalChainConfig, simulate
 from twinbeam_transfer.model import (
     COHERENT_DELTA,
@@ -491,7 +493,7 @@ def test_cli_run_writes_files(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["seed"] == 7
-    assert report["version"] == "0.5.0"
+    assert report["version"] == "0.6.0"
 
 
 def test_cli_run_bit_identical_reruns(tmp_path, capsys):
@@ -840,8 +842,8 @@ def test_chain_acquire_independent_of_how_the_record_is_cut(monkeypatch):
 
 
 def test_cli_chain_run_identical_for_any_worker_count(tmp_path, small_chunks):
-    # the main thread streams the chain's chunks (one per demodulator run,
-    # 38 here) to 1, 2 or 3 reducers; every output file is the same
+    # the stream hands the chain's chunks (one per demodulator run, 38
+    # here) to 1, 2 or 3 reducers; every output file is the same
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_chain(30_000, scatter_points=1000).to_dict()))
     outputs = []
@@ -883,6 +885,37 @@ def test_chain_sweep_rows_share_one_record(monkeypatch, small_chunks, axis, reco
         assert (row["transferred_db"], row["ci_low_db"], row["ci_high_db"],
                 row["kept_count"]) == (report.squeezing_db, report.ci_low_db,
                                        report.ci_high_db, report.kept_count)
+
+
+def test_chain_sweep_row_takes_the_error_of_its_pair_2_pipeline(monkeypatch, small_chunks):
+    # each row of a squeezing_db chain sweep reads its own stream, whose pair
+    # 2 pipeline runs on the stream's helper thread. It fails in the first
+    # row's stream, and in the second's makes non-finite values that a
+    # worker's gate refuses, which closes the stream early: each becomes its
+    # row's error, not a crash, and every helper thread is joined
+    synth = dsp_chain._synth_blocks
+    broken = []
+
+    def pair_2_broken(taps, cfg, points, seed, modes):
+        blocks = synth(taps, cfg, points, seed, modes)
+        if modes.start == 0:
+            yield from blocks
+            return
+        broken.append(modes)
+        yield next(blocks)
+        if len(broken) == 1:
+            raise ModelError("pair 2 pipeline failed")
+        for block in blocks:
+            yield np.full_like(block, np.nan)
+
+    monkeypatch.setattr(dsp_chain, "_synth_blocks", pair_2_broken)
+    before = threading.active_count()
+    rows = run_sweep(_chain(30_000, seed=19, sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2)))
+    assert threading.active_count() == before
+    assert len(broken) == 2
+    assert [row["error"] for row in rows] == [
+        "ModelError: pair 2 pipeline failed",
+        "ValidationError: sample data contains non-finite values"]
 
 
 def test_chain_sweep_keeps_its_rows_when_one_stream_fails():
@@ -1302,6 +1335,22 @@ def test_cli_absurd_selftest_cases_exit_code(monkeypatch, capsys, cases):
     assert err.startswith("error: ") and str(cases) in err
 
 
+def test_memory_refusal_opens_with_what_does_not_fit(monkeypatch, capsys):
+    # the refusal opens with the larger part of its charge: 10**12 selftest
+    # cases, whose table rows alone take about 4 PB, or, where one chunk of
+    # the record is what does not fit, the record's points
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 8 << 30)
+    assert main(["selftest", "--cases", str(10 ** 12)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: 1000000000000 sweep steps or selftest cases need about 4096000.01 GB "
+        "but only 8.59 GB of memory is available")
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: _room(0.0) - 1)
+    assert main(["run", "--points", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: 100000 points need about \d+\.\d\d GB but only \d+\.\d\d GB "
+                    r"of memory is available; free some memory first", err), err
+
+
 def test_cli_fock_writes_file(tmp_path, capsys):
     path = tmp_path / "fock.json"
     path.write_text(json.dumps({"p1": [[0.25, 0.25], [0.25, 0.25]],
@@ -1426,7 +1475,7 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert "twinbeam-transfer 0.5.0" in capsys.readouterr().out
+    assert "twinbeam-transfer 0.6.0" in capsys.readouterr().out
 
 
 def test_distribution_version_is_the_package_version():
