@@ -15,19 +15,22 @@ that a shot-limited input yields unit sample variance. The mixer is folded
 into the polyphase FIR as complex taps: the input, cut into rows of q1
 samples, meets them in one einsum per channel and run, and each decimated
 sample is then rotated by its LO phase, so no full-rate LO or product is
-formed, and no BLAS call is made.
+formed, and no BLAS call is made. The low-pass, an elliptic design, is
+applied as its impulse response, cut where the warm-up ends, by FFT with
+the decimation by q2 folded in; the calibration sums that same response.
 
 ``stream`` is the chain: synthesis and demodulation run block by block
-(``_BLOCK`` wideband samples, float32), with every filter's state carried
-between blocks, and the calibrated output leaves as each demodulator run
+(``_BLOCK`` wideband samples, float32), with every filter's history carried
+between blocks, and the calibrated output leaves as each low-pass block
 makes it, at most ceil(_ROWS / q2) points at a time, so no array of
 wideband or record length exists and memory does not grow with the record
 (a 300k-point record passes 4 x 75M wideband samples through it). Each
 beam pair has its own pipeline, pair 2's on a helper thread. ``simulate``
 concatenates the chunks into one batch.
 
-scipy is imported inside the functions that use it, so importing this module
-(and so every direct-engine run) does not load it.
+Of scipy the chain uses scipy.fft only, for its synthesis, imported inside
+_synth_blocks, so importing this module (and so every direct-engine run)
+does not load it. The filter designs are numpy's.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ _BLOCK = 1 << 16
 # one matrix shape at fixed record positions
 _ROWS = 1 << 12
 
-# demodulator runs that pair 2's pipeline may make ahead of pair 1's (stream)
+# output chunks that pair 2's pipeline may make ahead of pair 1's (stream)
 _PAIR_AHEAD = 4
 
 # the mode shaping filters: largest error of |H|^2 against the model density,
@@ -71,6 +74,18 @@ _PAIR_AHEAD = 4
 _SHAPING_TOL = 1e-3
 _MIN_SHAPING_TAPS = 33
 _MAX_SHAPING_TAPS = (1 << 16) + 1
+
+# the normalized analog prototype of the low-pass (post_mixer_sos), the
+# elliptic order 8, 0.05 dB, 50 dB design of scipy's ellipap: its
+# zeros on the imaginary axis and its poles, each of positive imaginary
+# part standing for its conjugate pair, and its gain
+_ELLIP_ZEROS = (4.127056855711344j, 1.6153733233234753j, 1.2329509559279972j,
+                1.1353453956271693j)
+_ELLIP_POLES = (-0.5186202286701701 + 0.3443833744075895j,
+                -0.2839401927953269 + 0.7983648484130351j,
+                -0.11149569235767817 + 0.9699766875284219j,
+                -0.027729527255783423 + 1.0214743901365633j)
+_ELLIP_GAIN = 0.0031622776601683534
 
 
 @dataclass(frozen=True)
@@ -172,17 +187,20 @@ def _lorentzian_depths(cov: FourChannelCovariance, cfg: SignalChainConfig,
     return min(dip, 1.0), max(bump, 0.0)
 
 
+def _mode_density(cov: FourChannelCovariance, cfg: SignalChainConfig, f: np.ndarray,
+                  mode: int) -> np.ndarray:
+    # one-sided density of mode ``mode`` (0 and 1: the difference and sum
+    # of pair 1, 2 and 3: of pair 2) at the frequencies f, in units where
+    # white shot noise of a beam pair is 2
+    lorentzian = 1.0 / (1.0 + (np.asarray(f) / cfg.cavity_bandwidth_hz) ** 2)
+    dip, bump = _lorentzian_depths(cov, cfg, mode // 2 + 1)
+    return 2.0 * (1.0 - dip * lorentzian) if mode % 2 == 0 else 2.0 + bump * lorentzian
+
+
 def _mode_densities(cov: FourChannelCovariance, cfg: SignalChainConfig,
                     f: np.ndarray) -> np.ndarray:
-    # one-sided densities of the four modes (difference and sum of pair 1,
-    # then of pair 2) at the frequencies f, in units where white shot noise
-    # of a beam pair is 2
-    lorentzian = 1.0 / (1.0 + (np.asarray(f) / cfg.cavity_bandwidth_hz) ** 2)
-    rows = []
-    for pair in (1, 2):
-        dip, bump = _lorentzian_depths(cov, cfg, pair)
-        rows += [2.0 * (1.0 - dip * lorentzian), 2.0 + bump * lorentzian]
-    return np.array(rows)
+    # the densities of the four modes at the frequencies f, shape (4, len(f))
+    return np.array([_mode_density(cov, cfg, f, mode) for mode in range(4)])
 
 
 def _shaping_filters(cov: FourChannelCovariance, cfg: SignalChainConfig) -> np.ndarray:
@@ -203,20 +221,33 @@ def _shaping_filters(cov: FourChannelCovariance, cfg: SignalChainConfig) -> np.n
     while taps <= _MAX_SHAPING_TAPS:
         half = (taps - 1) // 2
         grid = 16 * (taps - 1)
-        density = _mode_densities(cov, cfg, np.arange(grid // 2 + 1) * (fs / grid))
-        zero_phase = np.fft.irfft(np.sqrt(density), n=grid)
-        h = np.concatenate((zero_phase[:, -half:], zero_phase[:, :half + 1]), axis=1)
+        f = np.arange(grid // 2 + 1) * (fs / grid)
+        # one mode's grid at a time: at 65,537 taps a mode's is 8 MB
+        h = np.empty((4, taps))
+        for mode in range(4):
+            zero_phase = np.fft.irfft(np.sqrt(_mode_density(cov, cfg, f, mode)), n=grid)
+            h[mode, :half] = zero_phase[-half:]
+            h[mode, half:] = zero_phase[:half + 1]
+            del zero_phase
         lo_phasor = np.exp(-2j * math.pi * cfg.lo_frequency_hz / fs * np.arange(taps))
         h *= np.sqrt(at_lo / np.abs(np.einsum("km,m->k", h, lo_phasor)) ** 2)[:, np.newaxis]
-        error = (np.abs(np.abs(np.fft.rfft(h, n=grid)) ** 2 - density)
-                 / np.maximum(density, SHOT_DIFFERENCE_VARIANCE))
-        if error.max() <= _SHAPING_TOL:
+        if all(_shaping_error(h[mode], _mode_density(cov, cfg, f, mode)) <= _SHAPING_TOL
+               for mode in range(4)):
             return h
         taps = 2 * taps - 1
     raise ModelError(
         f"cavity_bandwidth_hz {cfg.cavity_bandwidth_hz:.3g} is too narrow to shape "
         f"at synth_rate_hz {fs:.3g} with at most {_MAX_SHAPING_TAPS} filter taps; "
         "raise cavity_bandwidth_hz or lower synth_rate_hz")
+
+
+def _shaping_error(taps: np.ndarray, density: np.ndarray) -> float:
+    # the largest error of |H|^2 of ``taps`` against ``density``, sampled at
+    # density.size frequencies from 0 to half the rate, relative to the
+    # density or, below the shot level, to the shot level
+    response = np.abs(np.fft.rfft(taps, n=2 * (density.size - 1))) ** 2
+    error = np.abs(response - density) / np.maximum(density, SHOT_DIFFERENCE_VARIANCE)
+    return float(error.max())
 
 
 def _synth_blocks(taps: np.ndarray, cfg: SignalChainConfig, points: int, seed: int,
@@ -277,23 +308,77 @@ def _synth_blocks(taps: np.ndarray, cfg: SignalChainConfig, points: int, seed: i
 
 
 def post_mixer_sos(cfg: SignalChainConfig) -> np.ndarray:
-    """The baseband low-pass filter sections, at the rate they are applied."""
-    from scipy import signal as sp_signal
+    """The baseband low-pass filter sections, at the rate they are applied.
 
+    Elliptic, order 8, 0.05 dB passband ripple, 50 dB stopband: steep enough
+    to hit the stopband contract within a 1.25x transition band while
+    keeping the passband flat. Designed as scipy's ellip(..., output="sos")
+    designs it: the normalized analog prototype (_ELLIP_*) scaled to the
+    prewarped cutoff and mapped by the bilinear transform at fs = 2, then
+    one section per conjugate pole pair, the pole nearest the unit circle
+    last, each with the zero pair nearest its pole, and the gain in
+    section 0.
+    """
     q1, _ = decimation_plan(cfg)
-    # elliptic: steep enough to hit the stopband contract within a 1.25x
-    # transition band while keeping the passband flat to 0.05 dB
-    return sp_signal.ellip(8, 0.05, 50.0, cfg.post_mixer_cutoff_hz, btype="low",
-                           output="sos", fs=cfg.synth_rate_hz / q1)
+    warped = 4.0 * math.tan(math.pi * cfg.post_mixer_cutoff_hz * q1 / cfg.synth_rate_hz)
+
+    def bilinear(s: complex) -> complex:
+        return (4.0 + warped * s) / (4.0 - warped * s)
+
+    def pairs_gain(roots: tuple) -> float:
+        # the bilinear transform's gain factor of the roots and their conjugates
+        return math.prod(abs(4.0 - warped * s) ** 2 for s in roots)
+
+    zeros = [bilinear(s) for s in _ELLIP_ZEROS]
+    gain = _ELLIP_GAIN * pairs_gain(_ELLIP_ZEROS) / pairs_gain(_ELLIP_POLES)
+    sections = []
+    for pole in sorted((bilinear(s) for s in _ELLIP_POLES), key=lambda p: abs(1.0 - abs(p))):
+        zero = min(zeros, key=lambda z: abs(z - pole))
+        zeros.remove(zero)
+        sections.append([1.0, -2.0 * zero.real, zero.real * zero.real + zero.imag * zero.imag,
+                         1.0, -2.0 * pole.real, pole.real * pole.real + pole.imag * pole.imag])
+    sos = np.array(sections[::-1])
+    sos[0, :3] *= gain
+    return sos
 
 
 def _polyphase_fir(q1: int) -> np.ndarray:
-    # resample_poly's own default design for down=q1, spelled out so the
-    # calibration sees exactly the taps the chain applies
-    from scipy import signal as sp_signal
+    # resample_poly's own default design for down=q1, scipy's firwin with a
+    # Kaiser window (beta 5) at cutoff 1/q1: the windowed sinc scaled to unit
+    # dc gain, spelled out so the calibration sees exactly the taps the
+    # chain applies
+    half = _fir_half(q1)
+    cutoff = 1.0 / q1
+    fir = cutoff * np.sinc(cutoff * (np.arange(2 * half + 1.0) - half))
+    fir *= np.kaiser(2 * half + 1, 5.0)
+    fir /= fir.sum()
+    return fir.astype(np.float32)
 
-    return sp_signal.firwin(2 * _fir_half(q1) + 1, 1.0 / q1,
-                            window=("kaiser", 5.0)).astype(np.float32)
+
+def _lowpass_response(cfg: SignalChainConfig) -> np.ndarray:
+    """The low-pass's impulse response at the mid rate, cut at lead*q2
+    samples, where the chain discards its warm-up: the sections' response
+    evaluated on an FFT grid and transformed back. Past the cut it is below
+    1e-36 of its peak at the default plan (largest pole radius 0.984).
+
+    The sections' spectra are products of their coefficients' FFTs, and the
+    complex quotients and products are spelled out in real multiplies and
+    adds, which are rounded the same way whatever SIMD loops numpy picks.
+    """
+    _, q2 = decimation_plan(cfg)
+    taps = _lead(cfg) * q2
+    grid = 1 << (taps - 1).bit_length()
+    sos = post_mixer_sos(cfg)
+    b, a = np.fft.rfft(sos[:, :3], n=grid), np.fft.rfft(sos[:, 3:], n=grid)
+    norm = a.real * a.real + a.imag * a.imag
+    re = (b.real * a.real + b.imag * a.imag) / norm
+    im = (b.imag * a.real - b.real * a.imag) / norm
+    h_re, h_im = re[0], im[0]
+    for s in range(1, sos.shape[0]):
+        h_re, h_im = h_re * re[s] - h_im * im[s], h_re * im[s] + h_im * re[s]
+    h = np.empty(grid // 2 + 1, dtype=np.complex128)
+    h.real, h.imag = h_re, h_im
+    return np.fft.irfft(h, n=grid)[:taps]
 
 
 def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
@@ -320,18 +405,45 @@ def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
 class _Demodulator(NamedTuple):
     """The demodulator's designs for one signal chain (_demodulator)."""
 
-    sos: np.ndarray
+    response: np.ndarray
+    phases: np.ndarray
     weights: np.ndarray
     half: int
     scale: float
 
 
 def _demodulator(cfg: SignalChainConfig) -> _Demodulator:
-    """The low-pass sections, the folded polyphase weights and their
-    half-length, and the calibration factor 1/sqrt(_calibration_variance)."""
+    """The low-pass response x (_lowpass_response) and the spectra of its
+    phases, the folded polyphase weights and their half-length, and the
+    calibration factor 1/sqrt(_calibration_variance) of that response.
+
+    The phases are what a low-pass block of n = q2*m mid-rate samples, m =
+    _lowpass_block(cfg), applies (_demod_stream): phase j holds the taps
+    x[s*q2 - j], zero outside the response, for s = 0 .. m - 1, and the
+    phases' real FFTs of length m are held as their real parts, then their
+    imaginary parts, shape (2, m // 2 + 1, q2).
+    """
+    q1, q2 = decimation_plan(cfg)
+    lead = _lead(cfg)
     weights, half = _folded_fir(cfg)
-    return _Demodulator(post_mixer_sos(cfg), weights, half,
-                        1.0 / math.sqrt(_calibration_variance(cfg)))
+    response = _lowpass_response(cfg)
+    taps = np.zeros((_lowpass_block(cfg), q2))
+    # x[s*q2] for phase 0, x[s*q2 - j] = x[(s - 1)*q2 + q2 - j] from s = 1 on
+    taps[:lead, 0] = response[::q2]
+    for j in range(1, q2):
+        taps[1:lead + 1, j] = response[q2 - j::q2]
+    spectra = np.fft.rfft(taps, axis=0)
+    del taps
+    phases = np.stack((spectra.real, spectra.imag))
+    return _Demodulator(response, phases, weights, half,
+                        1.0 / math.sqrt(_calibration_variance(response, q1)))
+
+
+def _lowpass_block(cfg: SignalChainConfig) -> int:
+    """Output points per low-pass block, the lead's included: the power of
+    two of at least 4*lead, so that a block of q2 times as many mid-rate
+    samples is at least 4 times the response (_demod_stream)."""
+    return 1 << (4 * _lead(cfg) - 1).bit_length()
 
 
 def _put(rows: np.ndarray, start: int, values: np.ndarray) -> None:
@@ -353,10 +465,9 @@ def _put(rows: np.ndarray, start: int, values: np.ndarray) -> None:
 def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: int,
                   demod: _Demodulator) -> Iterator[np.ndarray]:
     """The chain's calibrated output for a record given as consecutive
-    (c, b) float32 blocks of c channels: (c, m) float64 chunks in record
-    order, each a fresh array, one per run of _ROWS rows that reaches the
-    record, holding the run's output points (1 to ceil(_ROWS / q2) of
-    them). ``demod`` is the chain's _demodulator(cfg).
+    (c, b) float32 blocks of c channels: (c, k) float64 chunks in record
+    order, each a fresh array of 1 to ceil(_ROWS / q2) consecutive output
+    points. ``demod`` is the chain's _demodulator(cfg).
 
     Mixing by sqrt(2)*cos(omega*t) and then the polyphase FIR decimation by
     q1, with resample_poly's taps and zero-phase alignment, is one modulated
@@ -369,31 +480,51 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: 
     (2R, q1) weights multiply it in one einsum: a fixed loop whose
     summation order depends on no BLAS library or CPU kernel. Sample j sums
     the R branch diagonals (row j + r times branch r) and is rotated by its
-    LO phase omega*a*dt. Then comes the low-pass with its state carried,
-    decimation by q2, the trim and the calibration (one multiply by
-    demod.scale). The runs sit at fixed record positions with one fixed
-    shape, filled into one reused buffer, so every output sample is
-    computed the same way whatever the block lengths, and each channel the
-    same way whatever channels come with it.
+    LO phase omega*a*dt.
 
-    The last output point is mid-rate sample (lead + points - 1)*q2, so the
-    record must hold needed = (lead + points - 1)*q2*q1 + half + 1 wideband
-    samples (required_synth_samples); a shorter one raises
+    The low-pass is its response x of T = lead*q2 taps (demod.response),
+    applied by overlap-save in blocks of n = q2*m mid-rate samples, m =
+    _lowpass_block(cfg): block b holds the samples from b*(m - lead)*q2 on,
+    the last T of one block being the first of the next, and makes the
+    output points b*(m - lead) .. (b + 1)*(m - lead) - 1. Only every q2-th
+    low-pass sample is kept, so the decimation folds into the transform:
+    output point p = k - lead + b*(m - lead) is the sum over the q2 phases
+    j of the circular convolution of length m of the block's samples
+    j, j + q2, .. with the taps x[s*q2 - j], which never wraps for k >=
+    lead. So each block takes q2 real FFTs of length m, one product with
+    the phases' spectra, summed over the phases in an einsum, and one
+    inverse FFT of length m, whatever q2 is. The products are spelled out in
+    real multiplies and adds, rounded the same whatever SIMD loops numpy
+    picks. Then comes the calibration (one multiply by demod.scale).
+
+    The runs and the blocks sit at fixed record positions with fixed
+    shapes, filled into reused buffers, so every output sample is computed
+    the same way whatever the block lengths, and each channel the same way
+    whatever channels come with it. The last block, which holds the last
+    output point's sample (lead + points - 1)*q2, is filtered once it holds
+    that sample, with zeros past it: which samples a run computes past it,
+    from the record or its padding, reaches no output bit.
+
+    The record must hold needed = (lead + points - 1)*q2*q1 + half + 1
+    wideband samples (required_synth_samples); a shorter one raises
     RecordLengthError, naming the shortfall, when its input ends. A long
     enough record that ends inside a run has that run padded with zeros.
-    The samples computed from the padding never reach an output: the
-    low-pass is causal, and every output sample's FIR reads no input past
-    needed.
     """
-    from scipy import signal as sp_signal
-
     q1, q2 = decimation_plan(cfg)
     lead = _lead(cfg)
-    sos, weights, half, scale = demod
+    _, phases, weights, half, scale = demod
     branches = weights.shape[0] // 2
     width = _ROWS * q1
     lo_step = 2.0 * math.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
     needed = required_synth_samples(cfg, points)
+    most = -(-_ROWS // q2)
+
+    # the low-pass blocks: m points of n mid-rate samples
+    m = _lowpass_block(cfg)
+    n, span, overlap = q2 * m, m - lead, lead * q2
+    taps_re, taps_im = phases
+    # mid-rate samples up to this one reach an output
+    last = (lead + points - 1) * q2
 
     blocks = iter(blocks)
     block = next(blocks, None)
@@ -403,10 +534,17 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: 
     rows = run.transpose(0, 2, 1)
     # resample_poly zero-pads before the first sample
     _put(rows, 0, np.broadcast_to(np.float32(0.0), (channels, half)))
-    state = np.zeros((sos.shape[0], channels, 2))
     # the last R - 1 rows' products, then the run's
     products = np.zeros((channels, 2 * branches, branches - 1 + _ROWS), dtype=np.float32)
     folded = products.reshape(channels, branches, 2, -1)
+    # the low-pass block, its first mid-rate sample and how many it holds,
+    # and its transforms' buffers, reused from block to block
+    held = np.empty((channels, n))
+    origin, have = 0, 0
+    spectrum = np.empty((m // 2 + 1, q2), dtype=np.complex128)
+    product = np.empty((channels, m // 2 + 1), dtype=np.complex128)
+    part = np.empty(m // 2 + 1)
+    low = np.empty((channels, m))
     filled, received, written = half, 0, 0
     # products column c holds row first + c; mid-rate sample first + t sums
     # branch r times row first + t + r
@@ -441,17 +579,36 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: 
             z = z[:, :, lo - first:]
             first += _ROWS
             mid = math.sqrt(2.0) * (np.cos(phase) * z[:, 0] - np.sin(phase) * z[:, 1])
-            low, state = sp_signal.sosfilt(sos, mid, axis=1, zi=state)
-            # mid-rate samples lead*q2, (lead + 1)*q2, .. are the output
-            new = low[:, max(lead * q2 - lo, -lo % q2)::q2][:, :points - written]
-            if new.shape[1]:
+            while mid.shape[1]:
+                take = min(n - have, mid.shape[1])
+                held[:, have:have + take] = mid[:, :take]
+                mid = mid[:, take:]
+                have += take
+                stop = last + 1 - origin
+                if have < min(n, stop):
+                    continue
+                if stop < n:
+                    held[:, stop:] = 0.0
+                for channel in range(channels):
+                    np.fft.rfft(held[channel].reshape(m, q2), axis=0, out=spectrum)
+                    re, im, out = spectrum.real, spectrum.imag, product[channel]
+                    np.einsum("fj,fj->f", re, taps_re, out=out.real)
+                    out.real -= np.einsum("fj,fj->f", im, taps_im, out=part)
+                    np.einsum("fj,fj->f", re, taps_im, out=out.imag)
+                    out.imag += np.einsum("fj,fj->f", im, taps_re, out=part)
+                np.fft.irfft(product, n=m, axis=1, out=low)
+                new = low[:, lead:lead + points - written]
+                for start in range(0, new.shape[1], most):
+                    yield new[:, start:start + most] * scale
                 written += new.shape[1]
-                yield new * scale
-            if written == points:
-                return
+                if written == points:
+                    return
+                held[:, :overlap] = held[:, n - overlap:]
+                origin += span * q2
+                have = overlap
 
 
-def _calibration_variance(cfg: SignalChainConfig) -> float:
+def _calibration_variance(x: np.ndarray, q1: int) -> float:
     # noise gain of the chain for a unit white (shot-noise) input: the
     # sqrt(2)*cos mixer keeps it white with unit variance and decimation by
     # q2 keeps the variance, so the output variance is the squared norm of
@@ -459,12 +616,8 @@ def _calibration_variance(cfg: SignalChainConfig) -> float:
     # q1, upfirdn(h, x, up=q1). That is the sum of c_l * R_x[l] * R_h[l*q1]
     # over the lags l*q1 < len(h), with R the autocorrelations, c_0 = 1 and
     # c_l = 2 (x[k] meets x[k + l] through R_h[l*q1]), so no response of
-    # length lead*q2*q1 is formed. The low-pass response is cut where the
-    # chain discards its warm-up.
-    from scipy import signal as sp_signal
-
-    q1, q2 = decimation_plan(cfg)
-    x = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(_lead(cfg) * q2))
+    # length lead*q2*q1 is formed. x is the low-pass response the chain
+    # applies, cut where it discards its warm-up (_lowpass_response).
     h = _polyphase_fir(q1).astype(np.float64) if q1 > 1 else np.ones(1)
     return float(sum((2.0 if lag else 1.0) * np.einsum("i,i->", x[:x.size - lag], x[lag:])
                      * np.einsum("i,i->", h[:h.size - lag * q1], h[lag * q1:])
@@ -485,16 +638,16 @@ def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
     """Synthesize and demodulate a record of points output points, block by block.
 
     Yields the calibrated output as (4, m) float64 chunks (s1, i1, s2, i2)
-    in record order, one per demodulator run, at most ceil(_ROWS / q2)
-    points each (_demod_stream). No array of wideband or record length
-    exists: memory is a few blocks of _BLOCK samples and the demodulator's
-    run buffers, whatever points is. The output is calibrated so that a
-    shot-noise input comes out at unit variance.
+    in record order, at most ceil(_ROWS / q2) points each (_demod_stream).
+    No array of wideband or record length exists: memory is a few blocks of
+    _BLOCK samples and the demodulator's run and low-pass buffers, whatever
+    points is. The output is calibrated so that a shot-noise input comes
+    out at unit variance.
 
     The two beam pairs are independent until the idlers are selected, so
     each has its own pipeline (_pair_stream): the calling thread advances
     pair 1's while one helper thread advances pair 2's, at most _PAIR_AHEAD
-    runs ahead, and each run's chunks are stacked. Both pipelines share one
+    chunks ahead, and each pair of chunks is stacked. Both pipelines share one
     design: the shaping filters, whose tap count holds all four modes to
     _SHAPING_TOL, and the demodulator's. Neither pipeline reads the other's
     data, so the output is what running them one after the other gives. An

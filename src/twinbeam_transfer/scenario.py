@@ -10,11 +10,12 @@ prediction.
 
 The record is consumed chunk by chunk (acquire): the direct engine draws
 each chunk of _SAMPLE_CHUNK events in a worker thread, the chain engine's
-stream (dsp_chain.stream) hands over each demodulator run's points as it
-makes them, and each chunk is gated and reduced. Each window's kept idler
-differences are reduced, in record order, in blocks of _SAMPLE_CHUNK kept
-values (stats.BlockedMoments), and its scatter is its first scatter_points
-kept events, so no result depends on how the record is cut into chunks.
+stream (dsp_chain.stream) hands over each low-pass block's points as it
+makes them, at most ceil(_ROWS / q2) a chunk, and each chunk is gated and
+reduced. Each window's kept idler differences are reduced, in record
+order, in blocks of _SAMPLE_CHUNK kept values (stats.BlockedMoments), and
+its scatter is its first scatter_points kept events, so no result depends
+on how the record is cut into chunks.
 The unconditioned statistics are those of one more window, the whole
 record, which keeps every event. So memory is flat in the record length on
 either engine, whatever the window keeps.
@@ -50,7 +51,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .dsp_chain import _ROWS, SignalChainConfig, decimation_plan, stream
+from .dsp_chain import _ROWS, SignalChainConfig, _lowpass_block, decimation_plan, stream
 from .errors import (
     ConfigurationError,
     InsufficientStatisticsError,
@@ -133,18 +134,20 @@ _BYTES_PER_CHUNK = 12 << 20
 _BYTES_PER_HELD = 8
 _BYTES_PER_SWEEP_ROW = 4 << 10
 
-# Peak memory of the chain engine's stream that does not grow with its
-# decimation plan: the scipy.signal and scipy.fft imports, the filter
-# designs, and the synthesis buffers of its two pair pipelines, one of them
-# on the stream's helper thread. Peak RSS (VmHWM) of a default 100k-point
-# chain run (plan q1 = 50, q2 = 5) grows by 94.3-94.9, 94.2-94.6 and
-# 94.1-94.6 MiB with 1, 2 and 3 workers (5 runs each) over a process that
-# has imported numpy only: flat in the worker count. Less the rest of a
-# 1-worker run's charge (5.3 MiB: the plan's buffers, the kept, held and
-# scatter terms), at most 89.6 MiB; rounded up to 92 MiB, so a 1-worker
-# run is charged 97.3 MiB, 2.4 MiB above the largest growth measured.
-# tests/test_scenario_cli.py re-measures the run at 1 and 3 workers.
-_BYTES_PER_CHAIN_STREAM = 92 << 20
+# Peak memory of the chain engine's stream that grows with neither its
+# decimation plan nor its low-pass: the scipy.fft import, the filter
+# designs, and the synthesis buffers of its two pair pipelines, one of
+# them on the stream's helper thread. Peak RSS (VmHWM) of a default
+# 100k-point chain run (plan q1 = 50, q2 = 5) grows by 46.6-47.1,
+# 46.9-47.8 and 47.0-47.7 MiB with 1, 2 and 3 workers (10 runs each) over
+# a process that has imported numpy only: flat in the worker count. Less
+# the rest of a 1-worker run's charge (7.1 MiB: the plan's and low-pass
+# buffers, the kept, held and scatter terms), at most 40.7 MiB; rounded up
+# to 43 MiB, so a 1-worker run is charged 50.1 MiB, 2.3 MiB above the
+# largest growth measured. tests/test_scenario_cli.py re-measures the run
+# at 1 and 3 workers, and requires the charge to be at least the growth
+# and at most 16 MiB above it.
+_BYTES_PER_CHAIN_STREAM = 43 << 20
 
 # The chain's buffers that grow with its decimation plan: each pair
 # pipeline's demodulator run of _ROWS rows of q1 float32 samples of its 2
@@ -156,6 +159,15 @@ _BYTES_PER_CHAIN_STREAM = 92 << 20
 # shaping filters at 1025 taps): 0.4 MiB more than charged at q1 = 2000,
 # less than the slack of _BYTES_PER_CHAIN_STREAM.
 _BYTES_PER_RUN_Q1 = 4 * 4 * _ROWS
+
+# The chain's low-pass blocks, which grow with its lead and q2: per
+# mid-rate sample of a block (q2 * dsp_chain._lowpass_block), each pair
+# pipeline's block of its 2 channels (16 B) and one channel's phase
+# spectra (8 B), the phases' spectra that both share (8 B), and the
+# design's transients. Peak RSS of a 2000-point chain run at the default
+# rates rises by 83-95 B per block sample from post_mixer_cutoff_hz 100 kHz
+# to 5 kHz (blocks of 20,480 to 655,360 samples); rounded up.
+_BYTES_PER_LOWPASS_SAMPLE = 96
 
 # chunk results in flight (drawn or waiting to be merged) per worker
 _CHUNKS_PER_WORKER = 2
@@ -337,29 +349,33 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     direct engine, _BYTES_PER_CHUNK for each worker that has a chunk to
     draw; the kept events of the chunks in flight (_CHUNKS_PER_WORKER per
     worker and the one being merged) at _BYTES_PER_KEPT, the windows'
-    probability of each chunk's events, where a chain chunk is one
-    demodulator run's points (at most ceil(_ROWS / q2)); each window's held
-    kept differences, at most a block of _SAMPLE_CHUNK and at most its
-    expected kept count (_BYTES_PER_HELD); the ``scatter`` configs' pairs of scatters of
+    probability of each chunk's events, where a chain chunk is at most
+    ceil(_ROWS / q2) points; each window's held kept differences, at most a
+    block of _SAMPLE_CHUNK and at most its expected kept count
+    (_BYTES_PER_HELD); the ``scatter`` configs' pairs of scatters of
     scatter_points rows, at _BYTES_PER_KEPT a row; and on the chain engine
-    the stream's _BYTES_PER_CHAIN_STREAM and the buffers of its decimation
-    plan. Raises ValidationError, naming what to lower, rather than let the
-    process be killed part way; the message opens with the rows' count when
-    their table rows are the larger part of the charge, with the record's
-    points otherwise.
+    the stream's _BYTES_PER_CHAIN_STREAM, the buffers of its decimation
+    plan and its low-pass blocks. Raises ValidationError, naming what to
+    lower, rather than let the process be killed part way; the message
+    opens with the rows' count when their table rows are the larger part of
+    the charge, with the record's points otherwise.
     """
     n = cfg.n_points
     # a block of held values, and a chunk in flight: a direct chunk is a block
     chunk = item = min(n, _SAMPLE_CHUNK)
     # each worker's draw scratch, the chain's stream, and (bytes, how to
     # free them) of what a request can lower
-    scratch, stream_bytes, plan = _BYTES_PER_CHUNK, 0, (0, "")
+    scratch, stream_bytes, plan, lowpass = _BYTES_PER_CHUNK, 0, (0, ""), (0, "")
     if cfg.engine == "chain":
         scratch, stream_bytes = 0, _BYTES_PER_CHAIN_STREAM
         q1, q2 = decimation_plan(cfg.signal_chain)
         plan = (q1 * _BYTES_PER_RUN_Q1,
                 f"lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
                 f"q1 = {q1}, q2 = {q2})")
+        block = q2 * _lowpass_block(cfg.signal_chain)
+        lowpass = (block * _BYTES_PER_LOWPASS_SAMPLE,
+                   f"lower the output_rate_hz / post_mixer_cutoff_hz ratio (the low-pass "
+                   f"blocks are {block} samples)")
         item = min(n, -(-_ROWS // q2))
     threads = min(workers, -(-n // item))
     flights = _CHUNKS_PER_WORKER * threads + 1  # chunks whose kept events are held at once
@@ -370,7 +386,8 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     held = min((rows + scatter) * chunk, probability * n) * _BYTES_PER_HELD
     tables = rows * _BYTES_PER_SWEEP_ROW
     scattered = scatter * min(n, cfg.scatter_points) * _BYTES_PER_KEPT
-    needed = threads * scratch + kept + held + tables + scattered + plan[0] + stream_bytes
+    needed = (threads * scratch + kept + held + tables + scattered + plan[0] + lowpass[0]
+              + stream_bytes)
     available = _available_memory_bytes()
     if available is None or needed <= available:
         return
@@ -381,6 +398,7 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
         ((1 - 1 / rows) * (kept + held + tables),
          f"lower the sweep steps or selftest cases (now {rows})"),
         plan,
+        lowpass,
     )
     # the first remedy that alone would make the acquisition fit; the
     # worker count, first, changes no output
@@ -455,8 +473,8 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     layer for a record window; model._draw_chunk), and every config gates
     it on |z0| (see selection): the configs see the same events, as the
     rows of one sweep do. The chain engine's stream (dsp_chain.stream)
-    yields each demodulator run's points as one chunk, at most _ROWS / 2
-    of them, so a worker's scratch of _SAMPLE_CHUNK holds it; in_window
+    yields its points in chunks of at most ceil(_ROWS / q2), at most
+    _ROWS / 2, so a worker's scratch of _SAMPLE_CHUNK holds it; in_window
     gates it. Chain configs that build the same covariance and signal chain
     read one stream, one after another otherwise. ``workers`` threads
     reduce chunks in parallel and the parts are merged in chunk order, so

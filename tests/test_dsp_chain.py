@@ -141,6 +141,41 @@ def test_synthesize_deterministic():
     assert a.shape == (4, required_synth_samples(CFG, POINTS))
 
 
+def _four_mode_shaping_filters(cov, cfg):
+    # _shaping_filters as it was designed with all four modes' grids at
+    # once: the densities, their zero-phase responses and the grid errors
+    # as (4, grid) arrays
+    fs = cfg.synth_rate_hz
+    at_lo = _mode_densities(cov, cfg, np.array([cfg.lo_frequency_hz]))[:, 0]
+    taps = dsp_chain._MIN_SHAPING_TAPS
+    while True:
+        half = (taps - 1) // 2
+        grid = 16 * (taps - 1)
+        density = _mode_densities(cov, cfg, np.arange(grid // 2 + 1) * (fs / grid))
+        zero_phase = np.fft.irfft(np.sqrt(density), n=grid)
+        h = np.concatenate((zero_phase[:, -half:], zero_phase[:, :half + 1]), axis=1)
+        lo_phasor = np.exp(-2j * math.pi * cfg.lo_frequency_hz / fs * np.arange(taps))
+        h *= np.sqrt(at_lo / np.abs(np.einsum("km,m->k", h, lo_phasor)) ** 2)[:, np.newaxis]
+        error = (np.abs(np.abs(np.fft.rfft(h, n=grid)) ** 2 - density)
+                 / np.maximum(density, 2.0))
+        if error.max() <= dsp_chain._SHAPING_TOL:
+            return h
+        taps = 2 * taps - 1
+
+
+@pytest.mark.parametrize("cavity,taps", [(1.0e6, 513), (2.0e5, 1025)])
+def test_shaping_filters_one_mode_at_a_time_are_the_four_mode_design(cavity, taps):
+    # the design takes one mode's grid at a time; its taps are, bit for
+    # bit, those of the design that took all four at once, through five or
+    # six tap counts, with four different modes
+    cfg = dataclasses.replace(CFG, cavity_bandwidth_hz=cavity)
+    cov = build_covariance(TwinPairParams(squeezing_db=1.0),
+                           TwinPairParams(squeezing_db=3.0, excess_sum_db=10.0))
+    h = _shaping_filters(cov, cfg)
+    assert h.shape == (4, taps)
+    assert np.array_equal(h, _four_mode_shaping_filters(cov, cfg))
+
+
 @pytest.mark.parametrize("cfg", [CFG, SignalChainConfig()], ids=["test", "default"])
 def test_shaping_filters_follow_mode_densities(cfg):
     taps = _shaping_filters(TWIN_COV, cfg)
@@ -213,8 +248,61 @@ def test_calibration_is_the_squared_norm_of_the_upsampled_response(cfg):
     response = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(_lead(cfg) * q2))
     if q1 > 1:
         response = sp_signal.upfirdn(_polyphase_fir(q1), response, up=q1)
-    assert _calibration_variance(cfg) == pytest.approx(float(np.dot(response, response)),
-                                                       rel=1e-13)
+    assert _calibration_variance(_demodulator(cfg).response, q1) == pytest.approx(
+        float(np.dot(response, response)), rel=1e-13)
+
+
+def test_ellip_prototype_is_scipys():
+    # the low-pass's analog prototype, held as constants, is
+    # scipy.signal.ellipap(8, 0.05, 50): zeros, poles and gain exactly
+    zeros, poles, gain = sp_signal.ellipap(8, 0.05, 50.0)
+    upper = np.array(dsp_chain._ELLIP_ZEROS)
+    assert np.array_equal(zeros, np.concatenate((upper, upper.conj())))
+    upper = np.array(dsp_chain._ELLIP_POLES)
+    assert np.array_equal(poles, np.concatenate((upper.conj(), upper)))
+    assert gain == dsp_chain._ELLIP_GAIN
+
+
+_DESIGN_CONFIGS = [
+    CFG,
+    SignalChainConfig(),
+    # q1 = 400
+    SignalChainConfig(synth_rate_hz=4.0e8, cavity_bandwidth_hz=4.0e7),
+    # ratio 5: a single-stage plan, q1 = 1, whose FIR is one tap
+    dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4, lo_frequency_hz=1.0e5),
+]
+_DESIGN_IDS = ["test", "default", "q1-400", "single-stage"]
+
+
+@pytest.mark.parametrize("cfg", _DESIGN_CONFIGS, ids=_DESIGN_IDS)
+def test_post_mixer_sos_is_scipys_elliptic_design(cfg):
+    q1, _ = decimation_plan(cfg)
+    reference = sp_signal.ellip(8, 0.05, 50.0, cfg.post_mixer_cutoff_hz, btype="low",
+                                output="sos", fs=cfg.synth_rate_hz / q1)
+    assert np.abs(post_mixer_sos(cfg) - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q1", [2, 8, 50, 400, 2000])
+def test_polyphase_fir_is_scipys_firwin(q1):
+    # resample_poly's default design for down=q1, in float32 bit for bit
+    reference = sp_signal.firwin(20 * q1 + 1, 1.0 / q1, window=("kaiser", 5.0))
+    assert np.array_equal(_polyphase_fir(q1), reference.astype(np.float32))
+
+
+@pytest.mark.parametrize("cfg", [
+    *_DESIGN_CONFIGS,
+    # plan (1, 19): a 19,000-tap response at the full rate
+    SignalChainConfig(synth_rate_hz=3.8e6, lo_frequency_hz=1.0e6),
+], ids=[*_DESIGN_IDS, "single-stage-19"])
+def test_lowpass_response_is_the_sections_impulse_response(cfg):
+    # the response the chain applies and calibrates with, computed on an
+    # FFT grid, is the sections' recursion run on a unit impulse for lead*q2
+    # samples
+    _, q2 = decimation_plan(cfg)
+    reference = sp_signal.sosfilt(post_mixer_sos(cfg), sp_signal.unit_impulse(_lead(cfg) * q2))
+    response = _demodulator(cfg).response
+    assert response.shape == reference.shape
+    assert np.abs(response - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 def test_calibration_matches_white_noise_reference():
@@ -264,8 +352,7 @@ def _mix_upfirdn_reference(channels, cfg, points):
 ], ids=["test", "phase-incommensurate-lo", "single-stage"])
 def test_folded_demodulator_matches_mix_then_upfirdn(cfg):
     rec = _record(TWIN_COV, cfg, seed=45)
-    reference = (_mix_upfirdn_reference(rec, cfg, POINTS)
-                 / math.sqrt(_calibration_variance(cfg)))
+    reference = _mix_upfirdn_reference(rec, cfg, POINTS) * _demodulator(cfg).scale
     folded = _demodulated([rec], cfg, POINTS)
     assert folded.shape == reference.shape == (POINTS, 4)
     assert np.abs(folded - reference).max() <= 1e-5 * np.abs(reference).max()
@@ -279,11 +366,11 @@ def test_simulate_equals_demodulated_synthesis():
 
 
 def test_streamed_output_independent_of_block_size(monkeypatch):
-    # the stream's chunks are consecutive slices of one record, one per
-    # demodulator run that reaches it, 1 to ceil(_ROWS / q2) points each,
-    # whatever the synthesis block. The whole record is also fed to the
-    # demodulator in slices of exactly _BLOCK samples, and 12345 is no
-    # multiple of q1 (the synthesis blocks are whole overlap-save segments);
+    # the stream's chunks are consecutive slices of one record, 1 to
+    # ceil(_ROWS / q2) points each, whatever the synthesis block. The whole
+    # record is also fed to the demodulator in slices of exactly _BLOCK
+    # samples, and 12345 is no multiple of q1 (the synthesis blocks are
+    # whole overlap-save segments);
     # q1 * q2 * 100_000 spans the whole record
     q1, q2 = decimation_plan(CFG)
     record = _record(TWIN_COV, CFG, seed=43)
@@ -297,6 +384,26 @@ def test_streamed_output_independent_of_block_size(monkeypatch):
                        list(_demod_stream(slices, CFG, POINTS, _demodulator(CFG)))):
             assert all(c.shape[0] == 4 and 1 <= c.shape[1] <= most for c in chunks)
             assert np.array_equal(np.concatenate(chunks, axis=1), whole.T)
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    # ratio 5: a single-stage plan, q1 = 1
+    dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4, lo_frequency_hz=1.0e5),
+], ids=["test", "single-stage"])
+def test_output_independent_of_the_run_size(monkeypatch, cfg):
+    # the demodulator's runs and the low-pass blocks sit at fixed record
+    # positions, and the last block holds zeros past the last output
+    # point's sample whatever a run computes there, so runs of 256, 1024 or
+    # 4096 rows give the same bits, in chunks of at most ceil(rows / q2)
+    # points
+    _, q2 = decimation_plan(cfg)
+    whole = simulate(TWIN_COV, cfg, POINTS, seed=49).data
+    for rows in (256, 1024):
+        monkeypatch.setattr(dsp_chain, "_ROWS", rows)
+        chunks = list(stream(TWIN_COV, cfg, POINTS, seed=49))
+        assert max(c.shape[1] for c in chunks) == -(-rows // q2)
+        assert np.array_equal(np.concatenate(chunks, axis=1), whole.T)
 
 
 def test_stream_stacks_the_pair_pipelines_run_one_after_the_other():
@@ -333,8 +440,8 @@ def test_stream_joins_its_helper_thread(monkeypatch):
     before = threading.active_count()
     assert len(list(stream(TWIN_COV, CFG, 2_000, seed=47))) > 1
     assert threading.active_count() == before
-    # closed after 1 to 30 of a record's 37 runs, with the helper at most
-    # _PAIR_AHEAD runs ahead, blocked or running; a short switch interval
+    # closed after 1 to 30 of a record's 39 chunks, with the helper at most
+    # _PAIR_AHEAD chunks ahead, blocked or running; a short switch interval
     # interleaves the two threads finely
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -6,21 +6,25 @@ rounded to 12 significant digits, so any change of the streams or of the
 estimates moves a digest. A change that moves a digest on purpose bumps
 __version__ and re-pins the digests it moves, in the same commit.
 
-No case makes a BLAS call whose result reaches an output: the chain's
-demodulator product is an einsum, whose summation order is fixed in
-numpy's baseline build, not picked by a BLAS library for the CPU. So the
-digests do not depend on the CPU's kernels, and a subprocess test runs the
-chain cases under OpenBLAS's SkylakeX, Haswell and Zen kernels
+One BLAS product and one LAPACK Cholesky reach every output: each
+config's 4 x 4 covariance factor (model._covariance_factor), which every
+direct draw and selftest case uses and every chain config's oracle. Their
+results may depend on the kernel the BLAS library picks for the CPU. The
+per-event and per-sample work makes no BLAS call: the direct engine's
+channels are elementwise sums, the chain's demodulator product is an
+einsum, whose summation order is fixed in numpy's baseline build, and the
+chain's FFT products are spelled out in real multiplies and adds. So
+subprocess tests run every case, the chain's, the direct runs and sweep
+and the selftest, under OpenBLAS's SkylakeX, Haswell and Zen kernels
 (OPENBLAS_CORETYPE, the kernels it picks on AVX-512, AVX2-only and AMD
 CPUs) and with numpy's AVX-512 loops switched off
-(NPY_DISABLE_CPU_FEATURES), and requires the pinned digests under each.
+(NPY_DISABLE_CPU_FEATURES), and require the pinned digests under each.
 Those variables are set in the child's environment only.
 
 The Philox canary runs first: numpy may change a Generator stream between
 versions (NEP 19), and the canary reports such a change as what it is,
 not as a defect of this program.
 """
-
 import csv
 import hashlib
 import json
@@ -39,7 +43,7 @@ import twinbeam_transfer
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.scenario import run_selftest
 
-PINNED_VERSION = "0.6.0"
+PINNED_VERSION = "0.7.0"
 
 # the first normals of Philox(0), float64 then float32, exactly
 PHILOX_CANARY = (
@@ -50,7 +54,7 @@ PHILOX_CANARY = (
 DIGESTS = {
     "run_direct": "2c5eb9f6badf46f4",
     "run_direct_scatter_100": "ca98358f25a554bc",
-    "run_chain": "246735129a97e2a7",
+    "run_chain": "e85895a5ab473c7e",
     "sweep_direct": "22b41f47e80ae3c5",
     "sweep_chain": "27cded83d6d4ed03",
     "selftest": "5f126b48cd7972f2",
@@ -131,7 +135,10 @@ def test_pins_are_for_this_version():
 
 
 def _case_digest(name, directory) -> str:
-    """The digest of case ``name``'s outputs, written under ``directory``."""
+    """The digest of case ``name``'s outputs, written under ``directory``;
+    the selftest's is of its results, which it writes nowhere."""
+    if name == "selftest":
+        return _digest(run_selftest(points=100_000))
     command, config, points = CASES[name]
     path = directory / "cfg.json"
     path.write_text(json.dumps(config))
@@ -149,6 +156,7 @@ def test_case_fingerprint(name, tmp_path, capsys):
 
 
 _CHAIN_CASES = ["run_chain", "sweep_chain"]
+_DIRECT_CASES = [name for name in DIGESTS if name not in _CHAIN_CASES]
 
 # name: (the child's environment, the /proc/cpuinfo flag its kernels need)
 _KERNELS = {
@@ -159,7 +167,7 @@ _KERNELS = {
                              "avx512f"),
 }
 
-# the chain cases' digests as a JSON object, each case in its own directory
+# the named cases' digests as a JSON object, each case in its own directory
 _KERNEL_CHILD = textwrap.dedent("""
     import io, json, sys, tempfile
     from contextlib import redirect_stdout
@@ -182,8 +190,8 @@ def _cpu_flags() -> set:
         return set()
 
 
-@pytest.mark.parametrize("kernel", list(_KERNELS))
-def test_chain_fingerprints_independent_of_cpu_kernels(kernel):
+def _kernel_digests(kernel, names) -> dict:
+    """The digests of the cases ``names``, run in a child under ``kernel``."""
     # a kernel the CPU cannot run would die of SIGILL, so it is skipped
     variables, flag = _KERNELS[kernel]
     if platform.machine().lower() not in ("x86_64", "amd64") or flag not in _cpu_flags():
@@ -192,12 +200,23 @@ def test_chain_fingerprints_independent_of_cpu_kernels(kernel):
     env = {**os.environ, **variables,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run([sys.executable, "-c", _KERNEL_CHILD, str(Path(__file__).parent),
-                             *_CHAIN_CASES], env=env, capture_output=True, text=True,
-                            timeout=600)
+                             *names], env=env, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr[-2000:]
-    digests = json.loads(result.stdout.splitlines()[-1])
-    assert digests == {name: DIGESTS[name] for name in _CHAIN_CASES}
+    return json.loads(result.stdout.splitlines()[-1])
 
 
-def test_selftest_fingerprint():
-    assert _digest(run_selftest(points=100_000)) == DIGESTS["selftest"]
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_chain_fingerprints_independent_of_cpu_kernels(kernel):
+    assert _kernel_digests(kernel, _CHAIN_CASES) == {name: DIGESTS[name] for name in _CHAIN_CASES}
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_direct_fingerprints_independent_of_cpu_kernels(kernel):
+    # the direct runs and sweep and the selftest, whose draws go through
+    # each config's covariance factor
+    assert _kernel_digests(kernel, _DIRECT_CASES) == {name: DIGESTS[name]
+                                                       for name in _DIRECT_CASES}
+
+
+def test_selftest_fingerprint(tmp_path):
+    assert _case_digest("selftest", tmp_path) == DIGESTS["selftest"]

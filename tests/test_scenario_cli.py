@@ -493,7 +493,7 @@ def test_cli_run_writes_files(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["seed"] == 7
-    assert report["version"] == "0.6.0"
+    assert report["version"] == "0.7.0"
 
 
 def test_cli_run_bit_identical_reruns(tmp_path, capsys):
@@ -577,7 +577,7 @@ def _room(probability=0.0, workers=1, scatter=0, chain=None, rows=1, points=100_
     # unconditioned summary a record window, which keeps every event, and a
     # pair of 20k-row scatters, and, on the engine of the signal chain
     # ``chain``, the stream's buffers and its plan's, where a chunk in
-    # flight is one demodulator run's points; nothing of it grows with the
+    # flight is at most ceil(_ROWS / q2) points; nothing of it grows with the
     # record past one block of held values
     chunk = item = min(points, scenario._SAMPLE_CHUNK)
     scratch, stream = scenario._BYTES_PER_CHUNK, 0
@@ -595,8 +595,11 @@ def _room(probability=0.0, workers=1, scatter=0, chain=None, rows=1, points=100_
 
 
 def _plan_bytes(chain):
-    # the chain's buffers that grow with its decimation plan
-    return dsp_chain.decimation_plan(chain)[0] * scenario._BYTES_PER_RUN_Q1
+    # the chain's buffers that grow with its decimation plan, and its
+    # low-pass blocks
+    q1, q2 = dsp_chain.decimation_plan(chain)
+    return (q1 * scenario._BYTES_PER_RUN_Q1
+            + q2 * dsp_chain._lowpass_block(chain) * scenario._BYTES_PER_LOWPASS_SAMPLE)
 
 
 @pytest.mark.parametrize("engine", ["direct", "chain"])
@@ -632,7 +635,7 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
         scenario._check_memory(dataclasses.replace(cfg, n_points=points), p, workers=1,
                                scatter=True)
     # the stream's buffers and its plan's are charged on top of its chunks
-    # in flight, which hold one demodulator run's points each, fewer than
+    # in flight, which hold at most ceil(_ROWS / q2) points each, fewer than
     # the direct engine's chunks of 65536 events, and its worker draws
     # nothing
     chunks = needed - scenario._BYTES_PER_CHAIN_STREAM - _plan_bytes(cfg.signal_chain)
@@ -663,6 +666,25 @@ def test_chain_memory_check_charges_the_decimation_plan(monkeypatch, tmp_path, c
     err = capsys.readouterr().err
     assert ("lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
             "q1 = 20000, q2 = 5)") in err
+
+
+def test_chain_memory_check_charges_the_lowpass_blocks(monkeypatch, tmp_path, capsys):
+    # a 1 kHz cutoff at the default 200 kHz output rate leads by 100,000
+    # points, so its low-pass blocks are 5 * 2**19 mid-rate samples, charged
+    # about 250 MB. With 200 MiB available, 100 points exit 2 before any
+    # synthesis, naming the ratio to lower and the block
+    def never(*args, **kwargs):
+        raise AssertionError("synthesized before the memory check")
+
+    monkeypatch.setattr(scenario, "stream", never)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 200 << 20)
+    chain = {"post_mixer_cutoff_hz": 1.0e3}
+    assert dsp_chain._lowpass_block(SignalChainConfig(**chain)) == 1 << 19
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"engine": "chain", "signal_chain": chain}))
+    assert main(["run", "--config", str(path), "--points", "100"]) == 2
+    assert ("lower the output_rate_hz / post_mixer_cutoff_hz ratio (the low-pass blocks "
+            "are 2621440 samples)") in capsys.readouterr().err
 
 
 def test_cli_run_charges_only_workers_with_a_chunk(monkeypatch, capsys):
@@ -788,8 +810,8 @@ def test_acquire_charges_each_config_its_kept_rows_and_scatter(monkeypatch):
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    # a worker scratch of 4096 points, which a chain chunk, the points of one
-    # demodulator run (820 at SCALED_CHAIN's plan), must still fit
+    # a worker scratch of 4096 points, which a chain chunk, at most
+    # ceil(_ROWS / q2) points (820 at SCALED_CHAIN's plan), must still fit
     monkeypatch.setattr(scenario, "_SAMPLE_CHUNK", 4096)
 
 
@@ -822,7 +844,7 @@ def test_chain_acquire_independent_of_how_the_record_is_cut(monkeypatch):
     # the windows reduce their kept values in blocks cut from the value
     # sequence, and fill their scatters in record order, so the record cut
     # into 7000-point or 1-point chunks gives what the stream's own chunks,
-    # one per demodulator run, give: the same moments, histograms, scatters
+    # of at most 820 points, give: the same moments, histograms, scatters
     # and kept counts of both windows
     cfg = _chain(20_000, seed=6)
     reference = acquire([cfg], workers=2, unconditioned=True)
@@ -842,7 +864,7 @@ def test_chain_acquire_independent_of_how_the_record_is_cut(monkeypatch):
 
 
 def test_cli_chain_run_identical_for_any_worker_count(tmp_path, small_chunks):
-    # the stream hands the chain's chunks (one per demodulator run, 38
+    # the stream hands the chain's chunks (at most 820 points each, 39
     # here) to 1, 2 or 3 reducers; every output file is the same
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_chain(30_000, scatter_points=1000).to_dict()))
@@ -1007,13 +1029,33 @@ def _peak_rss(argv, script=_PEAK_SCRIPT):
     return int(result.stdout.split()[-1]) * 1024
 
 
+def _chain_charge(monkeypatch, workers):
+    # the least available memory at which a default 100k-point chain run at
+    # ``workers`` passes the memory check: its charge
+    cfg = ScenarioConfig(n_points=100_000, engine="chain")
+    p = cfg.predict().selection_probability
+    low, high = 0, 1 << 40
+    while low < high:
+        room = (low + high) // 2
+        monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
+        try:
+            scenario._check_memory(cfg, p, workers, scatter=1)
+        except ValidationError:
+            low = room + 1
+        else:
+            high = room
+    return low
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("workers", [1, 3])
 def test_chain_run_memory_within_its_charge(monkeypatch, capsys, workers):
     # the memory check charges a default 100k-point chain run at least the
     # peak RSS it grows by over a process that has imported numpy only
-    # (about 94 MiB at 1, 2 and 3 workers): with one byte less than that
-    # growth available, the run is refused before it synthesizes anything
+    # (about 47 MiB at 1, 2 and 3 workers): with one byte less than that
+    # growth available, the run is refused before it synthesizes anything.
+    # And at most 16 MiB more, so a charge left behind by a change that
+    # shrank the run shows (RSS noise is about 1 MiB)
     argv = ["run", "--engine", "chain", "--points", "100000", "--workers", str(workers)]
     growth = _peak_rss(argv) - _peak_rss([], _NUMPY_PEAK_SCRIPT)
 
@@ -1024,6 +1066,8 @@ def test_chain_run_memory_within_its_charge(monkeypatch, capsys, workers):
     monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: growth - 1)
     assert main(argv) == 2
     assert "memory is available" in capsys.readouterr().err
+    charge = _chain_charge(monkeypatch, workers)
+    assert growth <= charge <= growth + (16 << 20), (growth, charge)
 
 
 def test_chain_charge_flat_in_workers(monkeypatch):
@@ -1032,23 +1076,7 @@ def test_chain_charge_flat_in_workers(monkeypatch):
     # available memory at which a default 100k-point chain run passes the
     # memory check is the same to within 1 MiB at 1, 2 and 3 workers (not
     # 12 MiB more a worker, the direct engine's draw scratch)
-    cfg = ScenarioConfig(n_points=100_000, engine="chain")
-    p = cfg.predict().selection_probability
-
-    def charge(workers):
-        low, high = 0, 1 << 40
-        while low < high:
-            room = (low + high) // 2
-            monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: room)
-            try:
-                scenario._check_memory(cfg, p, workers, scatter=1)
-            except ValidationError:
-                low = room + 1
-            else:
-                high = room
-        return low
-
-    charges = [charge(workers) for workers in (1, 2, 3)]
+    charges = [_chain_charge(monkeypatch, workers) for workers in (1, 2, 3)]
     assert max(charges) - min(charges) <= 1 << 20, charges
 
 
@@ -1475,7 +1503,7 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert "twinbeam-transfer 0.6.0" in capsys.readouterr().out
+    assert "twinbeam-transfer 0.7.0" in capsys.readouterr().out
 
 
 def test_distribution_version_is_the_package_version():
@@ -1523,3 +1551,29 @@ def test_cli_without_chain_engine_never_imports_scipy(tmp_path):
     assert result.returncode == 0, result.stderr[-2000:]
     assert (tmp_path / "run" / "report.json").is_file()
     assert (tmp_path / "sweep" / "sweep.csv").is_file()
+
+
+def test_cli_chain_run_imports_scipy_fft_and_never_scipy_signal(tmp_path):
+    # of scipy the chain engine needs only scipy.fft, for its synthesis: a
+    # chain run in a fresh interpreter loads it and never scipy.signal,
+    # whose import loads scipy.stats, optimize, sparse and more (about
+    # 50 MB of RSS and 0.6 s of a run's wall time)
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps({"engine": "chain", "selection": {"bandwidth_delta": 1.0}}))
+    argv = ["run", "--config", str(config), "--points", "5000", "--out", str(tmp_path / "run")]
+    script = textwrap.dedent(f"""
+        import sys
+        from twinbeam_transfer.cli import main
+        assert main({argv!r}) == 0
+        assert "scipy.fft" in sys.modules
+        loaded = sorted(m for m in sys.modules
+                        if m == "scipy.signal" or m.startswith("scipy.signal."))
+        assert not loaded, loaded[:10]
+        """)
+    src = str(Path(twinbeam_transfer.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert (tmp_path / "run" / "report.json").is_file()
