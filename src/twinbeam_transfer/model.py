@@ -258,27 +258,31 @@ def _covariance_factor(cov: FourChannelCovariance) -> tuple[float, np.ndarray]:
     """(sigma_g, factor): the rows of ``factor`` weigh the normals (z0, z1,
     z2, z3) into the channels (s1, i1, s2, i2) so that s1 - s2 = sigma_g * z0
     (sequential conditional sampling, Glasserman 2003, section 2.3): z1, z2,
-    z3 give (s2, i1, i2) given s1 - s2 through the Cholesky factor of their
-    conditional covariance, or, where that is only semi-definite, its
-    eigenfactor with tiny negative eigenvalues clipped.
+    z3 give (s2, i1, i2) given s1 - s2 through the lower-triangular factor
+    of their conditional covariance.
+
+    The pairs are independent, so that factor has five nonzero entries: the
+    Cholesky recurrence written out in scalars on the blocks [[a, c], [c,
+    b]] of (s1, i1) and [[d, f], [f, e]] of (s2, i2), with i2's weight on
+    z2 exactly 0. A semi-definite covariance takes the same path: each
+    radicand is clipped at 0, and a zero sqrt(var_g) or l11 makes the
+    quotients by it 0.
     """
-    # rows (g, s2, i1, i2) of the channels (s1, i1, s2, i2)
-    gate_first = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0],
-                           [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    c = gate_first @ cov.matrix @ gate_first.T
-    factor = np.zeros((4, 4))
-    factor[:, 0] = c[:, 0] / math.sqrt(c[0, 0]) if c[0, 0] > 0.0 else 0.0
-    conditional = c[1:, 1:] - np.outer(factor[1:, 0], factor[1:, 0])
-    try:
-        factor[1:, 1:] = np.linalg.cholesky(conditional)
-        # given g and s2, so s1 and s2, i1 and i2 are independent (the pairs
-        # are): i2's weight on z2 is 0, though roundoff leaves about 1e-14
-        factor[3, 2] = 0.0
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(conditional)
-        factor[1:, 1:] = v * np.sqrt(np.clip(w, 0.0, None))
-    g, s2, i1, i2 = factor
-    return factor[0, 0], np.array([g + s2, i1, s2, i2])
+    (a, c), (_, b) = cov.matrix[:2, :2].tolist()
+    (d, f), (_, e) = cov.matrix[2:, 2:].tolist()
+    # a LAPACK Cholesky's roundings, on which the pinned outputs rest: the
+    # z0 weights are quotients by sqrt(var_g), l11's column is scaled by 1 / l11
+    var_g = max(a + d, 0.0)
+    root = math.sqrt(var_g) or math.inf
+    w_s2, w_i1, w_i2 = -d / root, c / root, -f / root
+    l11 = math.sqrt(max(d - w_s2 * w_s2, 0.0))
+    scale = 1.0 / l11 if l11 > 0.0 else 0.0
+    l21, l31 = -w_i1 * w_s2 * scale, (f - w_i2 * w_s2) * scale
+    l22 = math.sqrt(max(b - w_i1 * w_i1 - l21 * l21, 0.0))
+    l33 = math.sqrt(max(e - w_i2 * w_i2 - l31 * l31, 0.0))
+    sigma = var_g / root
+    return sigma, np.array([[sigma + w_s2, l11, 0.0, 0.0], [w_i1, l21, l22, 0.0],
+                            [w_s2, l11, 0.0, 0.0], [w_i2, l31, 0.0, l33]])
 
 
 def _substream(gen: np.random.Generator, key: np.ndarray, chunk: int,

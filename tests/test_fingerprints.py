@@ -6,16 +6,16 @@ rounded to 12 significant digits, so any change of the streams or of the
 estimates moves a digest. A change that moves a digest on purpose bumps
 __version__ and re-pins the digests it moves, in the same commit.
 
-One BLAS product and one LAPACK Cholesky reach every output: each
-config's 4 x 4 covariance factor (model._covariance_factor), which every
-direct draw and selftest case uses and every chain config's oracle. Their
-results may depend on the kernel the BLAS library picks for the CPU. The
-per-event and per-sample work makes no BLAS call: the direct engine's
-channels are elementwise sums, the chain's demodulator product is an
-einsum, whose summation order is fixed in numpy's baseline build, and the
-chain's FFT products are spelled out in real multiplies and adds. So
-subprocess tests run every case, the chain's, the direct runs and sweep
-and the selftest, under OpenBLAS's SkylakeX, Haswell and Zen kernels
+No pinned output depends on a BLAS or LAPACK call, whose results may
+depend on the kernel the library picks for the CPU (the eigvalsh check of
+FourChannelCovariance only validates): each config's 4 x 4 covariance
+factor (model._covariance_factor) is scalar math in closed form, the
+direct engine's channels are elementwise sums, the chain's demodulator
+product is an einsum, whose summation order is fixed in numpy's baseline
+build, and the chain's FFT products are spelled out in real multiplies
+and adds. numpy's reductions and pocketfft may still pick their loops by
+CPU. So subprocess tests run every case, the chain's, the direct runs and
+sweep and the selftest, under OpenBLAS's SkylakeX, Haswell and Zen kernels
 (OPENBLAS_CORETYPE, the kernels it picks on AVX-512, AVX2-only and AMD
 CPUs) and with numpy's AVX-512 loops switched off
 (NPY_DISABLE_CPU_FEATURES), and require the pinned digests under each.

@@ -1,5 +1,7 @@
 """Tests for the Gaussian two-pair noise model."""
 
+import decimal
+import itertools
 import math
 
 import numpy as np
@@ -231,44 +233,109 @@ _GATE_FIRST = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0],
                         [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
-@pytest.mark.parametrize("case", ["cholesky", "eigh"])
+@pytest.mark.parametrize("case", ["cholesky", "semidefinite"])
 def test_sample_batch_is_the_elementwise_product_of_the_draw(case):
     if case == "cholesky":
         cov = build_covariance(TwinPairParams(squeezing_db=7.0),
                                TwinPairParams(squeezing_db=4.0))
     else:
         # a singular pair block (signal and idler identical) leaves s2 and
-        # i1 identical given g, so their conditional covariance has no
-        # Cholesky factor; the eigenfactor fallback is not triangular, and
-        # some of its channels sum two terms
+        # i1 identical given g, so their conditional covariance is singular
+        # and has no Cholesky factor; the closed form clips its radicand
         m = np.zeros((4, 4))
         m[:2, :2] = [[1.0, 1.0], [1.0, 1.0]]
         m[2:, 2:] = [[2.0, 0.5], [0.5, 2.0]]
         cov = FourChannelCovariance(m)
     sigma, factor = _covariance_factor(cov)
-    # the gate-first factor: s1 - s2 = sigma_g * z0, and the factor
-    # reproduces the covariance
+    # the gate-first factor: s1 - s2 = sigma_g * z0, it is lower-triangular
+    # in gate-first order, and it reproduces the covariance
     c = _GATE_FIRST @ cov.matrix @ _GATE_FIRST.T
     assert sigma == pytest.approx(math.sqrt(c[0, 0]), rel=1e-15)
     assert factor[0] - factor[2] == pytest.approx([sigma, 0.0, 0.0, 0.0], abs=1e-14)
     assert np.allclose(factor @ factor.T, cov.matrix, rtol=0.0, atol=1e-13)
     gate_first = _GATE_FIRST @ factor
+    assert not np.triu(gate_first, 1).any()
     if case == "cholesky":
         assert np.allclose(gate_first, np.linalg.cholesky(c), rtol=1e-13, atol=1e-13)
         # i1 and i2 are independent given s1 and s2: i2 weighs z0, z1 and
-        # z3 only, where the 7/4 dB Cholesky factor leaves about 1e-14 on z2
+        # z3 only, where a 7/4 dB LAPACK Cholesky factor leaves about 1e-14
+        # on z2
         assert factor[3, 2] == 0.0
         assert np.count_nonzero(factor[3]) == 3
-    else:
-        coupling = c[1:, 0] / math.sqrt(c[0, 0])
-        conditional = c[1:, 1:] - np.outer(coupling, coupling)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(conditional)
-        assert np.count_nonzero(np.triu(gate_first, 1)) > 0
-        assert (np.count_nonzero(factor, axis=1) >= 2).any()
     # 140,003 events: two whole chunks and a partial one
     expected = _elementwise_batch(factor, 140_003, 31)
     assert np.array_equal(sample_batch(cov, 140_003, 31).data, expected)
+
+
+def _closed_form_grid():
+    # (definite, cov): every build_covariance config is definite
+    pairs = [TwinPairParams(sq, excess, eta)
+             for sq, excess, eta in itertools.product((0.0, 7.0, 20.0), (0.0, 20.0, 60.0),
+                                                      (1.0, 0.5))]
+    grid = [(True, build_covariance(p, p)) for p in pairs]
+    grid += [(True, build_covariance(p, q)) for p, q in zip(pairs, reversed(pairs))]
+    grid += [(True, build_covariance(TwinPairParams(7.0), TwinPairParams(4.0), setting))
+             for setting in MeasurementSetting]
+    # block-diagonal matrices with a zero signal variance: a = 0, d = 0,
+    # and both
+    for a_zero, d_zero in ((True, False), (False, True), (True, True)):
+        m = np.zeros((4, 4))
+        m[:2, :2] = [[0.0, 0.0], [0.0, 1.5]] if a_zero else [[2.0, 1.25], [1.25, 3.0]]
+        m[2:, 2:] = [[0.0, 0.0], [0.0, 0.7]] if d_zero else [[3.0, -0.4], [-0.4, 0.9]]
+        grid.append((False, FourChannelCovariance(m)))
+    return grid
+
+
+def _decimal_gate_first_factor(matrix):
+    # the Cholesky factor of the gate-first covariance, to 50 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        m = [[decimal.Decimal(float(x)) for x in row] for row in matrix]
+        gate = [[decimal.Decimal(int(x)) for x in row] for row in _GATE_FIRST]
+        c = [[sum(gate[i][k] * m[k][n] * gate[j][n] for k in range(4) for n in range(4))
+              for j in range(4)] for i in range(4)]
+        low = [[decimal.Decimal(0)] * 4 for _ in range(4)]
+        for j in range(4):
+            low[j][j] = (c[j][j] - sum(low[j][k] ** 2 for k in range(j))).sqrt()
+            for i in range(j + 1, 4):
+                low[i][j] = (c[i][j] - sum(low[i][k] * low[j][k] for k in range(j))) / low[j][j]
+        return low
+
+
+def _worst_relative_error(factor, reference):
+    # over the reference's nonzero entries but i2's weight on z2, which is
+    # 0 (a LAPACK factor leaves roundoff there, the 50-digit one about 1e-50)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return max(float(abs(decimal.Decimal(float(factor[i][j])) - reference[i][j])
+                         / abs(reference[i][j]))
+                   for i in range(4) for j in range(4)
+                   if reference[i][j] != 0 and (i, j) != (3, 2))
+
+
+def test_covariance_factor_closed_form():
+    worst, worst_lapack = 0.0, 0.0
+    for definite, cov in _closed_form_grid():
+        # no warning (the test config makes one an error) and no
+        # ZeroDivisionError, on the zero-variance blocks too
+        sigma, factor = _covariance_factor(cov)
+        c = _GATE_FIRST @ cov.matrix @ _GATE_FIRST.T
+        # sigma_g keeps the bits of c00 / sqrt(c00), and with them every
+        # gate and kept count
+        assert sigma == (c[0, 0] / math.sqrt(c[0, 0]) if c[0, 0] > 0.0 else 0.0)
+        scale = np.abs(cov.matrix).max()
+        assert np.abs(factor @ factor.T - cov.matrix).max() <= 1e-12 * scale
+        gate_first = _GATE_FIRST @ factor
+        assert not np.triu(gate_first, 1).any() and factor[3, 2] == 0.0
+        if definite:
+            reference = _decimal_gate_first_factor(cov.matrix)
+            worst = max(worst, _worst_relative_error(gate_first, reference))
+            worst_lapack = max(worst_lapack,
+                               _worst_relative_error(np.linalg.cholesky(c), reference))
+    # about 1.0e-9 and 2.4e-9, both where a pair at 60 dB excess noise and
+    # efficiency 0.5 meets one at 20 dB squeezing and no excess
+    assert 1e-10 < worst_lapack < 1e-8
+    assert worst <= 2.0 * worst_lapack
 
 
 def test_substreams_never_coincide():
