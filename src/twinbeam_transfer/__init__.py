@@ -13,7 +13,7 @@ other public name is imported from its module, e.g.
 ``from twinbeam_transfer.errors import ValidationError``.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .model import (
     MeasurementSetting,

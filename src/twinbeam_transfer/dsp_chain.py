@@ -12,30 +12,30 @@ low-pass filters, decimates by q2 to ``output_rate_hz``, discards the filter
 warm-up, and divides by the square root of the chain's noise gain (the
 squared norm of its impulse response, computed from the filter taps) so
 that a shot-limited input yields unit sample variance. The mixer is folded
-into the polyphase FIR as complex taps: the input, cut into rows of q1
-samples, meets them in one einsum per channel and run, and each decimated
-sample is then rotated by its LO phase, so no full-rate LO or product is
-formed, and no BLAS call is made. The low-pass, an elliptic design, is
+into the polyphase FIR as complex taps, and the shaping filters into those
+too: each mode's white draws meet one frequency-domain filter bank
+(_filter_bank), overlap-save segments whose spectra are multiplied by the
+combined filter's and folded by q1, so one inverse FFT of N/q1 bins gives
+the mid-rate samples, each then rotated by its LO phase. No wideband sample
+is formed and no BLAS call is made. The low-pass, an elliptic design, is
 applied as its impulse response, cut where the warm-up ends, by FFT with
 the decimation by q2 folded in; the calibration sums that same response.
 
-``stream`` is the chain: synthesis and demodulation run block by block
-(``_BLOCK`` wideband samples, float32), with every filter's history carried
-between blocks, and the calibrated output leaves as each low-pass block
-makes it, at most ceil(_ROWS / q2) points at a time, so no array of
-wideband or record length exists and memory does not grow with the record
-(a 300k-point record passes 4 x 75M wideband samples through it). Each
+``stream`` is the chain: draws and demodulation run batch by batch, with
+every filter's history carried between batches, and the calibrated output
+leaves as each low-pass block makes it, at most _CHUNK points at a time,
+so no array of wideband or record length exists and memory does not grow
+with the record (a 300k-point record reads 4 x 75M draws through it). Each
 beam pair has its own pipeline, pair 2's on a helper thread. ``simulate``
 concatenates the chunks into one batch.
 
-Of scipy the chain uses scipy.fft only, for its synthesis, imported inside
-_synth_blocks, so importing this module (and so every direct-engine run)
-does not load it. The filter designs are numpy's.
+Of scipy the chain uses scipy.fft only, for its filter banks, imported
+inside _demod_stream, so importing this module (and so every direct-engine
+run) does not load it. The filter designs are numpy's.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import queue
 import threading
@@ -59,15 +59,26 @@ from .model import (
 # causal filter transient
 _LEAD_CUTOFF_PERIODS = 500.0
 
-# wideband samples per block of the streamed chain; outputs do not depend on it
+# draws per block of the streamed chain; outputs do not depend on it
 _BLOCK = 1 << 16
 
-# rows of q1 wideband samples per polyphase product of the demodulator:
-# one matrix shape at fixed record positions
-_ROWS = 1 << 12
+# inputs per batch of the filter bank's segments (at least one segment);
+# outputs do not depend on it
+_BATCH = 1 << 16
 
-# output chunks that pair 2's pipeline may make ahead of pair 1's (stream)
-_PAIR_AHEAD = 4
+# the filter bank's segments: at least this many times their overlap (the
+# inputs a mid-rate sample reads, less one), and at least this long. Of 2,
+# 4, 8 and 16 overlaps (segments of 6400 to 51,200 samples at the default
+# plan), 4 ran a pair pipeline fastest
+_SEGMENT_OVERLAPS = 4
+_MIN_SEGMENT = 1 << 12
+
+# output points per chunk of the stream, at most
+_CHUNK = 1 << 9
+
+# output chunks that pair 2's pipeline may make ahead of pair 1's (stream):
+# a low-pass block's at the default plan
+_PAIR_AHEAD = 8
 
 # the mode shaping filters: largest error of |H|^2 against the model density,
 # and the range of tap counts searched for it
@@ -250,59 +261,18 @@ def _shaping_error(taps: np.ndarray, density: np.ndarray) -> float:
     return float(error.max())
 
 
-def _synth_blocks(taps: np.ndarray, cfg: SignalChainConfig, points: int, seed: int,
-                  modes: range) -> Iterator[np.ndarray]:
-    """The wideband record of the pairs of ``modes`` for points output
-    points, as consecutive (len(modes), b) float32 blocks, each a fresh
-    array: (s, i) of each pair in turn, whose modes are an even mode, the
-    difference d, and the next, the sum u. ``taps`` are the (4, M) shaping
-    filters of all four modes (_shaping_filters).
-
-    Mode k is unit white noise from its own Philox substream,
-    ``Philox(seed).jumped(k)``, drawn continuously and filtered by taps[k]
-    by overlap-save: fixed FFT segments at fixed positions of the record,
-    each taking the last M - 1 input samples of the one before, so the
-    record does not depend on the block size. The first segment's history
-    is drawn too, so the record is stationary from its first sample. Per
-    pair, s = (u + d) / 2 and i = (u - d) / 2 of its independent modes; the
-    pairs use disjoint substreams, which keeps the cross-pair spectra
-    identically zero, and no mode depends on which others are synthesized
-    with it. The draws and the filtered modes go to buffers reused from
-    block to block.
-    """
-    from scipy import fft as sp_fft
-
-    overlap = taps.shape[1] - 1
-    nfft = 1 << max(12, (16 * overlap - 1).bit_length())
-    step = nfft - overlap
-    spectra = np.fft.rfft(taps[modes], n=nfft).astype(np.complex64)
+def _draws(seed: int, modes: range, count: int) -> Iterator[np.ndarray]:
+    """The first count unit white draws of each mode of ``modes``, as
+    consecutive (len(modes), b) float32 blocks of at most _BLOCK draws,
+    each a fresh array. Mode k draws from its own Philox substream,
+    ``Philox(seed).jumped(k)``, so the pairs use disjoint substreams, which
+    keeps the cross-pair spectra identically zero, and no mode depends on
+    which others are drawn with it."""
     streams = [np.random.Generator(np.random.Philox(seed).jumped(k)) for k in modes]
-
-    n = required_synth_samples(cfg, points)
-    per_block = max(1, _BLOCK // step) * step
-    # per mode, the last M - 1 samples of the draw before, then the block's draw
-    white = np.empty((len(modes), overlap + per_block), dtype=np.float32)
-    for k, gen in enumerate(streams):
-        gen.standard_normal(dtype=np.float32, out=white[k, :overlap])
-    filtered = np.empty((len(modes), per_block), dtype=np.float32)
-    for start in range(0, n, per_block):
-        drawn = -(-min(per_block, n - start) // step) * step
-        for k, gen in enumerate(streams):
-            gen.standard_normal(dtype=np.float32, out=white[k, overlap:overlap + drawn])
-            windows = sliding_window_view(white[k, :overlap + drawn], nfft)[::step]
-            spectrum = sp_fft.rfft(windows)
-            spectrum *= spectra[k]
-            segments = filtered[k, :drawn].reshape(-1, step)
-            segments[...] = sp_fft.irfft(spectrum, n=nfft)[:, overlap:]
-            # freed before the next mode's is made, as the block below before
-            # the next block: two pipelines run at once, and their peaks add
-            del spectrum
-            white[k, :overlap] = white[k, drawn:drawn + overlap]
-        d, u = filtered[0::2, :n - start], filtered[1::2, :n - start]
-        block = np.empty((len(modes), d.shape[1]), dtype=np.float32)
-        np.add(u, d, out=block[0::2])
-        np.subtract(u, d, out=block[1::2])
-        block *= 0.5
+    for start in range(0, count, _BLOCK):
+        block = np.empty((len(modes), min(_BLOCK, count - start)), dtype=np.float32)
+        for row, gen in zip(block, streams):
+            gen.standard_normal(dtype=np.float32, out=row)
         yield block
         del block
 
@@ -346,7 +316,7 @@ def _polyphase_fir(q1: int) -> np.ndarray:
     # resample_poly's own default design for down=q1, scipy's firwin with a
     # Kaiser window (beta 5) at cutoff 1/q1: the windowed sinc scaled to unit
     # dc gain, spelled out so the calibration sees exactly the taps the
-    # chain applies
+    # chain applies; for q1 = 1, the one tap 1
     half = _fir_half(q1)
     cutoff = 1.0 / q1
     fir = cutoff * np.sinc(cutoff * (np.arange(2 * half + 1.0) - half))
@@ -381,41 +351,25 @@ def _lowpass_response(cfg: SignalChainConfig) -> np.ndarray:
     return np.fft.irfft(h, n=grid)[:taps]
 
 
-def _folded_fir(cfg: SignalChainConfig) -> tuple[np.ndarray, int]:
-    """The polyphase FIR with the mixer folded in, and its half-length.
-
-    Returns float32 weights of shape (2R, q1), R = ceil(taps / q1): the
-    complex taps fir[k] * exp(i*omega*k*dt), zero past the last tap, cut
-    into R rows of q1, row r's real part in row 2r and its imaginary part in
-    row 2r + 1. A single-stage plan gets the one-tap identity filter.
-    """
-    q1, _ = decimation_plan(cfg)
-    fir = _polyphase_fir(q1) if q1 > 1 else np.ones(1, dtype=np.float32)
-    branches = -(-fir.size // q1)
-    taps = np.zeros(branches * q1, dtype=np.complex128)
-    k = np.arange(fir.size)
-    # upfirdn convolves: input a + k of a window meets fir[2*half - k]
-    taps[:fir.size] = fir[::-1] * np.exp(2j * math.pi * cfg.lo_frequency_hz
-                                         / cfg.synth_rate_hz * k)
-    rows = taps.reshape(branches, 1, q1)
-    weights = np.concatenate((rows.real, rows.imag), axis=1).reshape(2 * branches, q1)
-    return weights.astype(np.float32), (fir.size - 1) // 2
-
-
 class _Demodulator(NamedTuple):
     """The demodulator's designs for one signal chain (_demodulator)."""
 
     response: np.ndarray
     phases: np.ndarray
-    weights: np.ndarray
+    fir: np.ndarray
     half: int
     scale: float
 
 
 def _demodulator(cfg: SignalChainConfig) -> _Demodulator:
     """The low-pass response x (_lowpass_response) and the spectra of its
-    phases, the folded polyphase weights and their half-length, and the
-    calibration factor 1/sqrt(_calibration_variance) of that response.
+    phases, the polyphase FIR with the mixer folded in and its half-length,
+    and the calibration factor 1/sqrt(_calibration_variance) of that
+    response.
+
+    The folded FIR is the complex taps fir[k] * exp(i*omega*k*dt), k = 0 ..
+    2*half, of the float32 FIR (_polyphase_fir; one tap 1 for a
+    single-stage plan).
 
     The phases are what a low-pass block of n = q2*m mid-rate samples, m =
     _lowpass_block(cfg), applies (_demod_stream): phase j holds the taps
@@ -425,7 +379,10 @@ def _demodulator(cfg: SignalChainConfig) -> _Demodulator:
     """
     q1, q2 = decimation_plan(cfg)
     lead = _lead(cfg)
-    weights, half = _folded_fir(cfg)
+    fir = _polyphase_fir(q1)
+    # upfirdn convolves: input a + k of a window meets fir[2*half - k]
+    fir = fir[::-1] * np.exp(2j * math.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
+                             * np.arange(fir.size))
     response = _lowpass_response(cfg)
     taps = np.zeros((_lowpass_block(cfg), q2))
     # x[s*q2] for phase 0, x[s*q2 - j] = x[(s - 1)*q2 + q2 - j] from s = 1 on
@@ -435,7 +392,7 @@ def _demodulator(cfg: SignalChainConfig) -> _Demodulator:
     spectra = np.fft.rfft(taps, axis=0)
     del taps
     phases = np.stack((spectra.real, spectra.imag))
-    return _Demodulator(response, phases, weights, half,
+    return _Demodulator(response, phases, fir, _fir_half(q1),
                         1.0 / math.sqrt(_calibration_variance(response, q1)))
 
 
@@ -446,41 +403,109 @@ def _lowpass_block(cfg: SignalChainConfig) -> int:
     return 1 << (4 * _lead(cfg) - 1).bit_length()
 
 
-def _put(rows: np.ndarray, start: int, values: np.ndarray) -> None:
-    """Write ``values``, (channels, n), to the positions start .. start + n
-    of ``rows``, a (channels, rows, q1) view read row after row: the rest of
-    a begun row, the whole rows, and the start of the last."""
-    q1 = rows.shape[2]
-    row, col = divmod(start, q1)
-    if col:
-        head = min(q1 - col, values.shape[1])
-        rows[:, row, col:col + head] = values[:, :head]
-        values, row = values[:, head:], row + 1
-    whole = values.shape[1] // q1
-    rows[:, row:row + whole] = values[:, :whole * q1].reshape(rows.shape[0], whole, q1)
-    if values.shape[1] > whole * q1:
-        rows[:, row + whole, :values.shape[1] - whole * q1] = values[:, whole * q1:]
+def _segments(q1: int, taps: int) -> tuple[int, int]:
+    """The overlap-save segments of a filter bank whose mid-rate samples
+    each read ``taps`` inputs: their length N, q1 times the least power of
+    two at which N is at least _SEGMENT_OVERLAPS times taps - 1 and at least
+    _MIN_SEGMENT, and their step, the most whole multiples of q1 that leave
+    taps - 1 inputs of overlap."""
+    least = max(_SEGMENT_OVERLAPS * (taps - 1), _MIN_SEGMENT)
+    n = q1 << (-(-least // q1) - 1).bit_length()
+    return n, ((n - taps) // q1 + 1) * q1
 
 
-def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: int,
-                  demod: _Demodulator) -> Iterator[np.ndarray]:
-    """The chain's calibrated output for a record given as consecutive
-    (c, b) float32 blocks of c channels: (c, k) float64 chunks in record
-    order, each a fresh array of 1 to ceil(_ROWS / q2) consecutive output
-    points. ``demod`` is the chain's _demodulator(cfg).
+def _bank_samples(cov: FourChannelCovariance, cfg: SignalChainConfig) -> tuple[int, int]:
+    """The tap count M of the shaping filters of ``cov`` (_shaping_filters),
+    and the segment samples that each pair pipeline's filter bank holds at
+    once (_demod_stream): N for the bank's spectra and the batch's inputs'
+    overlap, N for each segment of a batch, for its inputs, spectrum and
+    planes, and two for each mid-rate sample a batch makes, for its inverse
+    transform and LO rotation. (0, 0) if the design fails, which the stream
+    raises before it holds anything."""
+    try:
+        taps = _shaping_filters(cov, cfg).shape[1]
+    except ModelError:
+        return 0, 0
+    q1, _ = decimation_plan(cfg)
+    n, step = _segments(q1, taps + 2 * _fir_half(q1))
+    count = max(1, _BATCH // step)
+    return taps, n * (1 + count) + 2 * count * step // q1
+
+
+class _Bank(NamedTuple):
+    """One pipeline's frequency-domain filter bank (_filter_bank)."""
+
+    spectra: np.ndarray
+    size: int
+    step: int
+    reach: int
+
+
+def _filter_bank(cfg: SignalChainConfig, demod: _Demodulator, taps: np.ndarray) -> _Bank:
+    """The filter bank that takes inputs filtered by ``taps``, (c, M) real
+    FIR taps, one row an input, to complex mid-rate samples (_demod_stream).
+
+    Mid-rate sample j of input k reads its inputs w[j*q1 - half + r], r =
+    0 .. L - 1, L = M + 2*half, through the taps c_k = conv(fir, taps[k]
+    reversed) of the folded FIR (demod.fir) after the input's filter. On a
+    segment of N inputs (_segments(q1, L)), the circular sum
+    y[t] = sum_r c_k[r] seg[t + r] has the spectrum A_k[b] * S[b] at bin
+    b, with A_k[b] = sum_r c_k[r] exp(2i*pi*b*r/N); c_k is at most N long,
+    so A_k is the product of the two filters' such sums, scaled by
+    1/(2*q1): the 1/2 of s and i in their modes and the 1/q1 of the fold by
+    q1. Held as float32 weights of a spectrum's real and imaginary parts,
+    first for the product's real part, (Re A, -Im A), then for its
+    imaginary part, (Im A, Re A), each as q1 blocks of N/q1 bins: shape
+    (2, 2, c, q1, N/q1). A single-stage plan's spectra are Hermitian, and
+    it holds bins 0 .. N/2: shape (2, 2, c, 1, N/2 + 1).
+    """
+    q1, _ = decimation_plan(cfg)
+    reach = taps.shape[1] + 2 * demod.half
+    n, step = _segments(q1, reach)
+    # all N bins, or the N/2 + 1 of Hermitian spectra
+    kept = n if q1 > 1 else n // 2 + 1
+    a = np.fft.ifft(taps[:, ::-1], n=n)[:, :kept]
+    a *= np.fft.ifft(demod.fir, n=n)[:kept] * (0.5 * n * n / q1)
+    weights = np.array(((a.real, -a.imag), (a.imag, a.real)), dtype=np.float32)
+    return _Bank(weights.reshape(2, 2, taps.shape[0], q1, kept // q1), n, step, reach)
+
+
+def _demod_stream(blocks: Iterable[np.ndarray], bank: _Bank, cfg: SignalChainConfig,
+                  points: int, demod: _Demodulator) -> Iterator[np.ndarray]:
+    """The chain's calibrated output for inputs given as consecutive (c, b)
+    float32 blocks, in pairs of a difference mode d and a sum mode u, each
+    filtered by its row of ``bank`` (_filter_bank): (c, k) float64 chunks
+    of the channels (s, i) = ((u + d)/2, (u - d)/2) of each pair, in
+    record order, each a fresh array of 1 to _CHUNK consecutive output
+    points. ``demod`` is the chain's _demodulator(cfg). The chain passes
+    white draws and a bank of its shaping filters; a wideband record of
+    (s, i) enters as (s - i, s + i) through a bank of one-tap filters.
 
     Mixing by sqrt(2)*cos(omega*t) and then the polyphase FIR decimation by
     q1, with resample_poly's taps and zero-phase alignment, is one modulated
     polyphase filter (Crochiere & Rabiner 1983). Mid-rate sample j reads the
-    inputs a = j*q1 - half .. a + 2*half, and since cos(omega*(a + k)*dt) =
-    Re(exp(i*omega*a*dt) * exp(i*omega*k*dt)), the LO folds into the
-    complex taps of _folded_fir, exactly for any LO frequency. The input is
-    cut into rows of q1 samples, held sample by row, so that each channel
-    of a run of _ROWS rows is one contiguous (q1, _ROWS) matrix, and the
-    (2R, q1) weights multiply it in one einsum: a fixed loop whose
-    summation order depends on no BLAS library or CPU kernel. Sample j sums
-    the R branch diagonals (row j + r times branch r) and is rotated by its
-    LO phase omega*a*dt.
+    wideband samples a = j*q1 - half .. a + 2*half, zero before sample 0,
+    and since cos(omega*(a + k)*dt) = Re(exp(i*omega*a*dt) *
+    exp(i*omega*k*dt)), the LO folds into the complex taps of demod.fir,
+    exactly for any LO frequency. With the inputs' filters folded in too,
+    mid-rate sample j of an input reads its inputs a .. a + L - 1, zero
+    before input 0, so no wideband sample is formed: the inputs are cut
+    into overlap-save segments of N samples (Oppenheim & Schafer), segment
+    g from input g*step - half on, each segment's last N - step inputs the
+    first of the next, and a batch of _BATCH // step segments (at least
+    one) takes one real FFT per input and segment. Each spectrum is
+    multiplied by its input's A over all N bins, those past N/2 from the
+    conjugate of the bins below; only every q1-th sample of the circular
+    sum is kept, so its N bins fold by q1 into N/q1 (the sum of q1 blocks
+    of N/q1 bins), and the pairs' folded bins make s and i, whose inverse
+    FFT of N/q1 bins holds the segment's mid-rate samples g*step/q1 ..
+    (g + 1)*step/q1 - 1 first. A single-stage plan's spectra are
+    Hermitian, so it keeps N/2 + 1 bins and takes a real inverse FFT. The
+    products and the fold are spelled out in real multiplies and adds, one
+    einsum over the spectra's real and imaginary parts and the q1 blocks
+    for each part of the folded bins, rounded the same whatever SIMD loops
+    numpy picks. Each mid-rate sample is then rotated by its LO phase
+    omega*a*dt.
 
     The low-pass is its response x of T = lead*q2 taps (demod.response),
     applied by overlap-save in blocks of n = q2*m mid-rate samples, m =
@@ -497,46 +522,53 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: 
     real multiplies and adds, rounded the same whatever SIMD loops numpy
     picks. Then comes the calibration (one multiply by demod.scale).
 
-    The runs and the blocks sit at fixed record positions with fixed
+    The segments and the blocks sit at fixed record positions with fixed
     shapes, filled into reused buffers, so every output sample is computed
-    the same way whatever the block lengths, and each channel the same way
-    whatever channels come with it. The last block, which holds the last
-    output point's sample (lead + points - 1)*q2, is filtered once it holds
-    that sample, with zeros past it: which samples a run computes past it,
-    from the record or its padding, reaches no output bit.
+    the same way whatever the input blocks or the batch, and each channel
+    the same way whatever channels come with it. The last block, which
+    holds the last output point's sample (lead + points - 1)*q2, is
+    filtered once it holds that sample, with zeros past it: which samples
+    a batch computes past it, from the inputs or their padding, reaches no
+    output bit.
 
-    The record must hold needed = (lead + points - 1)*q2*q1 + half + 1
-    wideband samples (required_synth_samples); a shorter one raises
-    RecordLengthError, naming the shortfall, when its input ends. A long
-    enough record that ends inside a run has that run padded with zeros.
+    The inputs must hold needed = (lead + points - 1)*q2*q1 - half + L
+    samples (for one-tap filters required_synth_samples); fewer raise
+    RecordLengthError, naming the shortfall, when the inputs end. Only the
+    needed inputs are read, and batches are padded with zeros past them,
+    so no output bit depends on what follows them.
     """
+    from scipy import fft as sp_fft
+
     q1, q2 = decimation_plan(cfg)
     lead = _lead(cfg)
-    _, phases, weights, half, scale = demod
-    branches = weights.shape[0] // 2
-    width = _ROWS * q1
+    spectra, size, step, reach = bank
+    channels = spectra.shape[2]
     lo_step = 2.0 * math.pi * cfg.lo_frequency_hz / cfg.synth_rate_hz
-    needed = required_synth_samples(cfg, points)
-    most = -(-_ROWS // q2)
+    # mid-rate samples up to this one reach an output
+    last = (lead + points - 1) * q2
+    needed = last * q1 - demod.half + reach
+
+    # the batch's inputs: the last N - step of the one before, then its
+    # segments' steps, the first at input -half, which is zero
+    count = max(1, _BATCH // step)
+    keep = size - step
+    width = keep + count * step
+    inputs = np.zeros((channels, width), dtype=np.float32)
+    segments = sliding_window_view(inputs, size, axis=1)[:, ::step]
+    # the segments' spectra at the bank's bins, real parts then imaginary,
+    # as q1 blocks of N/q1 bins (one block of N/2 + 1 if single-stage)
+    bins = size // 2 + 1
+    planes = np.empty((2, channels, count) + spectra.shape[3:], dtype=np.float32)
+    flat_re, flat_im = planes.reshape(2, channels, count, -1)
+    # the products' real and imaginary parts summed over the blocks, and
+    # each pair's s and i of them
+    folded = np.empty((2, channels, count, spectra.shape[4]), dtype=np.float32)
+    folds = np.empty(folded.shape[1:], dtype=np.complex64)
 
     # the low-pass blocks: m points of n mid-rate samples
     m = _lowpass_block(cfg)
     n, span, overlap = q2 * m, m - lead, lead * q2
-    taps_re, taps_im = phases
-    # mid-rate samples up to this one reach an output
-    last = (lead + points - 1) * q2
-
-    blocks = iter(blocks)
-    block = next(blocks, None)
-    channels = 0 if block is None else block.shape[0]
-    run = np.empty((channels, q1, _ROWS), dtype=np.float32)
-    # the run as rows of q1 samples
-    rows = run.transpose(0, 2, 1)
-    # resample_poly zero-pads before the first sample
-    _put(rows, 0, np.broadcast_to(np.float32(0.0), (channels, half)))
-    # the last R - 1 rows' products, then the run's
-    products = np.zeros((channels, 2 * branches, branches - 1 + _ROWS), dtype=np.float32)
-    folded = products.reshape(channels, branches, 2, -1)
+    taps_re, taps_im = demod.phases
     # the low-pass block, its first mid-rate sample and how many it holds,
     # and its transforms' buffers, reused from block to block
     held = np.empty((channels, n))
@@ -545,40 +577,50 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: 
     product = np.empty((channels, m // 2 + 1), dtype=np.complex128)
     part = np.empty(m // 2 + 1)
     low = np.empty((channels, m))
-    filled, received, written = half, 0, 0
-    # products column c holds row first + c; mid-rate sample first + t sums
-    # branch r times row first + t + r
-    first = 1 - branches
-    for block in itertools.chain([block], blocks, [None]):
-        if block is None:
-            if received < needed:
-                raise RecordLengthError(f"record ended {needed - received} wideband samples short")
-            # the record ended: pad its last run with zeros
-            block = np.broadcast_to(np.float32(0.0), (channels, width - filled))
-        received += block.shape[1]
+    filled, written, first = demod.half, 0, 0
+
+    def padded():
+        # the needed inputs, then batches of zeros: an input past them would
+        # reach the outputs' rounding through the segments' transforms
+        received = 0
+        for block in blocks:
+            yield block[:, :needed - received]
+            received += block.shape[1]
+            if received >= needed:
+                break
+        else:
+            raise RecordLengthError(f"record ended {needed - received} wideband samples short")
         while True:
+            yield np.broadcast_to(np.float32(0.0), (channels, width))
+
+    for block in padded():
+        while block.shape[1]:
             take = min(width - filled, block.shape[1])
-            _put(rows, filled, block[:, :take])
+            inputs[:, filled:filled + take] = block[:, :take]
             block = block[:, take:]
             filled += take
             if filled < width:
-                # the spent block is freed before the next is made
-                del block
                 break
-            filled = 0
-            products[:, :, :branches - 1] = products[:, :, _ROWS:]
-            for channel in range(channels):
-                np.einsum("kq,qr->kr", weights, run[channel],
-                          out=products[channel, :, branches - 1:], optimize=False)
-            z = folded[:, 0, :, :_ROWS].copy()
-            for branch in range(1, branches):
-                z += folded[:, branch, :, branch:branch + _ROWS]
-            # the run's mid-rate samples lo .. first + _ROWS - 1
-            lo = max(first, 0)
-            phase = lo_step * (np.arange(lo, first + _ROWS) * q1 - half)
-            z = z[:, :, lo - first:]
-            first += _ROWS
-            mid = math.sqrt(2.0) * (np.cos(phase) * z[:, 0] - np.sin(phase) * z[:, 1])
+            s = sp_fft.rfft(segments, axis=2)
+            inputs[:, :keep] = inputs[:, width - keep:]
+            filled = keep
+            flat_re[..., :bins], flat_im[..., :bins] = s.real, s.imag
+            if q1 > 1:
+                # bin N - b is the conjugate of bin b: bins N/2 - 1 .. 1
+                flat_re[..., bins:] = s.real[..., bins - 2:0:-1]
+                np.negative(s.imag[..., bins - 2:0:-1], out=flat_im[..., bins:])
+            del s
+            for weights, sums, out in zip(spectra, folded, (folds.real, folds.imag)):
+                np.einsum("xcslk,xclk->csk", planes, weights, out=sums)
+                # s = u + d and i = u - d of each pair, the 1/2 in the spectra
+                np.add(sums[1::2], sums[0::2], out=out[0::2])
+                np.subtract(sums[1::2], sums[0::2], out=out[1::2])
+            z = (sp_fft.ifft(folds, axis=2, overwrite_x=True) if q1 > 1
+                 else sp_fft.irfft(folds, n=size, axis=2))[..., :step // q1]
+            z = z.reshape(channels, -1)
+            phase = lo_step * (np.arange(first, first + z.shape[1]) * q1 - demod.half)
+            first += z.shape[1]
+            mid = math.sqrt(2.0) * (np.cos(phase) * z.real - np.sin(phase) * z.imag)
             while mid.shape[1]:
                 take = min(n - have, mid.shape[1])
                 held[:, have:have + take] = mid[:, :take]
@@ -598,8 +640,8 @@ def _demod_stream(blocks: Iterable[np.ndarray], cfg: SignalChainConfig, points: 
                     out.imag += np.einsum("fj,fj->f", im, taps_re, out=part)
                 np.fft.irfft(product, n=m, axis=1, out=low)
                 new = low[:, lead:lead + points - written]
-                for start in range(0, new.shape[1], most):
-                    yield new[:, start:start + most] * scale
+                for start in range(0, new.shape[1], _CHUNK):
+                    yield new[:, start:start + _CHUNK] * demod.scale
                 written += new.shape[1]
                 if written == points:
                     return
@@ -618,7 +660,7 @@ def _calibration_variance(x: np.ndarray, q1: int) -> float:
     # c_l = 2 (x[k] meets x[k + l] through R_h[l*q1]), so no response of
     # length lead*q2*q1 is formed. x is the low-pass response the chain
     # applies, cut where it discards its warm-up (_lowpass_response).
-    h = _polyphase_fir(q1).astype(np.float64) if q1 > 1 else np.ones(1)
+    h = _polyphase_fir(q1).astype(np.float64)
     return float(sum((2.0 if lag else 1.0) * np.einsum("i,i->", x[:x.size - lag], x[lag:])
                      * np.einsum("i,i->", h[:h.size - lag * q1], h[lag * q1:])
                      for lag in range(-(-h.size // q1))))
@@ -626,33 +668,38 @@ def _calibration_variance(x: np.ndarray, q1: int) -> float:
 
 def _pair_stream(taps: np.ndarray, demod: _Demodulator, cfg: SignalChainConfig,
                  points: int, seed: int, pair: int) -> Iterator[np.ndarray]:
-    """Pair ``pair``'s pipeline: its (s, i) record from modes 2*pair - 2
-    and 2*pair - 1 (_synth_blocks), demodulated with its own buffers and
-    filter state (_demod_stream), as (2, m) chunks."""
+    """Pair ``pair``'s pipeline: the draws of its modes 2*pair - 2 and
+    2*pair - 1 (_draws), the difference d and the sum u, through a filter
+    bank of their shaping filters (_filter_bank) and demodulated with its
+    own buffers and filter state (_demod_stream), as (2, m) chunks of its
+    (s, i) = ((u + d)/2, (u - d)/2). The bank is made when this is called."""
     modes = range(2 * pair - 2, 2 * pair)
-    return _demod_stream(_synth_blocks(taps, cfg, points, seed, modes), cfg, points, demod)
+    draws = _draws(seed, modes, required_synth_samples(cfg, points) + taps.shape[1] - 1)
+    return _demod_stream(draws, _filter_bank(cfg, demod, taps[modes]), cfg, points, demod)
 
 
 def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
            seed: int) -> Iterator[np.ndarray]:
-    """Synthesize and demodulate a record of points output points, block by block.
+    """Draw and demodulate a record of points output points, batch by batch.
 
     Yields the calibrated output as (4, m) float64 chunks (s1, i1, s2, i2)
-    in record order, at most ceil(_ROWS / q2) points each (_demod_stream).
-    No array of wideband or record length exists: memory is a few blocks of
-    _BLOCK samples and the demodulator's run and low-pass buffers, whatever
-    points is. The output is calibrated so that a shot-noise input comes
-    out at unit variance.
+    in record order, at most _CHUNK points each (_demod_stream). No array
+    of wideband or record length exists: memory is a block of _BLOCK draws
+    per pipeline, its filter bank's segments and its low-pass buffers,
+    whatever points is. The output is calibrated so that a shot-noise input
+    comes out at unit variance.
 
     The two beam pairs are independent until the idlers are selected, so
     each has its own pipeline (_pair_stream): the calling thread advances
     pair 1's while one helper thread advances pair 2's, at most _PAIR_AHEAD
-    chunks ahead, and each pair of chunks is stacked. Both pipelines share one
-    design: the shaping filters, whose tap count holds all four modes to
-    _SHAPING_TOL, and the demodulator's. Neither pipeline reads the other's
-    data, so the output is what running them one after the other gives. An
-    error of either pipeline reaches the caller, pair 1's first, and
-    closing the stream, or its end, joins the helper thread.
+    chunks ahead, and each pair of chunks is stacked. Both pipelines share
+    one design: the shaping filters, whose tap count holds all four modes
+    to _SHAPING_TOL, and the demodulator's; their filter banks are made
+    from it one after the other, before either pipeline starts. Neither
+    pipeline reads the other's data, so the output is what running them
+    one after the other gives. An error of either pipeline reaches the
+    caller, pair 1's first, and closing the stream, or its end, joins the
+    helper thread.
     """
     points = _require_int("points", points, 1)
     seed = _require_int("seed", seed, 0)

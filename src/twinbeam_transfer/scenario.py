@@ -11,7 +11,7 @@ prediction.
 The record is consumed chunk by chunk (acquire): the direct engine draws
 each chunk of _SAMPLE_CHUNK events in a worker thread, the chain engine's
 stream (dsp_chain.stream) hands over each low-pass block's points as it
-makes them, at most ceil(_ROWS / q2) a chunk, and each chunk is gated and
+makes them, at most _CHUNK a chunk, and each chunk is gated and
 reduced. Each window's kept idler differences are reduced, in record
 order, in blocks of _SAMPLE_CHUNK kept values (stats.BlockedMoments), and
 its scatter is its first scatter_points kept events, so no result depends
@@ -51,7 +51,8 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .dsp_chain import _ROWS, SignalChainConfig, _lowpass_block, decimation_plan, stream
+from .dsp_chain import (_CHUNK, SignalChainConfig, _bank_samples, _lowpass_block,
+                        decimation_plan, stream)
 from .errors import (
     ConfigurationError,
     InsufficientStatisticsError,
@@ -119,9 +120,8 @@ _BYTES_PER_KEPT = 64
 # (a 0.45 delta window, which keeps 5% of the events) grows by 6.4 MB with
 # 1 worker, 9.3 MB with 2 and 12.4 MB with 3 over the imported package,
 # whatever the record length (4M events: the same to 0.1 MB); rounded up.
-# A chain worker draws nothing and touches only ceil(_ROWS / q2) columns
-# of its three channel buffers (about 20 KB at the default plan), so it is
-# charged none of this.
+# A chain worker draws nothing and touches only _CHUNK columns of its
+# three channel buffers (12 KB), so it is charged none of this.
 _BYTES_PER_CHUNK = 12 << 20
 
 # Per window, its kept differences held between chunks until a block of
@@ -135,30 +135,40 @@ _BYTES_PER_HELD = 8
 _BYTES_PER_SWEEP_ROW = 4 << 10
 
 # Peak memory of the chain engine's stream that grows with neither its
-# decimation plan nor its low-pass: the scipy.fft import, the filter
-# designs, and the synthesis buffers of its two pair pipelines, one of
-# them on the stream's helper thread. Peak RSS (VmHWM) of a default
-# 100k-point chain run (plan q1 = 50, q2 = 5) grows by 46.6-47.1,
-# 46.9-47.8 and 47.0-47.7 MiB with 1, 2 and 3 workers (10 runs each) over
-# a process that has imported numpy only: flat in the worker count. Less
-# the rest of a 1-worker run's charge (7.1 MiB: the plan's and low-pass
-# buffers, the kept, held and scatter terms), at most 40.7 MiB; rounded up
-# to 43 MiB, so a 1-worker run is charged 50.1 MiB, 2.3 MiB above the
-# largest growth measured. tests/test_scenario_cli.py re-measures the run
-# at 1 and 3 workers, and requires the charge to be at least the growth
-# and at most 16 MiB above it.
-_BYTES_PER_CHAIN_STREAM = 43 << 20
+# shaping filters, its decimation plan nor its low-pass: the scipy.fft
+# import, the low-pass design, and each pair pipeline's block of draws and
+# output chunks, one of them on the stream's helper thread. Peak RSS
+# (VmHWM) of a default 100k-point chain run (plan q1 = 50, q2 = 5, 1025
+# shaping taps) grows by 41.7-42.8, 41.9-42.9 and 42.7-43.1 MiB with 1, 2
+# and 3 workers (4 runs each) over a process that has imported numpy
+# only. Less the rest of each run's charge (12.0-12.1 MiB: the shaping
+# design, the filter banks and the low-pass blocks, the kept, held and
+# scatter terms), at most 31.0 MiB; rounded up to 34 MiB, so a 1-worker
+# to 3-worker run is charged 46.0-46.1 MiB, 2.9 MiB above the largest
+# growth measured. tests/test_scenario_cli.py re-measures the run at 1
+# and 3 workers, and requires the charge to be at least the growth and at
+# most 16 MiB above it.
+_BYTES_PER_CHAIN_STREAM = 34 << 20
 
-# The chain's buffers that grow with its decimation plan: each pair
-# pipeline's demodulator run of _ROWS rows of q1 float32 samples of its 2
-# channels, 4 channels in all (64 KiB per q1). Each channel's product reads
-# its run in place, held sample by row, so there is no per-q1 product
-# scratch, and the run's tail is zeroed in place at the record's end. Peak
-# RSS of a 2000-point chain run rises by 64.2 KiB per q1 from q1 = 50 to
-# 2000 (cavity_bandwidth_hz scaled with synth_rate_hz, which holds the
-# shaping filters at 1025 taps): 0.4 MiB more than charged at q1 = 2000,
-# less than the slack of _BYTES_PER_CHAIN_STREAM.
-_BYTES_PER_RUN_Q1 = 4 * 4 * _ROWS
+# The chain's buffers that grow with its shaping filters' tap count M and
+# its decimation plan. Its shaping design, made before either pair
+# pipeline starts, holds a 16 * (M - 1) point grid of one mode at a time
+# (dsp_chain._shaping_filters): tracemalloc peaks at 426 B a tap from 257
+# to 65,537 taps, and the transforms' plans come on top; rounded up. Its
+# filter banks (dsp_chain._bank_samples): per segment sample of each pair
+# pipeline, its float32 inputs (8 B, 2 channels), the batch's complex64
+# spectra (8 B, half the bins of 2 channels) and their float32 planes (16
+# B, the real and imaginary parts of 2 channels), and per bin the bank's
+# float32 weights (32 B: 2 parts of 2 parts of 2 inputs), counted with
+# the batch's overlap: at most 40 B, 80 B for the two pipelines; a
+# mid-rate sample of a batch, counted as two segment samples, takes about
+# 48 B in a single-stage plan (the inverse transform's float32 output and
+# its copy, the float64 phases, their cosines and the float64 samples of
+# 2 channels) and at most 88 B in others. The banks are made one after
+# the other through complex128 transforms of N bins (at most about 96 B a
+# bin), which are freed before the pipelines start.
+_BYTES_PER_SHAPING_TAP = 1 << 10
+_BYTES_PER_BANK_SAMPLE = 80
 
 # The chain's low-pass blocks, which grow with its lead and q2: per
 # mid-rate sample of a block (q2 * dsp_chain._lowpass_block), each pair
@@ -350,12 +360,13 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     draw; the kept events of the chunks in flight (_CHUNKS_PER_WORKER per
     worker and the one being merged) at _BYTES_PER_KEPT, the windows'
     probability of each chunk's events, where a chain chunk is at most
-    ceil(_ROWS / q2) points; each window's held kept differences, at most a
-    block of _SAMPLE_CHUNK and at most its expected kept count
-    (_BYTES_PER_HELD); the ``scatter`` configs' pairs of scatters of
-    scatter_points rows, at _BYTES_PER_KEPT a row; and on the chain engine
-    the stream's _BYTES_PER_CHAIN_STREAM, the buffers of its decimation
-    plan and its low-pass blocks. Raises ValidationError, naming what to
+    _CHUNK points; each window's held kept differences, at most a block of
+    _SAMPLE_CHUNK and at most its expected kept count (_BYTES_PER_HELD);
+    the ``scatter`` configs' pairs of scatters of scatter_points rows, at
+    _BYTES_PER_KEPT a row; and on the chain engine the stream's
+    _BYTES_PER_CHAIN_STREAM, its shaping design and filter banks, which
+    grow with the shaping filters' tap count (the check designs them), and
+    its low-pass blocks. Raises ValidationError, naming what to
     lower, rather than let the process be killed part way; the message
     opens with the rows' count when their table rows are the larger part of
     the charge, with the record's points otherwise.
@@ -369,14 +380,16 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     if cfg.engine == "chain":
         scratch, stream_bytes = 0, _BYTES_PER_CHAIN_STREAM
         q1, q2 = decimation_plan(cfg.signal_chain)
-        plan = (q1 * _BYTES_PER_RUN_Q1,
-                f"lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
-                f"q1 = {q1}, q2 = {q2})")
+        taps, banks = _bank_samples(build_covariance(cfg.pair1, cfg.pair2, cfg.setting),
+                                    cfg.signal_chain)
+        plan = (taps * _BYTES_PER_SHAPING_TAP + banks * _BYTES_PER_BANK_SAMPLE,
+                f"raise cavity_bandwidth_hz or lower the synth_rate_hz / output_rate_hz ratio "
+                f"(the filter banks hold {banks} samples for {taps} shaping taps at q1 = {q1})")
         block = q2 * _lowpass_block(cfg.signal_chain)
         lowpass = (block * _BYTES_PER_LOWPASS_SAMPLE,
                    f"lower the output_rate_hz / post_mixer_cutoff_hz ratio (the low-pass "
                    f"blocks are {block} samples)")
-        item = min(n, -(-_ROWS // q2))
+        item = min(n, _CHUNK)
     threads = min(workers, -(-n // item))
     flights = _CHUNKS_PER_WORKER * threads + 1  # chunks whose kept events are held at once
     # a record window keeps every event
@@ -473,10 +486,10 @@ def acquire(cfgs: Sequence[ScenarioConfig], workers: int = 1,
     layer for a record window; model._draw_chunk), and every config gates
     it on |z0| (see selection): the configs see the same events, as the
     rows of one sweep do. The chain engine's stream (dsp_chain.stream)
-    yields its points in chunks of at most ceil(_ROWS / q2), at most
-    _ROWS / 2, so a worker's scratch of _SAMPLE_CHUNK holds it; in_window
-    gates it. Chain configs that build the same covariance and signal chain
-    read one stream, one after another otherwise. ``workers`` threads
+    yields its points in chunks of at most _CHUNK, so a worker's scratch of
+    _SAMPLE_CHUNK holds it; in_window gates it. Chain configs that build
+    the same covariance and signal chain read one stream, one after
+    another otherwise. ``workers`` threads
     reduce chunks in parallel and the parts are merged in chunk order, so
     the result is the same for any count.
     Refuses, before it draws or streams anything, what would not fit in

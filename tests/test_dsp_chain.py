@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from twinbeam_transfer import dsp_chain
@@ -21,12 +23,12 @@ from twinbeam_transfer.dsp_chain import (
     _calibration_variance,
     _demod_stream,
     _demodulator,
+    _filter_bank,
     _lead,
     _mode_densities,
     _pair_stream,
     _polyphase_fir,
     _shaping_filters,
-    _synth_blocks,
     decimation_plan,
     post_mixer_sos,
     required_synth_samples,
@@ -56,16 +58,81 @@ TWIN_COV = build_covariance(PAIR, PAIR)
 SHOT_COV = build_covariance(PAIR, PAIR, MeasurementSetting.COHERENT_STATE)
 
 
-def _record(cov, cfg, seed, points=POINTS):
-    # the whole (4, n) float32 wideband record that simulate streams
+def _synth_blocks(taps, cfg, points, seed, modes):
+    """The reference wideband record of the pairs of ``modes`` for points
+    output points, as consecutive (len(modes), b) float32 blocks, each a
+    fresh array: (s, i) of each pair in turn, whose modes are an even mode,
+    the difference d, and the next, the sum u. ``taps`` are the (4, M)
+    shaping filters of all four modes (_shaping_filters).
+
+    Mode k is unit white noise from its own Philox substream,
+    ``Philox(seed).jumped(k)``, as the chain draws it, drawn continuously
+    and filtered by taps[k] by overlap-save: fixed FFT segments at fixed
+    positions of the record, each taking the last M - 1 input samples of
+    the one before, so the record does not depend on the block size. The
+    first segment's history is drawn too, so the record is stationary from
+    its first sample. Per pair, s = (u + d) / 2 and i = (u - d) / 2 of its
+    independent modes. The chain forms no such record: it demodulates the
+    draws through filter banks that fold the shaping filters in.
+    """
+    overlap = taps.shape[1] - 1
+    nfft = 1 << max(12, (16 * overlap - 1).bit_length())
+    step = nfft - overlap
+    spectra = np.fft.rfft(taps[modes], n=nfft).astype(np.complex64)
+    streams = [np.random.Generator(np.random.Philox(seed).jumped(k)) for k in modes]
+
+    n = required_synth_samples(cfg, points)
+    per_block = max(1, dsp_chain._BLOCK // step) * step
+    # per mode, the last M - 1 samples of the draw before, then the block's draw
+    white = np.empty((len(modes), overlap + per_block), dtype=np.float32)
+    for k, gen in enumerate(streams):
+        gen.standard_normal(dtype=np.float32, out=white[k, :overlap])
+    filtered = np.empty((len(modes), per_block), dtype=np.float32)
+    for start in range(0, n, per_block):
+        drawn = -(-min(per_block, n - start) // step) * step
+        for k, gen in enumerate(streams):
+            gen.standard_normal(dtype=np.float32, out=white[k, overlap:overlap + drawn])
+            windows = sliding_window_view(white[k, :overlap + drawn], nfft)[::step]
+            spectrum = sp_fft.rfft(windows)
+            spectrum *= spectra[k]
+            segments = filtered[k, :drawn].reshape(-1, step)
+            segments[...] = sp_fft.irfft(spectrum, n=nfft)[:, overlap:]
+            white[k, :overlap] = white[k, drawn:drawn + overlap]
+        d, u = filtered[0::2, :n - start], filtered[1::2, :n - start]
+        block = np.empty((len(modes), d.shape[1]), dtype=np.float32)
+        np.add(u, d, out=block[0::2])
+        np.subtract(u, d, out=block[1::2])
+        block *= 0.5
+        yield block
+
+
+def _record(cov, cfg, seed, points=POINTS, modes=range(4)):
+    # the whole (len(modes), n) float32 reference wideband record
     return np.concatenate(list(_synth_blocks(_shaping_filters(cov, cfg), cfg, points, seed,
-                                              range(4))), axis=1)
+                                              modes)), axis=1)
+
+
+def _modes(block):
+    # a record block's pairs (s, i) as the modes (s - i, s + i) that
+    # _demod_stream reads
+    modes = np.empty_like(block)
+    s, i = block[0::2], block[1::2]
+    np.subtract(s, i, out=modes[0::2])
+    np.add(s, i, out=modes[1::2])
+    return modes
+
+
+def _record_bank(cfg, channels=4):
+    # the filter bank of one-tap filters, which demodulates a record
+    return _filter_bank(cfg, _demodulator(cfg), np.ones((channels, 1)))
 
 
 def _demodulated(blocks, cfg, points):
-    # the calibrated (points, 4) output that _demod_stream yields run by run
-    return np.concatenate(list(_demod_stream(blocks, cfg, points, _demodulator(cfg))),
-                          axis=1).T
+    # the calibrated (points, c) output of a record given as a list of
+    # (c, b) blocks, which _demod_stream yields batch by batch
+    chunks = _demod_stream((_modes(b) for b in blocks), _record_bank(cfg, blocks[0].shape[0]),
+                           cfg, points, _demodulator(cfg))
+    return np.concatenate(list(chunks), axis=1).T
 
 
 def test_config_defaults_are_valid():
@@ -358,32 +425,52 @@ def test_folded_demodulator_matches_mix_then_upfirdn(cfg):
     assert np.abs(folded - reference).max() <= 1e-5 * np.abs(reference).max()
 
 
-def test_simulate_equals_demodulated_synthesis():
-    streamed = simulate(TWIN_COV, CFG, POINTS, seed=42)
-    record = _record(TWIN_COV, CFG, seed=42)
-    whole = _demodulated([record], CFG, POINTS)
-    assert np.array_equal(streamed.data, whole)
+# plan (2000, 5), whose shaping filters are short: its lead of 1000 points
+# reads 10M wideband samples
+_Q1_2000 = SignalChainConfig(lo_frequency_hz=1.0e7, synth_rate_hz=4.0e8,
+                             post_mixer_cutoff_hz=2.0e4, output_rate_hz=4.0e4,
+                             cavity_bandwidth_hz=4.0e7)
+
+
+@pytest.mark.parametrize("cfg,points,modes", [
+    (CFG, POINTS, range(4)),
+    (SignalChainConfig(), 5_000, range(4)),
+    (dataclasses.replace(CFG, lo_frequency_hz=2.13e5), POINTS, range(4)),
+    (dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4,
+                         lo_frequency_hz=1.0e5), POINTS, range(4)),
+    # pair 1 only, whose reference record alone is 80 MB
+    (_Q1_2000, 200, range(2)),
+], ids=["test", "default", "phase-incommensurate-lo", "single-stage", "q1-2000"])
+def test_simulate_matches_mix_then_upfirdn_of_the_reference_record(cfg, points, modes):
+    # the filter banks demodulate the draws without forming the wideband
+    # record; the reference synthesizer forms it from the same draws, and
+    # mixing, resample_poly's FIR and the low-pass on it give the same
+    # output to float32 rounding
+    assert decimation_plan(_Q1_2000) == (2000, 5)
+    streamed = simulate(TWIN_COV, cfg, points, seed=42).data[:, :len(modes)]
+    record = _record(TWIN_COV, cfg, 42, points, modes)
+    reference = _mix_upfirdn_reference(record, cfg, points) * _demodulator(cfg).scale
+    assert streamed.shape == reference.shape == (points, len(modes))
+    assert np.abs(streamed - reference).max() <= 1e-5 * np.abs(reference).max()
 
 
 def test_streamed_output_independent_of_block_size(monkeypatch):
-    # the stream's chunks are consecutive slices of one record, 1 to
-    # ceil(_ROWS / q2) points each, whatever the synthesis block. The whole
-    # record is also fed to the demodulator in slices of exactly _BLOCK
-    # samples, and 12345 is no multiple of q1 (the synthesis blocks are
-    # whole overlap-save segments);
+    # the stream's chunks are consecutive slices of one record, 1 to _CHUNK
+    # points each, whatever the draws' block; a record fed to the
+    # demodulator in slices of the block size, whole segments or not
+    # (12345 is no multiple of q1), gives what it gives whole.
     # q1 * q2 * 100_000 spans the whole record
     q1, q2 = decimation_plan(CFG)
     record = _record(TWIN_COV, CFG, seed=43)
     whole = simulate(TWIN_COV, CFG, POINTS, seed=43).data
-    most = -(-dsp_chain._ROWS // q2)
+    demodulated = _demodulated([record], CFG, POINTS)
     for block in (q1 * q2 * 1_000, q1 * q2 * 100_000, 12_345):
         monkeypatch.setattr(dsp_chain, "_BLOCK", block)
-        slices = (record[:, start:start + block]
-                  for start in range(0, record.shape[1], block))
-        for chunks in (list(stream(TWIN_COV, CFG, POINTS, seed=43)),
-                       list(_demod_stream(slices, CFG, POINTS, _demodulator(CFG)))):
-            assert all(c.shape[0] == 4 and 1 <= c.shape[1] <= most for c in chunks)
-            assert np.array_equal(np.concatenate(chunks, axis=1), whole.T)
+        chunks = list(stream(TWIN_COV, CFG, POINTS, seed=43))
+        assert all(c.shape[0] == 4 and 1 <= c.shape[1] <= dsp_chain._CHUNK for c in chunks)
+        assert np.array_equal(np.concatenate(chunks, axis=1), whole.T)
+        slices = [record[:, start:start + block] for start in range(0, record.shape[1], block)]
+        assert np.array_equal(_demodulated(slices, CFG, POINTS), demodulated)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -391,25 +478,24 @@ def test_streamed_output_independent_of_block_size(monkeypatch):
     # ratio 5: a single-stage plan, q1 = 1
     dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4, lo_frequency_hz=1.0e5),
 ], ids=["test", "single-stage"])
-def test_output_independent_of_the_run_size(monkeypatch, cfg):
-    # the demodulator's runs and the low-pass blocks sit at fixed record
-    # positions, and the last block holds zeros past the last output
-    # point's sample whatever a run computes there, so runs of 256, 1024 or
-    # 4096 rows give the same bits, in chunks of at most ceil(rows / q2)
-    # points
-    _, q2 = decimation_plan(cfg)
+def test_output_independent_of_the_segment_batch(monkeypatch, cfg):
+    # the filter banks' segments and the low-pass blocks sit at fixed
+    # record positions, and the last block holds zeros past the last output
+    # point's sample whatever a batch computes there, so batches of 1, 3 or
+    # 40 segments give the same bits, in chunks of at most _CHUNK points
     whole = simulate(TWIN_COV, cfg, POINTS, seed=49).data
-    for rows in (256, 1024):
-        monkeypatch.setattr(dsp_chain, "_ROWS", rows)
+    step = _filter_bank(cfg, _demodulator(cfg), _shaping_filters(TWIN_COV, cfg)[:2]).step
+    for segments in (1, 3, 40):
+        monkeypatch.setattr(dsp_chain, "_BATCH", segments * step)
         chunks = list(stream(TWIN_COV, cfg, POINTS, seed=49))
-        assert max(c.shape[1] for c in chunks) == -(-rows // q2)
+        assert max(c.shape[1] for c in chunks) == dsp_chain._CHUNK
         assert np.array_equal(np.concatenate(chunks, axis=1), whole.T)
 
 
 def test_stream_stacks_the_pair_pipelines_run_one_after_the_other():
     # the helper thread changes no arithmetic: the stream's chunks are, bit
     # for bit, each pair's pipeline run in this thread, one pair after the
-    # other, stacked run by run
+    # other, stacked chunk by chunk
     taps, demod = _shaping_filters(TWIN_COV, CFG), _demodulator(CFG)
     pairs = [list(_pair_stream(taps, demod, CFG, POINTS, 46, pair)) for pair in (1, 2)]
     chunks = list(stream(TWIN_COV, CFG, POINTS, seed=46))
@@ -420,18 +506,18 @@ def test_stream_stacks_the_pair_pipelines_run_one_after_the_other():
 
 
 def _failing_pairs(monkeypatch, pairs):
-    # make the pipelines of ``pairs`` raise after their first block
-    synth = dsp_chain._synth_blocks
+    # make the pipelines of ``pairs`` raise after their first block of draws
+    draws = dsp_chain._draws
 
-    def failing(taps, cfg, points, seed, modes):
-        blocks = synth(taps, cfg, points, seed, modes)
+    def failing(seed, modes, count):
+        blocks = draws(seed, modes, count)
         pair = modes.start // 2 + 1
         if pair in pairs:
             yield next(blocks)
             raise ModelError(f"pair {pair} pipeline failed")
         yield from blocks
 
-    monkeypatch.setattr(dsp_chain, "_synth_blocks", failing)
+    monkeypatch.setattr(dsp_chain, "_draws", failing)
 
 
 def test_stream_joins_its_helper_thread(monkeypatch):
@@ -440,7 +526,7 @@ def test_stream_joins_its_helper_thread(monkeypatch):
     before = threading.active_count()
     assert len(list(stream(TWIN_COV, CFG, 2_000, seed=47))) > 1
     assert threading.active_count() == before
-    # closed after 1 to 30 of a record's 39 chunks, with the helper at most
+    # closed after 1 to 30 of a record's 61 chunks, with the helper at most
     # _PAIR_AHEAD chunks ahead, blocked or running; a short switch interval
     # interleaves the two threads finely
     interval = sys.getswitchinterval()
@@ -463,7 +549,7 @@ def test_stream_joins_its_helper_thread(monkeypatch):
 
 def test_both_pairs_failing_raise_pair_1s_error(monkeypatch):
     # as when one thread ran both pairs: the design refuses pair 1 first,
-    # and of two pipelines failing at the same run, pair 1's error is raised.
+    # and of two pipelines failing at the same chunk, pair 1's error is raised.
     # This narrow cavity needs V- >= 1.72 at the lo: 0.3 dB passes, 7 fails
     cfg = dataclasses.replace(CFG, cavity_bandwidth_hz=8.0e4)
     shallow = TwinPairParams(squeezing_db=0.3)
@@ -564,23 +650,30 @@ def _needed_samples(cfg, points):
     return (_lead(cfg) + points - 1) * q2 * q1 + half + 1, half
 
 
+def _batch(cfg):
+    # the inputs a record's batch carries from the one before, and the
+    # inputs it adds
+    bank = _record_bank(cfg)
+    return bank.size - bank.step, max(1, dsp_chain._BATCH // bank.step) * bank.step
+
+
 def _white_record(cfg, points):
-    # a record a demodulator run longer than the length bound
-    length = _needed_samples(cfg, points)[0] + dsp_chain._ROWS * decimation_plan(cfg)[0]
+    # a record a batch longer than the length bound
+    length = _needed_samples(cfg, points)[0] + sum(_batch(cfg))
     return np.random.default_rng(40).standard_normal((4, length), dtype=np.float32)
 
 
 @pytest.mark.parametrize("run_boundary,block", [(False, None), (False, 7), (True, None)])
 def test_record_at_the_length_bound_matches_the_whole_record(run_boundary, block):
     # exactly the bound's samples, whole or in blocks of 7; or the first
-    # length past it whose zero-padded half + length is a whole number of
-    # runs, so that a run after the record's last would be all padding
+    # length past it that, after half zeros, ends a batch, so that every
+    # batch after the record's last adds only padding
     points = 2_000
     rec = _white_record(CFG, points)
     length, half = _needed_samples(CFG, points)
     if run_boundary:
-        width = dsp_chain._ROWS * decimation_plan(CFG)[0]
-        length = -(-(half + length) // width) * width - half
+        keep, width = _batch(CFG)
+        length = keep + -(-(half + length - keep) // width) * width - half
         assert length < rec.shape[1]
     cut = rec[:, :length]
     blocks = [cut] if block is None else [cut[:, s:s + block]
@@ -605,3 +698,6 @@ def test_oversqueezed_at_lo_rejected():
                             TwinPairParams(squeezing_db=12.0))
     with pytest.raises(ModelError, match="cavity"):
         simulate(deep, cfg, POINTS, seed=41)
+    # the memory check charges such a design nothing: the stream refuses it
+    # before it holds any buffer
+    assert dsp_chain._bank_samples(deep, cfg) == (0, 0)

@@ -10,15 +10,16 @@ No pinned output depends on a BLAS or LAPACK call, whose results may
 depend on the kernel the library picks for the CPU (the eigvalsh check of
 FourChannelCovariance only validates): each config's 4 x 4 covariance
 factor (model._covariance_factor) is scalar math in closed form, the
-direct engine's channels are elementwise sums, the chain's demodulator
-product is an einsum, whose summation order is fixed in numpy's baseline
-build, and the chain's FFT products are spelled out in real multiplies
-and adds. numpy's reductions and pocketfft may still pick their loops by
-CPU. So subprocess tests run every case, the chain's, the direct runs and
-sweep and the selftest, under OpenBLAS's SkylakeX, Haswell and Zen kernels
-(OPENBLAS_CORETYPE, the kernels it picks on AVX-512, AVX2-only and AMD
-CPUs) and with numpy's AVX-512 loops switched off
-(NPY_DISABLE_CPU_FEATURES), and require the pinned digests under each.
+direct engine's channels are elementwise sums, and the chain's FFT
+products are spelled out in real multiplies and adds, those of its filter
+banks, with their fold by q1, in einsums, whose summation order is fixed
+in numpy's baseline build. numpy's reductions and pocketfft may still
+pick their loops by CPU. So subprocess tests run every case, the
+chain's, the direct runs and sweep and the selftest, under OpenBLAS's
+SkylakeX, Haswell and Zen kernels (OPENBLAS_CORETYPE, the kernels it
+picks on AVX-512, AVX2-only and AMD CPUs) and with numpy's AVX-512 loops
+switched off (NPY_DISABLE_CPU_FEATURES), and require the pinned digests
+under each.
 Those variables are set in the child's environment only.
 
 The Philox canary runs first: numpy may change a Generator stream between
@@ -43,7 +44,7 @@ import twinbeam_transfer
 from twinbeam_transfer.cli import main
 from twinbeam_transfer.scenario import run_selftest
 
-PINNED_VERSION = "0.7.0"
+PINNED_VERSION = "0.8.0"
 
 # the first normals of Philox(0), float64 then float32, exactly
 PHILOX_CANARY = (
@@ -54,9 +55,9 @@ PHILOX_CANARY = (
 DIGESTS = {
     "run_direct": "2c5eb9f6badf46f4",
     "run_direct_scatter_100": "ca98358f25a554bc",
-    "run_chain": "e85895a5ab473c7e",
+    "run_chain": "bc070bc35ab81a56",
     "sweep_direct": "22b41f47e80ae3c5",
-    "sweep_chain": "27cded83d6d4ed03",
+    "sweep_chain": "a2bdfad243c50fcf",
     "selftest": "5f126b48cd7972f2",
 }
 

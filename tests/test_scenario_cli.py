@@ -493,7 +493,7 @@ def test_cli_run_writes_files(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["config"]["seed"] == 7
-    assert report["version"] == "0.7.0"
+    assert report["version"] == "0.8.0"
 
 
 def test_cli_run_bit_identical_reruns(tmp_path, capsys):
@@ -577,12 +577,12 @@ def _room(probability=0.0, workers=1, scatter=0, chain=None, rows=1, points=100_
     # unconditioned summary a record window, which keeps every event, and a
     # pair of 20k-row scatters, and, on the engine of the signal chain
     # ``chain``, the stream's buffers and its plan's, where a chunk in
-    # flight is at most ceil(_ROWS / q2) points; nothing of it grows with the
-    # record past one block of held values
+    # flight is at most _CHUNK points; nothing of it grows with the record
+    # past one block of held values
     chunk = item = min(points, scenario._SAMPLE_CHUNK)
     scratch, stream = scenario._BYTES_PER_CHUNK, 0
     if chain is not None:
-        item = min(points, -(-dsp_chain._ROWS // dsp_chain.decimation_plan(chain)[1]))
+        item = min(points, dsp_chain._CHUNK)
         scratch, stream = 0, scenario._BYTES_PER_CHAIN_STREAM + _plan_bytes(chain)
     flights = scenario._CHUNKS_PER_WORKER * workers + 1
     probability += scatter
@@ -595,11 +595,17 @@ def _room(probability=0.0, workers=1, scatter=0, chain=None, rows=1, points=100_
 
 
 def _plan_bytes(chain):
-    # the chain's buffers that grow with its decimation plan, and its
-    # low-pass blocks
-    q1, q2 = dsp_chain.decimation_plan(chain)
-    return (q1 * scenario._BYTES_PER_RUN_Q1
-            + q2 * dsp_chain._lowpass_block(chain) * scenario._BYTES_PER_LOWPASS_SAMPLE)
+    # the chain's buffers that grow with the tap count of its shaping
+    # filters for the default pairs: the shaping design and the filter
+    # banks; and its low-pass blocks
+    base = ScenarioConfig()
+    cov = build_covariance(base.pair1, base.pair2, base.setting)
+    taps = dsp_chain._shaping_filters(cov, chain).shape[1]
+    assert dsp_chain._bank_samples(cov, chain)[0] == taps
+    return (taps * scenario._BYTES_PER_SHAPING_TAP
+            + dsp_chain._bank_samples(cov, chain)[1] * scenario._BYTES_PER_BANK_SAMPLE
+            + dsp_chain.decimation_plan(chain)[1] * dsp_chain._lowpass_block(chain)
+            * scenario._BYTES_PER_LOWPASS_SAMPLE)
 
 
 @pytest.mark.parametrize("engine", ["direct", "chain"])
@@ -635,7 +641,7 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
         scenario._check_memory(dataclasses.replace(cfg, n_points=points), p, workers=1,
                                scatter=True)
     # the stream's buffers and its plan's are charged on top of its chunks
-    # in flight, which hold at most ceil(_ROWS / q2) points each, fewer than
+    # in flight, which hold at most _CHUNK points each, fewer than
     # the direct engine's chunks of 65536 events, and its worker draws
     # nothing
     chunks = needed - scenario._BYTES_PER_CHAIN_STREAM - _plan_bytes(cfg.signal_chain)
@@ -646,26 +652,26 @@ def test_chain_memory_check_charges_no_record(monkeypatch):
 
 
 def test_chain_memory_check_charges_the_decimation_plan(monkeypatch, tmp_path, capsys):
-    # a 2e10 Hz synthesis rate with a 1 GHz cavity decimates by q1 = 20000:
-    # its demodulator run buffer needs about 1.3 GB (with the calibration
-    # response and a separate last-run padding it took about 3.4 GB, which
-    # escaped main as a MemoryError where the memory was not there). With
-    # 1 GiB available, 100 points exit 2 before any synthesis, naming the
-    # plan and what to lower
+    # a 2e10 Hz synthesis rate with a 1 GHz cavity decimates by q1 = 20000,
+    # whose polyphase FIR of 400,001 taps makes each pair pipeline's filter
+    # bank cut segments of 2.56M samples, charged about 0.41 GB for the two
+    # (a plan's buffers once escaped main as a MemoryError where the memory
+    # was not there). With 256 MiB available, 100 points exit 2 before any
+    # synthesis, naming the plan and what to lower
     def never(*args, **kwargs):
         raise AssertionError("synthesized before the memory check")
 
     monkeypatch.setattr(scenario, "stream", never)
-    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 1 << 30)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: 256 << 20)
     chain = {"synth_rate_hz": 2.0e10, "cavity_bandwidth_hz": 1.0e9}
     assert dsp_chain.decimation_plan(SignalChainConfig(**chain)) == (20_000, 5)
-    assert _plan_bytes(SignalChainConfig(**chain)) > 1 << 30
+    assert _plan_bytes(SignalChainConfig(**chain)) > 256 << 20
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"engine": "chain", "signal_chain": chain}))
     assert main(["run", "--config", str(path), "--points", "100"]) == 2
     err = capsys.readouterr().err
-    assert ("lower the synth_rate_hz / output_rate_hz ratio (the decimation plan is "
-            "q1 = 20000, q2 = 5)") in err
+    assert "raise cavity_bandwidth_hz or lower the synth_rate_hz / output_rate_hz ratio" in err
+    assert "filter banks hold 5120216 samples for 513 shaping taps at q1 = 20000)" in err
 
 
 def test_chain_memory_check_charges_the_lowpass_blocks(monkeypatch, tmp_path, capsys):
@@ -810,8 +816,8 @@ def test_acquire_charges_each_config_its_kept_rows_and_scatter(monkeypatch):
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    # a worker scratch of 4096 points, which a chain chunk, at most
-    # ceil(_ROWS / q2) points (820 at SCALED_CHAIN's plan), must still fit
+    # a worker scratch of 4096 points, which a chain chunk, at most _CHUNK
+    # points (512), must still fit
     monkeypatch.setattr(scenario, "_SAMPLE_CHUNK", 4096)
 
 
@@ -844,7 +850,7 @@ def test_chain_acquire_independent_of_how_the_record_is_cut(monkeypatch):
     # the windows reduce their kept values in blocks cut from the value
     # sequence, and fill their scatters in record order, so the record cut
     # into 7000-point or 1-point chunks gives what the stream's own chunks,
-    # of at most 820 points, give: the same moments, histograms, scatters
+    # of at most 512 points, give: the same moments, histograms, scatters
     # and kept counts of both windows
     cfg = _chain(20_000, seed=6)
     reference = acquire([cfg], workers=2, unconditioned=True)
@@ -864,7 +870,7 @@ def test_chain_acquire_independent_of_how_the_record_is_cut(monkeypatch):
 
 
 def test_cli_chain_run_identical_for_any_worker_count(tmp_path, small_chunks):
-    # the stream hands the chain's chunks (at most 820 points each, 39
+    # the stream hands the chain's chunks (at most 512 points each, 61
     # here) to 1, 2 or 3 reducers; every output file is the same
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_chain(30_000, scatter_points=1000).to_dict()))
@@ -915,11 +921,11 @@ def test_chain_sweep_row_takes_the_error_of_its_pair_2_pipeline(monkeypatch, sma
     # row's stream, and in the second's makes non-finite values that a
     # worker's gate refuses, which closes the stream early: each becomes its
     # row's error, not a crash, and every helper thread is joined
-    synth = dsp_chain._synth_blocks
+    draws = dsp_chain._draws
     broken = []
 
-    def pair_2_broken(taps, cfg, points, seed, modes):
-        blocks = synth(taps, cfg, points, seed, modes)
+    def pair_2_broken(seed, modes, count):
+        blocks = draws(seed, modes, count)
         if modes.start == 0:
             yield from blocks
             return
@@ -930,7 +936,7 @@ def test_chain_sweep_row_takes_the_error_of_its_pair_2_pipeline(monkeypatch, sma
         for block in blocks:
             yield np.full_like(block, np.nan)
 
-    monkeypatch.setattr(dsp_chain, "_synth_blocks", pair_2_broken)
+    monkeypatch.setattr(dsp_chain, "_draws", pair_2_broken)
     before = threading.active_count()
     rows = run_sweep(_chain(30_000, seed=19, sweep=SweepAxis("squeezing_db", 3.0, 9.0, 2)))
     assert threading.active_count() == before
@@ -1078,6 +1084,38 @@ def test_chain_charge_flat_in_workers(monkeypatch):
     # 12 MiB more a worker, the direct engine's draw scratch)
     charges = [_chain_charge(monkeypatch, workers) for workers in (1, 2, 3)]
     assert max(charges) - min(charges) <= 1 << 20, charges
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_narrow_cavity_chain_run_memory_within_its_charge(monkeypatch, tmp_path, capsys):
+    # a 2500 Hz cavity at the default 50 MHz synthesis needs 65,537 shaping
+    # taps, and a 5 kHz output rate the plan q1 = 2000: the memory check
+    # designs the filters, and charges their design and the filter banks'
+    # 1,024,000 segment samples. A 200-point run (which keeps too few
+    # events, and exits 3) grows by about 118 MiB over a process that has
+    # imported numpy only, within its charge of about 178 MiB; with one
+    # byte less than that growth available it exits 2 before any synthesis,
+    # naming the cavity bandwidth
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({
+        "engine": "chain", "pair1": {"squeezing_db": 0.5}, "pair2": {"squeezing_db": 0.5},
+        "signal_chain": {"cavity_bandwidth_hz": 2500.0, "lo_frequency_hz": 5000.0,
+                         "post_mixer_cutoff_hz": 2500.0, "output_rate_hz": 5000.0}}))
+    argv = ["run", "--config", str(config), "--points", "200"]
+    script = _PEAK_SCRIPT.replace("assert code == 0, code", "assert code == 3, code")
+    growth = _peak_rss(argv, script) - _peak_rss([], _NUMPY_PEAK_SCRIPT)
+    cfg = ScenarioConfig.from_dict({**json.loads(config.read_text()), "n_points": 200})
+    taps = dsp_chain._shaping_filters(build_covariance(cfg.pair1, cfg.pair2),
+                                      cfg.signal_chain).shape[1]
+    assert (taps, dsp_chain.decimation_plan(cfg.signal_chain)) == (65_537, (2000, 5))
+
+    def never(*args, **kwargs):
+        raise AssertionError("synthesized before the memory check")
+
+    monkeypatch.setattr(scenario, "stream", never)
+    monkeypatch.setattr(scenario, "_available_memory_bytes", lambda: growth - 1)
+    assert main(argv) == 2
+    assert "raise cavity_bandwidth_hz" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -1503,7 +1541,7 @@ def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
-    assert "twinbeam-transfer 0.7.0" in capsys.readouterr().out
+    assert "twinbeam-transfer 0.8.0" in capsys.readouterr().out
 
 
 def test_distribution_version_is_the_package_version():
