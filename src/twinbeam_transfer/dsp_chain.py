@@ -29,14 +29,20 @@ with the record (a 300k-point record reads 4 x 75M draws through it). Each
 beam pair has its own pipeline, pair 2's on a helper thread. ``simulate``
 concatenates the chunks into one batch.
 
-Of scipy the chain uses scipy.fft only, for its filter banks, imported
-inside _demod_stream, so importing this module (and so every direct-engine
-run) does not load it. The filter designs are numpy's.
+Of scipy the chain uses only its compiled pocketfft kernel, the extension
+module behind scipy.fft, for the filter banks' transforms: _pocketfft
+loads it from its file when a stream starts, and no scipy package is
+imported, so neither importing this module (and so every direct-engine
+run) nor a chain run loads scipy. The filter designs are numpy's.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import queue
 import threading
 from collections.abc import Iterable, Iterator
@@ -261,6 +267,26 @@ def _shaping_error(taps: np.ndarray, density: np.ndarray) -> float:
     return float(error.max())
 
 
+# the last shaping design (_designed): its (covariance, chain) key and taps
+_last_design: tuple = (None, None)
+
+
+def _designed(cov: FourChannelCovariance, cfg: SignalChainConfig) -> np.ndarray:
+    """_shaping_filters(cov, cfg), read-only, designed once for consecutive
+    calls with the same covariance matrix and chain: an acquisition's
+    memory check designs the filters to charge their tap count
+    (_bank_samples), and its stream takes that design. A failed design is
+    not kept."""
+    global _last_design
+    key = (cov.matrix.tobytes(), cfg)
+    last, taps = _last_design
+    if last != key:
+        taps = _shaping_filters(cov, cfg)
+        taps.flags.writeable = False
+        _last_design = key, taps
+    return taps
+
+
 def _draws(seed: int, modes: range, count: int) -> Iterator[np.ndarray]:
     """The first count unit white draws of each mode of ``modes``, as
     consecutive (len(modes), b) float32 blocks of at most _BLOCK draws,
@@ -415,7 +441,7 @@ def _segments(q1: int, taps: int) -> tuple[int, int]:
 
 
 def _bank_samples(cov: FourChannelCovariance, cfg: SignalChainConfig) -> tuple[int, int]:
-    """The tap count M of the shaping filters of ``cov`` (_shaping_filters),
+    """The tap count M of the shaping filters of ``cov`` (_designed),
     and the segment samples that each pair pipeline's filter bank holds at
     once (_demod_stream): N for the bank's spectra and the batch's inputs'
     overlap, N for each segment of a batch, for its inputs, spectrum and
@@ -423,7 +449,7 @@ def _bank_samples(cov: FourChannelCovariance, cfg: SignalChainConfig) -> tuple[i
     transform and LO rotation. (0, 0) if the design fails, which the stream
     raises before it holds anything."""
     try:
-        taps = _shaping_filters(cov, cfg).shape[1]
+        taps = _designed(cov, cfg).shape[1]
     except ModelError:
         return 0, 0
     q1, _ = decimation_plan(cfg)
@@ -470,6 +496,37 @@ def _filter_bank(cfg: SignalChainConfig, demod: _Demodulator, taps: np.ndarray) 
     return _Bank(weights.reshape(2, 2, taps.shape[0], q1, kept // q1), n, step, reach)
 
 
+@functools.cache
+def _pocketfft():
+    """scipy's compiled pocketfft kernel, scipy/fft/_pocketfft/pypocketfft,
+    loaded from its file once per process without importing scipy: the
+    filter banks take three of its transforms (_demod_stream), for which
+    importing scipy.fft would load about 300 more modules, 0.2-0.3 s and
+    18 MiB of peak RSS (loading the kernel: 1 ms and 0.5 MiB). The chain calls the kernel as scipy.fft calls it, so its
+    transforms are scipy.fft's bit for bit. Raises ImportError, naming
+    where it looked and scipy's version, if that scipy has no such kernel.
+    """
+    spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("the chain engine needs scipy, which is not installed")
+    stem = os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft", "pypocketfft")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    for suffix in suffixes:
+        if os.path.isfile(stem + suffix):
+            loader = importlib.machinery.ExtensionFileLoader("pypocketfft", stem + suffix)
+            kernel = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader("pypocketfft", loader))
+            loader.exec_module(kernel)
+            return kernel
+    from importlib import metadata
+    try:
+        version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        version = "of unknown version"
+    raise ImportError(f"scipy {version} has no pocketfft kernel: looked for {stem} with "
+                      f"the suffixes {', '.join(suffixes)}")
+
+
 def _demod_stream(blocks: Iterable[np.ndarray], bank: _Bank, cfg: SignalChainConfig,
                   points: int, demod: _Demodulator) -> Iterator[np.ndarray]:
     """The chain's calibrated output for inputs given as consecutive (c, b)
@@ -500,7 +557,9 @@ def _demod_stream(blocks: Iterable[np.ndarray], bank: _Bank, cfg: SignalChainCon
     of N/q1 bins), and the pairs' folded bins make s and i, whose inverse
     FFT of N/q1 bins holds the segment's mid-rate samples g*step/q1 ..
     (g + 1)*step/q1 - 1 first. A single-stage plan's spectra are
-    Hermitian, so it keeps N/2 + 1 bins and takes a real inverse FFT. The
+    Hermitian, so it keeps N/2 + 1 bins and takes a real inverse FFT. These
+    transforms are scipy's pocketfft kernel's (_pocketfft), called as
+    scipy.fft's rfft, ifft(overwrite_x=True) and irfft call it. The
     products and the fold are spelled out in real multiplies and adds, one
     einsum over the spectra's real and imaginary parts and the q1 blocks
     for each part of the folded bins, rounded the same whatever SIMD loops
@@ -537,8 +596,9 @@ def _demod_stream(blocks: Iterable[np.ndarray], bank: _Bank, cfg: SignalChainCon
     needed inputs are read, and batches are padded with zeros past them,
     so no output bit depends on what follows them.
     """
-    from scipy import fft as sp_fft
-
+    # the kernel's calls take (array, axes, forward, normalization: 0 none
+    # and 2 by 1/n, out, threads), as scipy.fft passes them
+    fft = _pocketfft()
     q1, q2 = decimation_plan(cfg)
     lead = _lead(cfg)
     spectra, size, step, reach = bank
@@ -601,7 +661,7 @@ def _demod_stream(blocks: Iterable[np.ndarray], bank: _Bank, cfg: SignalChainCon
             filled += take
             if filled < width:
                 break
-            s = sp_fft.rfft(segments, axis=2)
+            s = fft.r2c(segments, (2,), True, 0, None, 1)
             inputs[:, :keep] = inputs[:, width - keep:]
             filled = keep
             flat_re[..., :bins], flat_im[..., :bins] = s.real, s.imag
@@ -615,8 +675,8 @@ def _demod_stream(blocks: Iterable[np.ndarray], bank: _Bank, cfg: SignalChainCon
                 # s = u + d and i = u - d of each pair, the 1/2 in the spectra
                 np.add(sums[1::2], sums[0::2], out=out[0::2])
                 np.subtract(sums[1::2], sums[0::2], out=out[1::2])
-            z = (sp_fft.ifft(folds, axis=2, overwrite_x=True) if q1 > 1
-                 else sp_fft.irfft(folds, n=size, axis=2))[..., :step // q1]
+            z = (fft.c2c(folds, (2,), False, 2, folds, 1) if q1 > 1
+                 else fft.c2r(folds, (2,), size, False, 2, None, 1))[..., :step // q1]
             z = z.reshape(channels, -1)
             phase = lo_step * (np.arange(first, first + z.shape[1]) * q1 - demod.half)
             first += z.shape[1]
@@ -694,7 +754,8 @@ def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
     pair 1's while one helper thread advances pair 2's, at most _PAIR_AHEAD
     chunks ahead, and each pair of chunks is stacked. Both pipelines share
     one design: the shaping filters, whose tap count holds all four modes
-    to _SHAPING_TOL, and the demodulator's; their filter banks are made
+    to _SHAPING_TOL (_designed: the memory check's design, if it made
+    one), and the demodulator's; their filter banks are made
     from it one after the other, before either pipeline starts. Neither
     pipeline reads the other's data, so the output is what running them
     one after the other gives. An error of either pipeline reaches the
@@ -709,8 +770,11 @@ def stream(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
 def _paired(cov: FourChannelCovariance, cfg: SignalChainConfig, points: int,
             seed: int) -> Iterator[np.ndarray]:
     # stream's generator: pair 2's chunks, or the exception that ended its
-    # pipeline, come through a queue the calling thread drains on its way out
-    taps = _shaping_filters(cov, cfg)
+    # pipeline, come through a queue the calling thread drains on its way
+    # out. The FFT kernel is loaded here, before the helper thread starts,
+    # so one thread loads it and a missing kernel fails the stream at once
+    _pocketfft()
+    taps = _designed(cov, cfg)
     demod = _demodulator(cfg)
     first, second = (_pair_stream(taps, demod, cfg, points, seed, pair) for pair in (1, 2))
     handoff: queue.Queue = queue.Queue(_PAIR_AHEAD)

@@ -135,20 +135,22 @@ _BYTES_PER_HELD = 8
 _BYTES_PER_SWEEP_ROW = 4 << 10
 
 # Peak memory of the chain engine's stream that grows with neither its
-# shaping filters, its decimation plan nor its low-pass: the scipy.fft
-# import, the low-pass design, and each pair pipeline's block of draws and
-# output chunks, one of them on the stream's helper thread. Peak RSS
-# (VmHWM) of a default 100k-point chain run (plan q1 = 50, q2 = 5, 1025
-# shaping taps) grows by 41.7-42.8, 41.9-42.9 and 42.7-43.1 MiB with 1, 2
-# and 3 workers (4 runs each) over a process that has imported numpy
-# only. Less the rest of each run's charge (12.0-12.1 MiB: the shaping
-# design, the filter banks and the low-pass blocks, the kept, held and
-# scatter terms), at most 31.0 MiB; rounded up to 34 MiB, so a 1-worker
-# to 3-worker run is charged 46.0-46.1 MiB, 2.9 MiB above the largest
-# growth measured. tests/test_scenario_cli.py re-measures the run at 1
-# and 3 workers, and requires the charge to be at least the growth and at
-# most 16 MiB above it.
-_BYTES_PER_CHAIN_STREAM = 34 << 20
+# shaping filters, its decimation plan nor its low-pass: the package's
+# modules and scipy's pocketfft kernel (dsp_chain._pocketfft, about 0.5
+# MiB, loaded without importing scipy), the low-pass design, and each pair
+# pipeline's block of draws and output chunks, one of them on the stream's
+# helper thread. Peak RSS (VmHWM) of a default 100k-point chain run (plan
+# q1 = 50, q2 = 5, 1025 shaping taps) grows by 23.9-24.4, 23.9-24.4 and
+# 24.7-25.1 MiB with 1, 2 and 3 workers (4 runs each) over a process that
+# has imported numpy only. Less the rest of each run's charge (12.0-12.1
+# MiB: the shaping design, the filter banks and the low-pass blocks, the
+# kept, held and scatter terms), at most 13.1 MiB; rounded up to 16 MiB,
+# so a 1-worker to 3-worker run is charged 28.0-28.1 MiB, 3.0 MiB above
+# the largest growth measured (34 MiB, and 41.7-43.1 MiB of growth, while
+# the chain imported the scipy.fft package for the kernel).
+# tests/test_scenario_cli.py re-measures the run at 1 and 3 workers, and
+# requires the charge to be at least the growth and at most 16 MiB above it.
+_BYTES_PER_CHAIN_STREAM = 16 << 20
 
 # The chain's buffers that grow with its shaping filters' tap count M and
 # its decimation plan. Its shaping design, made before either pair
@@ -365,7 +367,8 @@ def _check_memory(cfg: ScenarioConfig, probability: float, workers: int = 1,
     the ``scatter`` configs' pairs of scatters of scatter_points rows, at
     _BYTES_PER_KEPT a row; and on the chain engine the stream's
     _BYTES_PER_CHAIN_STREAM, its shaping design and filter banks, which
-    grow with the shaping filters' tap count (the check designs them), and
+    grow with the shaping filters' tap count (the check designs them, and
+    the stream takes that design: dsp_chain._designed), and
     its low-pass blocks. Raises ValidationError, naming what to
     lower, rather than let the process be killed part way; the message
     opens with the rows' count when their table rows are the larger part of

@@ -6,7 +6,10 @@ mirror the defaults.
 """
 
 import dataclasses
+import functools
+import importlib.machinery
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -560,6 +563,64 @@ def test_both_pairs_failing_raise_pair_1s_error(monkeypatch):
     _failing_pairs(monkeypatch, {1, 2})
     with pytest.raises(ModelError, match="pair 1 pipeline failed"):
         list(stream(TWIN_COV, CFG, POINTS, seed=48))
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    # ratio 5: a single-stage plan, q1 = 1
+    dataclasses.replace(CFG, synth_rate_hz=4.0e5, output_rate_hz=8.0e4, lo_frequency_hz=1.0e5),
+], ids=["test", "single-stage"])
+def test_fft_kernel_calls_are_scipy_fft_bit_for_bit(cfg):
+    # the filter banks call scipy's pocketfft kernel, loaded from its file,
+    # as scipy.fft's rfft, ifft(overwrite_x=True) and irfft call it, on the
+    # stream's buffers: the real FFT of a batch's segments, a strided
+    # sliding window over the inputs (steps of q1 = 8 in the test plan),
+    # then the inverse FFT of the folded bins, in place for q1 > 1 and a
+    # real inverse FFT of N/2 + 1 bins for a single-stage plan
+    kernel = dsp_chain._pocketfft()
+    q1, _ = decimation_plan(cfg)
+    bank = _filter_bank(cfg, _demodulator(cfg), _shaping_filters(TWIN_COV, cfg)[:2])
+    count = max(1, dsp_chain._BATCH // bank.step)
+    rng = np.random.default_rng(50)
+    inputs = rng.standard_normal((2, bank.size - bank.step + count * bank.step))
+    segments = sliding_window_view(inputs.astype(np.float32), bank.size, axis=1)[:, ::bank.step]
+    assert segments.shape == (2, count, bank.size) and not segments.flags.c_contiguous
+    spectra = kernel.r2c(segments, (2,), True, 0, None, 1)
+    reference = sp_fft.rfft(segments, axis=2)
+    assert spectra.dtype == reference.dtype == np.complex64
+    assert np.array_equal(spectra, reference)
+
+    shape = (2, count, bank.spectra.shape[4])
+    folds = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+    if q1 > 1:
+        reference = sp_fft.ifft(folds.copy(), axis=2, overwrite_x=True)
+        z = kernel.c2c(folds, (2,), False, 2, folds, 1)
+        assert np.shares_memory(z, folds)
+    else:
+        assert shape[2] == bank.size // 2 + 1
+        reference = sp_fft.irfft(folds, n=bank.size, axis=2)
+        z = kernel.c2r(folds, (2,), bank.size, False, 2, None, 1)
+    assert z.dtype == reference.dtype
+    assert np.array_equal(z, reference)
+
+
+def test_missing_fft_kernel_raises_naming_where_it_looked(monkeypatch):
+    # no fallback to the scipy.fft package: a scipy without the kernel's
+    # file raises ImportError naming the file's path and scipy's version,
+    # from the stream's first chunk, before the helper thread starts
+    import scipy
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent.so"])
+    monkeypatch.setattr(dsp_chain, "_pocketfft",
+                        functools.cache(dsp_chain._pocketfft.__wrapped__))
+    stem = os.path.join(os.path.dirname(scipy.__file__), "fft", "_pocketfft", "pypocketfft")
+    before = threading.active_count()
+    with pytest.raises(ImportError) as raised:
+        next(stream(TWIN_COV, CFG, POINTS, seed=51))
+    assert threading.active_count() == before
+    message = str(raised.value)
+    assert message.startswith(f"scipy {scipy.__version__} has no pocketfft kernel")
+    assert f"{stem} with the suffixes .absent.so" in message
 
 
 def test_simulate_peak_memory_below_wideband_record(monkeypatch):

@@ -962,6 +962,40 @@ def test_chain_sweep_keeps_its_rows_when_one_stream_fails():
         assert math.isfinite(row["transferred_db"]) and row["kept_count"] >= 100
 
 
+def test_chain_acquisition_designs_its_shaping_filters_once(monkeypatch):
+    # the memory check designs the shaping filters to charge their tap
+    # count, and the stream takes that design: a chain acquisition designs
+    # them once, not once for the check and again for the stream, and a
+    # bandwidth_delta sweep, whose check and rows share one covariance,
+    # once in all. The outputs are those of a design made for each use
+    design = dsp_chain._shaping_filters
+    designs = []
+
+    def counted(cov, chain):
+        designs.append(chain)
+        return design(cov, chain)
+
+    cfg = _chain(20_000, seed=7, scatter_points=100)
+    with monkeypatch.context() as anew:
+        anew.setattr(dsp_chain, "_designed", counted)
+        fresh = acquire([cfg], unconditioned=True)
+    assert len(designs) == 2
+    monkeypatch.setattr(dsp_chain, "_shaping_filters", counted)
+    monkeypatch.setattr(dsp_chain, "_last_design", (None, None))
+    designs.clear()
+    once = acquire([cfg], unconditioned=True)
+    assert designs == [SCALED_CHAIN]
+    for a, b in zip(once, fresh):
+        assert a.kept_moments == b.kept_moments
+        assert np.array_equal(a.kept_histogram.counts, b.kept_histogram.counts)
+        assert np.array_equal(a.kept_scatter, b.kept_scatter)
+    monkeypatch.setattr(dsp_chain, "_last_design", (None, None))
+    designs.clear()
+    rows = run_sweep(_chain(20_000, seed=7, sweep=SweepAxis("bandwidth_delta", 0.1, 1.0, 3)))
+    assert [row["error"] for row in rows] == [""] * 3
+    assert designs == [SCALED_CHAIN]
+
+
 def test_chain_acquire_memory_flat_in_points(small_chunks):
     # nothing of record length is held on the chain's acquire path: the
     # peak at 4 x 30k points stays within 256 KiB of the peak at 30k, where
@@ -1058,7 +1092,7 @@ def _chain_charge(monkeypatch, workers):
 def test_chain_run_memory_within_its_charge(monkeypatch, capsys, workers):
     # the memory check charges a default 100k-point chain run at least the
     # peak RSS it grows by over a process that has imported numpy only
-    # (about 47 MiB at 1, 2 and 3 workers): with one byte less than that
+    # (about 24-25 MiB at 1, 2 and 3 workers): with one byte less than that
     # growth available, the run is refused before it synthesizes anything.
     # And at most 16 MiB more, so a charge left behind by a change that
     # shrank the run shows (RSS noise is about 1 MiB)
@@ -1092,8 +1126,8 @@ def test_narrow_cavity_chain_run_memory_within_its_charge(monkeypatch, tmp_path,
     # taps, and a 5 kHz output rate the plan q1 = 2000: the memory check
     # designs the filters, and charges their design and the filter banks'
     # 1,024,000 segment samples. A 200-point run (which keeps too few
-    # events, and exits 3) grows by about 118 MiB over a process that has
-    # imported numpy only, within its charge of about 178 MiB; with one
+    # events, and exits 3) grows by about 96 MiB over a process that has
+    # imported numpy only, within its charge of about 160 MiB; with one
     # byte less than that growth available it exits 2 before any synthesis,
     # naming the cavity bandwidth
     config = tmp_path / "narrow.json"
@@ -1591,11 +1625,12 @@ def test_cli_without_chain_engine_never_imports_scipy(tmp_path):
     assert (tmp_path / "sweep" / "sweep.csv").is_file()
 
 
-def test_cli_chain_run_imports_scipy_fft_and_never_scipy_signal(tmp_path):
-    # of scipy the chain engine needs only scipy.fft, for its synthesis: a
-    # chain run in a fresh interpreter loads it and never scipy.signal,
-    # whose import loads scipy.stats, optimize, sparse and more (about
-    # 50 MB of RSS and 0.6 s of a run's wall time)
+def test_cli_chain_run_never_imports_scipy(tmp_path):
+    # of scipy the chain engine needs only the compiled pocketfft kernel,
+    # which it loads from its file: a chain run in a fresh interpreter
+    # loads no scipy module, neither scipy.fft (about 300 modules, 18 MiB
+    # of peak RSS and 0.2-0.3 s) nor scipy.signal (scipy.stats, optimize,
+    # sparse and more: about 50 MB and 0.6 s)
     config = tmp_path / "chain.json"
     config.write_text(json.dumps({"engine": "chain", "selection": {"bandwidth_delta": 1.0}}))
     argv = ["run", "--config", str(config), "--points", "5000", "--out", str(tmp_path / "run")]
@@ -1603,9 +1638,7 @@ def test_cli_chain_run_imports_scipy_fft_and_never_scipy_signal(tmp_path):
         import sys
         from twinbeam_transfer.cli import main
         assert main({argv!r}) == 0
-        assert "scipy.fft" in sys.modules
-        loaded = sorted(m for m in sys.modules
-                        if m == "scipy.signal" or m.startswith("scipy.signal."))
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded[:10]
         """)
     src = str(Path(twinbeam_transfer.__file__).parents[1])
